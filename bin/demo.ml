@@ -97,12 +97,10 @@ let run bug_ids profile_name count seed trace_out metrics_dump serve clients =
     Rae_block.Disk.create ~latency ~block_size:Rae_format.Layout.block_size ~nblocks:8192 ()
   in
   let dev = Rae_block.Device.of_disk disk in
-  (* Timeline clock: simulated device time plus CPU time, so spans order
-     correctly and CPU-only phases still have extent. *)
+  (* Timeline clock: simulated device time plus wall time, so spans order
+     correctly and device-free phases still have extent. *)
   let clock () =
-    Int64.add
-      (Rae_util.Vclock.now (Rae_block.Disk.clock disk))
-      (Int64.of_float (Sys.time () *. 1e9))
+    Int64.add (Rae_util.Vclock.now (Rae_block.Disk.clock disk)) (Rae_obs.Clock.now_ns ())
   in
   let tracer = Rae_obs.Tracer.create ~clock () in
   if trace_out <> None then Rae_obs.Tracer.enable tracer;

@@ -34,6 +34,10 @@ module Socket_transport = struct
     mutable order : int list;
     mutable next_link : int;
     timeout : float;  (* select timeout: the idle turn rate *)
+    rbuf : Bytes.t;
+        (* One read buffer for the daemon's life: at 64 KiB it is over the
+           minor heap's size limit, so a fresh one per wakeup went straight
+           to the major heap. *)
   }
 
   let create ~path ~timeout =
@@ -42,7 +46,14 @@ module Socket_transport = struct
     Unix.bind fd (Unix.ADDR_UNIX path);
     Unix.listen fd 16;
     Unix.set_nonblock fd;
-    { listen_fd = fd; links = Hashtbl.create 16; order = []; next_link = 1; timeout }
+    {
+      listen_fd = fd;
+      links = Hashtbl.create 16;
+      order = [];
+      next_link = 1;
+      timeout;
+      rbuf = Bytes.create 65536;
+    }
 
   let drop t id =
     match Hashtbl.find_opt t.links id with
@@ -87,7 +98,7 @@ module Socket_transport = struct
               evs := Transport.Accepted id :: !evs
           | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
         end;
-        let buf = Bytes.create 65536 in
+        let buf = t.rbuf in
         List.iter
           (fun (id, link) ->
             if List.memq link.fd readable then

@@ -82,6 +82,12 @@ type t = {
   mutable txn : Journal.txn;
   txn_kinds : (int, meta_kind) Hashtbl.t;
   dirty_data : (int, unit) Hashtbl.t;
+  (* Derived metadata changed since the last commit, serialized at the
+     next one: the superblock, and each bitmap block (inode bitmap blocks
+     first, then block bitmap blocks — the two regions are adjacent). *)
+  mutable sb_dirty : bool;
+  bm_dirty : bool array;
+  mutable bm_ndirty : int;
   det : Detector.t;
   bug_reg : Bug_registry.t;
   mutable ops_since_commit : int;
@@ -162,6 +168,10 @@ let mount ?(config = default_config) ?(bugs = Bug_registry.none) ?pool dev =
                           txn = Journal.begin_txn journal;
                           txn_kinds = Hashtbl.create 32;
                           dirty_data = Hashtbl.create 32;
+                          sb_dirty = false;
+                          bm_dirty =
+                            Array.make (geo.Layout.inode_bitmap_len + geo.Layout.block_bitmap_len) false;
+                          bm_ndirty = 0;
                           det = Detector.create ();
                           bug_reg = bugs;
                           ops_since_commit = 0;
@@ -187,7 +197,8 @@ let bget t blk =
       bc_put t.bcache blk data;
       data
 
-(* Install a metadata block: cached (pinned until commit) and journalled. *)
+(* Install a metadata block: cached (pinned until commit) and journalled.
+   The cache entry and the transaction share [data]. *)
 let bput_meta t blk data ~kind =
   bc_put t.bcache blk data;
   bc_pin t.bcache blk;
@@ -201,36 +212,77 @@ let bput_data t blk data =
   bc_pin t.bcache blk;
   Hashtbl.replace t.dirty_data blk ()
 
+(* The one read-modify-write path.  [b] is [blk]'s cached image (from
+   [bget]); the result is the running transaction's image of [blk], which
+   the caller then writes in place.  A block the transaction already holds
+   is returned as is — its cache entry and the transaction share one
+   buffer.  A clean block is copied once, when the transaction first
+   dirties it, so an image the device or an earlier commit has seen is
+   never written through. *)
+let writable t blk b ~route =
+  let b = if Hashtbl.mem t.txn_kinds blk || Hashtbl.mem t.dirty_data blk then b else Bytes.copy b in
+  (match route with `Data -> bput_data t blk b | `Meta kind -> bput_meta t blk b ~kind);
+  b
+
+(* The superblock and the bitmaps live in memory between commits: a
+   mutation only marks them dirty, and [serialize_derived] encodes each
+   once, at the commit barrier. *)
 let flush_sb t =
-  let sb =
+  t.sb <-
     {
       t.sb with
       Superblock.fs_time = t.time;
       generation = Int64.add t.sb.Superblock.generation 1L;
       state = Superblock.Dirty;
-    }
-  in
-  t.sb <- sb;
-  bput_meta t 0 (Superblock.encode sb) ~kind:K_sb
+    };
+  t.sb_dirty <- true
 
 let flush_bitmap_bit t which bit =
-  let bm, start =
+  let start, len =
     match which with
-    | `Inode -> (t.ibm, t.geo.Layout.inode_bitmap_start)
-    | `Block -> (t.bbm, t.geo.Layout.block_bitmap_start)
+    | `Inode -> (t.geo.Layout.inode_bitmap_start, t.geo.Layout.inode_bitmap_len)
+    | `Block -> (t.geo.Layout.block_bitmap_start, t.geo.Layout.block_bitmap_len)
   in
-  let blocks = Bitmap.to_blocks bm ~block_size:Layout.block_size in
   let index = bit / Layout.bits_per_block in
-  match List.nth_opt blocks index with
-  | Some b -> bput_meta t (start + index) b ~kind:K_bitmap
-  | None -> Detector.bug_fail ~bug:"bitmap-io" "bitmap block %d out of range" index
+  if index >= len then Detector.bug_fail ~bug:"bitmap-io" "bitmap block %d out of range" index;
+  let i = start + index - t.geo.Layout.inode_bitmap_start in
+  if not t.bm_dirty.(i) then begin
+    t.bm_dirty.(i) <- true;
+    t.bm_ndirty <- t.bm_ndirty + 1
+  end
+
+(* Journal the dirty bitmap blocks and the superblock, after every other
+   write of the commit. *)
+let serialize_derived t =
+  let g = t.geo in
+  if t.bm_ndirty > 0 then begin
+    for i = 0 to Array.length t.bm_dirty - 1 do
+      if t.bm_dirty.(i) then begin
+        t.bm_dirty.(i) <- false;
+        let image =
+          if i < g.Layout.inode_bitmap_len then
+            Bitmap.encode_block t.ibm ~block_size:Layout.block_size i
+          else Bitmap.encode_block t.bbm ~block_size:Layout.block_size (i - g.Layout.inode_bitmap_len)
+        in
+        bput_meta t (g.Layout.inode_bitmap_start + i) image ~kind:K_bitmap
+      end
+    done;
+    t.bm_ndirty <- 0
+  end;
+  if t.sb_dirty then begin
+    t.sb_dirty <- false;
+    bput_meta t 0 (Superblock.encode t.sb) ~kind:K_sb
+  end
+
+(* Blocks the next commit writes, derived metadata included. *)
+let pending_blocks t =
+  Journal.txn_block_count t.txn + t.bm_ndirty + if t.sb_dirty then 1 else 0
 
 (* ---- validation at the commit barrier (Recon-style) ---- *)
 
 let validate_txn t =
   t.s_validations <- t.s_validations + 1;
-  List.iter
-    (fun (blk, data) ->
+  Journal.txn_iter t.txn (fun blk data ->
       match Hashtbl.find_opt t.txn_kinds blk with
       | None -> ()
       | Some K_sb -> (
@@ -272,10 +324,10 @@ let validate_txn t =
               Detector.validation_fail ~context:"indirect block" "block %d entry %d -> %d" blk i p
           done
       | Some K_bitmap -> ())
-    (Journal.txn_writes t.txn)
 
 let commit_work t =
   begin
+    serialize_derived t;
     if t.cfg.validate_on_commit then validate_txn t;
     (* Ordered mode: data reaches the medium before the metadata that
        references it commits. *)
@@ -299,7 +351,7 @@ let commit_work t =
   end
 
 let commit t =
-  if Journal.txn_block_count t.txn > 0 || Hashtbl.length t.dirty_data > 0 then
+  if pending_blocks t > 0 || Hashtbl.length t.dirty_data > 0 then
     match t.tracer with
     | Some tr -> Rae_obs.Tracer.with_span tr ~cat:"commit" "base.commit" (fun () -> commit_work t)
     | None -> commit_work t
@@ -329,16 +381,12 @@ let load_inode t ino =
 let store_inode t ino inode =
   IC.put t.icache ino inode;
   let blk, pos = Layout.inode_location t.geo ino in
-  let b = Bytes.copy (bget t blk) in
-  Inode.encode inode ~ino b ~pos;
-  bput_meta t blk b ~kind:K_itable
+  Inode.encode inode ~ino (writable t blk (bget t blk) ~route:(`Meta K_itable)) ~pos
 
 let clear_inode_slot t ino =
   IC.remove t.icache ino;
   let blk, pos = Layout.inode_location t.geo ino in
-  let b = Bytes.copy (bget t blk) in
-  Bytes.fill b pos Layout.inode_size '\000';
-  bput_meta t blk b ~kind:K_itable
+  Bytes.fill (writable t blk (bget t blk) ~route:(`Meta K_itable)) pos Layout.inode_size '\000'
 
 (* ---- allocation (trusting: plain bit flips, no double-alloc checks) ---- *)
 
@@ -370,17 +418,24 @@ let alloc_block t ~purpose =
       Bitmap.set t.bbm blk;
       t.sb <- { t.sb with Superblock.free_blocks = t.sb.Superblock.free_blocks - 1 };
       flush_bitmap_bit t `Block blk;
-      let zero = Bytes.make Layout.block_size '\000' in
       (match purpose with
-      | `Data -> bput_data t blk zero
-      | `Dir -> bput_meta t blk zero ~kind:K_dir
-      | `Indirect -> bput_meta t blk zero ~kind:K_indirect);
+      | `Data -> bput_data t blk (Bytes.make Layout.block_size '\000')
+      | `Dir -> bput_meta t blk (Dirent.empty_block ()) ~kind:K_dir
+      | `Indirect -> bput_meta t blk (Bytes.make Layout.block_size '\000') ~kind:K_indirect);
       Ok blk
 
+(* Forget-on-free: besides the revoke, the block leaves the running
+   transaction — its buffered image, its kind, its ordered-data entry and
+   its pin.  Otherwise a block reused before this transaction commits
+   would have the stale image written over its new contents. *)
 let free_block t blk =
   Bitmap.clear t.bbm blk;
   t.sb <- { t.sb with Superblock.free_blocks = t.sb.Superblock.free_blocks + 1 };
   Journal.txn_revoke t.txn blk;
+  Journal.txn_forget t.txn blk;
+  Hashtbl.remove t.txn_kinds blk;
+  Hashtbl.remove t.dirty_data blk;
+  bc_unpin t.bcache blk;
   flush_bitmap_bit t `Block blk
 
 (* ---- logical -> physical mapping (trusting) ---- *)
@@ -422,9 +477,7 @@ let set_block t inode idx phys =
       in
       Result.map
         (fun (iblk, inode) ->
-          let b = Bytes.copy (bget t iblk) in
-          ptr_set b idx1 phys;
-          bput_meta t iblk b ~kind:K_indirect;
+          ptr_set (writable t iblk (bget t iblk) ~route:(`Meta K_indirect)) idx1 phys;
           inode)
         ensure
     else
@@ -437,24 +490,21 @@ let set_block t inode idx phys =
         else Ok (inode.Inode.double_indirect, inode)
       in
       Result.bind ensure_d (fun (dblk, inode) ->
-          let db = Bytes.copy (bget t dblk) in
+          let db = bget t dblk in
           let l1_index = idx2 / ppb in
           let ensure_l1 =
             let l1 = ptr_get db l1_index in
             if l1 = 0 then
               Result.map
                 (fun b ->
-                  ptr_set db l1_index b;
-                  bput_meta t dblk db ~kind:K_indirect;
+                  ptr_set (writable t dblk db ~route:(`Meta K_indirect)) l1_index b;
                   b)
                 (alloc_block t ~purpose:`Indirect)
             else Ok l1
           in
           Result.map
             (fun l1blk ->
-              let lb = Bytes.copy (bget t l1blk) in
-              ptr_set lb (idx2 mod ppb) phys;
-              bput_meta t l1blk lb ~kind:K_indirect;
+              ptr_set (writable t l1blk (bget t l1blk) ~route:(`Meta K_indirect)) (idx2 mod ppb) phys;
               inode)
             ensure_l1)
 
@@ -477,42 +527,42 @@ let shrink_blocks t inode ~keep =
       { inode with Inode.indirect = 0 }
     end
     else begin
-      let b = Bytes.copy (bget t inode.Inode.indirect) in
+      let iblk = inode.Inode.indirect in
+      let b = writable t iblk (bget t iblk) ~route:(`Meta K_indirect) in
       for i = keep - base1 to ppb - 1 do
         ptr_set b i 0
       done;
-      bput_meta t inode.Inode.indirect b ~kind:K_indirect;
       inode
     end
   in
   let base2 = Layout.direct_pointers + ppb in
   if inode.Inode.double_indirect = 0 then inode
   else begin
-    let db = Bytes.copy (bget t inode.Inode.double_indirect) in
+    let dblk = inode.Inode.double_indirect in
+    (* A double-indirect block freed whole is only read; a kept one is
+       trimmed in place. *)
+    let whole = keep <= base2 in
+    let db = if whole then bget t dblk else writable t dblk (bget t dblk) ~route:(`Meta K_indirect) in
     let keep2 = max 0 (keep - base2) in
     for i = 0 to ppb - 1 do
       let l1 = ptr_get db i in
       if l1 <> 0 then
         if i * ppb >= keep2 then begin
           free_block t l1;
-          ptr_set db i 0
+          if not whole then ptr_set db i 0
         end
         else if (i + 1) * ppb > keep2 then begin
-          let lb = Bytes.copy (bget t l1) in
+          let lb = writable t l1 (bget t l1) ~route:(`Meta K_indirect) in
           for j = keep2 - (i * ppb) to ppb - 1 do
             ptr_set lb j 0
-          done;
-          bput_meta t l1 lb ~kind:K_indirect
+          done
         end
     done;
-    if keep <= base2 then begin
-      free_block t inode.Inode.double_indirect;
+    if whole then begin
+      free_block t dblk;
       { inode with Inode.double_indirect = 0 }
     end
-    else begin
-      bput_meta t inode.Inode.double_indirect db ~kind:K_indirect;
-      inode
-    end
+    else inode
   end
 
 (* ---- file data IO ---- *)
@@ -557,9 +607,7 @@ let write_range t inode ~off data =
       match with_block with
       | Error e -> Error e
       | Ok (inode, phys) ->
-          let b = Bytes.copy (bget t phys) in
-          Bytes.blit_string data pos b boff chunk;
-          bput_data t phys b;
+          Bytes.blit_string data pos (writable t phys (bget t phys) ~route:`Data) boff chunk;
           go inode (pos + chunk)
     end
   in
@@ -629,9 +677,8 @@ let dir_insert t dinode ~dino ~name ~ino ~kind_code =
     if idx >= n then None
     else begin
       let phys, b = dir_block t dinode idx in
-      let b = Bytes.copy b in
-      if Dirent.insert b ~name ~ino ~kind_code then begin
-        bput_meta t phys b ~kind:K_dir;
+      if Dirent.has_room b ~name then begin
+        ignore (Dirent.insert (writable t phys b ~route:(`Meta K_dir)) ~name ~ino ~kind_code);
         Some dinode
       end
       else try_existing (idx + 1)
@@ -648,9 +695,7 @@ let dir_insert t dinode ~dino ~name ~ino ~kind_code =
       Ok dinode
   | None ->
       Result.bind (alloc_block t ~purpose:`Dir) (fun blk ->
-          let b = Dirent.empty_block () in
-          ignore (Dirent.insert b ~name ~ino ~kind_code);
-          bput_meta t blk b ~kind:K_dir;
+          ignore (Dirent.insert (writable t blk (bget t blk) ~route:(`Meta K_dir)) ~name ~ino ~kind_code);
           Result.map
             (fun dinode ->
               update_dcache ();
@@ -663,9 +708,8 @@ let dir_remove t dinode ~dino ~name =
     if idx >= n then false
     else begin
       let phys, b = dir_block t dinode idx in
-      let b = Bytes.copy b in
-      if Dirent.remove b name then begin
-        bput_meta t phys b ~kind:K_dir;
+      if Dirent.mem b name then begin
+        ignore (Dirent.remove (writable t phys b ~route:(`Meta K_dir)) name);
         Rae_cache.Dentry.add t.dcache ~dir:dino ~name Rae_cache.Dentry.Absent;
         true
       end
@@ -676,10 +720,9 @@ let dir_remove t dinode ~dino ~name =
 
 let dir_set_dotdot t dinode ~parent =
   let phys, b = dir_block t dinode 0 in
-  let b = Bytes.copy b in
-  if not (Dirent.set_entry_ino b ".." parent) then
+  if not (Dirent.mem b "..") then
     Detector.bug_fail ~bug:"dir-structure" "directory missing \"..\" (oops)";
-  bput_meta t phys b ~kind:K_dir
+  ignore (Dirent.set_entry_ino (writable t phys b ~route:(`Meta K_dir)) ".." parent)
 
 (* ---- path resolution (dcache-accelerated) ---- *)
 
@@ -754,7 +797,7 @@ let finish_mutation t =
   t.ops_since_commit <- t.ops_since_commit + 1;
   if
     t.ops_since_commit >= t.cfg.commit_interval
-    || Journal.txn_block_count t.txn > txn_soft_limit t
+    || pending_blocks t > txn_soft_limit t
   then commit t
 
 let touch t ino ~time =
@@ -783,10 +826,9 @@ let create_node t path ~mode ~kind ~content =
                 match kind with
                 | Types.Directory ->
                     Result.bind (alloc_block t ~purpose:`Dir) (fun blk ->
-                        let b = Dirent.empty_block () in
+                        let b = writable t blk (bget t blk) ~route:(`Meta K_dir) in
                         ignore (Dirent.insert b ~name:"." ~ino ~kind_code:dir_kind_code);
                         ignore (Dirent.insert b ~name:".." ~ino:pino ~kind_code:dir_kind_code);
-                        bput_meta t blk b ~kind:K_dir;
                         set_block t { base with Inode.nlink = 2; size = Layout.block_size } 0 blk)
                 | Types.Regular -> Ok base
                 | Types.Symlink -> write_range t { base with Inode.mode = 0o777 } ~off:0 content
@@ -1125,13 +1167,12 @@ let truncate t path ~size =
                     (if size mod Layout.block_size <> 0 then
                        let idx = size / Layout.block_size in
                        let phys = get_block t inode idx in
-                       if phys <> 0 then begin
-                         let b = Bytes.copy (bget t phys) in
-                         Bytes.fill b (size mod Layout.block_size)
+                       if phys <> 0 then
+                         Bytes.fill
+                           (writable t phys (bget t phys) ~route:`Data)
+                           (size mod Layout.block_size)
                            (Layout.block_size - (size mod Layout.block_size))
-                           '\000';
-                         bput_data t phys b
-                       end);
+                           '\000');
                     inode
                   end
                   else inode
@@ -1255,11 +1296,8 @@ let apply_corruption t (spec : Bug_registry.spec) consequence op =
       match load_inode t Types.root_ino with
       | root ->
           let phys = get_block t root 0 in
-          if phys <> 0 then begin
-            let b = Bytes.copy (bget t phys) in
-            Rae_util.Codec.set_u16 b 4 0;
-            bput_meta t phys b ~kind:K_dir
-          end)
+          if phys <> 0 then
+            Rae_util.Codec.set_u16 (writable t phys (bget t phys) ~route:(`Meta K_dir)) 4 0)
   | Bug_registry.Corrupt_inode_size -> (
       (* Oversize the inode behind the op's fd (or the root as fallback). *)
       let target =
@@ -1321,6 +1359,9 @@ let contained_reboot t =
   Journal.abort t.journal t.txn;
   Hashtbl.reset t.txn_kinds;
   Hashtbl.reset t.dirty_data;
+  t.sb_dirty <- false;
+  Array.fill t.bm_dirty 0 (Array.length t.bm_dirty) false;
+  t.bm_ndirty <- 0;
   bc_clear t.bcache;
   IC.clear t.icache;
   Rae_cache.Dentry.clear t.dcache;

@@ -101,7 +101,7 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
   let now =
     match tracer with
     | Some tr -> fun () -> Rae_obs.Tracer.now tr
-    | None -> fun () -> Int64.of_float (Sys.time () *. 1e9)
+    | None -> Rae_obs.Clock.now_ns
   in
   (* The recorder shares the controller's clock so recovery spans and op
      events land on one timeline. *)
@@ -385,7 +385,6 @@ let run_constrained t shadow entries =
 
 (* The full §3.2 protocol.  Returns the in-flight operation's outcome. *)
 let recover t ~trigger ~inflight ~attempt =
-  let started = Sys.time () in
   let t0 = t.now () in
   t.s_recoveries <- t.s_recoveries + 1;
   t.in_recovery <- true;
@@ -426,7 +425,7 @@ let recover t ~trigger ~inflight ~attempt =
       r_handoff_blocks = handoff;
       r_delegated_sync = delegated;
       r_seeded = seeded;
-      r_wall_seconds = Sys.time () -. started;
+      r_wall_seconds = Int64.to_float (Int64.sub (t.now ()) t0) /. 1e9;
       r_phases = List.rev !phases;
       r_outcome = (match msg with None -> Report.Recovered | Some m -> Report.Recovery_failed m);
     }

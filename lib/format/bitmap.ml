@@ -163,6 +163,24 @@ let to_blocks t ~block_size =
   end;
   out
 
+let encode_block t ~block_size index =
+  let nbytes = Bytes.length t.bits in
+  if index < 0 || index >= max 1 ((nbytes + block_size - 1) / block_size) then
+    invalid_arg (Printf.sprintf "Bitmap.encode_block: block %d out of range" index);
+  let out = Bytes.make block_size '\xff' in
+  let src_off = index * block_size in
+  let len = min block_size (nbytes - src_off) in
+  if len > 0 then Bytes.blit t.bits src_off out 0 len;
+  (* Padding bits of the final byte read as allocated, as in [to_blocks]. *)
+  let last_byte = (t.nbits - 1) / 8 in
+  let used_bits = ((t.nbits - 1) mod 8) + 1 in
+  if used_bits < 8 && last_byte / block_size = index then begin
+    let off = last_byte mod block_size in
+    let mask_high = lnot ((1 lsl used_bits) - 1) land 0xFF in
+    Bytes.set out off (Char.chr (Char.code (Bytes.get out off) lor mask_high))
+  end;
+  out
+
 let parse blocks ~nbits ~strict =
   if nbits <= 0 then Error "nbits must be positive"
   else

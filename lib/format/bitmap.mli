@@ -51,6 +51,12 @@ val to_blocks : t -> block_size:int -> bytes list
 (** Serialise; the tail of the last block (bits beyond [nbits]) is all-ones,
     matching ext2's convention that out-of-range bits read as allocated. *)
 
+val encode_block : t -> block_size:int -> int -> bytes
+(** [encode_block t ~block_size i] is block [i] of {!to_blocks}, encoded
+    alone into a fresh buffer — the base re-serializes only the bitmap
+    blocks a transaction touched.
+    @raise Invalid_argument when [i] is not a block of {!to_blocks}. *)
+
 val of_blocks : bytes list -> nbits:int -> (t, string) result
 (** Parse; fails if the blocks cannot hold [nbits] or padding bits are not
     all-ones (a corruption signal fsck reports). *)

@@ -129,83 +129,83 @@ let name_at_equals b off name =
 let rec_len_ok ~len off rec_len =
   rec_len >= header_size && rec_len land 3 = 0 && off + rec_len <= len
 
-let insert b ~name ~ino ~kind_code =
+(* Offset of the first record that can take a [name] record — a free
+   record big enough, or a live record whose slack after its own name can
+   hold it — or -1. *)
+let room b ~name =
   let len = Bytes.length b in
   let needed = record_size name in
-  (* Walk records looking for a free record big enough, or a live record
-     whose slack after its own name can hold the new record. *)
   let rec go off =
-    if off + header_size > len then false
+    if off + header_size > len then -1
     else
       let rec_len = Codec.get_u16 b (off + 4) in
-      if not (rec_len_ok ~len off rec_len) then false
+      if not (rec_len_ok ~len off rec_len) then -1
       else
-        let rec_ino = Codec.get_u32_int b off in
-        if rec_ino = 0 then
-          if rec_len >= needed then begin
-            write_record b ~off ~ino ~rec_len ~name ~kind_code;
-            true
-          end
-          else go (off + rec_len)
-        else begin
-          let used = header_size + pad4 (Codec.get_u8 b (off + 6)) in
-          if rec_len - used >= needed then begin
-            (* Shrink the live record to its needed size, put the new
-               record in the freed tail. *)
-            Codec.set_u16 b (off + 4) used;
-            write_record b ~off:(off + used) ~ino ~rec_len:(rec_len - used) ~name ~kind_code;
-            true
-          end
-          else go (off + rec_len)
-        end
+        let used =
+          if Codec.get_u32_int b off = 0 then 0 else header_size + pad4 (Codec.get_u8 b (off + 6))
+        in
+        if rec_len - used >= needed then off else go (off + rec_len)
   in
   go 0
 
-let remove b name =
+let has_room b ~name = room b ~name >= 0
+
+let insert b ~name ~ino ~kind_code =
+  match room b ~name with
+  | -1 -> false
+  | off ->
+      let rec_len = Codec.get_u16 b (off + 4) in
+      if Codec.get_u32_int b off = 0 then write_record b ~off ~ino ~rec_len ~name ~kind_code
+      else begin
+        (* Shrink the live record to its needed size, put the new record
+           in the freed tail. *)
+        let used = header_size + pad4 (Codec.get_u8 b (off + 6)) in
+        Codec.set_u16 b (off + 4) used;
+        write_record b ~off:(off + used) ~ino ~rec_len:(rec_len - used) ~name ~kind_code
+      end;
+      true
+
+(* The offsets of [name]'s live record and of the record before it (-1
+   when it is the block's first); [(-1, -1)] when absent. *)
+let locate b name =
   let len = Bytes.length b in
   let nlen = String.length name in
   let rec go off prev =
-    if off + header_size > len then false
+    if off + header_size > len then (-1, -1)
     else
       let rec_len = Codec.get_u16 b (off + 4) in
-      if not (rec_len_ok ~len off rec_len) then false
-      else
-        let rec_ino = Codec.get_u32_int b off in
-        if rec_ino <> 0 && Codec.get_u8 b (off + 6) = nlen && name_at_equals b off name then begin
-          (match prev with
-          | Some (prev_off, prev_rec_len) when prev_off + prev_rec_len = off ->
-              (* Merge into the predecessor, ext2-style. *)
-              Codec.set_u16 b (prev_off + 4) (prev_rec_len + rec_len)
-          | Some _ | None ->
-              (* First record of the block: mark free. *)
-              Codec.set_u32_int b off 0;
-              Codec.set_u8 b (off + 6) 0;
-              Codec.set_u8 b (off + 7) 0);
-          true
-        end
-        else go (off + rec_len) (Some (off, rec_len))
+      if not (rec_len_ok ~len off rec_len) then (-1, -1)
+      else if
+        Codec.get_u32_int b off <> 0 && Codec.get_u8 b (off + 6) = nlen && name_at_equals b off name
+      then (off, prev)
+      else go (off + rec_len) off
   in
-  go 0 None
+  go 0 (-1)
+
+let mem b name = fst (locate b name) >= 0
+
+let remove b name =
+  match locate b name with
+  | -1, _ -> false
+  | off, prev ->
+      if prev >= 0 then
+        (* Merge into the predecessor, ext2-style: records are contiguous,
+           so the predecessor ends exactly at [off]. *)
+        Codec.set_u16 b (prev + 4) (Codec.get_u16 b (prev + 4) + Codec.get_u16 b (off + 4))
+      else begin
+        (* First record of the block: mark free. *)
+        Codec.set_u32_int b off 0;
+        Codec.set_u8 b (off + 6) 0;
+        Codec.set_u8 b (off + 7) 0
+      end;
+      true
 
 let set_entry_ino b name ino =
-  let len = Bytes.length b in
-  let nlen = String.length name in
-  let rec go off =
-    if off + header_size > len then false
-    else
-      let rec_len = Codec.get_u16 b (off + 4) in
-      if not (rec_len_ok ~len off rec_len) then false
-      else if
-        Codec.get_u32_int b off <> 0
-        && Codec.get_u8 b (off + 6) = nlen
-        && name_at_equals b off name
-      then begin
-        Codec.set_u32_int b off ino;
-        true
-      end
-      else go (off + rec_len)
-  in
-  go 0
+  match locate b name with
+  | -1, _ -> false
+  | off, _ ->
+      Codec.set_u32_int b off ino;
+      true
 
 let count b =
   match fold b ~init:0 ~f:(fun n _ -> n + 1) with Ok n -> n | Error _ -> 0

@@ -59,9 +59,15 @@ val insert : bytes -> name:string -> ino:int -> kind_code:int -> bool
     [false] when the block has no room.  The caller guarantees [name] is
     not already present. *)
 
+val has_room : bytes -> name:string -> bool
+(** Whether {!insert} of [name] would succeed; reads only. *)
+
 val remove : bytes -> string -> bool
 (** Remove by name, merging the record into its predecessor; [false] when
     absent. *)
+
+val mem : bytes -> string -> bool
+(** Whether {!remove} of [name] would succeed; reads only. *)
 
 val set_entry_ino : bytes -> string -> int -> bool
 (** [set_entry_ino block name ino] rewrites the inode field of the record

@@ -175,13 +175,30 @@ let begin_txn t =
     r_rev = [];
   }
 
+(* The transaction takes ownership of [data]: no copy is made, so the
+   caller's later in-place writes to the same buffer are what commits. *)
 let txn_write txn blk data =
   if Bytes.length data <> Layout.block_size then invalid_arg "Journal.txn_write: not a full block";
   (* Supersede an earlier buffered write to the same block: overwrite the
      slot in place, preserving first-write order. *)
   match Hashtbl.find_opt txn.w_index blk with
-  | Some slot -> txn.w_slots.(slot) <- (blk, Bytes.copy data)
-  | None -> txn_push txn blk (Bytes.copy data)
+  | Some slot -> txn.w_slots.(slot) <- (blk, data)
+  | None -> txn_push txn blk data
+
+(* Drop [blk]'s buffered write, closing the gap so first-write order
+   holds for the rest. *)
+let txn_forget txn blk =
+  match Hashtbl.find_opt txn.w_index blk with
+  | None -> ()
+  | Some slot ->
+      Hashtbl.remove txn.w_index blk;
+      for i = slot + 1 to txn.w_len - 1 do
+        let ((home, _) as w) = txn.w_slots.(i) in
+        txn.w_slots.(i - 1) <- w;
+        Hashtbl.replace txn.w_index home (i - 1)
+      done;
+      txn.w_len <- txn.w_len - 1;
+      txn.w_slots.(txn.w_len) <- (0, Bytes.empty)
 
 let txn_revoke txn blk =
   if not (Hashtbl.mem txn.r_index blk) then begin
@@ -193,6 +210,12 @@ let txn_block_count txn = txn.w_len
 let txn_writes txn = List.init txn.w_len (fun i ->
     let blk, data = txn_slot txn i in
     (blk, Bytes.copy data))
+
+let txn_iter txn f =
+  for i = 0 to txn.w_len - 1 do
+    let blk, data = txn_slot txn i in
+    f blk data
+  done
 
 let escape_if_needed t data =
   if Int64.equal (Codec.get_u32 data 0) jmagic then begin

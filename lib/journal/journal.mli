@@ -44,7 +44,18 @@ type txn
 val begin_txn : t -> txn
 val txn_write : txn -> int -> bytes -> unit
 (** Buffer a full-block metadata write to home block [blk].  A later write
-    to the same block within the transaction supersedes the earlier one. *)
+    to the same block within the transaction supersedes the earlier one.
+
+    The transaction takes ownership of the buffer: it is not copied, and
+    what commits is its content at {!commit} time.  The caller may keep
+    writing through it until then (the base's dirty block cache does),
+    and must not write through it afterwards. *)
+
+val txn_forget : txn -> int -> unit
+(** Drop the buffered write to [blk], if any, keeping the others in
+    first-write order — jbd2's [journal_forget].  The base calls it when
+    it frees a block the running transaction holds, so a stale image
+    cannot land over the block's next use.  Revokes are unaffected. *)
 
 val txn_revoke : txn -> int -> unit
 (** Record that [blk] was freed: earlier journalled images of it must not
@@ -53,9 +64,13 @@ val txn_revoke : txn -> int -> unit
 val txn_block_count : txn -> int
 
 val txn_writes : txn -> (int * bytes) list
-(** The buffered (home-block, image) pairs, oldest first — exposed so the
-    base filesystem can validate dirty metadata at the commit barrier
-    before it becomes durable ("validate upon sync", paper §3.1). *)
+(** Copies of the buffered (home-block, image) pairs, oldest first. *)
+
+val txn_iter : txn -> (int -> bytes -> unit) -> unit
+(** Visit the buffered (home-block, image) pairs, oldest first, without
+    copying — the base validates dirty metadata this way at the commit
+    barrier, before it becomes durable ("validate upon sync", paper
+    §3.1).  The images are the transaction's own buffers: read only. *)
 
 val commit : t -> txn -> unit
 (** Make the transaction durable and checkpoint it.  On return the home

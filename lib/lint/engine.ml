@@ -25,7 +25,7 @@ type result = {
 }
 
 let run ?(config = Lintcfg.default) ?(baseline = Baseline.empty) ~dirs () =
-  let t0 = Sys.time () in
+  let t0 = Rae_obs.Clock.now_ns () in
   let load = Cmt_load.scan dirs in
   if load.Cmt_load.units = [] then
     Error
@@ -70,7 +70,7 @@ let run ?(config = Lintcfg.default) ?(baseline = Baseline.empty) ~dirs () =
             suppressed = List.length hidden;
             unused_baseline = List.length unused;
             by_rule;
-            wall_s = Sys.time () -. t0;
+            wall_s = Int64.to_float (Int64.sub (Rae_obs.Clock.now_ns ()) t0) /. 1e9;
           };
       }
   end

@@ -72,7 +72,7 @@ type t = {
   total : int Atomic.t;  (* events ever recorded; head = total land mask *)
 }
 
-let default_clock () = int_of_float (Sys.time () *. 1e9)
+let default_clock () = Int64.to_int (Clock.now_ns ())
 
 let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (acc * 2)
 

@@ -47,7 +47,8 @@ type t
 
 val create : ?capacity:int -> ?clock:(unit -> int) -> unit -> t
 (** [capacity] (default 1024) rounds up to a power of two; [clock]
-    returns nanoseconds (defaults to [Sys.time]-derived). *)
+    returns nanoseconds (defaults to {!Clock.now_ns}, the monotonic wall
+    clock). *)
 
 val set_clock : t -> (unit -> int) -> unit
 val capacity : t -> int

@@ -23,7 +23,7 @@ type t = {
          and only ever run under the lock. *)
 }
 
-let default_clock () = Int64.of_float (Sys.time () *. 1e9)
+let default_clock = Clock.now_ns
 
 let create ?(clock = default_clock) ?(max_events = 0) () =
   {

@@ -18,8 +18,8 @@ type event =
   | Instant of { name : string; cat : string; ts : int64 }
 
 val create : ?clock:(unit -> int64) -> ?max_events:int -> unit -> t
-(** [clock] supplies nanosecond timestamps; defaults to CPU time
-    ([Sys.time]).  The tracer starts {e disabled}.
+(** [clock] supplies nanosecond timestamps; defaults to {!Clock.now_ns},
+    the monotonic wall clock.  The tracer starts {e disabled}.
 
     [max_events] caps the buffer: once full it becomes a ring that
     overwrites the oldest events, so a long soak run (e.g. an [rfsd]

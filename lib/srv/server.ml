@@ -117,7 +117,7 @@ let impacted_sessions_json t =
   J.List (List.filter_map one (attached_sessions t))
 
 let create ?(config = default_config) ?now ctl =
-  let now = match now with Some f -> f | None -> fun () -> Int64.of_float (Sys.time () *. 1e9) in
+  let now = match now with Some f -> f | None -> Rae_obs.Clock.now_ns in
   let t =
   {
     ctl;

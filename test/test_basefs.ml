@@ -141,6 +141,80 @@ let test_bcache_hits () =
   let s = Base.bcache_stats b in
   Alcotest.(check bool) "block cache hit-dominated" true (s.Rae_cache.Lru.hits > 10 * s.Rae_cache.Lru.misses)
 
+(* ---- write path ---- *)
+
+(* A block freed and reused inside one transaction: the stale image the
+   transaction held from before the free must not land over the new
+   contents at commit. *)
+let test_freed_block_leaves_txn () =
+  let ninodes = 16 in
+  let nblocks =
+    match Layout.compute ~nblocks:4096 ~ninodes () with
+    | Ok g -> g.Layout.data_start + 10
+    | Error m -> Alcotest.fail m
+  in
+  let _disk, dev, b = mk_base ~nblocks ~ninodes () in
+  ignore (ok (Base.mkdir b (p "/d") ~mode:0o755));
+  let fd = ok (Base.openf b (p "/big") Types.flags_create) in
+  let rec fill off =
+    match Base.pwrite b fd ~off (String.make bs 'B') with
+    | Ok _ -> fill (off + bs)
+    | Error Errno.ENOSPC -> ()
+    | Error e -> Alcotest.failf "filling: %s" (Errno.to_string e)
+  in
+  fill 0;
+  ignore (ok (Base.close b fd));
+  (* /d's block is freed, and the next-fit rotor wraps straight to it. *)
+  ignore (ok (Base.rmdir b (p "/d")));
+  let fd = ok (Base.openf b (p "/f") Types.flags_create) in
+  ignore (ok (Base.pwrite b fd ~off:0 (String.make bs 'X')));
+  ignore (ok (Base.close b fd));
+  ignore (ok (Base.sync b));
+  ignore (ok (Base.contained_reboot b));
+  let fd = ok (Base.openf b (p "/f") Types.flags_ro) in
+  let got = ok (Base.pread b fd ~off:0 ~len:bs) in
+  if not (String.equal got (String.make bs 'X')) then
+    Alcotest.failf "the reused block reads back %S..., not /f's data" (String.sub got 0 16);
+  Alcotest.(check bool) "fsck clean" true (Fsck.clean (Fsck.check_device dev))
+
+(* A 4 KiB image is over the minor heap's 256-word limit, so each one is
+   allocated straight in the major heap.  The write path copies a block
+   once per transaction, not once per mutation: on rfsd's image a
+   metadata churn loop stays under one image's worth of major words per
+   op.  Same ops, same allocations: the count is deterministic. *)
+let test_major_alloc_budget () =
+  let _disk, _dev, b = mk_base ~nblocks:8192 ~ninodes:1024 () in
+  ignore (ok (Base.mkdir b (p "/d") ~mode:0o755));
+  let ops =
+    List.init 50 (fun i ->
+        let f = p (Printf.sprintf "/d/f%d" i)
+        and g = p (Printf.sprintf "/d/g%d" i)
+        and h = p (Printf.sprintf "/d/h%d" i) in
+        Op.[ Create (f, 0o644); Chmod (f, 0o600); Rename (f, g); Link (g, h); Unlink g; Unlink h ])
+    |> List.concat
+  in
+  let round () =
+    List.iter
+      (fun op ->
+        match Base.exec b op with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "%s: %s" (Op.kind_to_string (Op.kind op)) (Errno.to_string e))
+      ops
+  in
+  (* Warm the caches and grow the tables first. *)
+  round ();
+  round ();
+  let rounds = 10 in
+  Gc.full_major ();
+  let w0 = (Gc.quick_stat ()).Gc.major_words in
+  for _ = 1 to rounds do
+    round ()
+  done;
+  let per_op = ((Gc.quick_stat ()).Gc.major_words -. w0) /. float_of_int (rounds * List.length ops) in
+  let image_words = (bs / (Sys.word_size / 8)) + 1 in
+  if per_op > float_of_int image_words then
+    Alcotest.failf "%.0f major words per op, over one block image (%d)" per_op image_words
+
 let test_cache_policies_equivalent_semantics () =
   (* LRU vs 2Q must not change any outcome, only performance. *)
   let run policy =
@@ -448,6 +522,11 @@ let () =
           Alcotest.test_case "negative dentries" `Quick test_negative_dentries;
           Alcotest.test_case "bcache hits" `Quick test_bcache_hits;
           Alcotest.test_case "policy-independent semantics" `Quick test_cache_policies_equivalent_semantics;
+        ] );
+      ( "write path",
+        [
+          Alcotest.test_case "freed block leaves the txn" `Quick test_freed_block_leaves_txn;
+          Alcotest.test_case "major allocation budget" `Quick test_major_alloc_budget;
         ] );
       ( "equivalence",
         [

@@ -274,6 +274,19 @@ let prop_bitmap_roundtrip =
       | Ok bm' -> Bitmap.equal bm bm'
       | Error _ -> false)
 
+let prop_encode_block_matches_to_blocks =
+  (* Small block sizes put the padding byte in any block, not just the
+     first. *)
+  QCheck2.Test.make ~name:"encode_block i == block i of to_blocks" ~count:200
+    QCheck2.Gen.(
+      triple (oneofl [ 4; 8; 64; bs ]) (int_range 1 5000) (list_size (int_bound 80) (int_bound 4999)))
+    (fun (block_size, nbits, sets) ->
+      let bm = Bitmap.create ~nbits in
+      List.iter (fun i -> if i < nbits then Bitmap.set bm i) sets;
+      Bitmap.to_blocks bm ~block_size
+      |> List.mapi (fun i b -> Bytes.equal b (Bitmap.encode_block bm ~block_size i))
+      |> List.for_all Fun.id)
+
 (* ---- Inode ---- *)
 
 let sample_inode () =
@@ -519,6 +532,28 @@ let prop_dirent_insert_remove =
              && match Dirent.find b name with Some (Ok e) -> e.Dirent.ino = ino | _ -> false)
            model true)
 
+let prop_dirent_probes_match_mutators =
+  (* The read-only probes the base asks before it dirties a block agree
+     with what the mutators then do, on blocks that fill up. *)
+  let gen_name =
+    QCheck2.Gen.(map2 (fun i pad -> Printf.sprintf "n%02d%s" i (String.make pad 'x')) (int_bound 30) (int_bound 200))
+  in
+  QCheck2.Test.make ~name:"has_room/mem agree with insert/remove" ~count:200
+    QCheck2.Gen.(list_size (int_bound 80) (pair bool gen_name))
+    (fun script ->
+      let b = Dirent.empty_block () in
+      List.for_all
+        (fun (is_insert, name) ->
+          if is_insert then
+            Dirent.mem b name
+            ||
+            let room = Dirent.has_room b ~name in
+            room = Dirent.insert b ~name ~ino:2 ~kind_code:1
+          else
+            let present = Dirent.mem b name in
+            present = Dirent.remove b name)
+        script)
+
 (* ---- Mkfs + Reader ---- *)
 
 let mk_device ?(nblocks = 256) () =
@@ -650,6 +685,7 @@ let () =
           Alcotest.test_case "padding strictness" `Quick test_bitmap_padding_strictness;
           Alcotest.test_case "undersized rejected" `Quick test_bitmap_too_few_blocks;
           q prop_bitmap_roundtrip;
+          q prop_encode_block_matches_to_blocks;
           q prop_find_free_matches_naive;
           q prop_cursor_allocates_every_free_bit;
           q prop_counts_maintained;
@@ -676,6 +712,7 @@ let () =
           Alcotest.test_case "crafted name_len" `Quick test_dirent_crafted_name_len;
           Alcotest.test_case "dot entries allowed" `Quick test_dirent_dot_entries_allowed;
           q prop_dirent_insert_remove;
+          q prop_dirent_probes_match_mutators;
         ] );
       ( "mkfs+reader",
         [

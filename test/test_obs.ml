@@ -273,6 +273,32 @@ let mk_stack ?bundle_dir () =
   let ctl = Controller.make ~tracer ~events ?bundle_dir ~run_id:"test-obs" ~device:dev base in
   (ctl, tracer, events)
 
+(* Phases and the recovery's wall time come from one monotonic clock, so
+   the phases — disjoint steps inside the recovery — never sum past it.
+   Checked with the tracer's clock and with the controller's own. *)
+let test_phases_within_wall () =
+  let check ctl =
+    ignore (Controller.create ctl (p "/a") ~mode:0o644);
+    ignore (Controller.create ctl (p "/boom") ~mode:0o644);
+    match Controller.last_recovery ctl with
+    | None -> Alcotest.fail "expected a recovery"
+    | Some r ->
+        let sum = List.fold_left (fun acc ph -> Int64.add acc ph.Report.ph_ns) 0L r.Report.r_phases in
+        if r.Report.r_phases = [] then Alcotest.fail "no phases recorded";
+        if Int64.to_float sum /. 1e9 > r.Report.r_wall_seconds +. 1e-9 then
+          Alcotest.failf "phases sum to %Ld ns, over the %.9f s wall" sum r.Report.r_wall_seconds
+  in
+  let ctl, _, _ = mk_stack () in
+  check ctl;
+  let disk =
+    Rae_block.Disk.create ~latency:Rae_block.Disk.zero_latency
+      ~block_size:Rae_format.Layout.block_size ~nblocks:4096 ()
+  in
+  let dev = Rae_block.Device.of_disk disk in
+  Result.get_ok (Base.mkfs dev ~ninodes:256 ());
+  let base = Result.get_ok (Base.mount ~bugs:(armed_panic ()) dev) in
+  check (Controller.make ~device:dev base)
+
 let test_recovery_phases_and_spans () =
   let ctl, tracer, _ = mk_stack () in
   ignore (Controller.create ctl (p "/a") ~mode:0o644);
@@ -652,6 +678,7 @@ let () =
       ( "stack",
         [
           Alcotest.test_case "recovery phases + spans" `Quick test_recovery_phases_and_spans;
+          Alcotest.test_case "phases within the wall" `Quick test_phases_within_wall;
           Alcotest.test_case "register_obs + reset_stats" `Quick test_register_obs_and_reset;
         ] );
     ]
