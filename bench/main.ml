@@ -135,18 +135,21 @@ let write_json path =
   Printf.printf "\nWrote %d samples in %d sections to %s\n" (List.length samples)
     (List.length sections) path
 
-(* Median-of-reps wall timing (CPU seconds; the workloads are CPU-bound).
-   One warmup run plus a compaction isolate each measurement from garbage
-   left behind by earlier bench sections. *)
+(* Every duration in the harness is read from the system's one clock,
+   [Rae_obs.Clock] (CLOCK_MONOTONIC), in seconds. *)
+let now_s () = Int64.to_float (Rae_obs.Clock.now_ns ()) /. 1e9
+
+(* Median-of-reps wall timing.  One warmup run plus a compaction isolate
+   each measurement from garbage left behind by earlier bench sections. *)
 let time_runs ~reps f =
   ignore (f ());
   Gc.compact ();
   let samples =
     List.init reps (fun _ ->
         Gc.major ();
-        let t0 = Sys.time () in
+        let t0 = now_s () in
         f ();
-        Sys.time () -. t0)
+        now_s () -. t0)
   in
   let sorted = List.sort compare samples in
   List.nth sorted (reps / 2)
@@ -165,9 +168,9 @@ let time_interleaved ~reps fs =
     Array.iteri
       (fun i f ->
         Gc.major ();
-        let t0 = Sys.time () in
+        let t0 = now_s () in
         f ();
-        samples.(i) := (Sys.time () -. t0) :: !(samples.(i)))
+        samples.(i) := (now_s () -. t0) :: !(samples.(i)))
       fs
   done;
   Array.map
@@ -178,7 +181,7 @@ let time_interleaved ~reps fs =
 
 (* Like [time_runs], but the measured function reports the simulated
    device time its run accrued.  Returns the median (combined, device)
-   pair: combined = CPU + device time, the elapsed time of a synchronous
+   pair: combined = wall + device time, the elapsed time of a synchronous
    single-threaded execution; device = the virtual-clock share alone, so
    --json can report simulated time separately from wall time. *)
 let time_runs_with_device ~reps f =
@@ -187,10 +190,10 @@ let time_runs_with_device ~reps f =
   let samples =
     List.init reps (fun _ ->
         Gc.major ();
-        let t0 = Sys.time () in
+        let t0 = now_s () in
         let device_ns = f () in
         let device = Int64.to_float device_ns /. 1e9 in
-        (Sys.time () -. t0 +. device, device))
+        (now_s () -. t0 +. device, device))
   in
   let sorted = List.sort compare samples in
   List.nth sorted (reps / 2)
@@ -245,7 +248,7 @@ let e2_fig1 () =
 
 let e3_base_vs_shadow () =
   subsection
-    "E3b | sustained workloads (simulated elapsed = CPU + device time, 10us rd / 20us wr)";
+    "E3b | sustained workloads (simulated elapsed = wall + device time, 10us rd / 20us wr)";
   Printf.printf
     "Caveat: the shadow never writes to the device and its overlay acts as an\n\
      unbounded in-memory cache with no durability, which flatters it on\n\
@@ -425,7 +428,7 @@ let recovery_run ~policy window =
       ]
   in
   (* Simulated device latency on, so recovery has a virtual-clock cost
-     (journal replay + shadow reads) alongside the CPU cost. *)
+     (journal replay + shadow reads) alongside the wall cost. *)
   let disk = Disk.create ~latency:Disk.default_latency ~block_size:bs ~nblocks:8192 () in
   let dev, counts = Device.counting (Device.of_disk disk) in
   ignore (ok (Base.mkfs dev ~ninodes:1024 ~journal_len:1024 ()));
@@ -550,10 +553,9 @@ let e_ckpt () =
 (* ---------------------------------------------------------------- *)
 
 (* Both arms run in this process on the same images, so the speedup is a
-   host-independent shape (same local-replication scheme as E-alloc and
-   E-txn): [fast_paths=false] is the seed's literal walk-and-scan
-   execution, [fast_paths=true] the cached one, property-tested
-   equivalent in test_shadowfs. *)
+   host-independent shape: [fast_paths=false] is the seed's literal
+   walk-and-scan execution, [fast_paths=true] the cached one,
+   property-tested equivalent in test_shadowfs. *)
 let e_shadow () =
   section "E-shadow | shadow fast path: resolution caches, alloc hints, batched folds";
   let naive_config = { Shadow.default_config with Shadow.fast_paths = false } in
@@ -1053,145 +1055,6 @@ let e11_vs_restart_only () =
      the shadow filesystem exists to close.\n"
 
 (* ---------------------------------------------------------------- *)
-(* E-alloc: bitmap allocator, seed bit-scan vs word-scan vs rotor    *)
-(* ---------------------------------------------------------------- *)
-
-let e_alloc () =
-  section "E-alloc | block allocator: bit-at-a-time scan vs word scan vs next-fit rotor";
-  let module Bitmap = Rae_format.Bitmap in
-  let nbits = 8192 in
-  let allocs = sc 4096 in
-  (* The seed allocator: probe each bit from [from] upward.  Kept here as
-     the before-side of the comparison. *)
-  let naive_find_free bm ~from =
-    let n = Bitmap.nbits bm in
-    let rec go i = if i >= n then None else if not (Bitmap.test bm i) then Some i else go (i + 1) in
-    if from >= n then None else go from
-  in
-  let drain find =
-    let bm = Bitmap.create ~nbits in
-    fun () ->
-      Bitmap.reset_cursor bm;
-      for i = 0 to nbits - 1 do
-        if Bitmap.test bm i then Bitmap.clear bm i
-      done;
-      for _ = 1 to allocs do
-        match find bm with Some i -> Bitmap.set bm i | None -> failwith "bitmap full"
-      done
-  in
-  let n = float_of_int allocs in
-  let t_seed = time_runs ~reps:(reps 3) (drain (fun bm -> naive_find_free bm ~from:0)) in
-  let t_word = time_runs ~reps:(reps 3) (drain (fun bm -> Bitmap.find_free bm ~from:0)) in
-  let t_rotor = time_runs ~reps:(reps 3) (drain (fun bm -> Bitmap.find_free_next bm ~lo:0)) in
-  Printf.printf "%d allocations, %d-bit bitmap (first-fit fills a growing prefix):\n" allocs nbits;
-  Printf.printf "  seed bit-scan first-fit : %12.0f allocs/s\n" (n /. t_seed);
-  Printf.printf "  word-scan first-fit     : %12.0f allocs/s  (%.1fx)\n" (n /. t_word)
-    (t_seed /. t_word);
-  Printf.printf "  word-scan next-fit rotor: %12.0f allocs/s  (%.1fx)\n" (n /. t_rotor)
-    (t_seed /. t_rotor);
-  json_note ~sec:"E-alloc" ~name:"seed-bit-scan" ~unit:"allocs_per_s" (n /. t_seed);
-  json_note ~sec:"E-alloc" ~name:"word-scan" ~unit:"allocs_per_s" (n /. t_word);
-  json_note ~sec:"E-alloc" ~name:"word-scan+rotor" ~unit:"allocs_per_s" (n /. t_rotor);
-  json_note ~sec:"E-alloc" ~name:"rotor-speedup-vs-seed" ~unit:"ratio" (t_seed /. t_rotor);
-  Printf.printf
-    "\nExpected shape: the seed scan re-walks the allocated prefix on every probe\n\
-     (quadratic in allocations); the word scan skips it 64 bits at a time and the\n\
-     rotor resumes where the last allocation left off (near-constant per alloc).\n"
-
-(* ---------------------------------------------------------------- *)
-(* E-txn: journal transaction buffering, list walks vs Hashtbl index *)
-(* ---------------------------------------------------------------- *)
-
-let e_txn () =
-  section "E-txn | journal txn buffering: list filter/append vs Hashtbl-indexed slots";
-  let module Journal = Rae_journal.Journal in
-  let nhomes = 400 in
-  let passes = sc 8 in
-  let img = Bytes.make bs 'j' in
-  (* The seed txn_write: drop any earlier image of the block from the list,
-     append the new one at the tail — O(n) filter + O(n) append per call. *)
-  let seed_pass () =
-    let writes = ref [] in
-    for _pass = 1 to passes do
-      for home = 0 to nhomes - 1 do
-        writes := List.filter (fun (b, _) -> b <> home) !writes @ [ (home, Bytes.copy img) ]
-      done
-    done;
-    ignore (List.length !writes)
-  in
-  let disk = mk_disk ~nblocks:512 () in
-  let dev = Device.of_disk disk in
-  let g = ok (Layout.compute ~nblocks:512 ~ninodes:64 ~journal_len:16 ()) in
-  Journal.format dev g;
-  let j = ok (Journal.attach dev g) in
-  let indexed_pass () =
-    let txn = Journal.begin_txn j in
-    for _pass = 1 to passes do
-      for home = 0 to nhomes - 1 do
-        Journal.txn_write txn (g.Layout.data_start + home) img
-      done
-    done;
-    Journal.abort j txn
-  in
-  let calls = float_of_int (nhomes * passes) in
-  let t_seed = time_runs ~reps:(reps 3) seed_pass in
-  let t_indexed = time_runs ~reps:(reps 3) indexed_pass in
-  Printf.printf "%d txn_write calls (%d homes, %d rewrite passes):\n" (nhomes * passes) nhomes
-    passes;
-  Printf.printf "  seed list filter+append : %12.0f writes/s\n" (calls /. t_seed);
-  Printf.printf "  Hashtbl-indexed slots   : %12.0f writes/s  (%.1fx)\n" (calls /. t_indexed)
-    (t_seed /. t_indexed);
-  json_note ~sec:"E-txn" ~name:"seed-list" ~unit:"writes_per_s" (calls /. t_seed);
-  json_note ~sec:"E-txn" ~name:"indexed" ~unit:"writes_per_s" (calls /. t_indexed);
-  json_note ~sec:"E-txn" ~name:"speedup" ~unit:"ratio" (t_seed /. t_indexed);
-  Printf.printf
-    "\nExpected shape: rewriting hot metadata blocks inside one transaction is the\n\
-     common journaling pattern; the list walk pays O(buffered blocks) per write,\n\
-     the index overwrites a slot in place.\n"
-
-(* ---------------------------------------------------------------- *)
-(* E-oplog: op recording, list cons + List.length vs growable array  *)
-(* ---------------------------------------------------------------- *)
-
-let e_oplog () =
-  section "E-oplog | op-log recording: list + List.length vs growable array + counter";
-  let module Oplog = Rae_core.Oplog in
-  let nops = sc 20000 in
-  (* The seed oplog: cons onto a list; [length] (polled by the controller's
-     commit policy) re-walked the whole window. *)
-  let seed_pass () =
-    let entries = ref [] in
-    for i = 1 to nops do
-      entries := (Op.Sync, (Ok Op.Unit : Op.outcome), i) :: !entries;
-      ignore (List.length !entries)
-    done;
-    ignore (List.rev !entries)
-  in
-  let array_pass () =
-    let log = Oplog.create () in
-    for _ = 1 to nops do
-      Oplog.record log Op.Sync (Ok Op.Unit);
-      ignore (Oplog.length log)
-    done;
-    ignore (Oplog.entries log);
-    Oplog.checkpoint log ~fds:[]
-  in
-  let n = float_of_int nops in
-  let t_seed = time_runs ~reps:(reps 3) seed_pass in
-  let t_array = time_runs ~reps:(reps 3) array_pass in
-  Printf.printf "%d records, window length polled after each (commit-policy pattern):\n" nops;
-  Printf.printf "  seed list + List.length  : %12.0f records/s\n" (n /. t_seed);
-  Printf.printf "  array + running counter  : %12.0f records/s  (%.1fx)\n" (n /. t_array)
-    (t_seed /. t_array);
-  json_note ~sec:"E-oplog" ~name:"seed-list" ~unit:"records_per_s" (n /. t_seed);
-  json_note ~sec:"E-oplog" ~name:"array-counter" ~unit:"records_per_s" (n /. t_array);
-  json_note ~sec:"E-oplog" ~name:"speedup" ~unit:"ratio" (t_seed /. t_array);
-  Printf.printf
-    "\nExpected shape: the window is polled once per operation, so the seed pays\n\
-     O(window) per record — quadratic across a commit interval; the counter makes\n\
-     recording flat regardless of window length.\n"
-
-(* ---------------------------------------------------------------- *)
 (* E-obs: observability — instrumentation cost and trace validity    *)
 (* ---------------------------------------------------------------- *)
 
@@ -1201,8 +1064,8 @@ let e_obs () =
   (* The claim is "within noise", so the noise floor has to sit well under
      the couple-percent acceptance band.  Machine speed drifts over seconds,
      which would bias back-to-back [time_runs] calls; instead the
-     configurations are interleaved within each repetition so drift hits all
-     of them equally, and the per-config median is taken across rounds. *)
+     configurations are interleaved ([time_interleaved]) so drift hits all
+     of them equally. *)
   let ops = W.ops W.Varmail (Rae_util.Rng.create 11L) ~count:(sc 16_000) in
   let n = float_of_int (List.length ops) in
   let run_off () =
@@ -1230,25 +1093,11 @@ let e_obs () =
     let ctl = Controller.make ~events ~device:dev b in
     run_ops Controller.exec ctl ops
   in
-  let configs = [| run_off; run_cfg ~traced:false; run_cfg ~traced:true; run_recorder |] in
-  Array.iter (fun f -> f ()) configs;
-  Gc.compact ();
-  let rounds = reps 5 in
-  let samples = Array.map (fun _ -> ref []) configs in
-  for _ = 1 to rounds do
-    Array.iteri
-      (fun i f ->
-        Gc.major ();
-        let t0 = Sys.time () in
-        f ();
-        samples.(i) := (Sys.time () -. t0) :: !(samples.(i)))
-      configs
-  done;
-  let median i =
-    let sorted = List.sort compare !(samples.(i)) in
-    List.nth sorted (rounds / 2)
+  let m =
+    time_interleaved ~reps:(reps 5)
+      [| run_off; run_cfg ~traced:false; run_cfg ~traced:true; run_recorder |]
   in
-  let t_off = median 0 and t_reg = median 1 and t_trace = median 2 and t_rec = median 3 in
+  let t_off = m.(0) and t_reg = m.(1) and t_trace = m.(2) and t_rec = m.(3) in
   let pct t = (t -. t_off) /. t_off *. 100. in
   Printf.printf "%-28s %12.0f ops/s\n" "obs off" (n /. t_off);
   Printf.printf "%-28s %12.0f ops/s  (%+.1f%%)\n" "registry + disabled tracer" (n /. t_reg)
@@ -1286,11 +1135,7 @@ let e_obs () =
   let dev = Device.of_disk disk in
   ignore (ok (Base.mkfs dev ~ninodes:1024 ()));
   let b = ok (Base.mount ~bugs dev) in
-  let clock () =
-    Int64.add
-      (Rae_util.Vclock.now (Disk.clock disk))
-      (Int64.of_float (Sys.time () *. 1e9))
-  in
+  let clock () = Int64.add (Rae_util.Vclock.now (Disk.clock disk)) (Rae_obs.Clock.now_ns ()) in
   let tracer = Rae_obs.Tracer.create ~clock () in
   Rae_obs.Tracer.enable tracer;
   let events = Rae_obs.Events.create ~capacity:1024 () in
@@ -1481,7 +1326,7 @@ let pl_settle st =
    operations split evenly, over a loopback hub charging 200us of simulated
    dispatch latency per turn that does work — the per-wakeup cost a real
    event loop pays regardless of batch size, i.e. exactly what batching
-   amortizes.  Reported throughput is against combined CPU + simulated
+   amortizes.  Reported throughput is against combined wall + simulated
    time (the E3b convention). *)
 let e_srv_run ~sessions ~batching ~total =
   let _, dev, base = fresh_base () in
@@ -1498,7 +1343,7 @@ let e_srv_run ~sessions ~batching ~total =
   let finished () =
     Array.for_all (fun st -> st.plc_remaining = 0 && st.plc_inflight = 0) sts
   in
-  let cpu0 = Sys.time () in
+  let wall0 = now_s () in
   let sim0 = Rae_util.Vclock.now clock in
   let guard = ref 0 in
   while (not (finished ())) && !guard < 10_000_000 do
@@ -1508,11 +1353,11 @@ let e_srv_run ~sessions ~batching ~total =
     Array.iter pl_settle sts
   done;
   if not (finished ()) then failwith "e-srv: throughput run stalled";
-  let cpu = Sys.time () -. cpu0 in
+  let wall = now_s () -. wall0 in
   let sim = Int64.to_float (Int64.sub (Rae_util.Vclock.now clock) sim0) /. 1e9 in
   let n = Array.fold_left (fun acc st -> acc + st.plc_completed) 0 sts in
   let busy = Array.fold_left (fun acc st -> acc + st.plc_busy) 0 sts in
-  (float_of_int n /. (cpu +. sim), busy)
+  (float_of_int n /. (wall +. sim), busy)
 
 let median_of l =
   let sorted = List.sort compare l in
@@ -1647,13 +1492,13 @@ let e_lint () =
   match List.find_opt Sys.file_exists candidates with
   | None -> Printf.printf "  no built lib/ tree next to the benchmark; skipping\n"
   | Some dir -> (
-      let t0 = Unix.gettimeofday () in
+      let t0 = now_s () in
       match Rae_lint.Engine.run ~dirs:[ dir ] () with
       | Error msg ->
           Printf.eprintf "E-lint: %s\n" msg;
           exit 1
       | Ok r ->
-          let wall = Unix.gettimeofday () -. t0 in
+          let wall = now_s () -. t0 in
           let s = r.Rae_lint.Engine.stats in
           Printf.printf "  %d units, %d rules, %d findings in %.3fs (floor: < 10 s wall)\n"
             s.Rae_lint.Engine.units_loaded s.Rae_lint.Engine.rules_run
@@ -1680,7 +1525,7 @@ let e_crash () =
   section "E-crash | crash-consistency sweep: every crash image recovers to a legal state";
   let module CE = Rae_crash.Engine in
   let floor_violations = ref [] in
-  let t0 = Unix.gettimeofday () in
+  let t0 = now_s () in
   let stats = ref CE.empty_stats in
   let sweep name s =
     Printf.printf "  %-14s %s\n" name (Format.asprintf "%a" CE.pp_stats s);
@@ -1705,7 +1550,7 @@ let e_crash () =
   sweep "recovery-cold" (CE.sweep_recovery ~cfg ~count:(sc 24) ~ckpt:false ());
   sweep "recovery-ckpt" (CE.sweep_recovery ~cfg ~count:(sc 24) ~ckpt:true ());
   let s = !stats in
-  let wall = Unix.gettimeofday () -. t0 in
+  let wall = now_s () -. t0 in
   let diverging = List.length s.CE.s_diverging in
   Printf.printf "  %-14s %s  (%.2fs wall)\n" "total" (Format.asprintf "%a" CE.pp_stats s) wall;
   json_note ~sec:"E-crash" ~name:"points" ~unit:"count" (float_of_int s.CE.s_points);
@@ -1751,44 +1596,19 @@ let e_crash () =
      shrinks to a reproducer of at most 3 ops.\n"
 
 (* ---------------------------------------------------------------- *)
-(* E-par: OCaml 5 domain parallelism across the four layers           *)
+(* E-par: OCaml 5 domain parallelism, background fold + crash sweep   *)
 (* ---------------------------------------------------------------- *)
 
-(* Parallel arms are compared on wall-clock (Unix.gettimeofday): the
-   process-CPU clock the other sections use charges every domain's work
-   to one meter, which by construction cannot show a parallel speedup.
-   Reps are interleaved round-robin like [time_interleaved]. *)
-let wall_interleaved ~reps fs =
-  Array.iter (fun f -> f ()) fs;
-  Gc.compact ();
-  let samples = Array.map (fun _ -> ref []) fs in
-  for _ = 1 to reps do
-    Array.iteri
-      (fun i f ->
-        Gc.major ();
-        let t0 = Unix.gettimeofday () in
-        f ();
-        samples.(i) := (Unix.gettimeofday () -. t0) :: !(samples.(i)))
-      fs
-  done;
-  Array.map
-    (fun s ->
-      let sorted = List.sort compare !s in
-      List.nth sorted (List.length sorted / 2))
-    samples
-
-(* E-par floors: fsck >= 1.5x at 4 domains, hot-path fold enqueue <= the
-   synchronous fold it replaces, full crash sweep 0 diverging.  The
-   speedup/overhead floors are only meaningful with real parallelism, so
-   they are enforced on full runs on hosts whose
-   [Domain.recommended_domain_count] is >= 2 and reported (with an
-   explicit skip notice) elsewhere; the correctness floors — par = seq
-   verdicts, byte-equal destage, zero diverging — are enforced always. *)
+(* E-par floors: hot-path fold enqueue <= the synchronous fold it
+   replaces, sweep verdicts equal across pool sizes, full crash sweep 0
+   diverging over > 2000 workloads.  The overhead floor is only
+   meaningful with real parallelism, so it is enforced on full runs on
+   hosts whose [Domain.recommended_domain_count] is >= 2 and reported
+   (with an explicit skip notice) elsewhere; the correctness floors are
+   enforced always. *)
 let e_par () =
-  section "E-par | domain parallelism: fsck, replay destage, background fold, crash sweep";
+  section "E-par | domain parallelism: background fold, crash sweep";
   let module Pool = Rae_par.Pool in
-  let module F = Rae_fsck.Fsck in
-  let module Journal = Rae_journal.Journal in
   let module Checkpoint = Rae_core.Checkpoint in
   let module CE = Rae_crash.Engine in
   let cores = Domain.recommended_domain_count () in
@@ -1796,7 +1616,7 @@ let e_par () =
   Printf.printf "recommended_domain_count = %d\n" cores;
   if not enforce_perf then
     Printf.printf
-      "(speedup/overhead floors reported but NOT enforced: %s; correctness floors still apply)\n"
+      "(overhead floor reported but NOT enforced: %s; correctness floors still apply)\n"
       (if !quick then "--quick run"
        else
          Printf.sprintf "host recommends %d domain(s), wall-clock gains are not meaningful here"
@@ -1809,115 +1629,7 @@ let e_par () =
       else Printf.printf "  floor skipped (not enforced on this run): %s\n" msg
   in
   let hard_floor msg ok = if not ok then floor_violations := msg :: !floor_violations in
-  let pool2 = Pool.create ~domains:2 () and pool4 = Pool.create ~domains:4 () in
-
-  (* -- a) fsck: per-range passes across domains ------------------- *)
-  subsection "E-par-a | fsck passes, 1 vs 2 vs 4 domains (>=1.5x at 4 floor)";
-  let disk, _, fsbase =
-    fresh_base ~config:{ Base.default_config with Base.commit_interval = 1 } ()
-  in
-  run_ops Base.exec fsbase (W.ops W.Metadata (Rae_util.Rng.create 7L) ~count:(sc 4000));
-  let fdev = Device.of_disk disk in
-  let normalized r =
-    ( F.clean r,
-      r.F.inodes_checked,
-      r.F.dirs_walked,
-      List.sort compare (List.map (fun f -> Format.asprintf "%a" F.pp_finding f) r.F.findings) )
-  in
-  let reports = Array.make 3 None in
-  let fsck_arm i pool () =
-    let r = match pool with None -> F.check_device fdev | Some pl -> F.check_device ~pool:pl fdev in
-    reports.(i) <- Some (normalized r)
-  in
-  let m =
-    wall_interleaved ~reps:(reps 5)
-      [| fsck_arm 0 None; fsck_arm 1 (Some pool2); fsck_arm 2 (Some pool4) |]
-  in
-  let fsck_speedup = m.(0) /. m.(2) in
-  Printf.printf "  fsck seq   : %8.1f ms\n" (m.(0) *. 1e3);
-  Printf.printf "  fsck par=2 : %8.1f ms  (%.2fx)\n" (m.(1) *. 1e3) (m.(0) /. m.(1));
-  Printf.printf "  fsck par=4 : %8.1f ms  (%.2fx)\n" (m.(2) *. 1e3) fsck_speedup;
-  json_note ~sec:"E-par" ~name:"fsck-seq" ~unit:"s" m.(0);
-  json_note ~sec:"E-par" ~name:"fsck-par2" ~unit:"s" m.(1);
-  json_note ~sec:"E-par" ~name:"fsck-par4" ~unit:"s" m.(2);
-  json_note ~sec:"E-par" ~name:"fsck-speedup4" ~unit:"x" fsck_speedup;
-  hard_floor "fsck par reports differ from sequential"
-    (reports.(0) = reports.(1) && reports.(0) = reports.(2) && reports.(0) <> None);
-  perf_floor (Printf.sprintf "fsck speedup %.2fx at 4 domains under the 1.5x floor" fsck_speedup)
-    (fsck_speedup >= 1.5);
-
-  (* -- b) journal replay: parallel destage ------------------------ *)
-  subsection "E-par-b | replay destage, 1 vs 4 domains (byte-equal enforced)";
-  (* Committed-but-undestaged journal: commit through a device that keeps
-     the journal record writes but drops the home writes and the tail
-     advance — the on-medium state of a crash right after the journal
-     flush, which is exactly what recovery's contained reboot replays. *)
-  let nblocks = 4096 and journal_len = 512 in
-  let jdisk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks () in
-  let raw = Device.of_disk jdisk in
-  let g = ok (Layout.compute ~nblocks ~ninodes:256 ~journal_len ()) in
-  Journal.format raw g;
-  let jlo = g.Layout.journal_start in
-  let drop_homes =
-    {
-      raw with
-      Device.dev_write =
-        (fun b data -> if b > jlo && b < jlo + journal_len then Device.write raw b data);
-    }
-  in
-  let j = ok (Journal.attach drop_homes g) in
-  let jrng = Rae_util.Rng.create 11L in
-  for _ = 1 to sc 24 do
-    let txn = Journal.begin_txn j in
-    for _ = 1 to 16 do
-      Journal.txn_write txn
-        (g.Layout.data_start + Rae_util.Rng.int jrng 1024)
-        (Bytes.make bs (Char.chr (Rae_util.Rng.int jrng 256)))
-    done;
-    Journal.commit j txn
-  done;
-  let crashed = Disk.snapshot jdisk in
-  let images = Array.make 2 None in
-  let replay_arm i pool =
-    (* The restore is setup, not replay: timed by hand to keep it out. *)
-    Disk.restore jdisk crashed;
-    Gc.major ();
-    let t0 = Unix.gettimeofday () in
-    (match Journal.replay ?pool (Device.of_disk jdisk) g with
-    | Ok _ -> ()
-    | Error e -> failwith ("E-par destage replay: " ^ e));
-    let dt = Unix.gettimeofday () -. t0 in
-    images.(i) <- Some (Disk.snapshot jdisk);
-    dt
-  in
-  ignore (replay_arm 0 None);
-  ignore (replay_arm 1 (Some pool4));
-  let dest_samples = Array.map (fun _ -> ref []) images in
-  for _ = 1 to reps 5 do
-    dest_samples.(0) := replay_arm 0 None :: !(dest_samples.(0));
-    dest_samples.(1) := replay_arm 1 (Some pool4) :: !(dest_samples.(1))
-  done;
-  let dmed =
-    Array.map
-      (fun s ->
-        let sorted = List.sort compare !s in
-        List.nth sorted (List.length sorted / 2))
-      dest_samples
-  in
-  let byte_equal =
-    match (images.(0), images.(1)) with
-    | Some a, Some b ->
-        Array.length a = Array.length b
-        && Array.for_all2 (fun x y -> Bytes.equal x y) a b
-    | _ -> false
-  in
-  Printf.printf "  destage seq   : %8.2f ms\n" (dmed.(0) *. 1e3);
-  Printf.printf "  destage par=4 : %8.2f ms  (%.2fx, byte-equal: %b)\n" (dmed.(1) *. 1e3)
-    (dmed.(0) /. dmed.(1))
-    byte_equal;
-  json_note ~sec:"E-par" ~name:"destage-seq" ~unit:"s" dmed.(0);
-  json_note ~sec:"E-par" ~name:"destage-par4" ~unit:"s" dmed.(1);
-  hard_floor "parallel destage image differs from sequential" byte_equal;
+  let pool4 = Pool.create ~domains:4 () in
 
   (* -- c) checkpoint fold: hot-path enqueue vs synchronous fold ---- *)
   subsection "E-par-c | background fold: hot-path cost of enqueue vs sync fold";
@@ -1948,17 +1660,17 @@ let e_par () =
     ok (Checkpoint.cut ck ~window:0 ~fds:[] ~next_seq:0 ~commit_seq:0L);
     let arr = Array.of_list fold_entries in
     Gc.major ();
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_s () in
     let i = ref 0 in
     while !i < nentries do
       let hi = min nentries (!i + batch) in
       Checkpoint.fold ck ~entries:(Array.to_list (Array.sub arr !i (hi - !i))) ~next_seq:hi;
       i := hi
     done;
-    let hot = Unix.gettimeofday () -. t0 in
-    let t1 = Unix.gettimeofday () in
+    let hot = now_s () -. t0 in
+    let t1 = now_s () in
     Checkpoint.checkpoint_barrier ck;
-    let drain = Unix.gettimeofday () -. t1 in
+    let drain = now_s () -. t1 in
     Checkpoint.shutdown ck;
     (hot, drain)
   in
@@ -2001,7 +1713,7 @@ let e_par () =
   let sweep_stats = Array.make 2 CE.empty_stats in
   let sweep_arm i pool () = sweep_stats.(i) <- CE.sweep_bounded ~cfg ?pool ~max_workloads:nsample () in
   let smed =
-    wall_interleaved ~reps:(reps 3) [| sweep_arm 0 None; sweep_arm 1 (Some pool4) |]
+    time_interleaved ~reps:(reps 3) [| sweep_arm 0 None; sweep_arm 1 (Some pool4) |]
   in
   let fingerprint (s : CE.stats) =
     ( s.CE.s_workloads,
@@ -2024,9 +1736,9 @@ let e_par () =
      space, not a sample. *)
   if !quick then Printf.printf "  exhaustive sweep skipped under --quick\n"
   else begin
-    let t0 = Unix.gettimeofday () in
+    let t0 = now_s () in
     let full = CE.sweep_full ~cfg ~pool:pool4 () in
-    let wall = Unix.gettimeofday () -. t0 in
+    let wall = now_s () -. t0 in
     let diverging = List.length full.CE.s_diverging in
     Printf.printf "  exhaustive  (%d workloads, %d points): %.1f s, %d diverging\n"
       full.CE.s_workloads full.CE.s_points wall diverging;
@@ -2046,19 +1758,18 @@ let e_par () =
   Printf.printf "  pool4: %d chunks run, %d steals, %d parallel batches\n" pstats.Pool.tasks_run
     pstats.Pool.steals pstats.Pool.batches;
   json_note ~sec:"E-par" ~name:"pool4-steals" ~unit:"count" (float_of_int pstats.Pool.steals);
-  Pool.shutdown pool2;
   Pool.shutdown pool4;
   if !floor_violations <> [] then begin
     List.iter (fun v -> Printf.eprintf "E-par: %s\n" v) (List.rev !floor_violations);
     exit 1
   end;
   print_string
-    "\nExpected shape: par = seq everywhere it must be — fsck findings, destaged\n\
-     images (byte-equal), crash verdict sets — while the wall-clock side scales:\n\
-     fsck >= 1.5x at 4 domains, the hot path pays an enqueue instead of a fold,\n\
-     and the exhaustive bounded crash space still has zero diverging points.\n\
-     On hosts without >= 2 recommended domains the perf floors are reported\n\
-     but not enforced (there is nothing to win on one core).\n"
+    "\nExpected shape: crash verdict sets are equal across pool sizes while the\n\
+     wall-clock side scales: the hot path pays an enqueue instead of a fold,\n\
+     the sweep fans out across domains, and the exhaustive bounded crash space\n\
+     still has zero diverging points.  On hosts without >= 2 recommended\n\
+     domains the overhead floor is reported but not enforced (there is\n\
+     nothing to win on one core).\n"
 
 let () =
   Printf.printf "RAE / Shadow Filesystems — benchmark harness\n";
@@ -2093,9 +1804,6 @@ let () =
   if want "e9" then e9_cross_check ();
   if want "e10" then e10_cache_policy ();
   if want "e11" then e11_vs_restart_only ();
-  if want "e-alloc" then e_alloc ();
-  if want "e-txn" then e_txn ();
-  if want "e-oplog" then e_oplog ();
   if want "e-obs" then e_obs ();
   if want "e-srv" then e_srv ();
   if want "e-lint" then e_lint ();

@@ -97,7 +97,6 @@ type t = {
   mutable commit_hooks : (commit_seq:int64 -> unit) list;
   mutable tracer : Rae_obs.Tracer.t option;
   mutable events : Rae_obs.Events.t option;  (* flight recorder; bug triggers land here *)
-  mutable par_pool : Rae_par.Pool.t option;  (* replay destage parallelism; None = sequential *)
 }
 
 let dir_kind_code = Types.kind_code Types.Directory
@@ -119,13 +118,13 @@ let mkfs dev ~ninodes ?journal_len () =
       Journal.format dev sb.Superblock.geometry;
       Ok ())
 
-let mount ?(config = default_config) ?(bugs = Bug_registry.none) ?pool dev =
+let mount ?(config = default_config) ?(bugs = Bug_registry.none) dev =
   match Superblock.decode (Device.read dev 0) with
   | Error e -> Error ("superblock: " ^ Superblock.error_to_string e)
   | exception Rae_util.Codec.Decode_error msg -> Error ("superblock: " ^ msg)
   | Ok sb0 -> (
       let geo = sb0.Superblock.geometry in
-      match Journal.replay ?pool dev geo with
+      match Journal.replay dev geo with
       | Error msg -> Error ("journal replay: " ^ msg)
       | Ok _replayed -> (
           (* Re-read post-replay state. *)
@@ -181,7 +180,6 @@ let mount ?(config = default_config) ?(bugs = Bug_registry.none) ?pool dev =
                           commit_hooks = [];
                           tracer = None;
                           events = None;
-                          par_pool = pool;
                         }
                       in
                       Ok t))))
@@ -1375,8 +1373,8 @@ let contained_reboot t =
     match t.tracer with
     | Some tr ->
         Rae_obs.Tracer.with_span tr ~cat:"recovery" "journal.replay" (fun () ->
-            Journal.replay ?pool:t.par_pool t.dev t.geo)
-    | None -> Journal.replay ?pool:t.par_pool t.dev t.geo
+            Journal.replay t.dev t.geo)
+    | None -> Journal.replay t.dev t.geo
   in
   match replay () with
   | Error msg -> Error ("journal replay: " ^ msg)
@@ -1554,7 +1552,6 @@ let set_tracer t tr =
   Blkmq.set_tracer t.mq tr
 
 let set_events t ev = t.events <- Some ev
-let set_par_pool t pool = t.par_pool <- pool
 
 let register_obs reg t =
   let module M = Rae_obs.Metrics in

@@ -61,14 +61,12 @@ type policy = {
       (** flight-recorder threshold: an op completing slower than this
           earns a [Slow_op] event next to its [Op_done]
           (default 10ms) *)
-  par_domains : int;
-      (** size of the OCaml 5 domain pool (default 1: no pool, every
-          path bit-for-bit identical to the single-domain controller).
-          With [> 1]: recovery's attach-time fsck and the contained
-          reboot's journal-replay destage run on the pool, and the
-          checkpoint fold moves onto a dedicated background domain (the
-          record step only enqueues; recovery's seed phase awaits the
-          in-flight fold).  Retire such a controller with {!shutdown}. *)
+  ckpt_async_fold : bool;
+      (** fold the warm checkpoint on a dedicated background domain
+          (default false: the fold runs synchronously on the calling
+          domain).  With [true] the record step only enqueues, and
+          recovery's seed phase awaits the in-flight fold.  Retire such a
+          controller with {!shutdown}. *)
 }
 
 val default_policy : policy
@@ -125,10 +123,6 @@ include Rae_vfs.Fs_intf.S with type t := t
 
 val base : t -> Rae_basefs.Base.t
 
-val pool : t -> Rae_par.Pool.t option
-(** The domain pool ([policy.par_domains > 1]), for callers that want to
-    reuse it (benches, sweeps). *)
-
 val degraded : t -> string option
 (** [Some reason] once the controller has entered fail-stop mode. *)
 
@@ -167,16 +161,14 @@ val reset_stats : t -> unit
     before/after windows can be compared (parity with
     {!Rae_block.Blkmq.reset_stats} and the cache stats API): the op and
     recovery counters, the oplog totals, the end-to-end recovery and
-    per-phase latency histograms, the checkpoint counters (including the
-    background-fold queue counters), and the domain pool's task/steal
-    counters.  The recovery log itself — {!recoveries},
-    {!discrepancies} — is retained. *)
+    per-phase latency histograms, and the checkpoint counters (including
+    the background-fold queue counters).  The recovery log itself —
+    {!recoveries}, {!discrepancies} — is retained. *)
 
 val shutdown : t -> unit
-(** Join the parallel runtime: drain and stop the checkpoint's
-    background fold domain, then the pool's worker domains.  No-op for
-    [par_domains = 1] controllers.  Live domains are a bounded OS
-    resource — call this when retiring a [par_domains > 1] controller. *)
+(** Drain and stop the checkpoint's background fold domain.  No-op
+    unless [policy.ckpt_async_fold].  Live domains are a bounded OS
+    resource — call this when retiring such a controller. *)
 
 val checkpoint_now : t -> (unit, string) result
 (** Force a checkpoint cut.  Fails when checkpointing is disabled by
@@ -197,8 +189,7 @@ val phase_names : string list
 
 val register_obs : Rae_obs.Metrics.t -> t -> unit
 (** Register the whole stack's metrics: the controller's counters and
-    recovery/phase latency histograms ([rae_*]), the domain-pool
-    [rae_par_*] family when a pool is attached (tasks, steals, batches,
-    pool size; the checkpoint adds the [rae_par_fold_*] queue family),
-    plus everything {!Rae_basefs.Base.register_obs} registers for the
+    recovery/phase latency histograms ([rae_*]), the checkpoint's
+    [rae_par_fold_*] queue family when [policy.ckpt_async_fold], plus
+    everything {!Rae_basefs.Base.register_obs} registers for the
     wrapped base. *)

@@ -187,11 +187,12 @@ let walk_dir ctx reader table ~ino ~parent inode =
   if not !seen_dotdot then note ctx Error Dot_mismatch "dir %d: missing \"..\"" ino;
   !subdirs
 
+(* Walk the tree from the root; returns each visited subdirectory's
+   parent, the census the directory nlink check needs. *)
 let check_tree ctx reader table =
-  match Hashtbl.find_opt table Types.root_ino with
-  | None ->
-      note ctx Error Root_invalid "root inode %d is not allocated" Types.root_ino;
-      ()
+  let parents = Hashtbl.create 64 in
+  (match Hashtbl.find_opt table Types.root_ino with
+  | None -> note ctx Error Root_invalid "root inode %d is not allocated" Types.root_ino
   | Some root when root.Inode.kind <> Types.Directory ->
       note ctx Error Root_invalid "root inode is a %s" (Types.kind_to_string root.Inode.kind)
   | Some root ->
@@ -200,9 +201,11 @@ let check_tree ctx reader table =
         | [] -> ()
         | (ino, parent, inode) :: rest ->
             let subdirs = walk_dir ctx reader table ~ino ~parent inode in
+            List.iter (fun (child, p, _) -> Hashtbl.replace parents child p) subdirs;
             go (subdirs @ rest)
       in
-      go [ (Types.root_ino, Types.root_ino, root) ]
+      go [ (Types.root_ino, Types.root_ino, root) ]);
+  parents
 
 let check_blocks ctx reader table =
   Hashtbl.iter
@@ -290,220 +293,14 @@ let check_counts ctx reader ibm bbm =
   | None -> ());
   match bbm with
   | Some bm ->
-      let g = Reader.geometry reader in
       (* Free data blocks only: metadata blocks are always allocated. *)
       let free = Bitmap.count_free bm in
-      ignore g;
       if free <> sb.Superblock.free_blocks then
         note ctx Error Count_mismatch "superblock free_blocks=%d, bitmap says %d"
           sb.Superblock.free_blocks free
   | None -> ()
 
-(* ---- parallel passes (pFSCK-style per-range decomposition) ----
-
-   Every parallel pass follows the same shape: cut the index space (inode
-   numbers, block numbers, directory frontier, inode-table slices) into
-   contiguous ranges, run the *existing* per-item check against a fresh
-   per-range [ctx] on the pool, then merge the per-range contexts
-   sequentially in ascending range order.  Because the sequential passes
-   also iterate those index spaces in ascending order, the merged findings
-   of the range-partitioned passes (inode scan, both bitmap cross-checks)
-   come out in the identical order; only the tree walk (BFS frontier
-   levels vs. the sequential DFS) and the block-reference pass (sorted-ino
-   order vs. Hashtbl iteration order) can permute findings, which the
-   par ≡ seq qcheck properties account for by comparing normalized
-   multisets.  Workers only read shared state ([reader], the inode
-   [table], bitmaps, [ctx.refs] after its merge) and write their own
-   [ctx]; the merge points are the only writers of shared tables. *)
-
-module Pool = Rae_par.Pool
-
-(* Split the inclusive range [lo, hi] into at most [pieces] contiguous
-   inclusive subranges, in ascending order. *)
-let split_ranges ~lo ~hi ~pieces =
-  let n = hi - lo + 1 in
-  if n <= 0 then [||]
-  else begin
-    let pieces = max 1 (min pieces n) in
-    let per = (n + pieces - 1) / pieces in
-    Array.init ((n + per - 1) / per) (fun k ->
-        let a = lo + (k * per) in
-        (a, min hi (a + per - 1)))
-  end
-
-(* Append a per-range context's results onto the global one.  Findings are
-   kept reversed in [ctx.findings], so prepending [l.findings] as ranges
-   merge in ascending order yields the same final (re-reversed) order as a
-   sequential ascending pass. *)
-let merge_ctx g l =
-  g.findings <- l.findings @ g.findings;
-  g.inodes_checked <- g.inodes_checked + l.inodes_checked;
-  g.dirs_walked <- g.dirs_walked + l.dirs_walked;
-  Hashtbl.iter
-    (fun ino n ->
-      Hashtbl.replace g.link_counts ino
-        ((try Hashtbl.find g.link_counts ino with Not_found -> 0) + n))
-    l.link_counts;
-  Hashtbl.iter
-    (fun blk n ->
-      Hashtbl.replace g.refs blk ((try Hashtbl.find g.refs blk with Not_found -> 0) + n))
-    l.refs
-
-(* Run [f lo hi] on the pool for each subrange of [lo,hi] and return the
-   per-range results in ascending range order. *)
-let over_ranges pool ~lo ~hi f =
-  let ranges = split_ranges ~lo ~hi ~pieces:(4 * Pool.size pool) in
-  Pool.map_array pool ~chunk:1 (fun (a, b) -> f a b) ranges
-
-let par_scan_inodes pool ctx reader =
-  let g = Reader.geometry reader in
-  let table = Hashtbl.create 256 in
-  let outs =
-    over_ranges pool ~lo:1 ~hi:g.Layout.ninodes (fun lo hi ->
-        let l = fresh_ctx () in
-        let found = ref [] in
-        for ino = lo to hi do
-          match Reader.read_inode_opt reader ino with
-          | Ok None -> ()
-          | Ok (Some inode) ->
-              l.inodes_checked <- l.inodes_checked + 1;
-              found := (ino, inode) :: !found
-          | Error e -> note l Error Inode_invalid "%s" (Reader.error_to_string e)
-        done;
-        (l, List.rev !found))
-  in
-  Array.iter
-    (fun (l, found) ->
-      merge_ctx ctx l;
-      List.iter (fun (ino, inode) -> Hashtbl.replace table ino inode) found)
-    outs;
-  table
-
-let par_check_inode_bitmap pool ctx reader table =
-  let g = Reader.geometry reader in
-  match Reader.load_inode_bitmap reader with
-  | Error e ->
-      note ctx Error Ibmap_invalid "%s" (Reader.error_to_string e);
-      None
-  | Ok bm ->
-      let outs =
-        over_ranges pool ~lo:1 ~hi:g.Layout.ninodes (fun lo hi ->
-            let l = fresh_ctx () in
-            for ino = lo to hi do
-              let allocated = Hashtbl.mem table ino in
-              let marked = Bitmap.test bm ino in
-              if allocated && not marked then
-                note l Error Ibmap_invalid "inode %d in use but marked free" ino
-              else if (not allocated) && marked then
-                note l Error Ibmap_invalid "inode %d marked in use but slot is free or invalid" ino
-            done;
-            l)
-      in
-      Array.iter (fun l -> merge_ctx ctx l) outs;
-      Some bm
-
-(* BFS tree walk: every directory of the current frontier is walked on the
-   pool against a fresh local context (so [walk_dir]'s within-directory
-   duplicate detection still works), then the frontier's edges are merged
-   sequentially — global double-ref detection and the [parents] census
-   live only in the merge, so parallel walkers can never race them. *)
-let par_walk pool ctx reader table parents =
-  match Hashtbl.find_opt table Types.root_ino with
-  | None -> note ctx Error Root_invalid "root inode %d is not allocated" Types.root_ino
-  | Some root when root.Inode.kind <> Types.Directory ->
-      note ctx Error Root_invalid "root inode is a %s" (Types.kind_to_string root.Inode.kind)
-  | Some root ->
-      Hashtbl.replace ctx.visited_dirs Types.root_ino ();
-      let frontier = ref [ (Types.root_ino, Types.root_ino, root) ] in
-      while !frontier <> [] do
-        let arr = Array.of_list !frontier in
-        let outs =
-          Pool.map_array pool ~chunk:1
-            (fun (ino, parent, inode) ->
-              let l = fresh_ctx () in
-              let subdirs = walk_dir l reader table ~ino ~parent inode in
-              (l, List.rev subdirs))
-            arr
-        in
-        let next = ref [] in
-        Array.iter
-          (fun (l, subdirs) ->
-            merge_ctx ctx l;
-            List.iter
-              (fun (child, via, child_inode) ->
-                if Hashtbl.mem ctx.visited_dirs child then
-                  note ctx Error Double_ref
-                    "directory %d referenced from multiple parents (via %d)" child via
-                else begin
-                  Hashtbl.replace ctx.visited_dirs child ();
-                  Hashtbl.replace parents child via;
-                  next := (child, via, child_inode) :: !next
-                end)
-              subdirs)
-          outs;
-        frontier := List.rev !next
-      done
-
-let par_check_blocks pool ctx reader table =
-  let inos =
-    Hashtbl.fold (fun ino inode acc -> (ino, inode) :: acc) table []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-    |> Array.of_list
-  in
-  let n = Array.length inos in
-  if n > 0 then begin
-    let outs =
-      over_ranges pool ~lo:0 ~hi:(n - 1) (fun lo hi ->
-          let l = fresh_ctx () in
-          for k = lo to hi do
-            let ino, inode = inos.(k) in
-            (if inode.Inode.kind = Types.Symlink then
-               if inode.Inode.size = 0 || inode.Inode.size > 4095 then
-                 note l Error Size_invalid "symlink %d has size %d" ino inode.Inode.size);
-            match
-              Reader.iter_file_blocks reader inode ~f:(fun ~idx:_ ~phys ->
-                  add_ref l phys;
-                  Ok ())
-            with
-            | Ok () -> ()
-            | Error e -> note l Error Bad_pointer "inode %d: %s" ino (Reader.error_to_string e)
-          done;
-          l)
-    in
-    Array.iter (fun l -> merge_ctx ctx l) outs
-  end;
-  Hashtbl.iter
-    (fun blk count ->
-      if count > 1 then note ctx Error Double_ref "block %d referenced %d times" blk count)
-    ctx.refs
-
-let par_check_block_bitmap pool ctx reader =
-  match Reader.load_block_bitmap reader with
-  | Error e ->
-      note ctx Error Bbmap_invalid "%s" (Reader.error_to_string e);
-      None
-  | Ok bm ->
-      let g = Reader.geometry reader in
-      let outs =
-        over_ranges pool ~lo:g.Layout.data_start ~hi:(g.Layout.nblocks - 1) (fun lo hi ->
-            let l = fresh_ctx () in
-            for blk = lo to hi do
-              let referenced = Hashtbl.mem ctx.refs blk in
-              let marked = Bitmap.test bm blk in
-              if referenced && not marked then
-                note l Error Bitmap_missing "block %d referenced but marked free" blk
-              else if (not referenced) && marked then
-                note l Warning Bitmap_leak "block %d marked allocated but referenced by nothing" blk
-            done;
-            l)
-      in
-      Array.iter (fun l -> merge_ctx ctx l) outs;
-      Some bm
-
-let check ?pool read =
-  let par =
-    match pool with Some p when Pool.size p > 1 -> Some p | Some _ | None -> None
-  in
+let check read =
   let ctx = fresh_ctx () in
   let finish () =
     {
@@ -522,41 +319,11 @@ let check ?pool read =
       finish ()
   | Ok reader -> (
       try
-        let table =
-          match par with
-          | Some p -> par_scan_inodes p ctx reader
-          | None -> scan_inodes ctx reader
-        in
-        let ibm =
-          match par with
-          | Some p -> par_check_inode_bitmap p ctx reader table
-          | None -> check_inode_bitmap ctx reader table
-        in
-        (* Track parent edges alongside the walk for dir-nlink accounting. *)
-        let parents = Hashtbl.create 64 in
-        (match par with
-        | Some p -> par_walk p ctx reader table parents
-        | None -> (
-            match Hashtbl.find_opt table Types.root_ino with
-            | Some root when root.Inode.kind = Types.Directory ->
-                Hashtbl.replace ctx.visited_dirs Types.root_ino ();
-                let rec go = function
-                  | [] -> ()
-                  | (ino, parent, inode) :: rest ->
-                      let subdirs = walk_dir ctx reader table ~ino ~parent inode in
-                      List.iter (fun (child, p, _) -> Hashtbl.replace parents child p) subdirs;
-                      go (subdirs @ rest)
-                in
-                go [ (Types.root_ino, Types.root_ino, root) ]
-            | Some _ | None -> check_tree ctx reader table));
-        (match par with
-        | Some p -> par_check_blocks p ctx reader table
-        | None -> check_blocks ctx reader table);
-        let bbm =
-          match par with
-          | Some p -> par_check_block_bitmap p ctx reader
-          | None -> check_block_bitmap ctx reader
-        in
+        let table = scan_inodes ctx reader in
+        let ibm = check_inode_bitmap ctx reader table in
+        let parents = check_tree ctx reader table in
+        check_blocks ctx reader table;
+        let bbm = check_block_bitmap ctx reader in
         check_links ctx table;
         check_dir_nlinks ctx table parents;
         check_counts ctx reader ibm bbm;
@@ -569,6 +336,6 @@ let check ?pool read =
           note ctx Error Io_failure "device error during check: %s" msg;
           finish ())
 
-let check_device ?pool dev =
+let check_device dev =
   let ro = Rae_block.Device.read_only dev in
-  check ?pool (fun blk -> Rae_block.Device.read ro blk)
+  check (fun blk -> Rae_block.Device.read ro blk)

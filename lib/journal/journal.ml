@@ -176,9 +176,19 @@ let begin_txn t =
   }
 
 (* The transaction takes ownership of [data]: no copy is made, so the
-   caller's later in-place writes to the same buffer are what commits. *)
+   caller's later in-place writes to the same buffer are what commits.
+   Re-journaling a block cancels its revoke in this transaction (jbd2's
+   [jbd2_journal_cancel_revoke]): replay suppresses a write when its block
+   is revoked at the same or a later seq, so a kept revoke would drop the
+   new image.  Only this transaction's revoke needs cancelling, because
+   synchronous checkpointing keeps every replay window to one
+   transaction. *)
 let txn_write txn blk data =
   if Bytes.length data <> Layout.block_size then invalid_arg "Journal.txn_write: not a full block";
+  if Hashtbl.mem txn.r_index blk then begin
+    Hashtbl.remove txn.r_index blk;
+    txn.r_rev <- List.filter (fun b -> b <> blk) txn.r_rev
+  end;
   (* Supersede an earlier buffered write to the same block: overwrite the
      slot in place, preserving first-write order. *)
   match Hashtbl.find_opt txn.w_index blk with
@@ -337,35 +347,7 @@ let unescape flags data =
   end
   else data
 
-(* Destage the journaled writes to their home locations on the pool.  The
-   final image is what matters (later transactions overwrite earlier
-   writes to the same home block), so collapse the write stream to its
-   last-write-wins home -> data map first and issue exactly one write per
-   home block; the homes are pairwise disjoint, so the parallel writes
-   never touch the same block.  Only the write *stream* differs from the
-   sequential destage (fewer, reordered writes); the resulting image is
-   byte-equal, which the par ≡ seq qcheck property pins down. *)
-let destage_parallel pool dev txns ~suppressed =
-  let final = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun txn ->
-      List.iter
-        (fun (home, flags, data) ->
-          if not (suppressed home txn.r_seq) then begin
-            if not (Hashtbl.mem final home) then order := home :: !order;
-            Hashtbl.replace final home (unescape flags data)
-          end)
-        txn.r_writes)
-    txns;
-  let homes = Array.of_list (List.rev !order) in
-  Rae_par.Pool.parallel_for pool ~n:(Array.length homes) (fun i ->
-      let home = homes.(i) in
-      match Hashtbl.find_opt final home with
-      | Some data -> Device.write dev home data
-      | None -> () (* unreachable: [homes] lists exactly [final]'s keys *))
-
-let destage_sequential dev txns ~suppressed =
+let destage dev txns ~suppressed =
   List.iter
     (fun txn ->
       List.iter
@@ -374,7 +356,7 @@ let destage_sequential dev txns ~suppressed =
         txn.r_writes)
     txns
 
-let replay ?pool dev geo =
+let replay dev geo =
   match decode_jsb (Device.read dev (region_start geo)) with
   | None -> Error "journal superblock unreadable; cannot replay"
   | Some (tail_seq, tail_ptr) ->
@@ -390,9 +372,7 @@ let replay ?pool dev geo =
         let suppressed home seq =
           List.exists (fun (b, s) -> b = home && Int64.compare s seq >= 0) revoked_at
         in
-        (match pool with
-        | Some p when Rae_par.Pool.size p > 1 -> destage_parallel p dev txns ~suppressed
-        | Some _ | None -> destage_sequential dev txns ~suppressed);
+        destage dev txns ~suppressed;
         Device.flush dev;
         (match txns with
         | [] -> ()

@@ -44,7 +44,10 @@ type txn
 val begin_txn : t -> txn
 val txn_write : txn -> int -> bytes -> unit
 (** Buffer a full-block metadata write to home block [blk].  A later write
-    to the same block within the transaction supersedes the earlier one.
+    to the same block within the transaction supersedes the earlier one,
+    and the write cancels a revoke of [blk] earlier in the transaction
+    (jbd2's [cancel_revoke]), so a block freed and reused in one
+    transaction replays its new image.
 
     The transaction takes ownership of the buffer: it is not copied, and
     what commits is its content at {!commit} time.  The caller may keep
@@ -87,18 +90,11 @@ val commit_seq : t -> int64
     equal readings bracket a commit-free interval — the property the
     warm-checkpoint cut relies on. *)
 
-val replay :
-  ?pool:Rae_par.Pool.t -> Rae_block.Device.t -> Rae_format.Layout.geometry -> (int, string) result
+val replay : Rae_block.Device.t -> Rae_format.Layout.geometry -> (int, string) result
 (** Crash recovery: scan from the tail, apply every complete committed
     transaction (respecting revokes), flush, and advance the tail.  Returns
     the number of transactions replayed.  Safe to run on a clean journal
-    (returns [Ok 0]).  Idempotent.
-
-    With [?pool] of size > 1 the destage step collapses the committed
-    write stream to its last-write-wins home map and issues the (pairwise
-    disjoint) home writes across the pool's domains; the resulting image
-    is byte-equal to the sequential destage.  Without a pool the exact
-    sequential write stream runs unchanged. *)
+    (returns [Ok 0]).  Idempotent. *)
 
 val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit

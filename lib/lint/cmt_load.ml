@@ -69,15 +69,25 @@ let load_cmt path =
         }
 
 (* Recursively collect *.cmt under [dirs] (dune hides them in dot-dirs
-   like .rae_util.objs, so dot-directories are descended into). *)
+   like .rae_util.objs, so dot-directories are descended into).  Dune's
+   .cmt files live in .objs/byte.  A .cmt under .objs/native is a stray
+   duplicate that ocamlopt writes because the dev profile passes
+   -bin-annot to both compilers; dune deletes it on a later run.  Loading
+   it would count its unit twice, so .objs/native is skipped. *)
 let find_cmts dirs =
   let out = ref [] in
   let rec walk path =
     match Sys.is_directory path with
     | exception Sys_error _ -> ()
     | true ->
-        let entries = try Sys.readdir path with Sys_error _ -> [||] in
-        Array.iter (fun e -> walk (Filename.concat path e)) entries
+        if
+          not
+            (String.equal (Filename.basename path) "native"
+            && Filename.check_suffix (Filename.dirname path) ".objs")
+        then begin
+          let entries = try Sys.readdir path with Sys_error _ -> [||] in
+          Array.iter (fun e -> walk (Filename.concat path e)) entries
+        end
     | false -> if Filename.check_suffix path ".cmt" then out := path :: !out
   in
   List.iter walk dirs;

@@ -1,9 +1,8 @@
-(* Domain-safety pre-pass: the work-list for parallel recovery
-   (ROADMAP item 2).
+(* Domain-safety pre-pass.
 
-   For every region the roadmap wants on separate domains (fsck passes,
-   journal-replay destaging, the checkpoint fold, constrained replay) we
-   compute the set of definitions reachable from the region roots over
+   For every region that runs, or may run, on a separate domain (the
+   checkpoint fold, constrained replay, the domain pool, the crash
+   sweep) we compute the set of definitions reachable from the region roots over
    the cross-unit call graph, then catalogue every mutable cell those
    definitions touch:
 

@@ -82,22 +82,23 @@ let default_libraries =
     ("obs", [ "util" ]);
     ("vfs", [ "util" ]);
     (* the domain pool sits at the bottom of the cone beside util: pure
-       stdlib (Domain/Atomic/Mutex), so any layer may parallelize *)
+       stdlib (Domain/Atomic/Mutex).  Only the crash sweep links it; the
+       recovery stack below stays single-domain. *)
     ("par", []);
     ("block", [ "util"; "obs" ]);
     ("format", [ "util"; "vfs"; "block" ]);
-    ("journal", [ "util"; "obs"; "block"; "format"; "par" ]);
+    ("journal", [ "util"; "obs"; "block"; "format" ]);
     ("cache", [ "util"; "obs"; "vfs" ]);
-    ("fsck", [ "util"; "vfs"; "block"; "format"; "par" ]);
-    ("shadowfs", [ "util"; "obs"; "vfs"; "block"; "format"; "fsck"; "par" ]);
+    ("fsck", [ "util"; "vfs"; "block"; "format" ]);
+    ("shadowfs", [ "util"; "obs"; "vfs"; "block"; "format"; "fsck" ]);
     ("specfs", [ "util"; "vfs"; "format" ]);
-    ("basefs", [ "util"; "obs"; "vfs"; "block"; "format"; "journal"; "cache"; "par" ]);
+    ("basefs", [ "util"; "obs"; "vfs"; "block"; "format"; "journal"; "cache" ]);
     ("workload", [ "util"; "vfs" ]);
     ("bugstudy", [ "util" ]);
     ( "core",
       [
         "util"; "obs"; "vfs"; "block"; "format"; "journal"; "cache"; "fsck"; "basefs"; "shadowfs";
-        "specfs"; "workload"; "par";
+        "specfs"; "workload";
       ] );
     (* the crash engine sits beside srv at the top of the cone: it drives
        the whole stack (base mounts, controller recoveries, the shadow
@@ -114,7 +115,7 @@ let default_libraries =
     ( "srv",
       [
         "util"; "obs"; "vfs"; "block"; "format"; "journal"; "cache"; "fsck"; "basefs"; "shadowfs";
-        "workload"; "core"; "par";
+        "workload"; "core";
       ] );
   ]
 
@@ -221,16 +222,14 @@ let default =
       ];
     domain_regions =
       [
-        ("fsck-pass", [ "Rae_fsck.Fsck." ]);
-        ("journal-replay", [ "Rae_journal.Journal.replay" ]);
         ("ckpt-fold", [ "Rae_core.Checkpoint.fold" ]);
         ("constrained-replay", [ "Rae_shadowfs.Shadow.exec_constrained" ]);
-        (* PR 10 parallel roots: code that now actually runs on worker
-           domains.  The pool's worker loop is the generic root (every
-           parallel_for body executes under it); the other three are the
-           per-layer entry points the pool is handed. *)
+        (* Code that actually runs on worker domains.  The pool's worker
+           loop is the generic root (every parallel_for body executes
+           under it); the other two are the background checkpoint fold
+           and the crash sweep's per-workload body, which also reaches
+           the fsck and journal-replay code each sweep point runs. *)
         ("par-pool", [ "Rae_par.Pool." ]);
-        ("par-destage", [ "Rae_journal.Journal.destage_parallel" ]);
         ("par-fold", [ "Rae_core.Checkpoint.worker_loop" ]);
         ("par-crash-sweep", [ "Rae_crash.Engine.sweep_workloads" ]);
       ];
@@ -267,10 +266,11 @@ let default =
            points, so intra-shadow state never crosses domains. *)
         ("Rae_shadowfs.", "shadow instance owned by the replaying domain");
         ("Rae_specfs.", "spec state embedded in a domain-owned shadow");
-        ("Rae_fsck.", "per-pass scan state; pFSCK decomposition is per block group");
-        (* The journal replay destager partitions by home block; its
-           in-memory state is rebuilt per replay invocation. *)
-        ("Rae_journal.", "replay-local transaction scan state");
+        (* fsck and journal replay run on a sweep worker only against
+           that workload's own scratch image; their state is rebuilt per
+           call. *)
+        ("Rae_fsck.", "per-call scan state over a sweep point's own image");
+        ("Rae_journal.", "per-mount journal and replay scan state over a sweep point's own image");
         (* Checkpoint bookkeeping (fold cursor, stats, the warm shadow
            handle): with async folding the background worker is the only
            writer while it is flagged busy, and the owning domain writes
@@ -279,10 +279,10 @@ let default =
            Unsynchronized hot-path reads (due/valid) tolerate staleness
            by design. *)
         ("Rae_core.Checkpoint.t.", "single-writer handoff: worker while busy, owner after quiesce");
-        (* The medium: per-block writes are disjoint by construction in
-           every planned decomposition (block groups / home blocks). *)
-        ("Rae_block.Disk.t.", "block-granular partitioning; per-domain write sets disjoint");
-        ("Rae_block.Blkmq.t.", "one queue per destaging domain");
+        (* The medium: every crash-sweep point gets its own scratch disk
+           and its own mount, hence its own queue. *)
+        ("Rae_block.Disk.t.", "scratch disk owned by one sweep point");
+        ("Rae_block.Blkmq.t.", "one queue per mount, owned by its sweep point");
         (* Each crash sweep owns its recording, scratch disks and stats;
            the one cross-sweep cell (the bundle sequence) is an Atomic. *)
         ("Rae_crash.", "sweep state owned by the driving domain; scratch disks per point");

@@ -224,10 +224,6 @@ let map_array t ?chunk f xs =
     Array.map (function Some v -> v | None -> assert false) out
   end
 
-let run t thunks =
-  let a = Array.of_list thunks in
-  parallel_for t ~chunk:1 ~n:(Array.length a) (fun i -> a.(i) ())
-
 let stats t =
   {
     tasks_run = Atomic.get t.c_tasks;

@@ -1,7 +1,7 @@
 (** Fixed-size domain pool with chunked deal-out and work stealing.
 
     The pool spawns [size - 1] worker domains once at [create] time; the
-    caller of [parallel_for]/[run] is always participant 0, so a pool of
+    caller of [parallel_for] is always participant 0, so a pool of
     size [n] uses exactly [n] domains per batch.  Iteration ranges are cut
     into contiguous chunks and dealt round-robin onto per-participant
     deques; a participant pops from its own deque head and steals from
@@ -11,9 +11,7 @@
     chunks are drained without running once an exception is recorded).
 
     A pool of size <= 1 — or [None] where an [?pool] parameter is taken —
-    degrades to plain sequential iteration in ascending index order, which
-    keeps the [par_domains = 1] policy bitwise-identical to the
-    pre-parallel code paths. *)
+    degrades to plain sequential iteration in ascending index order. *)
 
 type t
 
@@ -36,13 +34,10 @@ val parallel_for : t -> ?chunk:int -> n:int -> (int -> unit) -> unit
     parallelized like [parallel_for]. *)
 val map_array : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
 
-(** [run t thunks] executes each thunk once (chunk size 1). *)
-val run : t -> (unit -> unit) list -> unit
-
 type stats = {
   tasks_run : int;      (** chunk executions, across all batches *)
   steals : int;         (** chunks taken from another participant's deque *)
-  batches : int;        (** parallel_for/run invocations that went parallel *)
+  batches : int;        (** parallel_for invocations that went parallel *)
   seq_batches : int;    (** invocations that degraded to sequential *)
 }
 

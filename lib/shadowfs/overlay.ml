@@ -3,19 +3,16 @@ module Device = Rae_block.Device
 type t = {
   dev : Device.t;  (* read-only *)
   blocks : (int, bytes) Hashtbl.t;
-  (* Atomic: parallel fsck reads through a freshly-attached overlay from
-     several domains at once (the Hashtbl itself is read-only on that
-     path, but the miss counter is not). *)
-  device_reads : int Atomic.t;
+  mutable device_reads : int;
 }
 
-let create dev = { dev = Device.read_only dev; blocks = Hashtbl.create 64; device_reads = Atomic.make 0 }
+let create dev = { dev = Device.read_only dev; blocks = Hashtbl.create 64; device_reads = 0 }
 
 let read t blk =
   match Hashtbl.find_opt t.blocks blk with
   | Some b -> Bytes.copy b
   | None ->
-      Atomic.incr t.device_reads;
+      t.device_reads <- t.device_reads + 1;
       Device.read t.dev blk
 
 let write t blk data =
@@ -36,7 +33,7 @@ let view t blk f =
   match Hashtbl.find_opt t.blocks blk with
   | Some stored -> f stored
   | None ->
-      Atomic.incr t.device_reads;
+      t.device_reads <- t.device_reads + 1;
       f (Device.read t.dev blk)
 
 let rmw t blk f =
@@ -45,7 +42,7 @@ let rmw t blk f =
   match Hashtbl.find_opt t.blocks blk with
   | Some stored -> ignore (f stored : bool)
   | None ->
-      Atomic.incr t.device_reads;
+      t.device_reads <- t.device_reads + 1;
       (* The device hands back a fresh buffer, so ownership transfers to
          the overlay — but only if [f] actually changed it; an untouched
          block must not show up in the dirty set. *)
@@ -62,4 +59,4 @@ let dirty t =
 let dirty_count t = Hashtbl.length t.blocks
 let block_size t = Device.block_size t.dev
 let nblocks t = Device.nblocks t.dev
-let reads_from_device t = Atomic.get t.device_reads
+let reads_from_device t = t.device_reads

@@ -43,9 +43,6 @@ type config = {
           bitmap/superblock write-back to mutation boundaries (default
           true).  [false] gives the naive walk-everything execution —
           observably equivalent, and kept as the benchmark baseline. *)
-  fsck_pool : Rae_par.Pool.t option;
-      (** domain pool for the attach-time fsck's parallel passes (default
-          [None]: sequential).  Emits a [par-fsck] span when active. *)
 }
 
 val default_config : config

@@ -36,7 +36,6 @@ type stats = {
 type conn = {
   cid : int;
   mutable session : Session.t option;  (* None until Hello *)
-  mutable version : int;  (* negotiated at Hello; replies use this framing *)
   mutable rx : string;  (* undecoded byte backlog *)
   tx : Buffer.t;
   enc : Wire.encoder;  (* reused across frames: no per-frame allocation *)
@@ -157,7 +156,7 @@ let set_metrics_source t f = t.metrics_src <- Some f
 
 let send t conn frame =
   if not conn.closed then begin
-    Wire.encode_into ~version:conn.version conn.enc frame conn.tx;
+    Wire.encode_into conn.enc frame conn.tx;
     t.s_frames_out <- t.s_frames_out + 1
   end
 
@@ -184,7 +183,6 @@ let open_conn t =
     {
       cid;
       session = None;
-      version = Wire.protocol_version;
       rx = "";
       tx = Buffer.create 256;
       enc = Wire.encoder ();
@@ -209,7 +207,7 @@ let handle_frame t conn frame =
   match (frame : Wire.frame) with
   | Wire.Hello { version } ->
       if conn.session <> None then protocol_error t conn "duplicate hello"
-      else if version < Wire.min_protocol_version || version > Wire.protocol_version then begin
+      else if version <> Wire.protocol_version then begin
         t.s_proto_errors <- t.s_proto_errors + 1;
         send t conn
           (Wire.Err
@@ -227,9 +225,6 @@ let handle_frame t conn frame =
         let session = Session.create ~id:conn.cid t.config.session in
         Session.touch session ~tick:t.tick;
         conn.session <- Some session;
-        (* Negotiate down to the client's version: every later frame on
-           this connection — replies and pushes alike — uses it. *)
-        conn.version <- version;
         record_session t `Attach ~session:conn.cid;
         send t conn (Wire.Hello_ok { session = conn.cid; version })
       end

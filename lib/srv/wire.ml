@@ -6,12 +6,10 @@ open Rae_vfs
 module Codec = Rae_util.Codec
 module Checksum = Rae_util.Checksum
 
-(* v1: the PR 4 baseline.  v2 appends a correlation id to [Op_req] and
-   adds the metrics/bundle observability frames; v1 frames still decode
-   (corr reads back as 0) and [encode_into ~version:1] still emits
-   byte-identical v1 frames, so old peers interoperate. *)
+(* Version 2 is the only version spoken: it carries a correlation id on
+   [Op_req] and the metrics/bundle observability frames.  Any other
+   version in a frame header is rejected at decode. *)
 let protocol_version = 2
-let min_protocol_version = 1
 let magic = 0x5253 (* "RS" *)
 let header_bytes = 12
 let max_payload = 4 * 1024 * 1024
@@ -120,10 +118,6 @@ let tag_of_frame = function
   | Bundles_reply _ -> 18
   | Bundle_req _ -> 19
   | Bundle_reply _ -> 20
-
-(* Observability frames only exist from v2 on; Op_req's corr suffix is
-   the other v2 extension. *)
-let tag_min_version tag = if tag >= 15 then 2 else 1
 
 (* ---- payload encoding ---- *)
 
@@ -270,7 +264,7 @@ let add_outcome b = function
       add_u8 b 1;
       add_u8 b (Errno.to_wire e)
 
-let add_payload b ~version = function
+let add_payload b = function
   | Hello { version } -> add_u16 b version
   | Hello_ok { session; version } ->
       add_u32 b session;
@@ -287,9 +281,7 @@ let add_payload b ~version = function
   | Op_req { req; corr; op } ->
       add_u32 b req;
       add_op b op;
-      (* The corr id rides as a trailing extension so a v1 payload stays
-         byte-identical: old decoders never see the extra field. *)
-      if version >= 2 then add_u32 b corr
+      add_u32 b corr
   | Op_reply { req; outcome } ->
       add_u32 b req;
       add_outcome b outcome
@@ -321,16 +313,16 @@ type encoder = { payload : Buffer.t; mutable scratch : Bytes.t }
 
 let encoder () = { payload = Buffer.create 256; scratch = Bytes.create 256 }
 
-let encode_into ?(version = protocol_version) enc frame out =
+let encode_into enc frame out =
   Buffer.clear enc.payload;
-  add_payload enc.payload ~version frame;
+  add_payload enc.payload frame;
   let plen = Buffer.length enc.payload in
   let need = header_bytes + plen in
   if Bytes.length enc.scratch < need then
     enc.scratch <- Bytes.create (max need (2 * Bytes.length enc.scratch));
   let b = enc.scratch in
   Codec.set_u16 b 0 magic;
-  Codec.set_u8 b 2 version;
+  Codec.set_u8 b 2 protocol_version;
   Codec.set_u8 b 3 (tag_of_frame frame);
   Codec.set_u32_int b 4 plen;
   Buffer.blit enc.payload 0 b header_bytes plen;
@@ -339,9 +331,9 @@ let encode_into ?(version = protocol_version) enc frame out =
   Codec.set_i32 b 8 crc;
   Buffer.add_subbytes out b 0 need
 
-let encode ?version frame =
+let encode frame =
   let out = Buffer.create 64 in
-  encode_into ?version (encoder ()) frame out;
+  encode_into (encoder ()) frame out;
   Buffer.contents out
 
 (* ---- payload decoding ---- *)
@@ -467,9 +459,7 @@ let read_outcome c : Op.outcome =
   | 1 -> Error (Errno.of_wire (Codec.Cursor.read_u8 c))
   | t -> fail "unknown outcome tag %d" t
 
-let read_payload c ~version tag =
-  if version < tag_min_version tag then
-    fail "frame tag %d requires protocol version >= %d" tag (tag_min_version tag);
+let read_payload c tag =
   match tag with
   | 1 -> Hello { version = Codec.Cursor.read_u16 c }
   | 2 ->
@@ -495,7 +485,7 @@ let read_payload c ~version tag =
   | 9 ->
       let req = Codec.Cursor.read_u32_int c in
       let op = read_op c in
-      let corr = if version >= 2 then Codec.Cursor.read_u32_int c else 0 in
+      let corr = Codec.Cursor.read_u32_int c in
       Op_req { req; corr; op }
   | 10 ->
       let req = Codec.Cursor.read_u32_int c in
@@ -529,8 +519,7 @@ let decode buf ~pos ~len =
   else if len < header_bytes then Need_more
   else
     let version = Codec.get_u8 buf (pos + 2) in
-    if version < min_protocol_version || version > protocol_version then
-      Fail (Bad_version version)
+    if version <> protocol_version then Fail (Bad_version version)
     else
       let plen = Codec.get_u32_int buf (pos + 4) in
       if plen > max_payload then Fail (Bad_length plen)
@@ -542,7 +531,7 @@ let decode buf ~pos ~len =
         else
           let tag = Codec.get_u8 buf (pos + 3) in
           let c = Codec.Cursor.of_bytes ~pos:(pos + header_bytes) buf in
-          match read_payload c ~version tag with
+          match read_payload c tag with
           | frame ->
               if Codec.Cursor.pos c <> pos + header_bytes + plen then
                 Fail (Bad_payload "trailing bytes in payload")

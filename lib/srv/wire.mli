@@ -8,19 +8,18 @@
     {v
     offset  size  field
     0       2     magic 0x5253 ("RS")
-    2       1     protocol version (1 or 2)
+    2       1     protocol version (2)
     3       1     frame type tag
     4       4     payload length (bytes)
     8       4     CRC32C over header bytes 0..7 ++ payload
     12      len   payload
     v}
 
-    Version 2 appends a client-supplied {e correlation id} to [Op_req]
-    (a trailing u32 extension, so v1 payloads are byte-identical and
-    decode with [corr = 0]) and adds the observability frames
-    ([Metrics_req]/[Bundles_req]/[Bundle_req] and replies).  Both
-    versions decode; {!encode_into} takes the version to emit, so a
-    server answers a v1 peer in v1 frames.
+    Version 2, the only version spoken, carries a client-supplied
+    {e correlation id} on [Op_req] (a trailing u32) and the
+    observability frames ([Metrics_req]/[Bundles_req]/[Bundle_req] and
+    replies).  A header naming any other version decodes to
+    [Fail (Bad_version v)].
 
     Decoding is total: any malformed input — bad magic, unknown version or
     frame tag, inconsistent lengths, checksum mismatch, crafted path
@@ -30,13 +29,7 @@
     scan. *)
 
 val protocol_version : int
-(** Newest version this codec speaks (2). *)
-
-val min_protocol_version : int
-(** Oldest version still decoded (1). *)
-
-val tag_min_version : int -> int
-(** Lowest protocol version in which a frame tag exists. *)
+(** The version this codec speaks (2). *)
 
 val header_bytes : int
 val max_payload : int
@@ -108,15 +101,13 @@ type encoder
 
 val encoder : unit -> encoder
 
-val encode_into : ?version:int -> encoder -> frame -> Buffer.t -> unit
+val encode_into : encoder -> frame -> Buffer.t -> unit
 (** Serialize one frame, header included, appending the bytes to the
     given output buffer (typically the connection's tx buffer).  The
     encoder's scratch state is clobbered; one encoder must not be shared
-    across connections that encode concurrently.  [version] (default
-    {!protocol_version}) selects the emitted frame version — a server
-    talking to a v1 peer passes its negotiated version. *)
+    across connections that encode concurrently. *)
 
-val encode : ?version:int -> frame -> string
+val encode : frame -> string
 (** Serialize one frame, header included.  Convenience wrapper over
     {!encode_into} with a throwaway encoder (tests, client one-shots);
     servers should hold an {!encoder} per connection instead. *)

@@ -299,6 +299,40 @@ let test_revoke_suppresses_replay () =
   Alcotest.(check bool) "non-revoked write replayed" true
     (Bytes.equal (Disk.read disk (data_blk g 1)) (block_of_char 'M'))
 
+let test_rejournal_cancels_revoke () =
+  (* The base frees a block (revoke) and reuses it as metadata in the same
+     transaction: write X, revoke, write Y.  Crash after the journal flush,
+     with the home writes and the tail advance lost: replay must restore Y,
+     not suppress the write because the same transaction revoked it. *)
+  let nblocks = 512 and journal_len = 32 in
+  let disk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks () in
+  let raw = Device.of_disk disk in
+  let g = Result.get_ok (Layout.compute ~nblocks ~ninodes:64 ~journal_len ()) in
+  Journal.format raw g;
+  let jlo = g.Layout.journal_start in
+  let journal_records_only =
+    {
+      raw with
+      Device.dev_write =
+        (fun b data -> if b > jlo && b < jlo + journal_len then Device.write raw b data);
+    }
+  in
+  let j = attach_exn journal_records_only g in
+  let target = data_blk g 0 in
+  let txn = Journal.begin_txn j in
+  Journal.txn_write txn target (block_of_char 'X');
+  Journal.txn_revoke txn target;
+  Journal.txn_write txn target (block_of_char 'Y');
+  Journal.commit j txn;
+  Alcotest.(check bool) "home write lost in the crash" true
+    (Bytes.equal (Disk.read disk target) (block_of_char '\000'));
+  (match Journal.replay raw g with
+  | Ok 1 -> ()
+  | Ok n -> Alcotest.failf "expected 1 txn, replayed %d" n
+  | Error msg -> Alcotest.failf "replay: %s" msg);
+  Alcotest.(check bool) "re-journaled block replayed" true
+    (Bytes.equal (Disk.read disk target) (block_of_char 'Y'))
+
 let prop_commit_replay_equivalence =
   (* Random write batches: committing through the journal and crashing
      after the journal flush then replaying yields the same medium as
@@ -370,6 +404,8 @@ let () =
           Alcotest.test_case "crash before journal flush" `Quick test_crash_before_journal_flush;
           Alcotest.test_case "escaping survives replay" `Quick test_escaping_survives_replay;
           Alcotest.test_case "revocation suppresses replay" `Quick test_revoke_suppresses_replay;
+          Alcotest.test_case "re-journal cancels same-txn revoke" `Quick
+            test_rejournal_cancels_revoke;
           q prop_commit_replay_equivalence;
         ] );
     ]

@@ -17,9 +17,7 @@ let fixture_config =
   {
     d with
     Lintcfg.libraries =
-      (* "par" is allowed because the journal's interface pulls the
-         rae_par cmi into the fixture's import table. *)
-      ("lint_fixtures", [ "util"; "obs"; "vfs"; "block"; "format"; "par" ]) :: d.Lintcfg.libraries;
+      ("lint_fixtures", [ "util"; "obs"; "vfs"; "block"; "format" ]) :: d.Lintcfg.libraries;
     purity_roots = [ "Lint_fixtures.Bad_impure" ];
     signal_exceptions = [ "Lint_fixtures.Bad_swallow.Boom" ];
     domain_regions =
@@ -249,6 +247,24 @@ let test_stats_and_metrics () =
      let rec go i = i + n <= String.length json && (String.sub json i n = "\"findings\"" || go (i + 1)) in
      go 0)
 
+(* ---- cmt discovery ---- *)
+
+let test_find_cmts_skips_native () =
+  (* ocamlopt leaves a stray duplicate .cmt under .objs/native; only
+     dune's .objs/byte copy may be loaded, or the unit counts twice. *)
+  let root = Filename.temp_file "rae_lint_cmts" "" in
+  Sys.remove root;
+  let objs = Filename.concat root ".fixture.objs" in
+  let byte_dir = Filename.concat objs "byte" and native_dir = Filename.concat objs "native" in
+  List.iter (fun d -> Sys.mkdir d 0o755) [ root; objs; byte_dir; native_dir ];
+  let byte = Filename.concat byte_dir "fixture__M.cmt"
+  and native = Filename.concat native_dir "fixture__M.cmt" in
+  List.iter (fun f -> close_out (open_out f)) [ byte; native ];
+  let found = Cmt_load.find_cmts [ root ] in
+  List.iter Sys.remove [ byte; native ];
+  List.iter Sys.rmdir [ byte_dir; native_dir; objs; root ];
+  Alcotest.(check (list string)) "only the byte copy" [ byte ] found
+
 (* ---- the real tree ---- *)
 
 let test_repo_is_clean () =
@@ -290,6 +306,7 @@ let () =
       ( "surface",
         [
           Alcotest.test_case "stats, metrics, json" `Quick test_stats_and_metrics;
+          Alcotest.test_case "stray native cmts skipped" `Quick test_find_cmts_skips_native;
           Alcotest.test_case "repo self-scan" `Quick test_repo_is_clean;
         ] );
     ]

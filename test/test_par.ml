@@ -1,16 +1,13 @@
-(* Tests for rae_par and the four parallelized layers (PR: domain
-   parallelism): pool fork/join semantics, fsck par = seq, parallel
-   destage byte-equal to sequential, async checkpoint fold = sync fold
-   (including the warm-generation guard and the cache-invalidation
-   adversary), and crash-sweep verdict-set equality across pool sizes. *)
+(* Tests for rae_par and the two parallel layers: pool fork/join
+   semantics, async checkpoint fold = sync fold (including the
+   warm-generation guard and the cache-invalidation adversary), and
+   crash-sweep verdict-set equality across pool sizes. *)
 
 open Rae_vfs
 module Pool = Rae_par.Pool
 module Disk = Rae_block.Disk
 module Device = Rae_block.Device
 module Layout = Rae_format.Layout
-module Journal = Rae_journal.Journal
-module Fsck = Rae_fsck.Fsck
 module Base = Rae_basefs.Base
 module Bug_registry = Rae_basefs.Bug_registry
 module Controller = Rae_core.Controller
@@ -21,15 +18,6 @@ module Spec = Rae_specfs.Spec
 let p = Path.parse_exn
 let bs = Layout.block_size
 let ok = Result.get_ok
-
-(* One shared 4-domain pool for the property suites: spawning domains per
-   qcheck iteration would dominate the runtime, and reuse is exactly the
-   pool's contract.  Joined at process exit. *)
-let pool4 =
-  lazy
-    (let pl = Pool.create ~domains:4 () in
-     at_exit (fun () -> Pool.shutdown pl);
-     pl)
 
 let with_pool domains f =
   let pl = Pool.create ~domains () in
@@ -71,13 +59,6 @@ let test_pool_map_array () =
       Alcotest.(check bool) "matches Array.map" true
         (got = Array.map (fun x -> (x * 2) + 1) xs))
 
-let test_pool_run_thunks () =
-  with_pool 4 (fun pl ->
-      let cells = Array.make 9 0 in
-      Pool.run pl (List.init 9 (fun i () -> cells.(i) <- i + 1));
-      Alcotest.(check bool) "all thunks ran" true
-        (cells = Array.init 9 (fun i -> i + 1)))
-
 let test_pool_reraises_child_exception () =
   with_pool 4 (fun pl ->
       (match Pool.parallel_for pl ~chunk:1 ~n:64 (fun i -> if i = 17 then failwith "boom17") with
@@ -96,137 +77,6 @@ let test_pool_shutdown_degrades () =
   let seen = ref [] in
   Pool.parallel_for pl ~n:5 (fun i -> seen := i :: !seen);
   Alcotest.(check (list int)) "sequential after shutdown" [ 0; 1; 2; 3; 4 ] (List.rev !seen)
-
-(* ---- fsck: parallel passes = sequential passes ---- *)
-
-(* A populated, committed image with [ncorrupt] random single-byte
-   corruptions.  commit_interval 1 keeps the journal clean so every
-   finding comes from the corruptions, not an uncommitted window. *)
-let corrupted_image ~seed ~ncorrupt =
-  let nblocks = 1024 in
-  let disk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks () in
-  let dev = Device.of_disk disk in
-  ignore (ok (Base.mkfs dev ~ninodes:128 ()));
-  let base =
-    ok (Base.mount ~config:{ Base.default_config with Base.commit_interval = 1 } dev)
-  in
-  let rng = Rae_util.Rng.create seed in
-  List.iter
-    (fun op -> ignore (Base.exec base op))
-    (Rae_workload.Workload.uniform rng ~count:120);
-  for _ = 1 to ncorrupt do
-    Disk.corrupt_byte disk
-      ~block:(1 + Rae_util.Rng.int rng (nblocks - 1))
-      ~offset:(Rae_util.Rng.int rng bs)
-      (fun _ -> Char.chr (Rae_util.Rng.int rng 256))
-  done;
-  disk
-
-let normalized_findings r =
-  List.sort compare (List.map (fun f -> Format.asprintf "%a" Fsck.pp_finding f) r.Fsck.findings)
-
-let prop_fsck_par_equals_seq =
-  QCheck2.Test.make ~name:"fsck par = seq (normalized findings)" ~count:10
-    QCheck2.Gen.(pair ui64 (int_range 0 12))
-    (fun (seed, ncorrupt) ->
-      let disk = corrupted_image ~seed ~ncorrupt in
-      let seq = Fsck.check_device (Device.of_disk disk) in
-      let par = Fsck.check_device ~pool:(Lazy.force pool4) (Device.of_disk disk) in
-      if Fsck.clean seq <> Fsck.clean par then
-        QCheck2.Test.fail_reportf "clean verdicts differ (seed %Ld)" seed;
-      if normalized_findings seq <> normalized_findings par then
-        QCheck2.Test.fail_reportf "findings differ (seed %Ld):\nseq: %s\npar: %s" seed
-          (String.concat " | " (normalized_findings seq))
-          (String.concat " | " (normalized_findings par));
-      if seq.Fsck.inodes_checked <> par.Fsck.inodes_checked then
-        QCheck2.Test.fail_reportf "inodes_checked differ (seed %Ld)" seed;
-      if seq.Fsck.dirs_walked <> par.Fsck.dirs_walked then
-        QCheck2.Test.fail_reportf "dirs_walked differ (seed %Ld)" seed;
-      true)
-
-let test_fsck_par_clean_image () =
-  let disk = corrupted_image ~seed:42L ~ncorrupt:0 in
-  let par = Fsck.check_device ~pool:(Lazy.force pool4) (Device.of_disk disk) in
-  Alcotest.(check bool) "populated uncorrupted image is clean" true (Fsck.clean par)
-
-(* ---- journal replay: parallel destage byte-equal to sequential ---- *)
-
-(* Build an image whose journal holds committed-but-undestaged
-   transactions: run commits through a device that keeps the journal
-   record writes but drops both the home-location writes and the journal
-   superblock's tail advance — exactly the on-medium state of a crash
-   after the journal flush.  Replay must then destage everything. *)
-let undestaged_image ~seed ~ntxns =
-  let nblocks = 512 and journal_len = 64 in
-  let disk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks () in
-  let raw = Device.of_disk disk in
-  let g = ok (Layout.compute ~nblocks ~ninodes:64 ~journal_len ()) in
-  Journal.format raw g;
-  let jlo = g.Layout.journal_start in
-  let drop_homes =
-    {
-      raw with
-      Device.dev_write =
-        (fun b data -> if b > jlo && b < jlo + journal_len then Device.write raw b data);
-    }
-  in
-  let j = ok (Journal.attach drop_homes g) in
-  let rng = Rae_util.Rng.create seed in
-  let written = ref [] in
-  for _ = 1 to ntxns do
-    let txn = Journal.begin_txn j in
-    (* A handful of writes per txn, with deliberate cross-txn overlap so
-       last-write-wins matters, a magic-collision block to exercise
-       escape/unescape, and the occasional revoke to exercise
-       suppression. *)
-    for _ = 1 to 1 + Rae_util.Rng.int rng 4 do
-      let home = g.Layout.data_start + Rae_util.Rng.int rng 24 in
-      let data =
-        if Rae_util.Rng.chance rng 0.2 then begin
-          let b = Bytes.make bs (Char.chr (Rae_util.Rng.int rng 256)) in
-          Bytes.blit_string "JRNL" 0 b 0 4 (* journal-magic collision *);
-          b
-        end
-        else Bytes.make bs (Char.chr (Rae_util.Rng.int rng 256))
-      in
-      Journal.txn_write txn home data;
-      written := home :: !written
-    done;
-    (match !written with
-    | prior :: _ when Rae_util.Rng.chance rng 0.15 -> Journal.txn_revoke txn prior
-    | _ -> ());
-    Journal.commit j txn
-  done;
-  (disk, g)
-
-let prop_destage_par_byte_equal =
-  QCheck2.Test.make ~name:"parallel destage image = sequential destage image" ~count:10
-    QCheck2.Gen.(pair ui64 (int_range 1 8))
-    (fun (seed, ntxns) ->
-      let disk, g = undestaged_image ~seed ~ntxns in
-      let crashed = Disk.snapshot disk in
-      let seq_n =
-        match Journal.replay (Device.of_disk disk) g with
-        | Ok n -> n
-        | Error e -> QCheck2.Test.fail_reportf "sequential replay failed: %s" e
-      in
-      let seq_img = Disk.snapshot disk in
-      Disk.restore disk crashed;
-      let par_n =
-        match Journal.replay ~pool:(Lazy.force pool4) (Device.of_disk disk) g with
-        | Ok n -> n
-        | Error e -> QCheck2.Test.fail_reportf "parallel replay failed: %s" e
-      in
-      let par_img = Disk.snapshot disk in
-      if seq_n <> par_n then
-        QCheck2.Test.fail_reportf "txn counts differ: seq %d, par %d (seed %Ld)" seq_n par_n seed;
-      if seq_n = 0 then QCheck2.Test.fail_reportf "nothing to destage (seed %Ld)" seed;
-      Array.iteri
-        (fun i b ->
-          if not (Bytes.equal b par_img.(i)) then
-            QCheck2.Test.fail_reportf "block %d differs after destage (seed %Ld)" i seed)
-        seq_img;
-      true)
 
 (* ---- checkpoint: background fold = synchronous fold ---- *)
 
@@ -322,7 +172,7 @@ let prop_cut_mid_fold_generation_guard =
         QCheck2.Test.fail_reportf "post-cut seeded states diverge (seed %Ld, cut %d/%d)" seed k n;
       true)
 
-(* ---- controller: par_domains is a pure latency knob ---- *)
+(* ---- controller: ckpt_async_fold is a pure latency knob ---- *)
 
 let arm ids =
   Bug_registry.arm ~rng:(Rae_util.Rng.create 9L) (List.filter_map Bug_registry.find ids)
@@ -334,12 +184,12 @@ let mk_ctl ?policy ?config ?bugs () =
   let base = ok (Base.mount ?config ?bugs dev) in
   (disk, Controller.make ?policy ~device:dev base)
 
-let par_policy domains =
+let fold_policy async =
   {
     Controller.default_policy with
     Controller.ckpt_enabled = true;
     Controller.ckpt_fold_interval = 8;
-    Controller.par_domains = domains;
+    Controller.ckpt_async_fold = async;
   }
 
 (* The cache-invalidation adversary (stale resolutions, dirent-index
@@ -387,24 +237,24 @@ let run_against_spec ctl ops =
           (Format.asprintf "%a" Op.pp_outcome got))
     ops
 
-let test_adversary_all_domain_counts () =
-  (* par_domains in {1, 2, 4}: identical outcomes op by op, identical
+let test_adversary_both_fold_modes () =
+  (* ckpt_async_fold off and on: identical outcomes op by op, identical
      final trees, no cold fallbacks — with the invalidation adversary
      running across seeded recoveries.  A stale fast-path cache in the
      warm shadow (the generation guard's failure mode) surfaces here as
      a spec divergence after recovery. *)
   let snapshots =
     List.map
-      (fun domains ->
+      (fun async ->
         let _disk, ctl =
-          mk_ctl ~policy:(par_policy domains)
+          mk_ctl ~policy:(fold_policy async)
             ~config:{ Base.default_config with Base.commit_interval = 16 }
             ~bugs:(arm [ "crafted-name-panic" ])
             ()
         in
         run_against_spec ctl adversary_ops;
         Alcotest.(check bool)
-          (Printf.sprintf "recoveries happened (par=%d)" domains)
+          (Printf.sprintf "recoveries happened (async=%b)" async)
           true
           ((Controller.stats ctl).Controller.recoveries >= 1);
         (match Controller.checkpoint_stats ctl with
@@ -414,18 +264,14 @@ let test_adversary_all_domain_counts () =
         let snap = ok (Rae_workload.Snapshot.capture ~exec:Controller.exec ctl) in
         Controller.shutdown ctl;
         snap)
-      [ 1; 2; 4 ]
+      [ false; true ]
   in
   match snapshots with
-  | base :: rest ->
-      List.iteri
-        (fun i s ->
-          if not (Rae_workload.Snapshot.equal base s) then
-            Alcotest.failf "final tree at par_domains=%d differs: %s"
-              (List.nth [ 2; 4 ] i)
-              (String.concat "; " (Rae_workload.Snapshot.diff base s)))
-        rest
-  | [] -> assert false
+  | [ sync; async ] ->
+      if not (Rae_workload.Snapshot.equal sync async) then
+        Alcotest.failf "final tree with the async fold differs: %s"
+          (String.concat "; " (Rae_workload.Snapshot.diff sync async))
+  | _ -> assert false
 
 let test_seed_awaits_inflight_fold () =
   (* A long commit-free window folded in the background, then a panic:
@@ -433,9 +279,9 @@ let test_seed_awaits_inflight_fold () =
      async arm replays exactly the same Δ as the sync arm — and both
      report the same fold count.  Without the barrier the async arm's
      cursor (and hence its replay length) would depend on worker timing. *)
-  let run domains =
+  let run async =
     let _disk, ctl =
-      mk_ctl ~policy:(par_policy domains)
+      mk_ctl ~policy:(fold_policy async)
         ~config:{ Base.default_config with Base.commit_interval = max_int }
         ~bugs:(arm [ "crafted-name-panic" ])
         ()
@@ -458,8 +304,8 @@ let test_seed_awaits_inflight_fold () =
     Controller.shutdown ctl;
     (r.Rae_core.Report.r_replayed, s.Checkpoint.folds, s.Checkpoint.folded_ops)
   in
-  let sync_replayed, sync_folds, sync_ops = run 1 in
-  let async_replayed, async_folds, async_ops = run 2 in
+  let sync_replayed, sync_folds, sync_ops = run false in
+  let async_replayed, async_folds, async_ops = run true in
   Alcotest.(check int) "same Δ replayed" sync_replayed async_replayed;
   Alcotest.(check int) "same fold count" sync_folds async_folds;
   Alcotest.(check int) "same ops folded" sync_ops async_ops;
@@ -484,7 +330,7 @@ let prop_controller_par_equals_spec =
       let ops = Rae_workload.Workload.uniform (Rae_util.Rng.create seed) ~count in
       let sp = Spec.make () in
       let _disk, ctl =
-        mk_ctl ~policy:(par_policy 4)
+        mk_ctl ~policy:(fold_policy true)
           ~config:{ Base.default_config with Base.commit_interval = 16 }
           ~bugs:(bug ()) ()
       in
@@ -497,7 +343,7 @@ let prop_controller_par_equals_spec =
           let want = Spec.exec sp op in
           let got = Controller.exec ctl op in
           if not (Op.outcome_equal want got) then
-            fail "par=4 diverges from spec on %s (seed %Ld)" (Op.to_string op) seed)
+            fail "async fold diverges from spec on %s (seed %Ld)" (Op.to_string op) seed)
         ops;
       if Controller.degraded ctl <> None then fail "degraded (seed %Ld)" seed;
       Controller.shutdown ctl;
@@ -523,7 +369,7 @@ let test_sweep_verdicts_equal_across_domains () =
       let par2 = Engine.sweep_bounded ~pool:p2 ~max_workloads:40 () in
       Alcotest.(check bool) "par=2 verdicts equal" true
         (sweep_fingerprint seq = sweep_fingerprint par2));
-  let par4 = Engine.sweep_bounded ~pool:(Lazy.force pool4) ~max_workloads:40 () in
+  let par4 = with_pool 4 (fun p4 -> Engine.sweep_bounded ~pool:p4 ~max_workloads:40 ()) in
   Alcotest.(check bool) "par=4 verdicts equal" true
     (sweep_fingerprint seq = sweep_fingerprint par4);
   Alcotest.(check int) "no divergence in the bounded space" 0
@@ -538,18 +384,15 @@ let () =
           Alcotest.test_case "size 1 = sequential ascending" `Quick test_pool_size_one_is_sequential;
           Alcotest.test_case "every index exactly once" `Quick test_pool_every_index_exactly_once;
           Alcotest.test_case "map_array" `Quick test_pool_map_array;
-          Alcotest.test_case "run thunks" `Quick test_pool_run_thunks;
           Alcotest.test_case "child exception re-raised" `Quick test_pool_reraises_child_exception;
           Alcotest.test_case "shutdown degrades to sequential" `Quick test_pool_shutdown_degrades;
         ] );
-      ("fsck", [ q prop_fsck_par_equals_seq; Alcotest.test_case "clean image" `Quick test_fsck_par_clean_image ]);
-      ("destage", [ q prop_destage_par_byte_equal ]);
       ( "ckpt-fold",
         [ q prop_async_fold_equals_sync; q prop_cut_mid_fold_generation_guard ] );
       ( "controller",
         [
-          Alcotest.test_case "invalidation adversary, par in {1,2,4}" `Quick
-            test_adversary_all_domain_counts;
+          Alcotest.test_case "invalidation adversary, async off/on" `Quick
+            test_adversary_both_fold_modes;
           Alcotest.test_case "seed awaits in-flight background fold" `Quick
             test_seed_awaits_inflight_fold;
           q prop_controller_par_equals_spec;

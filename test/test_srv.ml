@@ -291,30 +291,32 @@ let test_decode_garbage () =
     | Wire.Frame _ | Wire.Need_more | Wire.Fail _ -> ()
   done
 
-(* ---- protocol versioning: the corr-id extension ---- *)
+(* ---- protocol versioning: v2 carries the corr id, v1 is refused ---- *)
+
+(* [frame] encoded, then re-stamped with header version [v] and a
+   matching checksum: well-formed in every respect but the version. *)
+let with_header_version v frame =
+  let b = Bytes.of_string (Wire.encode frame) in
+  Bytes.set_uint8 b 2 v;
+  let crc = Rae_util.Checksum.crc32c b ~pos:0 ~len:8 in
+  let crc =
+    Rae_util.Checksum.crc32c ~init:crc b ~pos:Wire.header_bytes
+      ~len:(Bytes.length b - Wire.header_bytes)
+  in
+  Rae_util.Codec.set_i32 b 8 crc;
+  Bytes.to_string b
 
 let test_wire_corr_versioning () =
   let f = Wire.Op_req { req = 7; corr = 0xbeef; op = Op.Sync } in
-  (* v2 (the default) round-trips the correlation id. *)
+  (* v2 round-trips the correlation id. *)
   (match Wire.decode_string (Wire.encode f) with
   | Wire.Frame (Wire.Op_req { req = 7; corr = 0xbeef; op = Op.Sync }, _) -> ()
   | _ -> Alcotest.fail "v2 must round-trip corr");
-  (* A v1 frame carries no corr bytes: it decodes with corr = 0 and is
-     byte-identical to the pre-extension encoding. *)
-  let v1 = Wire.encode ~version:Wire.min_protocol_version f in
-  (match Wire.decode_string v1 with
-  | Wire.Frame (Wire.Op_req { req = 7; corr = 0; op = Op.Sync }, _) -> ()
-  | _ -> Alcotest.fail "v1 must decode with corr = 0");
-  Alcotest.(check string) "v1 encoding ignores corr" v1
-    (Wire.encode ~version:Wire.min_protocol_version
-       (Wire.Op_req { req = 7; corr = 0; op = Op.Sync }));
-  Alcotest.(check bool) "corr costs bytes only in v2" true
-    (String.length (Wire.encode f) > String.length v1);
-  (* Observability frames do not exist in v1: a v1-framed Metrics_req is
-     rejected at decode, never mis-parsed. *)
-  match Wire.decode_string (Wire.encode ~version:Wire.min_protocol_version Wire.Metrics_req) with
-  | Wire.Fail _ -> ()
-  | Wire.Frame _ | Wire.Need_more -> Alcotest.fail "v2-only tag must not decode as v1"
+  (* v2 is the only version spoken: a v1 header is rejected before the
+     payload is read, never mis-parsed. *)
+  match Wire.decode_string (with_header_version 1 f) with
+  | Wire.Fail (Wire.Bad_version 1) -> ()
+  | _ -> Alcotest.fail "a v1 header must decode to Bad_version 1"
 
 (* ---- session unit tests ---- *)
 
@@ -381,13 +383,18 @@ let attach server =
 
 let test_server_bad_hello () =
   let server = Server.create (mk_ctl ()) in
-  let cid = Server.open_conn server in
-  Server.feed server cid (Wire.encode (Wire.Hello { version = 99 }));
-  (match decode_all "bad hello" (Server.output server cid) with
-  | [ Wire.Err { errno = Errno.EPROTO; _ } ] -> ()
-  | _ -> Alcotest.fail "expected a protocol Err frame");
-  Alcotest.(check bool) "connection dropped" true (Server.conn_closed server cid);
-  Alcotest.(check bool) "counted" true ((Server.stats server).Server.protocol_errors >= 1)
+  List.iter
+    (fun version ->
+      let cid = Server.open_conn server in
+      Server.feed server cid (Wire.encode (Wire.Hello { version }));
+      (match decode_all "bad hello" (Server.output server cid) with
+      | [ Wire.Err { errno = Errno.EPROTO; _ } ] -> ()
+      | _ -> Alcotest.failf "hello v%d: expected a protocol Err frame" version);
+      Alcotest.(check bool)
+        (Printf.sprintf "hello v%d: connection dropped" version)
+        true (Server.conn_closed server cid))
+    [ 99; 1 ];
+  Alcotest.(check bool) "counted" true ((Server.stats server).Server.protocol_errors >= 2)
 
 let test_server_op_before_hello () =
   let server = Server.create (mk_ctl ()) in
