@@ -62,7 +62,8 @@ let json_float v = if Float.is_finite v then Printf.sprintf "%.6g" v else "0"
 
 (* BENCH_*.json files outlive the tree they were captured from, so embed
    enough provenance to read them cold: the git rev, a monotonic run id,
-   and the configuration knobs the numbers depend on. *)
+   and the configuration the numbers depend on — the knobs, and which
+   CRC32C kernel the host ran. *)
 let git_rev () =
   let read_line path =
     try
@@ -96,11 +97,13 @@ let json_config () =
   let pol = Rae_core.Controller.default_policy in
   Printf.sprintf
     "{ \"cache_policy\": \"%s\", \"bcache_capacity\": %d, \"icache_capacity\": %d, \
-     \"dcache_capacity\": %d, \"commit_interval\": %d, \"ckpt_fold_interval\": %d }"
+     \"dcache_capacity\": %d, \"commit_interval\": %d, \"ckpt_fold_interval\": %d, \
+     \"crc32c\": \"%s\" }"
     (match c.Rae_basefs.Base.cache_policy with `Lru -> "lru" | `Two_q -> "2q")
     c.Rae_basefs.Base.bcache_capacity c.Rae_basefs.Base.icache_capacity
     c.Rae_basefs.Base.dcache_capacity c.Rae_basefs.Base.commit_interval
     pol.Rae_core.Controller.ckpt_fold_interval
+    (if Rae_util.Checksum.hardware then "sse4.2" else "portable")
 
 let write_json path =
   let samples = List.rev !json_samples in

@@ -309,8 +309,8 @@ let validate_txn t =
           for slot = 0 to Layout.inodes_per_block - 1 do
             let pos = slot * Layout.inode_size in
             if not (Inode.is_free_slot data ~pos) then
-              match Inode.decode data ~pos ~ino:(base_ino + slot) with
-              | Ok _ -> ()
+              match Inode.verify data ~pos ~ino:(base_ino + slot) with
+              | Ok () -> ()
               | Error e ->
                   Detector.validation_fail ~context:"inode table" "inode %d: %s" (base_ino + slot)
                     (Inode.error_to_string e)
@@ -622,21 +622,26 @@ let dir_block t inode idx =
   (phys, bget t phys)
 
 (* The base's kernel-like stance: a malformed directory block is a BUG. *)
-let trusting_entries b =
-  match Dirent.list b with
-  | Ok entries -> entries
-  | Error e ->
-      Detector.bug_fail ~bug:"crafted-dirent" "corrupted directory entry: %s (oops)"
-        (Dirent.error_to_string e)
+let crafted_dirent e =
+  Detector.bug_fail ~bug:"crafted-dirent" "corrupted directory entry: %s (oops)"
+    (Dirent.error_to_string e)
 
+let trusting_entries b =
+  match Dirent.list b with Ok entries -> entries | Error e -> crafted_dirent e
+
+(* [Dirent.find] validates each block whole before comparing names in
+   place, so a malformed record is a BUG wherever it sits in the block —
+   the verdict [trusting_entries] gives — without materializing every
+   entry of a big directory. *)
 let dir_scan t inode name =
   let n = dir_nblocks inode in
   let rec go idx =
     if idx >= n then None
     else
       let _, b = dir_block t inode idx in
-      match List.find_opt (fun e -> String.equal e.Dirent.name name) (trusting_entries b) with
-      | Some e -> Some e
+      match Dirent.find b name with
+      | Some (Ok e) -> Some e
+      | Some (Error e) -> crafted_dirent e
       | None -> go (idx + 1)
   in
   go 0

@@ -43,13 +43,22 @@ type async_st = {
   mutable a_domain : unit Domain.t option;
 }
 
+(* The checkpoint's one state cell.  A cut only names its S0 (by the
+   descriptor table open there); the warm shadow is attached on first use,
+   by a fold or a seed.  One field, so a reader on either domain sees a
+   whole state, never half of a transition. *)
+type warm =
+  | Absent  (* never cut, or poisoned *)
+  | Pending of (Types.fd * Types.ino * Types.open_flags) list  (* cut, not yet attached *)
+  | Warm of Shadow.t
+
 type t = {
   device : Rae_block.Device.t;
   config : Shadow.config;
   tracer : Rae_obs.Tracer.t option;
   events : Rae_obs.Events.t option;
   fold_interval : int;
-  mutable warm : Shadow.t option;  (* None: poisoned or never cut *)
+  mutable warm : warm;
   mutable cursor : int;  (* first oplog seq the warm shadow has NOT folded *)
   mutable base_seq : int64;  (* journal commit seq of the S0 we are based on *)
   mutable warm_gen : int;  (* bumped on every cut/poison; guards stale folds *)
@@ -68,7 +77,10 @@ type t = {
    [s_*] counters are written by the background worker only while
    [a_busy] is set, and by the owner only after quiescing the worker
    ([cut], [seed], [poison], [shutdown] all drain or discard first), so
-   the two domains never write concurrently.  The owner's unsynchronized
+   the two domains never write concurrently.  The one owner write that
+   does not quiesce, [materialize]'s [Pending] -> [Warm], cannot race
+   either: a [Pending] state means no fold was enqueued since the cut
+   that quiesced the worker.  The owner's unsynchronized
    hot-path reads ([due], [valid], [stats]) may observe a stale value,
    which only ever delays a fold or staleness a metric sample — never
    corrupts the shadow, because every fold re-filters entries against
@@ -91,7 +103,7 @@ let create ?tracer ?events ?(fast_paths = true) ~shadow_checks ~fold_interval de
     tracer;
     events;
     fold_interval = max 1 fold_interval;
-    warm = None;
+    warm = Absent;
     cursor = 0;
     base_seq = 0L;
     warm_gen = 0;
@@ -106,7 +118,7 @@ let create ?tracer ?events ?(fast_paths = true) ~shadow_checks ~fold_interval de
     s_poisons = 0;
   }
 
-let valid t = t.warm <> None
+let valid t = match t.warm with Absent -> false | Pending _ | Warm _ -> true
 let cursor t = t.cursor
 let base_seq t = t.base_seq
 
@@ -116,8 +128,8 @@ let with_span t name f =
 (* Poison without quiescing: called by the worker itself (it *is* the
    in-flight fold) and by owner paths that have already quiesced. *)
 let poison_unsafe t =
-  if t.warm <> None then begin
-    t.warm <- None;
+  if valid t then begin
+    t.warm <- Absent;
     t.warm_gen <- t.warm_gen + 1;
     t.s_poisons <- t.s_poisons + 1;
     match t.events with Some ev -> Rae_obs.Events.record_ckpt_poison ev | None -> ()
@@ -161,6 +173,12 @@ let poison t =
 
 (* ---- cut: re-base the checkpoint on a freshly committed S0 ---- *)
 
+(* The cut records only what the warm shadow will be built from; the
+   attach (the strict superblock and bitmap decode, then S0's
+   descriptors) waits for the first fold or seed, and most cuts never
+   pay it: the next commit re-cuts first.  This is sound because the
+   device changes only at a commit and every commit re-cuts, so a
+   deferred attach reads exactly the S0 its cut named. *)
 let cut t ~window ~fds ~next_seq ~commit_seq =
   quiesce_discard t;
   if window > 0 then
@@ -169,40 +187,51 @@ let cut t ~window ~fds ~next_seq ~commit_seq =
          window)
   else
     with_span t "ckpt-cut" (fun () ->
-        match Shadow.attach ~config:t.config t.device with
-        | Error msg ->
-            poison t;
-            Error ("warm attach: " ^ msg)
-        | Ok warm -> (
-            let rec install = function
-              | [] -> Ok ()
-              | (fd, ino, flags) :: rest -> (
-                  match Shadow.install_fd warm ~fd ~ino flags with
-                  | Ok () -> install rest
-                  | Error msg -> Error ("warm fd reinstatement: " ^ msg))
-            in
-            match install fds with
-            | Error _ as e ->
-                poison t;
-                e
-            | Ok () ->
-                t.warm <- Some warm;
-                t.cursor <- next_seq;
-                t.sched_cursor <- next_seq;
-                t.warm_gen <- t.warm_gen + 1;
-                t.base_seq <- commit_seq;
-                t.s_cuts <- t.s_cuts + 1;
-                (match t.events with
-                | Some ev -> Rae_obs.Events.record_ckpt_cut ev
-                | None -> ());
-                Ok ()))
+        t.warm <- Pending fds;
+        t.cursor <- next_seq;
+        t.sched_cursor <- next_seq;
+        t.warm_gen <- t.warm_gen + 1;
+        t.base_seq <- commit_seq;
+        t.s_cuts <- t.s_cuts + 1;
+        (match t.events with Some ev -> Rae_obs.Events.record_ckpt_cut ev | None -> ());
+        Ok ())
+
+(* A shadow on the cut's S0 with S0's descriptors reinstated. *)
+let attach_s0 t fds =
+  match Shadow.attach ~config:t.config t.device with
+  | Error msg -> Error ("warm attach: " ^ msg)
+  | Ok warm ->
+      let rec install = function
+        | [] -> Ok warm
+        | (fd, ino, flags) :: rest -> (
+            match Shadow.install_fd warm ~fd ~ino flags with
+            | Ok () -> install rest
+            | Error msg -> Error ("warm fd reinstatement: " ^ msg))
+      in
+      install fds
+
+(* The warm shadow, attached first if the last cut deferred that; [None]
+   without a checkpoint.  Owner domain only: [fold] materializes before it
+   enqueues, so the background worker always finds [Warm]. *)
+let materialize t =
+  match t.warm with
+  | Absent -> None
+  | Warm warm -> Some warm
+  | Pending fds -> (
+      match attach_s0 t fds with
+      | Ok warm ->
+          t.warm <- Warm warm;
+          Some warm
+      | Error _ ->
+          poison_unsafe t;
+          None)
 
 (* ---- fold: advance the warm shadow through the recorded suffix ---- *)
 
 let due t ~next_seq =
   match t.warm with
-  | None -> false
-  | Some _ ->
+  | Absent -> false
+  | Pending _ | Warm _ ->
       (* In async mode schedule against the furthest *enqueued* cursor,
          not the folded one — otherwise every hot-path op past the
          interval would enqueue another copy of the same window while
@@ -210,37 +239,43 @@ let due t ~next_seq =
       let c = match t.async with Some _ -> t.sched_cursor | None -> t.cursor in
       next_seq - c >= t.fold_interval
 
+let fold_into t warm ~entries ~next_seq =
+  try
+    (* The whole window goes to the shadow in one batched pass: the
+       shadow amortizes superblock/bitmap write-back and the summary
+       re-check across the window instead of paying them per op.
+       Divergences keep the shadow's own answer, same policy as cold
+       constrained replay; the count surfaces through stats/metrics. *)
+    let window = List.filter (fun r -> r.Op.seq >= t.cursor) entries in
+    let res = Shadow.exec_constrained_window warm window in
+    t.cursor <- next_seq;
+    t.s_folds <- t.s_folds + 1;
+    t.s_folded_ops <- t.s_folded_ops + res.Shadow.w_ops;
+    t.s_fold_divergences <- t.s_fold_divergences + res.Shadow.w_divergences;
+    match t.events with
+    | Some ev -> Rae_obs.Events.record_ckpt_fold ev ~ops:res.Shadow.w_ops
+    | None -> ()
+  with Shadow.Violation _ ->
+    (* The warm replica refuses the fold — don't disturb the hot path;
+       recovery will take the cold route until the next cut. *)
+    poison_unsafe t
+
+(* The synchronous fold, on the owner domain; a deferred attach is part
+   of the first fold's span. *)
 let fold_now t ~entries ~next_seq =
-  match t.warm with
-  | None -> ()
-  | Some warm ->
-      with_span t "ckpt-fold" (fun () ->
-          try
-            (* The whole window goes to the shadow in one batched pass:
-               the shadow amortizes superblock/bitmap write-back and the
-               summary re-check across the window instead of paying them
-               per op.  Divergences keep the shadow's own answer, same
-               policy as cold constrained replay; the count surfaces
-               through stats/metrics. *)
-            let window = List.filter (fun r -> r.Op.seq >= t.cursor) entries in
-            let res = Shadow.exec_constrained_window warm window in
-            t.cursor <- next_seq;
-            t.s_folds <- t.s_folds + 1;
-            t.s_folded_ops <- t.s_folded_ops + res.Shadow.w_ops;
-            t.s_fold_divergences <- t.s_fold_divergences + res.Shadow.w_divergences;
-            match t.events with
-            | Some ev -> Rae_obs.Events.record_ckpt_fold ev ~ops:res.Shadow.w_ops
-            | None -> ()
-          with Shadow.Violation _ ->
-            (* The warm replica refuses the fold — don't disturb the hot
-               path; recovery will take the cold route until the next cut. *)
-            poison_unsafe t)
+  if valid t then
+    with_span t "ckpt-fold" (fun () ->
+        match materialize t with
+        | Some warm -> fold_into t warm ~entries ~next_seq
+        | None -> ())
 
 let fold t ~entries ~next_seq =
   match t.async with
   | None -> fold_now t ~entries ~next_seq
   | Some a ->
-      if t.warm <> None then begin
+      (* Attach on this (owner) domain before the first enqueue after a
+         cut: the worker only ever folds into a [Warm] shadow. *)
+      if Option.is_some (materialize t) then begin
         Mutex.lock a.amu;
         if a.a_stop then begin
           (* Worker gone (shutdown): degrade to the synchronous fold. *)
@@ -297,10 +332,16 @@ let worker_loop t a =
            and the new shadow's fast-path caches were never invalidated
            for it. *)
         if req.fr_gen = t.warm_gen then begin
-          try with_span t "par-fold" (fun () -> fold_now t ~entries:req.fr_entries ~next_seq:req.fr_next)
+          try
+            with_span t "par-fold" (fun () ->
+                match t.warm with
+                | Warm warm ->
+                    with_span t "ckpt-fold" (fun () ->
+                        fold_into t warm ~entries:req.fr_entries ~next_seq:req.fr_next)
+                | Absent | Pending _ -> ())
           with
           | Shadow.Violation _ ->
-              (* Belt and braces: [fold_now] converts violations to a
+              (* Belt and braces: [fold_into] converts violations to a
                  poison itself, but if one still escapes the policy is
                  identical — forfeit the checkpoint, keep serving. *)
               poison_unsafe t
@@ -378,16 +419,22 @@ let seed t =
      or recovery's Δ replay would re-execute ops the warm shadow is
      about to fold concurrently. *)
   checkpoint_barrier t;
-  match t.warm with
+  let fresh =
+    match t.warm with
+    | Absent -> None
+    (* A cut nothing has folded into: what exporting its freshly attached
+       shadow would give, built directly. *)
+    | Pending fds -> Some (attach_s0 t fds)
+    | Warm warm -> Some (Shadow.attach_from ~config:t.config (Shadow.export_state warm) t.device)
+  in
+  match fresh with
   | None -> Error "no warm checkpoint"
-  | Some warm -> (
-      match Shadow.attach_from ~config:t.config (Shadow.export_state warm) t.device with
-      | Ok shadow ->
-          t.s_seeded <- t.s_seeded + 1;
-          Ok (shadow, t.cursor)
-      | Error msg ->
-          poison t;
-          Error ("checkpoint seed: " ^ msg))
+  | Some (Ok shadow) ->
+      t.s_seeded <- t.s_seeded + 1;
+      Ok (shadow, t.cursor)
+  | Some (Error msg) ->
+      poison t;
+      Error ("checkpoint seed: " ^ msg)
 
 let note_fallback t = t.s_fallbacks <- t.s_fallbacks + 1
 

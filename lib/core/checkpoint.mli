@@ -5,8 +5,9 @@
     its latency grows linearly with the window.  This module keeps a
     {b warm shadow}: a background {!Rae_shadowfs.Shadow} instance that is
 
-    - {b cut} (re-based) at journal-commit boundaries — a fresh read-only
-      attach to the just-committed S0 plus the S0 descriptor table, and
+    - {b cut} (re-based) at journal-commit boundaries — the just-committed
+      S0 plus its descriptor table; the read-only attach to S0 waits for
+      the first fold or seed that uses it, and
     - {b folded} forward every [fold_interval] recorded operations, by
       constrained re-execution of the oplog suffix it has not seen yet.
 
@@ -66,7 +67,14 @@ val cut :
     suffix and a cut would capture an S0 the oplog is not relative to.
     [fds] is the S0 descriptor snapshot, [next_seq] the oplog's next
     sequence number, [commit_seq] the journal's durable commit sequence.
-    On error the previous checkpoint (if any) is poisoned. *)
+    A refused cut leaves the previous checkpoint as it was.
+
+    The cut reads nothing: attaching the warm shadow (the strict
+    superblock and bitmap decode, then reinstating [fds]) is deferred to
+    the first {!fold} or {!seed}, and a failure there poisons the
+    checkpoint.  This is sound because the device changes only at a
+    commit and every commit re-cuts, so the deferred attach reads the S0
+    this cut named. *)
 
 val due : t -> next_seq:int -> bool
 (** Has the unfolded suffix reached [fold_interval]?  False when no valid
@@ -76,13 +84,16 @@ val fold : t -> entries:Rae_vfs.Op.recorded list -> next_seq:int -> unit
 (** Advance the warm shadow through the oplog entries with
     [seq >= cursor] (constrained mode, divergences counted, same
     keep-going policy as recovery replay), then move the cursor to
-    [next_seq].  A {!Rae_shadowfs.Shadow.Violation} poisons the
+    [next_seq].  The first fold after a cut attaches the warm shadow
+    first, on the calling domain and inside the fold's span.  A {!Rae_shadowfs.Shadow.Violation} poisons the
     checkpoint instead of escaping — the hot path never observes fold
     failures.  Emits a [ckpt-fold] span. *)
 
 val seed : t -> (Rae_shadowfs.Shadow.t * int, string) result
-(** Build a fresh shadow from the warm instance's exported state and
-    return it with the fold cursor: recovery replays only entries with
+(** Build a fresh shadow from the warm instance's exported state — or,
+    for a cut nothing has folded into yet, attach one to S0 with S0's
+    descriptors, which is the same shadow — and return it with the fold
+    cursor: recovery replays only entries with
     [seq >= cursor].  The warm instance itself is untouched (a failed
     recovery can seed again).  Fails, poisoning the checkpoint, if no
     valid checkpoint exists or the state import is rejected. *)

@@ -35,37 +35,66 @@ let empty_block () =
 let read_header b off =
   (Codec.get_u32_int b off, Codec.get_u16 b (off + 4), Codec.get_u8 b (off + 6), Codec.get_u8 b (off + 7))
 
-let name_ok name =
-  name = "." || name = ".."
-  || (name <> "" && not (String.exists (fun c -> c = '/' || c = '\000') name))
+(* Allocation-free header field readers for the validating walk; the walk
+   checks every range before it reads. *)
+let ino_at b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
+let rec_len_at b off = Bytes.get_uint16_le b (off + 4)
+let name_len_at b off = Bytes.get_uint8 b (off + 6)
+let kind_code_at b off = Bytes.get_uint8 b (off + 7)
 
-(* Validated record walk: calls [f acc ~off ~ino ~rec_len ~name ~kind] for
-   every record (live and free), or returns the first structural error. *)
-let walk b ~init ~f =
+(* A live record's name is legal when it is non-empty and holds neither
+   '/' nor NUL, which admits "." and ".."; checked in place. *)
+let name_ok_at b ~pos ~len =
+  let i = ref 0 in
+  while !i < len && (match Bytes.get b (pos + !i) with '/' | '\000' -> false | _ -> true) do
+    incr i
+  done;
+  len > 0 && !i = len
+
+exception Malformed of error
+
+(* Validated record walk: calls [f acc ~off ~ino ~rec_len ~name_len
+   ~kind_code] for every record (live and free; a live record's name is
+   the [name_len] bytes at [off + header_size]) and raises [Malformed]
+   with the first structural error.  Names are checked in place, so the
+   walk allocates nothing of its own: the error payload is built only on
+   failure. *)
+let walk_exn b ~init ~f =
   let len = Bytes.length b in
-  let rec go off acc =
-    if off = len then Ok acc
-    else if off > len || off land 3 <> 0 then Error (Misaligned { offset = off })
-    else if off + header_size > len then Error (Overrun { offset = off; rec_len = header_size })
-    else
-      let ino, rec_len, name_len, kind_code = read_header b off in
-      if rec_len < header_size || rec_len land 3 <> 0 then
-        Error (Bad_rec_len { offset = off; rec_len })
-      else if off + rec_len > len then Error (Overrun { offset = off; rec_len })
-      else if ino <> 0 && header_size + name_len > rec_len then
-        Error (Bad_name_len { offset = off; name_len; rec_len })
-      else
-        let name = if ino = 0 then "" else Codec.get_string b ~pos:(off + header_size) ~len:name_len in
-        if ino <> 0 && not (name_ok name) then Error (Bad_name { offset = off; name })
-        else if ino <> 0 && Rae_vfs.Types.kind_of_code kind_code = None then
-          Error (Bad_kind_code { offset = off; code = kind_code })
-        else go (off + rec_len) (f acc ~off ~ino ~rec_len ~name ~kind_code)
-  in
-  go 0 init
+  let off = ref 0 and acc = ref init in
+  while !off <> len do
+    let o = !off in
+    if o > len || o land 3 <> 0 then raise (Malformed (Misaligned { offset = o }));
+    if o + header_size > len then
+      raise (Malformed (Overrun { offset = o; rec_len = header_size }));
+    let ino = ino_at b o and rec_len = rec_len_at b o in
+    let name_len = name_len_at b o and kind_code = kind_code_at b o in
+    if rec_len < header_size || rec_len land 3 <> 0 then
+      raise (Malformed (Bad_rec_len { offset = o; rec_len }));
+    if o + rec_len > len then raise (Malformed (Overrun { offset = o; rec_len }));
+    if ino <> 0 then begin
+      if header_size + name_len > rec_len then
+        raise (Malformed (Bad_name_len { offset = o; name_len; rec_len }));
+      if not (name_ok_at b ~pos:(o + header_size) ~len:name_len) then
+        raise
+          (Malformed
+             (Bad_name { offset = o; name = Bytes.sub_string b (o + header_size) name_len }));
+      if Rae_vfs.Types.kind_of_code kind_code = None then
+        raise (Malformed (Bad_kind_code { offset = o; code = kind_code }))
+    end;
+    acc := f !acc ~off:o ~ino ~rec_len ~name_len ~kind_code;
+    off := o + rec_len
+  done;
+  !acc
 
 let fold b ~init ~f =
-  walk b ~init ~f:(fun acc ~off:_ ~ino ~rec_len:_ ~name ~kind_code ->
-      if ino = 0 then acc else f acc { ino; kind_code; name })
+  match
+    walk_exn b ~init ~f:(fun acc ~off ~ino ~rec_len:_ ~name_len ~kind_code ->
+        if ino = 0 then acc
+        else f acc { ino; kind_code; name = Bytes.sub_string b (off + header_size) name_len })
+  with
+  | acc -> Ok acc
+  | exception Malformed e -> Error e
 
 let list b = Result.map List.rev (fold b ~init:[] ~f:(fun acc e -> e :: acc))
 
@@ -86,17 +115,6 @@ let list_nocheck b =
         go (off + rec_len) acc
   in
   go 0 []
-
-let find b name =
-  match list b with
-  | Error e -> Some (Error e)
-  | Ok entries -> (
-      match List.find_opt (fun e -> String.equal e.name name) entries with
-      | Some e -> Some (Ok e)
-      | None -> None)
-
-let find_nocheck b name =
-  List.find_opt (fun e -> String.equal e.name name) (list_nocheck b)
 
 let write_record b ~off ~ino ~rec_len ~name ~kind_code =
   Codec.set_u32_int b off ino;
@@ -208,13 +226,34 @@ let set_entry_ino b name ino =
       true
 
 let count b =
-  match fold b ~init:0 ~f:(fun n _ -> n + 1) with Ok n -> n | Error _ -> 0
+  match
+    walk_exn b ~init:0 ~f:(fun n ~off:_ ~ino ~rec_len:_ ~name_len:_ ~kind_code:_ ->
+        if ino = 0 then n else n + 1)
+  with
+  | n -> n
+  | exception Malformed _ -> 0
 
 let free_bytes b =
-  let r =
-    walk b ~init:0 ~f:(fun acc ~off:_ ~ino ~rec_len ~name ~kind_code:_ ->
-        if ino = 0 then acc + rec_len else acc + (rec_len - record_size name))
-  in
-  match r with Ok n -> n | Error _ -> 0
+  match
+    walk_exn b ~init:0 ~f:(fun acc ~off:_ ~ino ~rec_len ~name_len ~kind_code:_ ->
+        if ino = 0 then acc + rec_len else acc + (rec_len - header_size - pad4 name_len))
+  with
+  | n -> n
+  | exception Malformed _ -> 0
 
-let validate b = Result.map (fun _ -> ()) (walk b ~init:() ~f:(fun () ~off:_ ~ino:_ ~rec_len:_ ~name:_ ~kind_code:_ -> ()))
+let validate b =
+  match walk_exn b ~init:() ~f:(fun () ~off:_ ~ino:_ ~rec_len:_ ~name_len:_ ~kind_code:_ -> ()) with
+  | () -> Ok ()
+  | exception Malformed e -> Error e
+
+(* Validate the whole block first, so a malformed record anywhere is
+   reported even when [name] sits before it; then the header-only
+   [locate] walk, which on a valid block finds the first live record
+   named [name], the one [list] would. *)
+let find b name =
+  match validate b with
+  | Error e -> Some (Error e)
+  | Ok () -> (
+      match locate b name with
+      | -1, _ -> None
+      | off, _ -> Some (Ok { ino = ino_at b off; kind_code = kind_code_at b off; name }))

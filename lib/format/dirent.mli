@@ -50,9 +50,10 @@ val list_nocheck : bytes -> entry list
 
 val find : bytes -> string -> (entry, error) result option
 (** [find block name] is [None] when absent, [Some (Ok e)] when found,
-    [Some (Error _)] when the block is malformed. *)
-
-val find_nocheck : bytes -> string -> entry option
+    [Some (Error _)] when the block is malformed — anywhere in the block,
+    whether before or after [name]'s record.  It validates the block and
+    then compares names in place, so it allocates only the entry it
+    returns: the base's directory lookup. *)
 
 val insert : bytes -> name:string -> ino:int -> kind_code:int -> bool
 (** Insert into free space, splitting a live record's slack if needed;
@@ -81,3 +82,6 @@ val free_bytes : bytes -> int
 (** Reusable space: free records plus live records' slack. *)
 
 val validate : bytes -> (unit, error) result
+(** {!list}'s verdict without the entries: [Ok ()] exactly when {!list}
+    succeeds, else the same error.  Names are checked in place, so a
+    valid block is validated without allocating. *)

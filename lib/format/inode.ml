@@ -63,9 +63,17 @@ let off_double = 84
 let off_generation = 88
 let off_checksum = 252
 
+(* Eight bytes per step; [Bytes.get_int64_le] keeps the bounds check. *)
 let is_free_slot b ~pos =
-  let rec go i = i >= Layout.inode_size || (Bytes.get b (pos + i) = '\000' && go (i + 1)) in
+  let rec go i =
+    i >= Layout.inode_size || (Int64.equal (Bytes.get_int64_le b (pos + i)) 0L && go (i + 8))
+  in
   go 0
+
+(* Seeded with the inode number, so a slot blitted to the wrong table
+   position fails verification. *)
+let checksum b ~pos ~ino =
+  Checksum.crc32c ~init:(Checksum.crc32c_string (string_of_int ino)) b ~pos ~len:off_checksum
 
 let encode inode ~ino b ~pos =
   Bytes.fill b pos Layout.inode_size '\000';
@@ -79,11 +87,7 @@ let encode inode ~ino b ~pos =
   Codec.set_u32_int b (pos + off_indirect) inode.indirect;
   Codec.set_u32_int b (pos + off_double) inode.double_indirect;
   Codec.set_u32_int b (pos + off_generation) inode.generation;
-  (* Seed the checksum with the inode number so a slot blitted to the wrong
-     table position fails verification. *)
-  let seed = Checksum.crc32c_string (string_of_int ino) in
-  Codec.set_i32 b (pos + off_checksum)
-    (Checksum.crc32c ~init:seed b ~pos ~len:off_checksum)
+  Codec.set_i32 b (pos + off_checksum) (checksum b ~pos ~ino)
 
 let parse b ~pos =
   {
@@ -104,23 +108,24 @@ let parse b ~pos =
 
 let decode_nocheck b ~pos = parse b ~pos
 
-let decode b ~pos ~ino =
+(* [decode]'s checks, read straight from the slot.  nlink = 0 is legal on
+   an allocated inode: an orphan kept alive by open descriptors (fsck
+   reports it as a warning when at rest). *)
+let verify b ~pos ~ino =
   let kind_raw = Codec.get_u16 b (pos + off_kind) in
-  match Rae_vfs.Types.kind_of_code kind_raw with
-  | None -> Error (Bad_kind kind_raw)
-  | Some _ ->
-      let seed = Checksum.crc32c_string (string_of_int ino) in
-      let expect = Codec.get_i32 b (pos + off_checksum) in
-      if not (Int32.equal (Checksum.crc32c ~init:seed b ~pos ~len:off_checksum) expect) then
-        Error (Bad_checksum { ino })
-      else
-        let inode = parse b ~pos in
-        (* nlink = 0 is legal on an allocated inode: an orphan kept alive by
-           open descriptors (fsck reports it as a warning when at rest). *)
-        if inode.size < 0 then Error (Bad_field "negative size")
-        else if inode.size > Layout.max_file_size then Error (Bad_field "size exceeds maximum")
-        else if inode.mode land lnot 0o777 <> 0 then Error (Bad_field "mode has non-permission bits")
-        else Ok inode
+  if Rae_vfs.Types.kind_of_code kind_raw = None then Error (Bad_kind kind_raw)
+  else if not (Int32.equal (checksum b ~pos ~ino) (Codec.get_i32 b (pos + off_checksum))) then
+    Error (Bad_checksum { ino })
+  else
+    let size = Int64.to_int (Codec.get_u64 b (pos + off_size)) in
+    if size < 0 then Error (Bad_field "negative size")
+    else if size > Layout.max_file_size then Error (Bad_field "size exceeds maximum")
+    else if Codec.get_u16 b (pos + off_mode) land lnot 0o777 <> 0 then
+      Error (Bad_field "mode has non-permission bits")
+    else Ok ()
+
+let decode b ~pos ~ino =
+  match verify b ~pos ~ino with Ok () -> Ok (parse b ~pos) | Error e -> Error e
 
 let equal a b =
   a.kind = b.kind && a.mode = b.mode && a.nlink = b.nlink && a.size = b.size

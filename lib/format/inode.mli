@@ -46,6 +46,10 @@ val decode : bytes -> pos:int -> ino:int -> (t, error) result
 (** Parse with checksum and field validation (kind code, non-negative
     size/nlink, pointer fields present only where the kind allows). *)
 
+val verify : bytes -> pos:int -> ino:int -> (unit, error) result
+(** Exactly {!decode}'s checks and verdicts, without building the record:
+    [verify b ~pos ~ino = Result.map ignore (decode b ~pos ~ino)]. *)
+
 val decode_nocheck : bytes -> pos:int -> t
 (** Parse without verifying the checksum — the base filesystem's fast path
     (the deliberate base/shadow asymmetry from paper §3.3). *)

@@ -1,9 +1,14 @@
-(* CRC32C, slicing-by-8 implementation using the Castagnoli polynomial
-   0x1EDC6F41 (reflected: 0x82F63B78), as used by ext4 metadata_csum,
-   iSCSI and Btrfs.
+(* CRC32C over the Castagnoli polynomial 0x1EDC6F41 (reflected:
+   0x82F63B78), as used by ext4 metadata_csum, iSCSI and Btrfs.
 
-   The arithmetic runs on native [int]s (every intermediate fits in 32
-   bits, OCaml ints have 63): an [Int32]-typed loop boxes every
+   Two kernels compute the same function.  On x86-64 CPUs with SSE4.2 a
+   C stub ([crc32c_stubs.c]) folds eight bytes per [crc32] instruction;
+   everywhere else the portable slicing-by-8 loop below runs, and it is
+   also the reference the tests hold the stub to.  [hardware] picks one,
+   once, at module initialization.
+
+   The portable arithmetic runs on native [int]s (every intermediate
+   fits in 32 bits, OCaml ints have 63): an [Int32]-typed loop boxes every
    intermediate, which made checksumming a 4 KiB block cost tens of
    microseconds and dominated every structural block write.  On top of
    that, the classic one-table loop still costs one dependent table
@@ -40,18 +45,18 @@ let tables =
      done;
      t)
 
-let crc32c ?(init = 0l) b ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Checksum.crc32c: out of bounds";
+(* Advance the raw (pre-inverted) state [c] over [len] bytes of [b] from
+   [pos]; the caller has checked the range. *)
+let portable_update c b ~pos ~len =
   let t = Lazy.force tables in
   let t0 = t.(0) and t1 = t.(1) and t2 = t.(2) and t3 = t.(3) in
   let t4 = t.(4) and t5 = t.(5) and t6 = t.(6) and t7 = t.(7) in
-  let c = ref (Int32.to_int init land mask32 lxor mask32) in
+  let c = ref c in
   let i = ref pos in
   let stop = pos + len in
   (* All table indices are masked to [0, 255] and every table has 256
-     entries; [i] stays within [pos, stop), which the guard above proved
-     in bounds — so the unsafe accesses cannot be out of bounds. *)
+     entries; [i] stays within [pos, stop), which the caller's range check
+     proved in bounds — so the unsafe accesses cannot be out of bounds. *)
   let byte j = Char.code (Bytes.unsafe_get b j) in
   while stop - !i >= 8 do
     let j = !i in
@@ -78,7 +83,35 @@ let crc32c ?(init = 0l) b ~pos ~len =
     c := Array.unsafe_get t0 idx lxor (!c lsr 8);
     incr i
   done;
-  Int32.of_int (!c lxor mask32)
+  !c
+
+(* Same contract as [portable_update].  The stub reads the bytes in place
+   and trusts the range: it must only ever see a checked one. *)
+external hardware_update :
+  (int[@untagged]) -> bytes -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "rae_crc32c_hw_byte" "rae_crc32c_hw"
+[@@noalloc]
+
+external hardware_available : unit -> bool = "rae_crc32c_hw_available"
+
+let hardware = hardware_available ()
+
+(* Written so that no sum can overflow: [pos + len] wraps for a huge
+   [len] and would let a range past the end through. *)
+let check_range b ~pos ~len =
+  if pos < 0 || len < 0 || pos > Bytes.length b - len then
+    invalid_arg "Checksum.crc32c: out of bounds"
+
+let crc32c_portable ?(init = 0l) b ~pos ~len =
+  check_range b ~pos ~len;
+  let c = Int32.to_int init land mask32 lxor mask32 in
+  Int32.of_int (portable_update c b ~pos ~len lxor mask32)
+
+let crc32c ?(init = 0l) b ~pos ~len =
+  check_range b ~pos ~len;
+  let c = Int32.to_int init land mask32 lxor mask32 in
+  let c = if hardware then hardware_update c b pos len else portable_update c b ~pos ~len in
+  Int32.of_int (c lxor mask32)
 
 let crc32c_string s =
   let b = Bytes.unsafe_of_string s in

@@ -12,6 +12,15 @@ val crc32c : ?init:int32 -> bytes -> pos:int -> len:int -> int32
     (default [0l], meaning a fresh checksum).
     @raise Invalid_argument if [pos]/[len] fall outside [b]. *)
 
+val hardware : bool
+(** Whether {!crc32c} runs the SSE4.2 [crc32] instruction (x86-64 with
+    SSE4.2, detected once at startup) rather than the portable
+    slicing-by-8 loop.  Both compute the same function. *)
+
+val crc32c_portable : ?init:int32 -> bytes -> pos:int -> len:int -> int32
+(** The portable slicing-by-8 kernel, whatever the CPU: the reference
+    {!crc32c} is tested against.  Same contract as {!crc32c}. *)
+
 val crc32c_string : string -> int32
 (** [crc32c_string s] is the CRC32C of the whole string [s]. *)
 

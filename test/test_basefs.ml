@@ -356,6 +356,30 @@ let test_crafted_dirent_panics_base () =
   | exception Detector.Base_bug _ -> ()
   | outcome -> Alcotest.failf "expected a base oops, got %a" Op.pp_outcome outcome
 
+(* The lookup validates the whole block before it compares names: a
+   crafted record after the wanted name is still a BUG, as it was when
+   the scan materialized every entry first. *)
+let test_crafted_dirent_after_name_panics_base () =
+  let disk, _dev, b = mk_base () in
+  ignore (ok (Base.create b (p "/x") ~mode:0o644));
+  ignore (ok (Base.create b (p "/y") ~mode:0o644));
+  ignore (ok (Base.sync b));
+  let g = (ok (Rae_format.Reader.attach (fun blk -> Disk.read disk blk))).Rae_format.Reader.sb
+            .Rae_format.Superblock.geometry in
+  let root = Disk.read disk g.Layout.data_start in
+  let rec offset_of name off =
+    let name_len = Rae_util.Codec.get_u8 root (off + 6) in
+    if Rae_util.Codec.get_string root ~pos:(off + 8) ~len:name_len = name then off
+    else offset_of name (off + Rae_util.Codec.get_u16 root (off + 4))
+  in
+  Alcotest.(check bool) "x precedes y" true (offset_of "x" 0 < offset_of "y" 0);
+  Disk.corrupt_byte disk ~block:g.Layout.data_start ~offset:(offset_of "y" 0 + 7) (fun _ -> '\x99');
+  ignore (ok (Base.contained_reboot b));
+  match Base.exec b (Op.Lookup (p "/x")) with
+  | exception Detector.Base_bug { bug; _ } ->
+      Alcotest.(check string) "classified" "crafted-dirent" bug
+  | outcome -> Alcotest.failf "expected a crafted-dirent oops, got %a" Op.pp_outcome outcome
+
 let test_wild_pointer_panics_base () =
   let disk, _dev, b = mk_base () in
   ignore (ok (Base.create b (p "/x") ~mode:0o644));
@@ -543,6 +567,8 @@ let () =
       ( "crafted",
         [
           Alcotest.test_case "crafted dirent panics" `Quick test_crafted_dirent_panics_base;
+          Alcotest.test_case "crafted dirent after the name panics" `Quick
+            test_crafted_dirent_after_name_panics_base;
           Alcotest.test_case "wild pointer panics" `Quick test_wild_pointer_panics_base;
         ] );
       ( "bugs",

@@ -442,6 +442,42 @@ let test_seeded_recovery_replays_only_delta () =
   Alcotest.(check bool) "panic op's file visible" true
     (Result.is_ok (Controller.lookup ctl (p "/pwn")))
 
+(* A cut only names its S0; the attach waits for the first fold or seed.
+   So a stream of commits with no fold in between — every one of them
+   re-cuts — reads nothing through the checkpoint's device, and a recovery
+   seeded from such a cut attaches then, descriptors included. *)
+let test_cuts_defer_the_attach () =
+  let disk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks:2048 () in
+  let dev = Device.of_disk disk in
+  ignore (ok (Base.mkfs dev ~ninodes:256 ()));
+  let base = ok (Base.mount ~bugs:(arm [ "crafted-name-panic" ]) dev) in
+  let counted, io = Device.counting dev in
+  let policy = { ckpt_policy with Controller.ckpt_fold_interval = 1000 } in
+  let ctl = Controller.make ~policy ~device:counted base in
+  let log = ok (Controller.openf ctl (p "/log") Types.flags_create) in
+  for i = 1 to 40 do
+    let path = p (Printf.sprintf "/m%d" i) in
+    let fd = ok (Controller.openf ctl path Types.flags_create) in
+    ignore (ok (Controller.pwrite ctl fd ~off:0 "mail"));
+    ignore (ok (Controller.pwrite ctl log ~off:(4 * (i - 1)) "line"));
+    ignore (ok (Controller.fsync ctl fd));
+    ignore (ok (Controller.close ctl fd))
+  done;
+  let stats () = Option.get (Controller.checkpoint_stats ctl) in
+  Alcotest.(check bool) "every fsync re-cut" true ((stats ()).Rae_core.Checkpoint.cuts >= 40);
+  Alcotest.(check int) "no fold" 0 (stats ()).Rae_core.Checkpoint.folds;
+  Alcotest.(check bool) "checkpoint valid" true (Controller.checkpoint_valid ctl);
+  Alcotest.(check (pair int int)) "cuts read and wrote nothing" (0, 0) (io ());
+  (* The panic: recovery seeds from the never-attached cut. *)
+  ignore (ok (Controller.create ctl (p "/pwn") ~mode:0o644));
+  Alcotest.(check int) "seeded" 1 (stats ()).Rae_core.Checkpoint.seeded;
+  Alcotest.(check int) "no cold fallback" 0 (stats ()).Rae_core.Checkpoint.fallbacks;
+  Alcotest.(check bool) "the seed attached" true (fst (io ()) > 0);
+  Alcotest.(check string) "open fd survives" (String.concat "" (List.init 40 (fun _ -> "line")))
+    (ok (Controller.pread ctl log ~off:0 ~len:1000));
+  Alcotest.(check bool) "panic op's file visible" true
+    (Result.is_ok (Controller.lookup ctl (p "/pwn")))
+
 (* The PR's centerpiece property: replay-from-checkpoint is indistinguishable
    from replay-from-S0, for arbitrary op sequences and arbitrary cut points.
    This is the module-level statement — fold a prefix into a warm shadow,
@@ -687,6 +723,7 @@ let () =
             test_checkpoint_refuses_uncommitted_window;
           Alcotest.test_case "seeded recovery replays only the delta" `Quick
             test_seeded_recovery_replays_only_delta;
+          Alcotest.test_case "cuts defer the attach" `Quick test_cuts_defer_the_attach;
           q prop_checkpoint_replay_equivalence;
           q prop_checkpoint_controller_equivalence;
         ] );

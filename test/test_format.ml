@@ -391,6 +391,48 @@ let prop_inode_roundtrip =
       Inode.encode i ~ino:9 b ~pos:0;
       match Inode.decode b ~pos:0 ~ino:9 with Ok i' -> Inode.equal i i' | Error _ -> false)
 
+let flip_bits b bits =
+  List.iter
+    (fun bit ->
+      let i = bit / 8 in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit mod 8)))))
+    bits
+
+(* [Inode.verify] is [decode]'s verdict without the record.  Slots: random
+   bytes; encoded inodes with flipped bits; and encoded inodes with a raw
+   kind, mode and size written over them and the checksum recomputed, so
+   the field checks behind the checksum are reached too. *)
+let prop_inode_verify_matches_decode =
+  let reseal b ~ino =
+    let seed = Rae_util.Checksum.crc32c_string (string_of_int ino) in
+    Rae_util.Codec.set_i32 b 252 (Rae_util.Checksum.crc32c ~init:seed b ~pos:0 ~len:252)
+  in
+  let gen =
+    QCheck2.Gen.(
+      let* ino = int_range 1 100_000 in
+      let* fill = int in
+      let* shape = int_bound 2 in
+      let* flips = list_size (int_bound 3) (int_bound ((Layout.inode_size * 8) - 1)) in
+      let* kind = oneof [ int_range 1 3; int_bound 5 ] in
+      let* mode = oneof [ int_bound 0o777; int_bound 0xFFFF ] in
+      let max = Layout.max_file_size in
+      let* size = oneof [ int_bound max; int_range (max + 1) max_int; int_range min_int (-1) ] in
+      return (ino, fill, shape, flips, kind, mode, size))
+  in
+  QCheck2.Test.make ~name:"Inode.verify = decode's verdict" ~count:1000 gen
+    (fun (ino, fill, shape, flips, kind, mode, size) ->
+      let rng = Random.State.make [| fill |] in
+      let b = Bytes.init Layout.inode_size (fun _ -> Char.chr (Random.State.int rng 256)) in
+      if shape > 0 then Inode.encode (sample_inode ()) ~ino b ~pos:0;
+      if shape = 2 then begin
+        Rae_util.Codec.set_u16 b 0 kind;
+        Rae_util.Codec.set_u16 b 2 mode;
+        Rae_util.Codec.set_u64 b 8 (Int64.of_int size);
+        reseal b ~ino
+      end;
+      flip_bits b flips;
+      Inode.verify b ~pos:0 ~ino = Result.map ignore (Inode.decode b ~pos:0 ~ino))
+
 (* ---- Dirent ---- *)
 
 let reg = Types.kind_code Types.Regular
@@ -554,6 +596,114 @@ let prop_dirent_probes_match_mutators =
             present = Dirent.remove b name)
         script)
 
+(* The reference the in-place walk must match: lookup through the
+   materialized [list], as the base's directory scan did. *)
+let find_via_list b name =
+  match Dirent.list b with
+  | Error e -> Some (Error e)
+  | Ok entries ->
+      Option.map Result.ok (List.find_opt (fun e -> String.equal e.Dirent.name name) entries)
+
+(* Offsets of the live records of a structurally valid block. *)
+let live_offsets b =
+  let rec go off acc =
+    if off >= Bytes.length b then List.rev acc
+    else
+      let acc = if Rae_util.Codec.get_u32_int b off <> 0 then off :: acc else acc in
+      go (off + Rae_util.Codec.get_u16 b (off + 4)) acc
+  in
+  go 0 []
+
+type dirent_craft =
+  | Intact
+  | Flip_bits of int list
+  | Name_byte of char  (** '/' or NUL inside a live name *)
+  | Zero_name_len
+  | Set_rec_len of int
+  | Set_kind of int
+  | Random_block
+
+(* A block filled by a random insert/remove script — over a small
+   alphabet, short names repeat and a repeated insert leaves a duplicate
+   name in the block — then crafted once at a random live record. *)
+let gen_dirent_block =
+  QCheck2.Gen.(
+    let* alphabet = oneofl [ [ 'a'; 'b'; '.' ]; List.init 26 (fun i -> Char.chr (97 + i)) ] in
+    let name = string_size ~gen:(oneofl alphabet) (int_range 1 9) in
+    let* script = list_size (int_bound 300) (pair (int_bound 3) name) in
+    let* craft =
+      oneof
+        [
+          return Intact;
+          map (fun l -> Flip_bits l) (list_size (int_range 1 4) (int_bound ((bs * 8) - 1)));
+          map (fun c -> Name_byte c) (oneofl [ '/'; '\000' ]);
+          return Zero_name_len;
+          map (fun v -> Set_rec_len v) (oneof [ int_bound 16; return 8192; int_bound 0xFFFF ]);
+          map (fun v -> Set_kind v) (int_bound 255);
+          return Random_block;
+        ]
+    in
+    let* pick = int_bound 1_000_000 in
+    return (script, craft, pick))
+
+let build_dirent_block (script, craft, pick) =
+  let b = Dirent.empty_block () in
+  List.iteri
+    (fun i (op, name) ->
+      if op = 0 then ignore (Dirent.remove b name)
+      else ignore (Dirent.insert b ~name ~ino:(i + 1) ~kind_code:(1 + (i mod 3))))
+    script;
+  let live = Array.of_list (live_offsets b) in
+  (match craft with
+  | Intact -> ()
+  | Random_block ->
+      let rng = Random.State.make [| pick |] in
+      Bytes.iteri (fun i _ -> Bytes.set b i (Char.chr (Random.State.int rng 256))) b
+  | Flip_bits bits -> flip_bits b bits
+  | (Name_byte _ | Zero_name_len | Set_rec_len _ | Set_kind _) when Array.length live = 0 -> ()
+  | Name_byte c ->
+      let off = live.(pick mod Array.length live) in
+      let name_len = Rae_util.Codec.get_u8 b (off + 6) in
+      Bytes.set b (off + 8 + (pick mod name_len)) c
+  | Zero_name_len -> Rae_util.Codec.set_u8 b (live.(pick mod Array.length live) + 6) 0
+  | Set_rec_len v -> Rae_util.Codec.set_u16 b (live.(pick mod Array.length live) + 4) v
+  | Set_kind v -> Rae_util.Codec.set_u8 b (live.(pick mod Array.length live) + 7) v);
+  (b, List.sort_uniq compare ("zz" :: "a/b" :: List.map snd script))
+
+let prop_dirent_validate_matches_list =
+  QCheck2.Test.make ~name:"Dirent.validate/count = list's verdict" ~count:500 gen_dirent_block
+    (fun input ->
+      let b, _ = build_dirent_block input in
+      let listed = Dirent.list b in
+      Dirent.validate b = Result.map ignore listed
+      && Dirent.count b = match listed with Ok es -> List.length es | Error _ -> 0)
+
+let prop_dirent_find_matches_list =
+  QCheck2.Test.make ~name:"Dirent.find = lookup through list" ~count:500 gen_dirent_block
+    (fun input ->
+      let b, probes = build_dirent_block input in
+      List.for_all (fun name -> Dirent.find b name = find_via_list b name) probes)
+
+let test_dirent_validate_allocates_nothing () =
+  let b = Dirent.empty_block () in
+  let n = ref 0 in
+  while Dirent.insert b ~name:(Printf.sprintf "file%04d" !n) ~ino:(!n + 1) ~kind_code:reg do
+    incr n
+  done;
+  Alcotest.(check int) "block full" 256 !n;
+  let minor_words f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let idle = minor_words (fun () -> ()) in
+  let per_call f =
+    let words = minor_words (fun () -> for _ = 1 to 100 do ignore (Sys.opaque_identity (f b)) done) in
+    (words -. idle) /. 100.
+  in
+  Alcotest.(check (float 0.)) "validate" 0. (per_call Dirent.validate);
+  Alcotest.(check (float 0.)) "free_bytes" 0. (per_call Dirent.free_bytes)
+
 (* ---- Mkfs + Reader ---- *)
 
 let mk_device ?(nblocks = 256) () =
@@ -699,6 +849,7 @@ let () =
           Alcotest.test_case "free slot detection" `Quick test_inode_free_slot;
           Alcotest.test_case "field validation" `Quick test_inode_field_validation;
           q prop_inode_roundtrip;
+          q prop_inode_verify_matches_decode;
         ] );
       ( "dirent",
         [
@@ -713,6 +864,10 @@ let () =
           Alcotest.test_case "dot entries allowed" `Quick test_dirent_dot_entries_allowed;
           q prop_dirent_insert_remove;
           q prop_dirent_probes_match_mutators;
+          q prop_dirent_validate_matches_list;
+          q prop_dirent_find_matches_list;
+          Alcotest.test_case "validate allocates nothing" `Quick
+            test_dirent_validate_allocates_nothing;
         ] );
       ( "mkfs+reader",
         [

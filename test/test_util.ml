@@ -6,12 +6,27 @@ let check_i32 = Alcotest.testable (fun ppf v -> Format.fprintf ppf "0x%08lx" v) 
 
 (* ---- Checksum ---- *)
 
+(* Both kernels: [crc32c] (the SSE4.2 stub where the CPU has it) and the
+   portable slicing-by-8 reference. *)
+let kernels =
+  [
+    ("crc32c", fun b ~pos ~len -> Checksum.crc32c b ~pos ~len);
+    ("portable", fun b ~pos ~len -> Checksum.crc32c_portable b ~pos ~len);
+  ]
+
 let test_crc32c_known_vectors () =
   (* Canonical CRC32C test vectors (RFC 3720 appendix / kernel selftests). *)
-  Alcotest.check check_i32 "empty" 0x00000000l (Checksum.crc32c_string "");
-  Alcotest.check check_i32 "123456789" 0xE3069283l (Checksum.crc32c_string "123456789");
-  let zeros32 = String.make 32 '\000' in
-  Alcotest.check check_i32 "32 zeros" 0x8A9136AAl (Checksum.crc32c_string zeros32)
+  List.iter
+    (fun (kernel, crc) ->
+      let crc_string s = crc (Bytes.of_string s) ~pos:0 ~len:(String.length s) in
+      let check name want s = Alcotest.check check_i32 (kernel ^ ": " ^ name) want (crc_string s) in
+      check "empty" 0x00000000l "";
+      check "123456789" 0xE3069283l "123456789";
+      check "32 zeros" 0x8A9136AAl (String.make 32 '\000');
+      check "32 0xff" 0x62A8AB43l (String.make 32 '\xff');
+      check "32 ascending" 0x46DD794El (String.init 32 Char.chr))
+    kernels;
+  Alcotest.check check_i32 "crc32c_string" 0xE3069283l (Checksum.crc32c_string "123456789")
 
 let test_crc32c_differs_on_flip () =
   let b = Bytes.of_string "the quick brown fox" in
@@ -25,7 +40,25 @@ let test_crc32c_bounds () =
   Alcotest.check_raises "negative pos" (Invalid_argument "Checksum.crc32c: out of bounds")
     (fun () -> ignore (Checksum.crc32c b ~pos:(-1) ~len:4));
   Alcotest.check_raises "overlong" (Invalid_argument "Checksum.crc32c: out of bounds") (fun () ->
-      ignore (Checksum.crc32c b ~pos:4 ~len:8))
+      ignore (Checksum.crc32c b ~pos:4 ~len:8));
+  (* [pos + len] wraps to a negative sum here; the check must not. *)
+  List.iter
+    (fun (kernel, crc) ->
+      Alcotest.check_raises (kernel ^ ": len max_int")
+        (Invalid_argument "Checksum.crc32c: out of bounds") (fun () ->
+          ignore (crc (Bytes.make 16 'a') ~pos:1 ~len:max_int)))
+    kernels
+
+(* Lengths across the 8-byte fold (short tails, non-multiples of 8, more
+   than two blocks), unaligned starts and arbitrary seeds. *)
+let prop_crc32c_kernels_agree =
+  QCheck2.Test.make ~name:"crc32c = portable crc32c" ~count:1000
+    QCheck2.Gen.(quad (oneof [ int_bound 17; int_bound 9000 ]) (int_bound 15) ui32 int)
+    (fun (len, pos, init, fill) ->
+      let rng = Random.State.make [| fill |] in
+      let byte _ = Char.chr (Random.State.int rng 256) in
+      let b = Bytes.init (pos + len + Random.State.int rng 8) byte in
+      Int32.equal (Checksum.crc32c ~init b ~pos ~len) (Checksum.crc32c_portable ~init b ~pos ~len))
 
 let test_verify () =
   let b = Bytes.of_string "payload" in
@@ -184,6 +217,7 @@ let () =
           Alcotest.test_case "bit flip detected" `Quick test_crc32c_differs_on_flip;
           Alcotest.test_case "bounds" `Quick test_crc32c_bounds;
           Alcotest.test_case "verify" `Quick test_verify;
+          q prop_crc32c_kernels_agree;
         ] );
       ( "codec",
         [
