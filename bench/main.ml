@@ -1599,111 +1599,35 @@ let e_crash () =
      shrinks to a reproducer of at most 3 ops.\n"
 
 (* ---------------------------------------------------------------- *)
-(* E-par: OCaml 5 domain parallelism, background fold + crash sweep   *)
+(* E-par: the crash sweep on OCaml 5 domains                          *)
 (* ---------------------------------------------------------------- *)
 
-(* E-par floors: hot-path fold enqueue <= the synchronous fold it
-   replaces, sweep verdicts equal across pool sizes, full crash sweep 0
-   diverging over > 2000 workloads.  The overhead floor is only
-   meaningful with real parallelism, so it is enforced on full runs on
-   hosts whose [Domain.recommended_domain_count] is >= 2 and reported
-   (with an explicit skip notice) elsewhere; the correctness floors are
-   enforced always. *)
+(* E-par floors: sweep verdicts equal across pool sizes, full crash
+   sweep 0 diverging over > 2000 workloads.  Both are correctness
+   floors, enforced on every run. *)
 let e_par () =
-  section "E-par | domain parallelism: background fold, crash sweep";
+  section "E-par | domain parallelism: the crash sweep";
   let module Pool = Rae_par.Pool in
-  let module Checkpoint = Rae_core.Checkpoint in
   let module CE = Rae_crash.Engine in
   let cores = Domain.recommended_domain_count () in
-  let enforce_perf = (not !quick) && cores >= 2 in
   Printf.printf "recommended_domain_count = %d\n" cores;
-  if not enforce_perf then
-    Printf.printf
-      "(overhead floor reported but NOT enforced: %s; correctness floors still apply)\n"
-      (if !quick then "--quick run"
-       else
-         Printf.sprintf "host recommends %d domain(s), wall-clock gains are not meaningful here"
-           cores);
   json_note ~sec:"E-par" ~name:"recommended-domains" ~unit:"count" (float_of_int cores);
   let floor_violations = ref [] in
-  let perf_floor msg ok =
-    if not ok then
-      if enforce_perf then floor_violations := msg :: !floor_violations
-      else Printf.printf "  floor skipped (not enforced on this run): %s\n" msg
-  in
   let hard_floor msg ok = if not ok then floor_violations := msg :: !floor_violations in
+  (* One minor-heap size for the whole section, 4M words (32 MiB); past
+     it the sequential sweep gains little more (DESIGN §13).  At the
+     runtime default the sequential arm promotes far more than a pool of
+     four, and the ratio then rewards four minor heaps, not fan-out.
+     [Gc.set] sizes the calling domain only (OCaml 5.1 starts spawned
+     domains at the runtime's initial size), but the pool arm's time does
+     not move with its workers' heaps, so one setting is enough. *)
+  let gc0 = Gc.get () in
+  Gc.set { gc0 with Gc.minor_heap_size = 4 lsl 20 };
+  let minor_words = (Gc.get ()).Gc.minor_heap_size in
+  Printf.printf "minor heap: %d words\n" minor_words;
+  json_note ~sec:"E-par" ~name:"minor-heap-words" ~unit:"words" (float_of_int minor_words);
   let pool4 = Pool.create ~domains:4 () in
 
-  (* -- c) checkpoint fold: hot-path enqueue vs synchronous fold ---- *)
-  subsection "E-par-c | background fold: hot-path cost of enqueue vs sync fold";
-  let fold_dev, fold_entries =
-    let fdisk = mk_disk ~nblocks:8192 () in
-    let dev = Device.of_disk fdisk in
-    ignore (ok (Base.mkfs dev ~ninodes:1024 ()));
-    let b =
-      ok (Base.mount ~config:{ Base.default_config with Base.commit_interval = max_int } dev)
-    in
-    let ops =
-      List.filter
-        (fun op -> not (Op.is_sync op))
-        (W.ops W.Metadata (Rae_util.Rng.create 13L) ~count:(sc 2500))
-    in
-    ( dev,
-      List.filter Op.is_mutation ops
-      |> List.mapi (fun seq op -> { Op.op; outcome = Base.exec b op; seq }) )
-  in
-  let nentries = List.length fold_entries in
-  let batch = 32 in
-  let fold_rep ~async () =
-    let ck = Checkpoint.create ~shadow_checks:false ~fold_interval:batch fold_dev in
-    (* Queue cap sized to the trace: the production cap (4) exists to
-       bound memory; here it would just re-serialize the arms through
-       backpressure and measure the worker, not the enqueue. *)
-    if async then Checkpoint.start_async_fold ck ~queue_cap:((nentries / batch) + 2);
-    ok (Checkpoint.cut ck ~window:0 ~fds:[] ~next_seq:0 ~commit_seq:0L);
-    let arr = Array.of_list fold_entries in
-    Gc.major ();
-    let t0 = now_s () in
-    let i = ref 0 in
-    while !i < nentries do
-      let hi = min nentries (!i + batch) in
-      Checkpoint.fold ck ~entries:(Array.to_list (Array.sub arr !i (hi - !i))) ~next_seq:hi;
-      i := hi
-    done;
-    let hot = now_s () -. t0 in
-    let t1 = now_s () in
-    Checkpoint.checkpoint_barrier ck;
-    let drain = now_s () -. t1 in
-    Checkpoint.shutdown ck;
-    (hot, drain)
-  in
-  ignore (fold_rep ~async:false ());
-  ignore (fold_rep ~async:true ());
-  let sync_hot = ref [] and async_hot = ref [] and async_drain = ref [] in
-  for _ = 1 to reps 5 do
-    let h, _ = fold_rep ~async:false () in
-    sync_hot := h :: !sync_hot;
-    let h, d = fold_rep ~async:true () in
-    async_hot := h :: !async_hot;
-    async_drain := d :: !async_drain
-  done;
-  let med l =
-    let sorted = List.sort compare !l in
-    List.nth sorted (List.length sorted / 2)
-  in
-  let t_sync = med sync_hot and t_enq = med async_hot and t_drain = med async_drain in
-  Printf.printf "  sync fold (hot path)    : %8.2f ms for %d ops\n" (t_sync *. 1e3) nentries;
-  Printf.printf "  async enqueue (hot path): %8.2f ms  (%.1fx cheaper; drain %.2f ms)\n"
-    (t_enq *. 1e3) (t_sync /. t_enq) (t_drain *. 1e3);
-  json_note ~sec:"E-par" ~name:"fold-sync-hot" ~unit:"s" t_sync;
-  json_note ~sec:"E-par" ~name:"fold-enqueue-hot" ~unit:"s" t_enq;
-  json_note ~sec:"E-par" ~name:"fold-drain" ~unit:"s" t_drain;
-  perf_floor
-    (Printf.sprintf "hot-path enqueue %.2f ms exceeds the synchronous fold %.2f ms" (t_enq *. 1e3)
-       (t_sync *. 1e3))
-    (t_enq <= t_sync);
-
-  (* -- d) crash sweep across domains ------------------------------ *)
   subsection "E-par-d | crash sweep: 1 vs 4 domains, plus the exhaustive space";
   let cfg =
     {
@@ -1762,17 +1686,16 @@ let e_par () =
     pstats.Pool.steals pstats.Pool.batches;
   json_note ~sec:"E-par" ~name:"pool4-steals" ~unit:"count" (float_of_int pstats.Pool.steals);
   Pool.shutdown pool4;
+  Gc.set gc0;
   if !floor_violations <> [] then begin
     List.iter (fun v -> Printf.eprintf "E-par: %s\n" v) (List.rev !floor_violations);
     exit 1
   end;
   print_string
     "\nExpected shape: crash verdict sets are equal across pool sizes while the\n\
-     wall-clock side scales: the hot path pays an enqueue instead of a fold,\n\
-     the sweep fans out across domains, and the exhaustive bounded crash space\n\
-     still has zero diverging points.  On hosts without >= 2 recommended\n\
-     domains the overhead floor is reported but not enforced (there is\n\
-     nothing to win on one core).\n"
+     sweep fans out across domains, and the exhaustive bounded crash space\n\
+     still has zero diverging points.  The sweep ratio is wall-clock fan-out\n\
+     at one minor-heap size; on one core there is nothing to win.\n"
 
 let () =
   Printf.printf "RAE / Shadow Filesystems — benchmark harness\n";

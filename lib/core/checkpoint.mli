@@ -3,7 +3,8 @@
     Cold recovery reconstructs application-visible state by replaying the
     {e whole} recorded op window against the trusted on-disk state S0, so
     its latency grows linearly with the window.  This module keeps a
-    {b warm shadow}: a background {!Rae_shadowfs.Shadow} instance that is
+    {b warm shadow}: a second {!Rae_shadowfs.Shadow} instance, beside the
+    base and on the controller's own domain, that is
 
     - {b cut} (re-based) at journal-commit boundaries — the just-committed
       S0 plus its descriptor table; the read-only attach to S0 waits for
@@ -29,7 +30,7 @@ type t
 
 type stats = {
   cuts : int;  (** re-bases onto a freshly committed S0 *)
-  folds : int;  (** background fold batches applied to the warm shadow *)
+  folds : int;  (** fold batches applied to the warm shadow *)
   folded_ops : int;  (** operations folded across all batches *)
   fold_divergences : int;  (** constrained-mode mismatches seen while folding *)
   seeded : int;  (** recoveries seeded from the checkpoint *)
@@ -41,13 +42,12 @@ val create :
   ?tracer:Rae_obs.Tracer.t ->
   ?events:Rae_obs.Events.t ->
   ?fast_paths:bool ->
-  shadow_checks:bool ->
   fold_interval:int ->
   Rae_block.Device.t ->
   t
-(** No checkpoint exists until the first {!cut}.  [shadow_checks] is the
-    controller's shadow-check policy; the warm instance always attaches
-    without fsck (the fold's continuous validation substitutes).
+(** No checkpoint exists until the first {!cut}.  The warm instance runs
+    the shadow's full runtime checks and always attaches without fsck
+    (the fold's continuous validation substitutes).
     [fast_paths] (default [true]) controls the warm shadow's caching fast
     paths — disabling it reproduces the naive shadow, which the benches
     use to price the fold before/after the fast-path work.  [events] is
@@ -85,9 +85,9 @@ val fold : t -> entries:Rae_vfs.Op.recorded list -> next_seq:int -> unit
     [seq >= cursor] (constrained mode, divergences counted, same
     keep-going policy as recovery replay), then move the cursor to
     [next_seq].  The first fold after a cut attaches the warm shadow
-    first, on the calling domain and inside the fold's span.  A {!Rae_shadowfs.Shadow.Violation} poisons the
-    checkpoint instead of escaping — the hot path never observes fold
-    failures.  Emits a [ckpt-fold] span. *)
+    first, inside the fold's span.  A {!Rae_shadowfs.Shadow.Violation}
+    poisons the checkpoint instead of escaping — the hot path never
+    observes fold failures.  Emits a [ckpt-fold] span. *)
 
 val seed : t -> (Rae_shadowfs.Shadow.t * int, string) result
 (** Build a fresh shadow from the warm instance's exported state — or,
@@ -100,54 +100,7 @@ val seed : t -> (Rae_shadowfs.Shadow.t * int, string) result
 
 val poison : t -> unit
 (** Discard the warm instance (counted when one existed).  Subsequent
-    recoveries take the cold path until the next {!cut}.  In async mode,
-    discards the queued folds and waits out the in-flight one first. *)
-
-(** {2 Background (off-domain) folding}
-
-    With {!start_async_fold}, {!fold} no longer executes the window on
-    the calling (hot-path) domain: it snapshots the request into a
-    bounded queue and returns, and a dedicated background domain drains
-    the queue and runs the folds ([par-fold] spans).  The hot path pays
-    only the enqueue — unless the queue is at capacity, where it blocks
-    (backpressure) rather than let the backlog grow without bound.
-
-    Lifecycle safety is a generation guard: every {!cut}/{!poison} bumps
-    the warm-shadow generation, each request records the generation it
-    was scheduled against, and the worker discards stale requests — a
-    window recorded against a previous warm instance is never folded
-    into a fresh one (whose fast-path caches it could silently corrupt;
-    oplog sequence numbers restart across contained reboots, so they
-    cannot catch this).  {!cut} and {!poison} discard the queue and wait
-    out the in-flight fold; {!seed} awaits {!checkpoint_barrier} so
-    recovery starts from the furthest recorded window. *)
-
-val start_async_fold : t -> queue_cap:int -> unit
-(** Spawn the background fold domain (idempotent).  [queue_cap] bounds
-    the request queue; enqueues at capacity block the caller. *)
-
-val async_fold : t -> bool
-(** Is a background fold domain attached? *)
-
-val checkpoint_barrier : t -> unit
-(** Block until every queued fold request has been executed and the
-    worker is idle.  No-op in synchronous mode. *)
-
-val shutdown : t -> unit
-(** Drain the queue (barrier), stop and join the background domain.
-    Afterwards {!fold} degrades to the synchronous path.  Idempotent;
-    no-op in synchronous mode. *)
-
-type fold_queue_stats = {
-  fq_depth : int;  (** current queue depth *)
-  fq_hwm : int;  (** high-water mark since the last reset *)
-  fq_enqueued : int;  (** fold windows enqueued *)
-  fq_blocked : int;  (** enqueues stalled by backpressure *)
-  fq_dropped : int;  (** stale-generation windows discarded *)
-}
-
-val fold_queue : t -> fold_queue_stats option
-(** Queue counters; [None] in synchronous mode. *)
+    recoveries take the cold path until the next {!cut}. *)
 
 val note_fallback : t -> unit
 (** Record that a seeded recovery fell back to the cold path. *)
@@ -162,6 +115,4 @@ val stats : t -> stats
 val reset_stats : t -> unit
 
 val register_obs : Rae_obs.Metrics.t -> t -> unit
-(** Register the [rae_ckpt_*] counter/gauge family; in async mode also
-    the [rae_par_fold_*] queue family (depth, backlog high-water mark,
-    enqueued/backpressure/dropped totals). *)
+(** Register the [rae_ckpt_*] counter/gauge family. *)

@@ -4,35 +4,23 @@ module Detector = Rae_basefs.Detector
 module Shadow = Rae_shadowfs.Shadow
 
 type policy = {
-  treat_warnings_as_errors : bool;
-  fsck_before_recovery : bool;
-  cross_check : bool;
-  abort_on_discrepancy : bool;
-  max_recovery_attempts : int;
-  shadow_checks : bool;
   ckpt_enabled : bool;
   ckpt_fold_interval : int;
   ckpt_fast_paths : bool;
-  slow_op_ns : int;
-  ckpt_async_fold : bool;
-      (* fold the warm checkpoint on a background domain; false (default)
-         folds synchronously on the calling domain *)
+  cross_check : bool;
 }
 
 let default_policy =
-  {
-    treat_warnings_as_errors = true;
-    fsck_before_recovery = true;
-    cross_check = true;
-    abort_on_discrepancy = false;
-    max_recovery_attempts = 3;
-    shadow_checks = true;
-    ckpt_enabled = false;
-    ckpt_fold_interval = 32;
-    ckpt_fast_paths = true;
-    slow_op_ns = 10_000_000;
-    ckpt_async_fold = false;
-  }
+  { ckpt_enabled = false; ckpt_fold_interval = 32; ckpt_fast_paths = true; cross_check = true }
+
+(* How often one operation may run again on the base after a recovery
+   (only a delegated sync does): a runtime error in such a retry starts
+   another recovery, and past this bound the operation returns EIO. *)
+let max_recovery_attempts = 3
+
+(* Flight-recorder threshold: an op slower than this earns a [Slow_op]
+   event next to its [Op_done]. *)
+let slow_op_ns = 10_000_000
 
 type stats = {
   ops : int;
@@ -106,18 +94,10 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
   | Some ev -> Rae_obs.Events.set_clock ev (fun () -> Int64.to_int (now ()))
   | None -> ());
   let ckpt =
-    if policy.ckpt_enabled then begin
-      let c =
-        Checkpoint.create ?tracer ?events ~fast_paths:policy.ckpt_fast_paths
-          ~shadow_checks:policy.shadow_checks ~fold_interval:policy.ckpt_fold_interval device
-      in
-      (* The async fold moves off the hot path entirely: the record step
-         enqueues, a dedicated domain folds.  The queue stays shallow —
-         each entry pins an oplog-suffix snapshot, and recovery's seed
-         phase must drain whatever is left. *)
-      if policy.ckpt_async_fold then Checkpoint.start_async_fold c ~queue_cap:4;
-      Some c
-    end
+    if policy.ckpt_enabled then
+      Some
+        (Checkpoint.create ?tracer ?events ~fast_paths:policy.ckpt_fast_paths
+           ~fold_interval:policy.ckpt_fold_interval device)
     else None
   in
   let t =
@@ -193,17 +173,10 @@ module J = Rae_obs.Jsonx
 let policy_json p =
   J.Obj
     [
-      ("treat_warnings_as_errors", J.Bool p.treat_warnings_as_errors);
-      ("fsck_before_recovery", J.Bool p.fsck_before_recovery);
-      ("cross_check", J.Bool p.cross_check);
-      ("abort_on_discrepancy", J.Bool p.abort_on_discrepancy);
-      ("max_recovery_attempts", J.Int p.max_recovery_attempts);
-      ("shadow_checks", J.Bool p.shadow_checks);
       ("ckpt_enabled", J.Bool p.ckpt_enabled);
       ("ckpt_fold_interval", J.Int p.ckpt_fold_interval);
       ("ckpt_fast_paths", J.Bool p.ckpt_fast_paths);
-      ("slow_op_ns", J.Int p.slow_op_ns);
-      ("ckpt_async_fold", J.Bool p.ckpt_async_fold);
+      ("cross_check", J.Bool p.cross_check);
     ]
 
 let report_json (r : Report.recovery) =
@@ -359,21 +332,16 @@ let run_constrained t shadow entries =
       | Shadow.Matches -> incr replayed
       | Shadow.Divergence shadow_outcome ->
           incr replayed;
-          if t.policy.cross_check then begin
-            let d =
+          if t.policy.cross_check then
+            discrepancies :=
               { Report.d_seq = seq; d_op = op; d_base = outcome; d_shadow = shadow_outcome }
-            in
-            discrepancies := d :: !discrepancies;
-            if t.policy.abort_on_discrepancy then
-              raise
-                (Recovery_error
-                   (Format.asprintf "cross-check mismatch: %a" Report.pp_discrepancy d))
-          end)
+              :: !discrepancies)
     entries;
   (!replayed, !skipped, List.rev !discrepancies)
 
-(* The full §3.2 protocol.  Returns the in-flight operation's outcome. *)
-let recover t ~trigger ~inflight ~attempt =
+(* The full §3.2 protocol, as recovery number [attempt] of the in-flight
+   operation.  Returns that operation's outcome. *)
+let rec recover t ~trigger ~inflight ~attempt =
   let t0 = t.now () in
   t.s_recoveries <- t.s_recoveries + 1;
   t.in_recovery <- true;
@@ -488,29 +456,21 @@ let recover t ~trigger ~inflight ~attempt =
     | Some ev -> Rae_obs.Events.record_recovery_end ev ~ok:true ~seeded ~replayed
     | None -> ());
     emit_bundle t ~kind:Rae_obs.Blackbox.kind_recovery ~report;
-    (* 8. Delegated sync: re-issue on the recovered base. *)
-    if delegated then begin
-      ignore attempt;
-      (* Catch only genuine device failures; detector signals (Base_bug,
-         Hang, Validation_failed) must propagate so a second fault during
-         the delegated replay is not silently degraded to EIO. *)
+    (* 8. Delegated sync: run it again on the recovered base through the
+       controller's own execution path, so a runtime error there starts a
+       fresh recovery like any other; [exec_attempt] bounds the nesting.
+       A device failure maps straight to EIO. *)
+    if delegated then
       phase "delegated-sync" (fun () ->
-          try Base.exec t.base inflight
+          try exec_attempt t inflight ~attempt
           with Rae_block.Device.Io_error _ -> Error Errno.EIO)
-    end
     else inflight_outcome
   in
   let go_cold () =
     contained_reboot ();
-    (* 2. Launch the shadow on S0 (read-only, full checks, optional fsck —
-       the liveness precondition). *)
-    let config =
-      {
-        Shadow.default_config with
-        Shadow.checks = t.policy.shadow_checks;
-        fsck_on_attach = t.policy.fsck_before_recovery;
-      }
-    in
+    (* 2. Launch the shadow on S0 (read-only, full checks, behind a full
+       fsck — the liveness precondition). *)
+    let config = { Shadow.default_config with Shadow.fsck_on_attach = true } in
     let shadow =
       phase "shadow-attach" (fun () ->
           match Shadow.attach ~config ?tracer:t.tracer t.device with
@@ -583,8 +543,10 @@ let recover t ~trigger ~inflight ~attempt =
 
 (* ---- the execution wrapper ---- *)
 
-let rec exec_attempt t op ~attempt =
-  if attempt > t.policy.max_recovery_attempts then Error Errno.EIO
+(* Run [op] on the base; [attempt] counts the recoveries of [op] so far,
+   and a runtime error starts the next one. *)
+and exec_attempt t op ~attempt =
+  if attempt > max_recovery_attempts then Error Errno.EIO
   else
     match Base.exec t.base op with
     | outcome -> (
@@ -600,31 +562,30 @@ let rec exec_attempt t op ~attempt =
         let warned = Detector.warnings (Base.detector t.base) in
         Detector.clear (Base.detector t.base);
         match warned with
-        | { Detector.w_bug; w_msg } :: _ when t.policy.treat_warnings_as_errors && not committed ->
+        | { Detector.w_bug; w_msg } :: _ when not committed ->
             (* WARN before durability: distrust the base's answer, let the
                shadow re-execute the op in autonomous mode. *)
-            let trigger = Report.Warning_storm { bug = w_bug; msg = w_msg } in
-            recover t ~trigger ~inflight:op ~attempt
-        | _ :: _ when t.policy.treat_warnings_as_errors ->
+            start_recovery t op ~attempt (Report.Warning_storm { bug = w_bug; msg = w_msg })
+        | _ :: _ ->
             (* WARN on an op whose effects already committed (and passed
                the commit-barrier validation): the durable state is
                verified, so re-execution could only diverge — log and
                continue.  The warning stays counted in the detector. *)
             outcome
-        | _ ->
+        | [] ->
             if not committed then begin
               Oplog.record t.oplog op outcome;
               ckpt_fold t
             end;
             outcome)
     | exception Detector.Base_bug { bug; msg } ->
-        recover_and_maybe_retry t op ~attempt (Report.Panic { bug; msg })
+        start_recovery t op ~attempt (Report.Panic { bug; msg })
     | exception Detector.Hang { bug; msg } ->
-        recover_and_maybe_retry t op ~attempt (Report.Hang_detected { bug; msg })
+        start_recovery t op ~attempt (Report.Hang_detected { bug; msg })
     | exception Detector.Validation_failed { context; msg } ->
-        recover_and_maybe_retry t op ~attempt (Report.Validation { context; msg })
+        start_recovery t op ~attempt (Report.Validation { context; msg })
 
-and recover_and_maybe_retry t op ~attempt trigger =
+and start_recovery t op ~attempt trigger =
   t.committed_during_op <- false;
   recover t ~trigger ~inflight:op ~attempt:(attempt + 1)
 
@@ -654,9 +615,8 @@ let exec_for t ~corr ~session op =
           let kind = Op.kind_to_string (Op.kind op) in
           let errno = match outcome with Ok _ -> "" | Error e -> Errno.to_string e in
           Rae_obs.Events.record_op ev ~kind ~errno ~lat_ns ~corr ~session;
-          if lat_ns >= t.policy.slow_op_ns then
-            Rae_obs.Events.record_slow_op ev ~kind ~lat_ns ~threshold_ns:t.policy.slow_op_ns ~corr
-              ~session;
+          if lat_ns >= slow_op_ns then
+            Rae_obs.Events.record_slow_op ev ~kind ~lat_ns ~threshold_ns:slow_op_ns ~corr ~session;
           outcome)
 
 let exec t op = exec_for t ~corr:0 ~session:0 op
@@ -715,11 +675,6 @@ let reset_stats t =
   Rae_obs.Metrics.h_reset t.recovery_hist;
   List.iter (fun (_, h) -> Rae_obs.Metrics.h_reset h) t.ph_hists;
   match t.ckpt with Some c -> Checkpoint.reset_stats c | None -> ()
-
-(* Join the checkpoint's background fold domain (drained first —
-   shutdown doubles as a barrier).  Call when retiring a controller;
-   domains are a bounded OS resource. *)
-let shutdown t = match t.ckpt with Some c -> Checkpoint.shutdown c | None -> ()
 
 let checkpoint_now t =
   match t.ckpt with

@@ -4,7 +4,7 @@
     filesystem and exposes the same API; in the common case every call
     goes straight to the base at full speed, with RAE recording the
     operation and its outcome.  When the base hits a runtime error —
-    a BUG/panic, a detected hang, a WARN (configurable), or a failed
+    a BUG/panic, a detected hang, a WARN, or a failed
     commit-barrier validation — the controller runs the recovery protocol
     of paper §3.2:
 
@@ -13,12 +13,12 @@
       applications and their descriptors are preserved by RAE, not by the
       base;
     + {b state reconstruction} — a fresh shadow filesystem is attached to
-      the device (read-only; optionally behind a full fsck of S0).  The
+      the device (read-only, behind a full fsck of S0).  The
       descriptor table recorded at the last commit is reinstated, then the
       recorded window replays in {e constrained mode}: operations that
       failed in the base are omitted, successful ones are re-executed and
       their outcomes cross-checked against the record (discrepancies are
-      reported; policy decides whether to abort).  The in-flight operation
+      reported, and the shadow's answer stands).  The in-flight operation
       — whose result the application has not yet seen — runs in
       {e autonomous mode}: the shadow makes its own policy decisions and
       its outcome is what the application receives;
@@ -27,7 +27,10 @@
       {!Rae_basefs.Base.download_metadata} (metadata installed dirty
       through the base's own logic, then committed) and resumes.  An
       in-flight [fsync]/[sync] is delegated back to the rebooted base
-      after hand-off, since the shadow never persists anything.
+      after hand-off, since the shadow never persists anything.  A
+      runtime error there starts a fresh recovery; the sync is retried
+      at most three times, after which the operation returns [EIO] and
+      the controller keeps serving.
 
     If recovery itself fails (the image is corrupt beyond the journal, or
     the shadow's invariant checks reject the replay), the controller
@@ -36,16 +39,6 @@
     gracefully instead of crashing the machine. *)
 
 type policy = {
-  treat_warnings_as_errors : bool;  (** WARN triggers recovery (default true) *)
-  fsck_before_recovery : bool;
-      (** run the full image check before trusting S0 (paper §4.3's
-          verified-fsck liveness requirement; default true) *)
-  cross_check : bool;  (** compare shadow outcomes against the record (default true) *)
-  abort_on_discrepancy : bool;
-      (** treat a cross-check mismatch as a failed recovery instead of
-          preferring the shadow's answer (default false) *)
-  max_recovery_attempts : int;  (** per-operation bound on recursive recoveries (default 3) *)
-  shadow_checks : bool;  (** the shadow's runtime invariant checking (default true) *)
   ckpt_enabled : bool;
       (** maintain a warm shadow {!Checkpoint} so recovery replays only
           the Δ suffix past the last fold instead of the whole window
@@ -57,17 +50,16 @@ type policy = {
       (** let the warm shadow use its caching fast paths while folding
           (default true); disabling reproduces the naive shadow for
           overhead measurements *)
-  slow_op_ns : int;
-      (** flight-recorder threshold: an op completing slower than this
-          earns a [Slow_op] event next to its [Op_done]
-          (default 10ms) *)
-  ckpt_async_fold : bool;
-      (** fold the warm checkpoint on a dedicated background domain
-          (default false: the fold runs synchronously on the calling
-          domain).  With [true] the record step only enqueues, and
-          recovery's seed phase awaits the in-flight fold.  Retire such a
-          controller with {!shutdown}. *)
+  cross_check : bool;
+      (** compare shadow outcomes against the record and report the
+          mismatches; recovery keeps the shadow's answer either way
+          (default true) *)
 }
+(** What the controller's callers choose.  The rest is fixed: a WARN
+    before the op's commit triggers recovery, the cold path fscks S0
+    before trusting it, the shadow runs its full runtime checks, a
+    delegated sync is retried at most three times, and an op slower
+    than 10 ms earns a [Slow_op] flight-recorder event. *)
 
 val default_policy : policy
 
@@ -161,14 +153,9 @@ val reset_stats : t -> unit
     before/after windows can be compared (parity with
     {!Rae_block.Blkmq.reset_stats} and the cache stats API): the op and
     recovery counters, the oplog totals, the end-to-end recovery and
-    per-phase latency histograms, and the checkpoint counters (including
-    the background-fold queue counters).  The recovery log itself —
+    per-phase latency histograms, and the checkpoint counters.  The
+    recovery log itself —
     {!recoveries}, {!discrepancies} — is retained. *)
-
-val shutdown : t -> unit
-(** Drain and stop the checkpoint's background fold domain.  No-op
-    unless [policy.ckpt_async_fold].  Live domains are a bounded OS
-    resource — call this when retiring such a controller. *)
 
 val checkpoint_now : t -> (unit, string) result
 (** Force a checkpoint cut.  Fails when checkpointing is disabled by
@@ -190,6 +177,5 @@ val phase_names : string list
 val register_obs : Rae_obs.Metrics.t -> t -> unit
 (** Register the whole stack's metrics: the controller's counters and
     recovery/phase latency histograms ([rae_*]), the checkpoint's
-    [rae_par_fold_*] queue family when [policy.ckpt_async_fold], plus
-    everything {!Rae_basefs.Base.register_obs} registers for the
-    wrapped base. *)
+    [rae_ckpt_*] family when [policy.ckpt_enabled], plus everything
+    {!Rae_basefs.Base.register_obs} registers for the wrapped base. *)

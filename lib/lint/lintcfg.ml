@@ -226,11 +226,10 @@ let default =
         ("constrained-replay", [ "Rae_shadowfs.Shadow.exec_constrained" ]);
         (* Code that actually runs on worker domains.  The pool's worker
            loop is the generic root (every parallel_for body executes
-           under it); the other two are the background checkpoint fold
-           and the crash sweep's per-workload body, which also reaches
-           the fsck and journal-replay code each sweep point runs. *)
+           under it); the other is the crash sweep's per-workload body,
+           which also reaches the fsck and journal-replay code each sweep
+           point runs. *)
         ("par-pool", [ "Rae_par.Pool." ]);
-        ("par-fold", [ "Rae_core.Checkpoint.worker_loop" ]);
         ("par-crash-sweep", [ "Rae_crash.Engine.sweep_workloads" ]);
       ];
     guarded_cells =
@@ -251,11 +250,6 @@ let default =
            idle/work waits run under the pool mutex; callers serialize on
            exec_mu; the join counter and stats counters are Atomics. *)
         ("Rae_par.Pool.", "deque items under per-deque dmu; batch publication under pool mu; join/stats are Atomics");
-        (* The async fold queue: every field of the async record is
-           mutated only with amu held (enqueue, worker pop, barrier,
-           quiesce); the worker runs fold bodies outside amu but flags
-           itself busy under it first. *)
-        ("Rae_core.Checkpoint.async_st.", "queue, counters and worker flags mutated only under amu");
       ]
       [@ocamlformat "disable"];
     domain_local_cells =
@@ -272,13 +266,9 @@ let default =
         ("Rae_fsck.", "per-call scan state over a sweep point's own image");
         ("Rae_journal.", "per-mount journal and replay scan state over a sweep point's own image");
         (* Checkpoint bookkeeping (fold cursor, stats, the warm shadow
-           handle): with async folding the background worker is the only
-           writer while it is flagged busy, and the owning domain writes
-           only after quiescing it (cut/poison/seed all drain first), so
-           at any instant exactly one domain mutates instance state.
-           Unsynchronized hot-path reads (due/valid) tolerate staleness
-           by design. *)
-        ("Rae_core.Checkpoint.t.", "single-writer handoff: worker while busy, owner after quiesce");
+           handle): the controller's domain owns the checkpoint and runs
+           every cut, fold and seed itself; no other domain touches it. *)
+        ("Rae_core.Checkpoint.t.", "owned by the controller's domain; no worker hand-off");
         (* The medium: every crash-sweep point gets its own scratch disk
            and its own mount, hence its own queue. *)
         ("Rae_block.Disk.t.", "scratch disk owned by one sweep point");

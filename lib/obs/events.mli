@@ -17,7 +17,7 @@ type body =
   | Op_done of { kind : string; errno : string; lat_ns : int; corr : int; session : int }
       (** one executed operation; [errno = ""] means success *)
   | Slow_op of { kind : string; lat_ns : int; threshold_ns : int; corr : int; session : int }
-      (** an op whose latency crossed the policy threshold *)
+      (** an op whose latency crossed the slow-op threshold *)
   | Recovery_begin of { trigger : string }
   | Recovery_phase of { phase : string; ns : int }
   | Recovery_end of { ok : bool; seeded : bool; replayed : int }

@@ -125,7 +125,7 @@ type state = {
 }
 (** A portable snapshot of everything a shadow instance holds beyond the
     device: the overlay, the descriptor table and the logical clock.  The
-    warm-checkpoint subsystem exports this from a background instance and
+    warm-checkpoint subsystem exports this from its warm instance and
     seeds recovery replay from it. *)
 
 val export_state : t -> state

@@ -29,8 +29,7 @@ let mk ?policy ?config ?bugs ?(nblocks = 2048) ?(ninodes = 256) () =
 (* Run a trace through both the controller and the spec, asserting outcome
    equality op by op.  This is the paper's core claim: despite runtime
    errors, applications observe exactly POSIX semantics. *)
-let assert_matches_spec ?(expect_recoveries = false) ctl ops =
-  let sp = Spec.make () in
+let assert_matches_spec ?(expect_recoveries = false) ?(sp = Spec.make ()) ctl ops =
   List.iteri
     (fun i op ->
       let want = Spec.exec sp op in
@@ -169,6 +168,51 @@ let test_mask_hang () =
       Alcotest.(check bool) "fsync was delegated to the rebooted base" true
         r.Report.r_delegated_sync
   | None -> Alcotest.fail "no report")
+
+(* A runtime error in the delegated sync is a base runtime error like any
+   other: it starts a fresh recovery, the retries are bounded, and past
+   the bound the sync returns EIO.  Nothing escapes, and the controller
+   keeps serving.  At [prob = 1.0] every fsync panics, retries included;
+   at [prob = 0.2] the rounds mix clean fsyncs, single recoveries and
+   nested ones. *)
+let test_fault_in_delegated_sync () =
+  let run ~prob ~rounds =
+    let fsync_panic =
+      {
+        Bug_registry.id = "fsync-panic";
+        determinism = Bug_registry.Non_deterministic;
+        trigger = Bug_registry.With_probability (Op.K_fsync, prob);
+        consequence = Bug_registry.Panic;
+        modeled_after = "a panic in the fsync path";
+      }
+    in
+    let _disk, _dev, ctl =
+      mk ~bugs:(Bug_registry.arm ~rng:(Rae_util.Rng.create 5L) [ fsync_panic ]) ()
+    in
+    let fd = ok (Controller.openf ctl (p "/f") Types.flags_create) in
+    let recoveries () = (Controller.stats ctl).Controller.recoveries in
+    let eio = ref 0 in
+    for i = 0 to rounds - 1 do
+      ignore (ok (Controller.pwrite ctl fd ~off:(4 * i) "data"));
+      let before = recoveries () in
+      (match Controller.fsync ctl fd with
+      | Ok () -> ()
+      | Error Errno.EIO -> incr eio
+      | Error e -> Alcotest.failf "fsync %d: %s" i (Errno.to_string e));
+      let n = recoveries () - before in
+      if n > 4 then Alcotest.failf "fsync %d took %d recoveries" i n
+    done;
+    Alcotest.(check (option Alcotest.string)) "not degraded" None (Controller.degraded ctl);
+    Alcotest.(check string) "/f readable"
+      (String.concat "" (List.init rounds (fun _ -> "data")))
+      (ok (Controller.pread ctl fd ~off:0 ~len:(4 * rounds)));
+    (!eio, recoveries ())
+  in
+  let eio, recoveries = run ~prob:1.0 ~rounds:1 in
+  Alcotest.(check int) "the fsync returned EIO" 1 eio;
+  Alcotest.(check bool) "recoveries happened" true (recoveries >= 1);
+  let _eio, recoveries = run ~prob:0.2 ~rounds:500 in
+  Alcotest.(check bool) "recoveries happened" true (recoveries >= 1)
 
 let test_mask_nondeterministic_bug () =
   let _disk, _dev, ctl = mk ~bugs:(arm [ "rename-race-panic" ]) () in
@@ -402,7 +446,7 @@ let test_checkpoint_refuses_uncommitted_window () =
   | Some s -> Alcotest.(check bool) "cuts counted" true (s.Rae_core.Checkpoint.cuts >= 2)
 
 let test_seeded_recovery_replays_only_delta () =
-  (* Long uncommitted window, folded in the background: recovery must seed
+  (* Long uncommitted window, folded as it grows: recovery must seed
      from the warm shadow and replay only the unfolded suffix. *)
   let _disk, _dev, ctl =
     mk ~policy:ckpt_policy
@@ -431,7 +475,7 @@ let test_seeded_recovery_replays_only_delta () =
   | None -> Alcotest.fail "checkpoint stats missing"
   | Some s ->
       Alcotest.(check int) "seeded once" 1 s.Rae_core.Checkpoint.seeded;
-      Alcotest.(check bool) "background folds happened" true (s.Rae_core.Checkpoint.folds >= 1);
+      Alcotest.(check bool) "folds happened" true (s.Rae_core.Checkpoint.folds >= 1);
       Alcotest.(check int) "no cold fallback" 0 s.Rae_core.Checkpoint.fallbacks);
   (* The recovered state is complete: every file, including the one that
      triggered the panic, is visible on a working filesystem. *)
@@ -441,6 +485,63 @@ let test_seeded_recovery_replays_only_delta () =
   done;
   Alcotest.(check bool) "panic op's file visible" true
     (Result.is_ok (Controller.lookup ctl (p "/pwn")))
+
+(* The cache-invalidation adversary across seeded recoveries: every
+   namespace mutation that could leave a warm-shadow fast-path cache
+   stale (resolutions, dirent-index entries, symlink targets), each
+   followed by the lookup that would expose it, with panics in between
+   ("pwn" components trigger crafted-name-panic).  A stale cache in the
+   warm shadow surfaces as a spec divergence after a seeded recovery. *)
+let adversary_ops =
+  [
+    Op.Mkdir (p "/a", 0o755);
+    Op.Mkdir (p "/a/b", 0o755);
+    Op.Create (p "/a/b/f", 0o644);
+    Op.Lookup (p "/a/b/f");
+    Op.Stat (p "/a/b");
+    Op.Create (p "/pwn", 0o644) (* panic #1: recovery seeds mid-warm *);
+    Op.Rename (p "/a/b", p "/a/c");
+    Op.Lookup (p "/a/b/f") (* must miss: resolution moved *);
+    Op.Lookup (p "/a/c/f");
+    Op.Unlink (p "/a/c/f");
+    Op.Lookup (p "/a/c/f") (* must miss: unlinked *);
+    Op.Mkdir (p "/a/c/f", 0o755) (* same name, different kind *);
+    Op.Stat (p "/a/c/f");
+    Op.Unlink (p "/a/c/pwn") (* panic #2 (ENOENT path still trips the trigger) *);
+    Op.Rmdir (p "/a/c/f");
+    Op.Readdir (p "/a/c/f") (* must miss: removed *);
+    Op.Readdir (p "/a/c");
+    Op.Symlink ("/a/c", p "/ln");
+    Op.Stat (p "/ln");
+    Op.Unlink (p "/ln");
+    Op.Symlink ("/nowhere", p "/ln");
+    Op.Stat (p "/ln") (* must ENOENT through the replaced link *);
+    Op.Create (p "/a/c/g", 0o644);
+    Op.Lookup (p "/a/c/g");
+  ]
+
+let test_invalidation_adversary () =
+  let _disk, _dev, ctl =
+    mk ~policy:ckpt_policy
+      ~config:{ Base.default_config with Base.commit_interval = 16 }
+      ~bugs:(arm [ "crafted-name-panic" ])
+      ()
+  in
+  let sp = Spec.make () in
+  assert_matches_spec ~expect_recoveries:true ~sp ctl adversary_ops;
+  (match Controller.checkpoint_stats ctl with
+  | Some s ->
+      Alcotest.(check bool) "seeded" true (s.Rae_core.Checkpoint.seeded >= 1);
+      Alcotest.(check int) "no cold fallback" 0 s.Rae_core.Checkpoint.fallbacks
+  | None -> Alcotest.fail "checkpoint stats missing");
+  match
+    ( Rae_workload.Snapshot.capture ~exec:Spec.exec sp,
+      Rae_workload.Snapshot.capture ~exec:Controller.exec ctl )
+  with
+  | Ok a, Ok b ->
+      if not (Rae_workload.Snapshot.equal a b) then
+        Alcotest.failf "final trees differ: %s" (String.concat "; " (Rae_workload.Snapshot.diff a b))
+  | Error e, _ | _, Error e -> Alcotest.failf "walk failed: %s" e
 
 (* A cut only names its S0; the attach waits for the first fold or seed.
    So a stream of commits with no fold in between — every one of them
@@ -700,6 +801,7 @@ let () =
           Alcotest.test_case "warn coinciding with commit" `Quick test_warn_coinciding_with_commit;
           Alcotest.test_case "silent corruption" `Quick test_mask_silent_corruption;
           Alcotest.test_case "hang + delegated fsync" `Quick test_mask_hang;
+          Alcotest.test_case "fault in delegated fsync" `Quick test_fault_in_delegated_sync;
           Alcotest.test_case "non-deterministic race" `Quick test_mask_nondeterministic_bug;
         ] );
       ( "reconstruction",
@@ -724,6 +826,7 @@ let () =
           Alcotest.test_case "seeded recovery replays only the delta" `Quick
             test_seeded_recovery_replays_only_delta;
           Alcotest.test_case "cuts defer the attach" `Quick test_cuts_defer_the_attach;
+          Alcotest.test_case "invalidation adversary" `Quick test_invalidation_adversary;
           q prop_checkpoint_replay_equivalence;
           q prop_checkpoint_controller_equivalence;
         ] );
