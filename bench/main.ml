@@ -629,11 +629,11 @@ let e_shadow () =
     [ W.Varmail; W.Fileserver; W.Metadata ];
 
   subsection "E-shadow-c | hot-path fold overhead, ckpt_fold_interval=8 vs ckpt off";
-  (* The fold executes every recorded op a second time on the warm
-     shadow, so on a zero-latency device its overhead is bounded below by
-     shadow-op cost / base-op cost.  Two profiles bracket the range:
-     Metadata is all mutations (worst case — nothing in the replay is a
-     cheap cached read), Varmail is the realistic serving mix.  The naive
+  (* The fold executes every recorded op but the pure reads a second
+     time on the warm shadow, so on a zero-latency device its overhead is
+     bounded below by shadow-op cost / base-op cost.  Two profiles
+     bracket the range: Metadata is all mutations (worst case — every
+     recorded op is folded), Varmail is the realistic serving mix.  The naive
      column folds with [ckpt_fast_paths = false], pricing the same fold
      before the fast-path work. *)
   Printf.printf "%-10s %12s %14s %14s %10s %10s\n" "workload" "off (op/s)" "fold8-naive"
@@ -670,8 +670,8 @@ let e_shadow () =
         (ovh t_naive);
       json_note ~sec:"E-shadow" ~name:("fold8/" ^ pname ^ "/overhead-fast") ~unit:"pct"
         (ovh t_fast);
-      (* Shape floors.  Folding re-executes every op on the warm shadow,
-         so overhead is bounded below by shadow-cost/base-cost and can
+      (* Shape floors.  Folding re-executes every op but the pure reads
+         on the warm shadow, so overhead is bounded below by shadow-cost/base-cost and can
          never be literally free on a zero-latency device.  What the fast
          path must deliver: (a) on the all-mutation worst case — where
          the replay is pure shadow-mutation work — strictly less overhead
@@ -744,13 +744,14 @@ let e_shadow () =
      cache and per-directory index instead of re-reading and re-checking every\n\
      block on the path, so micro-ops gain >=5x (enforced); sustained workloads\n\
      gain a smaller multiple (mutations still pay full validation).  The fold\n\
-     replays every recorded op once on the warm shadow, so on a zero-latency\n\
-     in-memory device its overhead has a hard floor of shadow-cost/base-cost\n\
-     — it can never be literally free here, only on devices whose I/O\n\
-     latency dwarfs the shadow's in-memory replay.  Enforced shape (full\n\
-     runs): on the all-mutation worst case (metadata) the fast fold costs\n\
-     strictly less than the naive fold, and on no profile is it more than\n\
-     10pp worse.  Chunked appends stop re-copying the file.\n"
+     replays every recorded op but the pure reads once on the warm shadow,\n\
+     so on a zero-latency in-memory device its overhead has a hard floor of\n\
+     shadow-cost/base-cost — it can never be literally free here, only on\n\
+     devices whose I/O latency dwarfs the shadow's in-memory replay.\n\
+     Enforced shape (full runs): on the all-mutation worst case (metadata)\n\
+     the fast fold costs strictly less than the naive fold, and on no\n\
+     profile is it more than 10pp worse.  Chunked appends stop re-copying\n\
+     the file.\n"
 
 (* ---------------------------------------------------------------- *)
 (* E6: the cost of extensive runtime checks                          *)

@@ -40,7 +40,7 @@ let wrap t (dev : Device.t) =
     let fail_deterministic =
       List.exists
         (function
-          | Read_error r -> r.block = blk && nth >= r.from_nth && nth < r.from_nth + r.count
+          | Read_error r -> r.block = blk && nth >= r.from_nth && nth - r.from_nth < r.count
           | Flip_on_read _ | Stuck_write _ | Torn_write _ -> false)
         t.specs
     in
@@ -56,7 +56,7 @@ let wrap t (dev : Device.t) =
     let data = dev.Device.dev_read blk in
     List.iter
       (function
-        | Flip_on_read f when f.block = blk && nth >= f.from_nth && nth < f.from_nth + f.count ->
+        | Flip_on_read f when f.block = blk && nth >= f.from_nth && nth - f.from_nth < f.count ->
             t.injected <- t.injected + 1;
             flip_bit data f.byte f.bit
         | Flip_on_read _ | Read_error _ | Stuck_write _ | Torn_write _ -> ())

@@ -1,12 +1,25 @@
 module Make (K : Lru.KEY) = struct
   module H = Hashtbl.Make (K)
 
-  type 'v entry = { mutable value : 'v; mutable pinned : bool; where : [ `A1in | `Am ] }
+  (* Am is an intrusive doubly-linked list through its entries, as in
+     {!Lru}; A1in entries keep [prev]/[next] at [None]. *)
+  type 'v entry = {
+    key : K.t;
+    mutable value : 'v;
+    mutable pinned : bool;
+    where : [ `A1in | `Am ];
+    mutable slots : int;  (* A1in: this key's occurrences in [a1in] *)
+    mutable prev : 'v entry option;  (* towards MRU *)
+    mutable next : 'v entry option;  (* towards LRU *)
+  }
 
   type 'v t = {
     table : 'v entry H.t;
-    a1in : K.t Queue.t;  (* FIFO of probation keys *)
-    mutable am : K.t list;  (* MRU-first LRU list of hot keys; small-n list ops *)
+    a1in : K.t Queue.t;  (* FIFO of probation keys; may hold stale keys *)
+    stale : int H.t;  (* occurrences in [a1in] of keys not resident in A1in *)
+    mutable a1in_live : int;  (* occurrences in [a1in] of keys resident in A1in *)
+    mutable mru : 'v entry option;  (* Am, most recent first *)
+    mutable lru : 'v entry option;
     ghosts : unit H.t;  (* A1out key set *)
     ghost_fifo : K.t Queue.t;
     capacity : int;
@@ -24,7 +37,10 @@ module Make (K : Lru.KEY) = struct
     {
       table = H.create (2 * capacity);
       a1in = Queue.create ();
-      am = [];
+      stale = H.create 16;
+      a1in_live = 0;
+      mru = None;
+      lru = None;
       ghosts = H.create capacity;
       ghost_fifo = Queue.create ();
       capacity;
@@ -39,9 +55,61 @@ module Make (K : Lru.KEY) = struct
 
   let length t = H.length t.table
   let ghost_length t = H.length t.ghosts
+  let entry key value where ~slots =
+    { key; value; pinned = false; where; slots; prev = None; next = None }
 
-  let am_touch t key = t.am <- key :: List.filter (fun k -> not (K.equal k key)) t.am
-  let am_remove t key = t.am <- List.filter (fun k -> not (K.equal k key)) t.am
+  (* ---- Am: O(1) recency list ---- *)
+
+  let am_detach t e =
+    (match e.prev with Some p -> p.next <- e.next | None -> t.mru <- e.next);
+    (match e.next with Some n -> n.prev <- e.prev | None -> t.lru <- e.prev);
+    e.prev <- None;
+    e.next <- None
+
+  let am_push_front t e =
+    let se = Some e in
+    e.next <- t.mru;
+    (match t.mru with Some m -> m.prev <- se | None -> t.lru <- se);
+    t.mru <- se
+
+  let am_touch t e =
+    am_detach t e;
+    am_push_front t e
+
+  (* ---- A1in: a key FIFO whose stale keys are dropped lazily ----
+
+     Reclaim compares [a1in_live] against Kin, and every occurrence of a
+     resident key counts: a key removed from A1in leaves its slots behind
+     as [stale] ones, and they count again if it is re-admitted before
+     they are popped.  Without [remove] nothing goes stale, and the
+     bookkeeping is two field updates per admission and per pop. *)
+
+  let take_stale t key =
+    if H.length t.stale = 0 then 0
+    else
+      match H.find_opt t.stale key with
+      | Some n ->
+          H.remove t.stale key;
+          n
+      | None -> 0
+
+  let add_stale t key n =
+    H.replace t.stale key (n + Option.value (H.find_opt t.stale key) ~default:0)
+
+  let drop_stale_slot t key =
+    match H.find_opt t.stale key with
+    | Some 1 -> H.remove t.stale key
+    | Some n -> H.replace t.stale key (n - 1)
+    | None -> ()
+
+  (* Take [e] out of its queue's bookkeeping and the table. *)
+  let unlink t e =
+    (match e.where with
+    | `Am -> am_detach t e
+    | `A1in ->
+        t.a1in_live <- t.a1in_live - e.slots;
+        if e.slots > 0 then add_stale t e.key e.slots);
+    H.remove t.table e.key
 
   let ghost_add t key =
     if not (H.mem t.ghosts key) then begin
@@ -53,10 +121,10 @@ module Make (K : Lru.KEY) = struct
       done
     end
 
-  let evict_entry t key entry =
-    H.remove t.table key;
+  let evict t e =
+    unlink t e;
     t.evictions <- t.evictions + 1;
-    match t.on_evict with Some f -> f key entry.value | None -> ()
+    match t.on_evict with Some f -> f e.key e.value | None -> ()
 
   (* Pop the first unpinned key of the A1in FIFO; requeue pinned ones. *)
   let pop_a1in_victim t =
@@ -66,59 +134,42 @@ module Make (K : Lru.KEY) = struct
       else
         let key = Queue.pop t.a1in in
         match H.find_opt t.table key with
-        | Some e when e.where = `A1in && not e.pinned -> Some (key, e)
+        | Some e when e.where = `A1in && not e.pinned ->
+            e.slots <- e.slots - 1;
+            t.a1in_live <- t.a1in_live - 1;
+            Some e
         | Some e when e.where = `A1in ->
             Queue.add key t.a1in;
             go (tried + 1)
-        | Some _ | None -> go tried (* stale queue residue: key moved or gone *)
+        | Some _ | None ->
+            (* stale queue residue: key moved or gone *)
+            drop_stale_slot t key;
+            go tried
     in
     go 0
 
+  (* The least recent unpinned Am entry. *)
   let pop_am_victim t =
-    let rec go rev_keep = function
-      | [] -> None
-      | key :: rest -> (
-          match H.find_opt t.table key with
-          | Some e when not e.pinned ->
-              t.am <- List.rev_append rev_keep rest;
-              Some (key, e)
-          | Some _ -> go (key :: rev_keep) rest
-          | None -> go rev_keep rest)
-    in
-    (* LRU victim is at the tail: walk the reversed list. *)
-    match go [] (List.rev t.am) with
-    | None -> None
-    | Some (key, e) ->
-        t.am <- List.rev t.am;
-        (* go already produced keep-list in tail order; restore MRU-first *)
-        Some (key, e)
+    let rec go = function None -> None | Some e -> if e.pinned then go e.prev else Some e in
+    go t.lru
 
   let reclaim t =
     if H.length t.table >= t.capacity then begin
       (* 2Q reclaim: prefer evicting from A1in once it exceeds Kin; ghost
          the victim.  Otherwise evict the LRU of Am (no ghost). *)
-      let a1in_size =
-        Queue.fold (fun acc k -> match H.find_opt t.table k with Some e when e.where = `A1in -> acc + 1 | _ -> acc) 0 t.a1in
+      let evict_a1in e =
+        evict t e;
+        ghost_add t e.key
       in
-      if a1in_size > t.kin then begin
+      if t.a1in_live > t.kin then begin
         match pop_a1in_victim t with
-        | Some (key, e) ->
-            evict_entry t key e;
-            ghost_add t key
-        | None -> (
-            match pop_am_victim t with
-            | Some (key, e) -> evict_entry t key e
-            | None -> ())
+        | Some e -> evict_a1in e
+        | None -> ( match pop_am_victim t with Some e -> evict t e | None -> ())
       end
       else
         match pop_am_victim t with
-        | Some (key, e) -> evict_entry t key e
-        | None -> (
-            match pop_a1in_victim t with
-            | Some (key, e) ->
-                evict_entry t key e;
-                ghost_add t key
-            | None -> ())
+        | Some e -> evict t e
+        | None -> ( match pop_a1in_victim t with Some e -> evict_a1in e | None -> ())
     end
 
   let find t key =
@@ -127,7 +178,7 @@ module Make (K : Lru.KEY) = struct
         t.hits <- t.hits + 1;
         (* A hit in Am refreshes recency; a hit in A1in does NOT promote
            (classic 2Q: promotion happens only via the ghost queue). *)
-        if e.where = `Am then am_touch t key;
+        if e.where = `Am then am_touch t e;
         Some e.value
     | None ->
         t.misses <- t.misses + 1;
@@ -140,27 +191,25 @@ module Make (K : Lru.KEY) = struct
     match H.find_opt t.table key with
     | Some e ->
         e.value <- value;
-        if e.where = `Am then am_touch t key
+        if e.where = `Am then am_touch t e
     | None ->
         t.inserts <- t.inserts + 1;
         reclaim t;
         if H.mem t.ghosts key then begin
           (* Re-reference of a ghosted page: admit straight into Am. *)
           H.remove t.ghosts key;
-          H.replace t.table key { value; pinned = false; where = `Am };
-          am_touch t key
+          let e = entry key value `Am ~slots:0 in
+          H.replace t.table key e;
+          am_push_front t e
         end
         else begin
-          H.replace t.table key { value; pinned = false; where = `A1in };
-          Queue.add key t.a1in
+          let slots = 1 + take_stale t key in
+          H.replace t.table key (entry key value `A1in ~slots);
+          Queue.add key t.a1in;
+          t.a1in_live <- t.a1in_live + slots
         end
 
-  let remove t key =
-    match H.find_opt t.table key with
-    | None -> ()
-    | Some e ->
-        H.remove t.table key;
-        if e.where = `Am then am_remove t key
+  let remove t key = match H.find_opt t.table key with None -> () | Some e -> unlink t e
 
   let pin t key = match H.find_opt t.table key with Some e -> e.pinned <- true | None -> ()
   let unpin t key = match H.find_opt t.table key with Some e -> e.pinned <- false | None -> ()
@@ -168,7 +217,10 @@ module Make (K : Lru.KEY) = struct
   let clear t =
     H.reset t.table;
     Queue.clear t.a1in;
-    t.am <- [];
+    H.reset t.stale;
+    t.a1in_live <- 0;
+    t.mru <- None;
+    t.lru <- None;
     H.reset t.ghosts;
     Queue.clear t.ghost_fifo
 

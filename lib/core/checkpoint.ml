@@ -4,14 +4,14 @@ module Shadow = Rae_shadowfs.Shadow
 (* The warm shadow below is an ordinary [Shadow.t]: it holds a read-only
    device handle and funnels every update into its COW overlay, so the
    shadow-purity lint rule covers this module end to end — nothing here
-   may reach a write-path sink.  The controller feeds us oplog suffixes
-   and fd snapshots; we never see the base or the journal directly. *)
+   may reach a write-path sink.  The controller hands us its oplog and
+   fd snapshots; we never see the base or the journal directly. *)
 
 type stats = {
   cuts : int;  (** re-bases onto a freshly committed S0 *)
   folds : int;  (** fold batches applied to the warm shadow *)
-  folded_ops : int;  (** operations folded across all batches *)
-  fold_divergences : int;  (** constrained-mode mismatches seen while folding *)
+  folded_ops : int;  (** operations the folds executed (pure reads are not folded) *)
+  fold_divergences : int;  (** constrained-mode mismatches seen while folding (each poisons) *)
   seeded : int;  (** recoveries seeded from the checkpoint *)
   fallbacks : int;  (** seeded recoveries that fell back to the cold path *)
   poisons : int;  (** checkpoints discarded after a fold/seed failure *)
@@ -102,19 +102,25 @@ let cut t ~window ~fds ~next_seq ~commit_seq =
         (match t.events with Some ev -> Rae_obs.Events.record_ckpt_cut ev | None -> ());
         Ok ())
 
+(* The shadow's operations map device errors to EIO, but its attach,
+   state import and descriptor reinstatement let them through: here they
+   are one more way to fail. *)
+let device_guard f = try f () with Rae_block.Device.Io_error msg -> Error ("device error: " ^ msg)
+
 (* A shadow on the cut's S0 with S0's descriptors reinstated. *)
 let attach_s0 t fds =
-  match Shadow.attach ~config:t.config t.device with
-  | Error msg -> Error ("warm attach: " ^ msg)
-  | Ok warm ->
-      let rec install = function
-        | [] -> Ok warm
-        | (fd, ino, flags) :: rest -> (
-            match Shadow.install_fd warm ~fd ~ino flags with
-            | Ok () -> install rest
-            | Error msg -> Error ("warm fd reinstatement: " ^ msg))
-      in
-      install fds
+  device_guard (fun () ->
+      match Shadow.attach ~config:t.config t.device with
+      | Error msg -> Error ("warm attach: " ^ msg)
+      | Ok warm ->
+          let rec install = function
+            | [] -> Ok warm
+            | (fd, ino, flags) :: rest -> (
+                match Shadow.install_fd warm ~fd ~ino flags with
+                | Ok () -> install rest
+                | Error msg -> Error ("warm fd reinstatement: " ^ msg))
+          in
+          install fds)
 
 (* The warm shadow, attached first if the last cut deferred that; [None]
    without a checkpoint. *)
@@ -135,34 +141,37 @@ let materialize t =
 
 let due t ~next_seq = valid t && next_seq - t.cursor >= t.fold_interval
 
-let fold_into t warm ~entries ~next_seq =
-  try
-    (* The whole window goes to the shadow in one batched pass: the
-       shadow amortizes superblock/bitmap write-back and the summary
-       re-check across the window instead of paying them per op.
-       Divergences keep the shadow's own answer, same policy as cold
-       constrained replay; the count surfaces through stats/metrics. *)
-    let window = List.filter (fun r -> r.Op.seq >= t.cursor) entries in
-    let res = Shadow.exec_constrained_window warm window in
-    t.cursor <- next_seq;
-    t.s_folds <- t.s_folds + 1;
-    t.s_folded_ops <- t.s_folded_ops + res.Shadow.w_ops;
-    t.s_fold_divergences <- t.s_fold_divergences + res.Shadow.w_divergences;
-    match t.events with
-    | Some ev -> Rae_obs.Events.record_ckpt_fold ev ~ops:res.Shadow.w_ops
-    | None -> ()
-  with Shadow.Violation _ ->
-    (* The warm replica refuses the fold — don't disturb the hot path;
-       recovery will take the cold route until the next cut. *)
-    poison t
+(* Fold only what recovery rebuilds.  A pure read ({!Op.is_pure_read})
+   ticks no clock and touches none of the shadow's descriptors, orphans,
+   bitmaps, superblock or overlay; it only fills caches, and a seed starts
+   from empty caches anyway.  The cursor still passes the reads, so the
+   seed and Δ are what folding them would give, and Δ replay still
+   cross-checks every read recorded after the last fold.
+
+   The whole window goes to the shadow in one batched pass, which
+   amortizes superblock/bitmap write-back and the summary re-check.  Any
+   divergence, and any violation or device error, poisons the
+   checkpoint: the warm shadow no longer mirrors what the base
+   acknowledged, and only the cold path from S0 can still report it. *)
+let fold_into t warm oplog =
+  let window = Oplog.select_from oplog ~seq:t.cursor (fun op -> not (Op.is_pure_read op)) in
+  match Shadow.exec_constrained_window warm window with
+  | res ->
+      t.cursor <- Oplog.next_seq oplog;
+      t.s_folds <- t.s_folds + 1;
+      t.s_folded_ops <- t.s_folded_ops + res.Shadow.w_ops;
+      t.s_fold_divergences <- t.s_fold_divergences + res.Shadow.w_divergences;
+      (match t.events with
+      | Some ev -> Rae_obs.Events.record_ckpt_fold ev ~ops:res.Shadow.w_ops
+      | None -> ());
+      if res.Shadow.w_divergences > 0 then poison t
+  | exception (Shadow.Violation _ | Rae_block.Device.Io_error _) -> poison t
 
 (* A deferred attach is part of the first fold's span. *)
-let fold t ~entries ~next_seq =
+let fold t oplog =
   if valid t then
     with_span t "ckpt-fold" (fun () ->
-        match materialize t with
-        | Some warm -> fold_into t warm ~entries ~next_seq
-        | None -> ())
+        match materialize t with Some warm -> fold_into t warm oplog | None -> ())
 
 (* ---- seed: hand recovery a shadow pre-advanced to the cursor ---- *)
 
@@ -173,7 +182,10 @@ let seed t =
     (* A cut nothing has folded into: what exporting its freshly attached
        shadow would give, built directly. *)
     | Pending fds -> Some (attach_s0 t fds)
-    | Warm warm -> Some (Shadow.attach_from ~config:t.config (Shadow.export_state warm) t.device)
+    | Warm warm ->
+        Some
+          (device_guard (fun () ->
+               Shadow.attach_from ~config:t.config (Shadow.export_state warm) t.device))
   in
   match fresh with
   | None -> Error "no warm checkpoint"
@@ -218,7 +230,7 @@ let register_obs reg t =
     ~reset:(fun () -> t.s_folds <- 0)
     "rae_ckpt_folds_total"
     (fun () -> t.s_folds);
-  M.register_counter reg ~help:"operations folded into the warm shadow"
+  M.register_counter reg ~help:"operations folded into the warm shadow (pure reads are not)"
     ~reset:(fun () -> t.s_folded_ops <- 0)
     "rae_ckpt_folded_ops_total"
     (fun () -> t.s_folded_ops);

@@ -10,7 +10,9 @@
       S0 plus its descriptor table; the read-only attach to S0 waits for
       the first fold or seed that uses it, and
     - {b folded} forward every [fold_interval] recorded operations, by
-      constrained re-execution of the oplog suffix it has not seen yet.
+      constrained re-execution of the oplog suffix it has not seen yet,
+      pure reads left out ({!Rae_vfs.Op.is_pure_read}: they change
+      nothing recovery rebuilds).
 
     On a detected bug, {!seed} exports the warm instance's state (COW
     overlay + fd table + clock, {!Rae_shadowfs.Shadow.export_state}) into
@@ -22,17 +24,18 @@
     The warm shadow never writes to disk: it is an ordinary shadow over a
     read-only device handle, and this module is under the shadow-purity
     lint rule.  Any fold or seed failure {e poisons} the checkpoint
-    (drops the warm instance); the controller then falls back to cold
-    recovery, so checkpointing can only ever change recovery latency,
-    never its semantics. *)
+    (drops the warm instance): a shadow violation, a device error, or a
+    folded op whose outcome diverges from the base's.  The controller then
+    falls back to cold recovery, so checkpointing can only ever change
+    recovery latency, never its semantics. *)
 
 type t
 
 type stats = {
   cuts : int;  (** re-bases onto a freshly committed S0 *)
   folds : int;  (** fold batches applied to the warm shadow *)
-  folded_ops : int;  (** operations folded across all batches *)
-  fold_divergences : int;  (** constrained-mode mismatches seen while folding *)
+  folded_ops : int;  (** operations the folds executed (pure reads are not folded) *)
+  fold_divergences : int;  (** constrained-mode mismatches seen while folding (each poisons) *)
   seeded : int;  (** recoveries seeded from the checkpoint *)
   fallbacks : int;  (** seeded recoveries that fell back to the cold path *)
   poisons : int;  (** checkpoints discarded after a fold/seed failure *)
@@ -77,17 +80,18 @@ val cut :
     this cut named. *)
 
 val due : t -> next_seq:int -> bool
-(** Has the unfolded suffix reached [fold_interval]?  False when no valid
-    checkpoint exists. *)
+(** Has the unfolded suffix reached [fold_interval] recorded operations
+    (pure reads included)?  False when no valid checkpoint exists. *)
 
-val fold : t -> entries:Rae_vfs.Op.recorded list -> next_seq:int -> unit
+val fold : t -> Oplog.t -> unit
 (** Advance the warm shadow through the oplog entries with
-    [seq >= cursor] (constrained mode, divergences counted, same
-    keep-going policy as recovery replay), then move the cursor to
-    [next_seq].  The first fold after a cut attaches the warm shadow
-    first, inside the fold's span.  A {!Rae_shadowfs.Shadow.Violation}
-    poisons the checkpoint instead of escaping — the hot path never
-    observes fold failures.  Emits a [ckpt-fold] span. *)
+    [seq >= cursor], leaving out the pure reads, in one constrained-mode
+    batch, then move the cursor to the oplog's [next_seq], past the reads
+    too.  The first fold after a cut attaches the warm shadow first,
+    inside the fold's span.  A {!Rae_shadowfs.Shadow.Violation}, a
+    device error or a divergence poisons the checkpoint instead of
+    escaping — the hot path never observes fold failures.  Emits a
+    [ckpt-fold] span. *)
 
 val seed : t -> (Rae_shadowfs.Shadow.t * int, string) result
 (** Build a fresh shadow from the warm instance's exported state — or,
@@ -96,7 +100,8 @@ val seed : t -> (Rae_shadowfs.Shadow.t * int, string) result
     cursor: recovery replays only entries with
     [seq >= cursor].  The warm instance itself is untouched (a failed
     recovery can seed again).  Fails, poisoning the checkpoint, if no
-    valid checkpoint exists or the state import is rejected. *)
+    valid checkpoint exists or the state import is rejected or hits a
+    device error. *)
 
 val poison : t -> unit
 (** Discard the warm instance (counted when one existed).  Subsequent

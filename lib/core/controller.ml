@@ -306,9 +306,7 @@ let ckpt_fold t =
   match t.ckpt with
   | None -> ()
   | Some c ->
-      let next_seq = Oplog.next_seq t.oplog in
-      if Checkpoint.due c ~next_seq then
-        Checkpoint.fold c ~entries:(Oplog.entries_from t.oplog ~seq:(Checkpoint.cursor c)) ~next_seq
+      if Checkpoint.due c ~next_seq:(Oplog.next_seq t.oplog) then Checkpoint.fold c t.oplog
 
 (* ---- recovery ---- *)
 
@@ -354,8 +352,15 @@ let rec recover t ~trigger ~inflight ~attempt =
   let phases = ref [] in
   (* Time one pipeline step: span on the tracer, duration into the phase
      histogram and the [phases] accumulator (closed on exception too, so a
-     failed recovery's report still shows where time went). *)
+     failed recovery's report still shows where time went).  A device
+     error in a step fails it like any other recovery error: a seeded
+     attempt falls back to the cold path, the cold path fail-stops. *)
   let phase name f =
+    let f () =
+      try f ()
+      with Rae_block.Device.Io_error msg ->
+        raise (Recovery_error (name ^ ": device error: " ^ msg))
+    in
     let p0 = t.now () in
     (match t.tracer with Some tr -> Rae_obs.Tracer.span_begin tr ~cat:"recovery" name | None -> ());
     Fun.protect

@@ -2,7 +2,7 @@ open Rae_vfs
 
 (* The window is a growable array in record order, so [record], [length]
    and [checkpoint] are O(1) (amortised for the occasional doubling) and
-   [entries] is a single oldest-first copy-out with no List.rev. *)
+   every read-out is one backward pass that conses the list oldest-first. *)
 type t = {
   mutable buf : Op.recorded array;  (* slots [0, window) are live, oldest first *)
   mutable window : int;
@@ -29,16 +29,23 @@ let record t op outcome =
   t.total <- t.total + 1;
   if t.window > t.max_window then t.max_window <- t.window
 
-let entries t = Array.to_list (Array.sub t.buf 0 t.window)
 let length t = t.window
 let next_seq t = t.next_seq
 
 (* Window slots carry consecutive seqs ending at [next_seq - 1], so the
-   suffix from [seq] starts at a computable offset: no scan, O(Δ) copy. *)
-let entries_from t ~seq =
-  let first = t.next_seq - t.window in
-  let start = max 0 (seq - first) in
-  Array.to_list (Array.sub t.buf start (t.window - start))
+   suffix from [seq] starts at a computable offset: no scan, O(Δ). *)
+let select_from t ~seq keep =
+  let start = max 0 (seq - (t.next_seq - t.window)) in
+  let rec go i acc =
+    if i < start then acc
+    else
+      let r = t.buf.(i) in
+      go (i - 1) (if keep r.Op.op then r :: acc else acc)
+  in
+  go (t.window - 1) []
+
+let entries_from t ~seq = select_from t ~seq (fun _ -> true)
+let entries t = entries_from t ~seq:0
 
 let checkpoint t ~fds =
   t.discarded <- t.discarded + t.window;

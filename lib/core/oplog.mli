@@ -33,6 +33,10 @@ val entries_from : t -> seq:int -> Rae_vfs.Op.recorded list
     checkpoint-seeded recovery replays.  O(Δ), not O(window).  A [seq]
     older than the window start returns the whole window. *)
 
+val select_from : t -> seq:int -> (Rae_vfs.Op.t -> bool) -> Rae_vfs.Op.recorded list
+(** The entries of [entries_from t ~seq] whose operation satisfies the
+    predicate, in the same order, built in one pass over the window. *)
+
 val checkpoint :
   t -> fds:(Rae_vfs.Types.fd * Rae_vfs.Types.ino * Rae_vfs.Types.open_flags) list -> unit
 (** The base committed: discard the window and snapshot the descriptor

@@ -24,8 +24,9 @@ type trigger =
 type outcome = Recovered | Recovery_failed of string
 
 type phase = { ph_name : string; ph_ns : int64 }
-(** One timed step of the §3.2 recovery pipeline (combined virtual-clock +
-    CPU nanoseconds). *)
+(** One timed step of the §3.2 recovery pipeline: wall-clock nanoseconds
+    on the controller's clock ({!Rae_obs.Clock.now_ns}, or the attached
+    tracer's clock, which defaults to it). *)
 
 type recovery = {
   r_trigger : trigger;

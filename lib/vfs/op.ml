@@ -99,6 +99,13 @@ let is_mutation = function
 
 let is_sync = function Fsync _ | Sync -> true | _ -> false
 
+(* No wildcard: a new op kind must be classified here. *)
+let is_pure_read = function
+  | Pread _ | Stat _ | Fstat _ | Lookup _ | Readdir _ | Readlink _ -> true
+  | Create _ | Mkdir _ | Unlink _ | Rmdir _ | Open _ | Close _ | Pwrite _ | Rename _
+  | Truncate _ | Link _ | Symlink _ | Chmod _ | Fsync _ | Sync ->
+      false
+
 let pp ppf op =
   let p = Path.pp in
   match op with

@@ -55,12 +55,18 @@ val kind_to_string : op_kind -> string
 val all_kinds : op_kind list
 
 val is_mutation : t -> bool
-(** Does the operation (when successful) change filesystem state?  Reads,
-    lookups and stats are not recorded by the oplog. *)
+(** Does the operation (when successful) change filesystem state? *)
 
 val is_sync : t -> bool
 (** [Fsync]/[Sync] — the operations a shadow never executes (paper §3.3:
     the shadow omits the sync family and never writes to disk). *)
+
+val is_pure_read : t -> bool
+(** [Pread], [Stat], [Fstat], [Lookup], [Readdir], [Readlink]: operations
+    that change no state recovery rebuilds — no clock tick, no descriptor,
+    no allocation, no overlay block (there is no atime).  Not
+    {!is_mutation}'s complement: a read-only [Open] and a [Close] are not
+    mutations, yet they move the descriptor table. *)
 
 val pp : Format.formatter -> t -> unit
 val pp_value : Format.formatter -> value -> unit

@@ -94,6 +94,21 @@ let test_fault_read_error_window () =
   ignore (Device.read dev 3) (* 4th: ok again *);
   Alcotest.(check int) "two injections" 2 (Fault.injected f)
 
+(* [count = max_int] is a fault that never heals: the window's end must
+   not overflow. *)
+let test_fault_persistent_read_error () =
+  let d = mk_disk () in
+  let f = Fault.create [ Fault.Read_error { block = 3; from_nth = 2; count = max_int } ] in
+  let dev = Fault.wrap f (Device.of_disk d) in
+  ignore (Device.read dev 3) (* 1st: ok *);
+  for _ = 2 to 50 do
+    try
+      ignore (Device.read dev 3);
+      Alcotest.fail "every later read must fail"
+    with Device.Io_error _ -> ()
+  done;
+  Alcotest.(check int) "49 injections" 49 (Fault.injected f)
+
 let test_fault_flip_on_read () =
   let d = mk_disk () in
   Disk.write d 1 (block_of_char 'a');
@@ -264,6 +279,7 @@ let () =
       ( "fault",
         [
           Alcotest.test_case "read error window" `Quick test_fault_read_error_window;
+          Alcotest.test_case "persistent read error" `Quick test_fault_persistent_read_error;
           Alcotest.test_case "flip on read (transient)" `Quick test_fault_flip_on_read;
           Alcotest.test_case "stuck write" `Quick test_fault_stuck_write;
           Alcotest.test_case "torn write" `Quick test_fault_torn_write;

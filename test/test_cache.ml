@@ -172,6 +172,275 @@ let prop_twoq_find_after_put =
       let last = List.nth keys (List.length keys - 1) in
       Q.peek c last = Some (string_of_int last))
 
+(* ---- 2Q against its list-based predecessor ----
+
+   The list version below is the reference: Am as an MRU-first list
+   rebuilt on every hit, and the resident A1in count recomputed by a walk
+   of the whole queue on every insert at capacity.  The O(1) version must
+   agree with it on every answer, eviction and counter. *)
+module Ref_two_q = struct
+  module Make (K : Rae_cache.Lru.KEY) = struct
+    module H = Hashtbl.Make (K)
+
+    type 'v entry = { mutable value : 'v; mutable pinned : bool; where : [ `A1in | `Am ] }
+
+    type 'v t = {
+      table : 'v entry H.t;
+      a1in : K.t Queue.t;  (* FIFO of probation keys *)
+      mutable am : K.t list;  (* MRU-first LRU list of hot keys; small-n list ops *)
+      ghosts : unit H.t;  (* A1out key set *)
+      ghost_fifo : K.t Queue.t;
+      capacity : int;
+      kin : int;
+      kout : int;
+      on_evict : (K.t -> 'v -> unit) option;
+      mutable hits : int;
+      mutable misses : int;
+      mutable evictions : int;
+      mutable inserts : int;
+    }
+
+    let create ?on_evict ?(kin_ratio = 0.25) ?(kout_ratio = 0.5) ~capacity () =
+      if capacity <= 0 then invalid_arg "Two_q.create: capacity must be positive";
+      {
+        table = H.create (2 * capacity);
+        a1in = Queue.create ();
+        am = [];
+        ghosts = H.create capacity;
+        ghost_fifo = Queue.create ();
+        capacity;
+        kin = max 1 (int_of_float (float_of_int capacity *. kin_ratio));
+        kout = max 1 (int_of_float (float_of_int capacity *. kout_ratio));
+        on_evict;
+        hits = 0;
+        misses = 0;
+        evictions = 0;
+        inserts = 0;
+      }
+
+    let length t = H.length t.table
+    let ghost_length t = H.length t.ghosts
+
+    let am_touch t key = t.am <- key :: List.filter (fun k -> not (K.equal k key)) t.am
+    let am_remove t key = t.am <- List.filter (fun k -> not (K.equal k key)) t.am
+
+    let ghost_add t key =
+      if not (H.mem t.ghosts key) then begin
+        H.replace t.ghosts key ();
+        Queue.add key t.ghost_fifo;
+        while H.length t.ghosts > t.kout do
+          let victim = Queue.pop t.ghost_fifo in
+          H.remove t.ghosts victim
+        done
+      end
+
+    let evict_entry t key entry =
+      H.remove t.table key;
+      t.evictions <- t.evictions + 1;
+      match t.on_evict with Some f -> f key entry.value | None -> ()
+
+    (* Pop the first unpinned key of the A1in FIFO; requeue pinned ones. *)
+    let pop_a1in_victim t =
+      let n = Queue.length t.a1in in
+      let rec go tried =
+        if tried >= n then None
+        else
+          let key = Queue.pop t.a1in in
+          match H.find_opt t.table key with
+          | Some e when e.where = `A1in && not e.pinned -> Some (key, e)
+          | Some e when e.where = `A1in ->
+              Queue.add key t.a1in;
+              go (tried + 1)
+          | Some _ | None -> go tried (* stale queue residue: key moved or gone *)
+      in
+      go 0
+
+    let pop_am_victim t =
+      let rec go rev_keep = function
+        | [] -> None
+        | key :: rest -> (
+            match H.find_opt t.table key with
+            | Some e when not e.pinned ->
+                t.am <- List.rev_append rev_keep rest;
+                Some (key, e)
+            | Some _ -> go (key :: rev_keep) rest
+            | None -> go rev_keep rest)
+      in
+      (* LRU victim is at the tail: walk the reversed list. *)
+      match go [] (List.rev t.am) with
+      | None -> None
+      | Some (key, e) ->
+          t.am <- List.rev t.am;
+          (* go already produced keep-list in tail order; restore MRU-first *)
+          Some (key, e)
+
+    let reclaim t =
+      if H.length t.table >= t.capacity then begin
+        (* 2Q reclaim: prefer evicting from A1in once it exceeds Kin; ghost
+           the victim.  Otherwise evict the LRU of Am (no ghost). *)
+        let a1in_size =
+          Queue.fold
+            (fun acc k ->
+              match H.find_opt t.table k with Some e when e.where = `A1in -> acc + 1 | _ -> acc)
+            0 t.a1in
+        in
+        if a1in_size > t.kin then begin
+          match pop_a1in_victim t with
+          | Some (key, e) ->
+              evict_entry t key e;
+              ghost_add t key
+          | None -> (
+              match pop_am_victim t with
+              | Some (key, e) -> evict_entry t key e
+              | None -> ())
+        end
+        else
+          match pop_am_victim t with
+          | Some (key, e) -> evict_entry t key e
+          | None -> (
+              match pop_a1in_victim t with
+              | Some (key, e) ->
+                  evict_entry t key e;
+                  ghost_add t key
+              | None -> ())
+      end
+
+    let find t key =
+      match H.find_opt t.table key with
+      | Some e ->
+          t.hits <- t.hits + 1;
+          (* A hit in Am refreshes recency; a hit in A1in does NOT promote
+             (classic 2Q: promotion happens only via the ghost queue). *)
+          if e.where = `Am then am_touch t key;
+          Some e.value
+      | None ->
+          t.misses <- t.misses + 1;
+          None
+
+    let peek t key = Option.map (fun e -> e.value) (H.find_opt t.table key)
+    let mem t key = H.mem t.table key
+
+    let put t key value =
+      match H.find_opt t.table key with
+      | Some e ->
+          e.value <- value;
+          if e.where = `Am then am_touch t key
+      | None ->
+          t.inserts <- t.inserts + 1;
+          reclaim t;
+          if H.mem t.ghosts key then begin
+            (* Re-reference of a ghosted page: admit straight into Am. *)
+            H.remove t.ghosts key;
+            H.replace t.table key { value; pinned = false; where = `Am };
+            am_touch t key
+          end
+          else begin
+            H.replace t.table key { value; pinned = false; where = `A1in };
+            Queue.add key t.a1in
+          end
+
+    let remove t key =
+      match H.find_opt t.table key with
+      | None -> ()
+      | Some e ->
+          H.remove t.table key;
+          if e.where = `Am then am_remove t key
+
+    let pin t key = match H.find_opt t.table key with Some e -> e.pinned <- true | None -> ()
+    let unpin t key = match H.find_opt t.table key with Some e -> e.pinned <- false | None -> ()
+
+    let clear t =
+      H.reset t.table;
+      Queue.clear t.a1in;
+      t.am <- [];
+      H.reset t.ghosts;
+      Queue.clear t.ghost_fifo
+
+    let stats t =
+      {
+        Rae_cache.Lru.hits = t.hits;
+        misses = t.misses;
+        evictions = t.evictions;
+        inserts = t.inserts;
+      }
+  end
+end
+
+module RQ = Ref_two_q.Make (IntKey)
+
+type cache_op =
+  | Put of int
+  | Find of int
+  | Peek of int
+  | Pin of int
+  | Unpin of int
+  | Remove of int
+  | Clear
+
+let cache_op_to_string = function
+  | Put k -> Printf.sprintf "put %d" k
+  | Find k -> Printf.sprintf "find %d" k
+  | Peek k -> Printf.sprintf "peek %d" k
+  | Pin k -> Printf.sprintf "pin %d" k
+  | Unpin k -> Printf.sprintf "unpin %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+
+let prop_twoq_matches_list_version =
+  let open QCheck2.Gen in
+  let key = int_bound 7 in
+  let op =
+    frequency
+      [
+        (10, map (fun k -> Put k) key);
+        (6, map (fun k -> Find k) key);
+        (2, map (fun k -> Peek k) key);
+        (2, map (fun k -> Pin k) key);
+        (2, map (fun k -> Unpin k) key);
+        (2, map (fun k -> Remove k) key);
+        (1, pure Clear);
+      ]
+  in
+  let gen =
+    tup4 (int_range 1 6) (oneofl [ 0.25; 0.5; 1.0 ]) (oneofl [ 0.5; 1.0; 2.0 ])
+      (list_size (int_bound 200) op)
+  in
+  let print (cap, kin, kout, ops) =
+    Printf.sprintf "capacity %d, kin %.2f, kout %.2f: %s" cap kin kout
+      (String.concat "; " (List.map cache_op_to_string ops))
+  in
+  QCheck2.Test.make ~name:"2q = list-based 2q (answers, evictions, stats)" ~count:500 ~print gen
+    (fun (capacity, kin_ratio, kout_ratio, ops) ->
+      let ev_new = ref [] and ev_ref = ref [] in
+      let log ev k v = ev := (k, v) :: !ev in
+      let q = Q.create ~on_evict:(log ev_new) ~kin_ratio ~kout_ratio ~capacity () in
+      let r = RQ.create ~on_evict:(log ev_ref) ~kin_ratio ~kout_ratio ~capacity () in
+      let answer f = match f () with v -> Ok v | exception e -> Error (Printexc.to_string e) in
+      List.iteri
+        (fun i op ->
+          let run_q, run_r =
+            match op with
+            | Put k -> ((fun () -> Q.put q k i; None), fun () -> RQ.put r k i; None)
+            | Find k -> ((fun () -> Q.find q k), fun () -> RQ.find r k)
+            | Peek k -> ((fun () -> Q.peek q k), fun () -> RQ.peek r k)
+            | Pin k -> ((fun () -> Q.pin q k; None), fun () -> RQ.pin r k; None)
+            | Unpin k -> ((fun () -> Q.unpin q k; None), fun () -> RQ.unpin r k; None)
+            | Remove k -> ((fun () -> Q.remove q k; None), fun () -> RQ.remove r k; None)
+            | Clear -> ((fun () -> Q.clear q; None), fun () -> RQ.clear r; None)
+          in
+          let got = answer run_q and want = answer run_r in
+          let fail what =
+            QCheck2.Test.fail_reportf "op %d (%s): %s differ" i (cache_op_to_string op) what
+          in
+          if got <> want then fail "answers";
+          if !ev_new <> !ev_ref then fail "evictions";
+          if Q.stats q <> RQ.stats r then fail "stats";
+          if (Q.length q, Q.ghost_length q) <> (RQ.length r, RQ.ghost_length r) then fail "sizes";
+          if List.exists (fun k -> Q.mem q k <> RQ.mem r k) (List.init 8 Fun.id) then
+            fail "residents")
+        ops;
+      true)
+
 (* ---- Dentry ---- *)
 
 let test_dentry_positive_negative () =
@@ -230,6 +499,7 @@ let () =
           Alcotest.test_case "remove/clear" `Quick test_twoq_remove_clear;
           q prop_twoq_capacity;
           q prop_twoq_find_after_put;
+          q prop_twoq_matches_list_version;
         ] );
       ( "dentry",
         [

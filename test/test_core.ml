@@ -45,6 +45,17 @@ let assert_matches_spec ?(expect_recoveries = false) ?(sp = Spec.make ()) ctl op
       ((Controller.stats ctl).Controller.recoveries > 0);
   Alcotest.(check (option Alcotest.string)) "not degraded" None (Controller.degraded ctl)
 
+let assert_same_tree sp ctl =
+  match
+    ( Rae_workload.Snapshot.capture ~exec:Spec.exec sp,
+      Rae_workload.Snapshot.capture ~exec:Controller.exec ctl )
+  with
+  | Ok a, Ok b ->
+      if not (Rae_workload.Snapshot.equal a b) then
+        Alcotest.failf "final trees differ: %s"
+          (String.concat "; " (Rae_workload.Snapshot.diff a b))
+  | Error e, _ | _, Error e -> Alcotest.failf "walk failed: %s" e
+
 (* ---- healthy-path behaviour ---- *)
 
 let test_passthrough_no_bugs () =
@@ -534,14 +545,7 @@ let test_invalidation_adversary () =
       Alcotest.(check bool) "seeded" true (s.Rae_core.Checkpoint.seeded >= 1);
       Alcotest.(check int) "no cold fallback" 0 s.Rae_core.Checkpoint.fallbacks
   | None -> Alcotest.fail "checkpoint stats missing");
-  match
-    ( Rae_workload.Snapshot.capture ~exec:Spec.exec sp,
-      Rae_workload.Snapshot.capture ~exec:Controller.exec ctl )
-  with
-  | Ok a, Ok b ->
-      if not (Rae_workload.Snapshot.equal a b) then
-        Alcotest.failf "final trees differ: %s" (String.concat "; " (Rae_workload.Snapshot.diff a b))
-  | Error e, _ | _, Error e -> Alcotest.failf "walk failed: %s" e
+  assert_same_tree sp ctl
 
 (* A cut only names its S0; the attach waits for the first fold or seed.
    So a stream of commits with no fold in between — every one of them
@@ -579,48 +583,259 @@ let test_cuts_defer_the_attach () =
   Alcotest.(check bool) "panic op's file visible" true
     (Result.is_ok (Controller.lookup ctl (p "/pwn")))
 
-(* The PR's centerpiece property: replay-from-checkpoint is indistinguishable
-   from replay-from-S0, for arbitrary op sequences and arbitrary cut points.
-   This is the module-level statement — fold a prefix into a warm shadow,
-   seed a fresh instance from its exported state, replay the suffix, and
-   compare against one shadow that replayed everything from S0. *)
+(* Pure reads leave the warm fold: of an eight-op window that opens a
+   committed file read-only, reads it six ways and closes it, the fold
+   executes only the open and the close, while its cursor passes all
+   eight.  A later panic seeds from that fold, replays only what came
+   after it, and recovers the spec's tree with an S0 descriptor intact. *)
+let test_fold_skips_pure_reads () =
+  let _disk, _dev, ctl =
+    mk ~policy:ckpt_policy
+      ~config:{ Base.default_config with Base.commit_interval = max_int }
+      ~bugs:(arm [ "crafted-name-panic" ])
+      ()
+  in
+  let sp = Spec.make () in
+  let both op =
+    let want = Spec.exec sp op and got = Controller.exec ctl op in
+    if not (Op.outcome_equal want got) then
+      Alcotest.failf "%s: spec %a, RAE %a" (Op.to_string op) Op.pp_outcome want Op.pp_outcome got;
+    got
+  in
+  let fd_of = function Ok (Op.Fd fd) -> fd | _ -> Alcotest.fail "expected a descriptor" in
+  ignore (both (Op.Create (p "/f", 0o644)));
+  let w = fd_of (both (Op.Open (p "/f", Types.flags_rw))) in
+  ignore (both (Op.Pwrite (w, 0, "hello")));
+  ignore (both (Op.Close w));
+  ignore (both (Op.Symlink ("/f", p "/ln")));
+  let log = fd_of (both (Op.Open (p "/log", Types.flags_create))) in
+  (* The commit re-cuts: S0 holds /f, /ln and /log, with /log open. *)
+  ignore (both Op.Sync);
+  let stats () = Option.get (Controller.checkpoint_stats ctl) in
+  Alcotest.(check int) "nothing folded before the window" 0 (stats ()).Rae_core.Checkpoint.folds;
+  let fd = fd_of (both (Op.Open (p "/f", Types.flags_ro))) in
+  List.iter
+    (fun op -> ignore (both op))
+    [
+      Op.Pread (fd, 0, 16);
+      Op.Stat (p "/f");
+      Op.Fstat fd;
+      Op.Lookup (p "/f");
+      Op.Readdir [];
+      Op.Readlink (p "/ln");
+      Op.Close fd;
+    ];
+  let s = stats () in
+  Alcotest.(check int) "one fold" 1 s.Rae_core.Checkpoint.folds;
+  Alcotest.(check int) "only the open and the close folded" 2 s.Rae_core.Checkpoint.folded_ops;
+  Alcotest.(check int) "no divergence" 0 s.Rae_core.Checkpoint.fold_divergences;
+  ignore (both (Op.Pwrite (log, 0, "after the fold")));
+  (* The panic: a seeded recovery whose Δ is the one write — the cursor
+     passed all eight ops of the folded window. *)
+  ignore (both (Op.Create (p "/pwn", 0o644)));
+  (match Controller.last_recovery ctl with
+  | Some r ->
+      Alcotest.(check bool) "seeded" true r.Report.r_seeded;
+      Alcotest.(check int) "window" 9 r.Report.r_window;
+      Alcotest.(check int) "Δ replayed" 1 r.Report.r_replayed
+  | None -> Alcotest.fail "no recovery report");
+  Alcotest.(check int) "no cold fallback" 0 (stats ()).Rae_core.Checkpoint.fallbacks;
+  ignore (both (Op.Pread (log, 0, 64)));
+  ignore (both (Op.Readlink (p "/ln")));
+  assert_same_tree sp ctl
+
+(* ---- device errors in the warm checkpoint ----
+
+   The base mounts a clean device; the controller — the warm checkpoint
+   and the cold recovery shadow — reads through a fault plan, the same
+   split "cuts defer the attach" uses.  A device error may cost the
+   checkpoint, or end in a clean fail-stop, but it never escapes
+   [Controller.exec] and never drops an acknowledged op. *)
+let mk_faulty ?bugs ?bundle_dir ~policy plan =
+  let disk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks:2048 () in
+  let dev = Device.of_disk disk in
+  ignore (ok (Base.mkfs dev ~ninodes:256 ()));
+  let geometry =
+    (ok (Rae_format.Reader.attach (fun blk -> Disk.read disk blk))).Rae_format.Reader.sb
+      .Rae_format.Superblock.geometry
+  in
+  let base = ok (Base.mount ?bugs dev) in
+  let device = Rae_block.Fault.wrap (Rae_block.Fault.create (plan geometry)) dev in
+  Controller.make ~policy ?bundle_dir ~device base
+
+let fold_every n = { ckpt_policy with Controller.ckpt_fold_interval = n }
+
+let superblock_read_error ~from_nth ~count _ =
+  [ Rae_block.Fault.Read_error { block = 0; from_nth; count } ]
+
+let ckpt_stats ctl = Option.get (Controller.checkpoint_stats ctl)
+let file i = p (Printf.sprintf "/f%d" i)
+
+let test_device_error_in_fold_attach () =
+  let ctl = mk_faulty ~policy:(fold_every 8) (superblock_read_error ~from_nth:1 ~count:1) in
+  (* The 8th create is due to fold, and the fold's attach hits the fault:
+     the client still gets the base's answer, the checkpoint is dropped. *)
+  for i = 1 to 8 do
+    ignore (ok (Controller.create ctl (file i) ~mode:0o644))
+  done;
+  Alcotest.(check int) "poisoned" 1 (ckpt_stats ctl).Rae_core.Checkpoint.poisons;
+  Alcotest.(check int) "nothing folded" 0 (ckpt_stats ctl).Rae_core.Checkpoint.folds;
+  Alcotest.(check bool) "checkpoint dropped" false (Controller.checkpoint_valid ctl);
+  for i = 1 to 8 do
+    ignore (ok (Controller.lookup ctl (file i)))
+  done;
+  (* The next commit re-cuts, and the spent fault no longer bites. *)
+  ignore (ok (Controller.sync ctl));
+  for i = 9 to 16 do
+    ignore (ok (Controller.create ctl (file i) ~mode:0o644))
+  done;
+  Alcotest.(check bool) "checkpoint back" true (Controller.checkpoint_valid ctl);
+  Alcotest.(check int) "folding again" 1 (ckpt_stats ctl).Rae_core.Checkpoint.folds
+
+let test_device_error_in_seed_attach () =
+  let ctl =
+    mk_faulty ~bugs:(arm [ "crafted-name-panic" ]) ~policy:(fold_every 1000)
+      (superblock_read_error ~from_nth:1 ~count:1)
+  in
+  for i = 1 to 5 do
+    ignore (ok (Controller.create ctl (file i) ~mode:0o644))
+  done;
+  (* The panic seeds from a never-attached cut; the seed's attach hits the
+     fault, and recovery falls back to the cold path from S0. *)
+  ignore (ok (Controller.create ctl (p "/pwn") ~mode:0o644));
+  Alcotest.(check int) "fell back" 1 (ckpt_stats ctl).Rae_core.Checkpoint.fallbacks;
+  Alcotest.(check int) "not seeded" 0 (ckpt_stats ctl).Rae_core.Checkpoint.seeded;
+  (match Controller.last_recovery ctl with
+  | Some { Report.r_outcome = Report.Recovered; r_seeded = false; _ } -> ()
+  | _ -> Alcotest.fail "expected a cold, successful recovery");
+  Alcotest.(check bool) "healthy" true (Controller.health ctl = Rae_obs.Events.Healthy);
+  for i = 1 to 5 do
+    ignore (ok (Controller.lookup ctl (file i)))
+  done;
+  ignore (ok (Controller.lookup ctl (p "/pwn")))
+
+let test_device_error_in_fold_read () =
+  let ctl =
+    mk_faulty ~bugs:(arm [ "crafted-name-panic" ]) ~policy:(fold_every 8) (fun g ->
+        let block = g.Layout.inode_table_start in
+        [ Rae_block.Fault.Read_error { block; from_nth = 1; count = 1 } ])
+  in
+  let sp = Spec.make () in
+  (* The fold's first create reads the root inode and gets EIO: a
+     divergence, which poisons the checkpoint. *)
+  let ops = List.init 8 (fun i -> Op.Create (file (i + 1), 0o644)) in
+  assert_matches_spec ~sp ctl ops;
+  Alcotest.(check bool) "divergence seen" true
+    ((ckpt_stats ctl).Rae_core.Checkpoint.fold_divergences >= 1);
+  Alcotest.(check int) "poisoned" 1 (ckpt_stats ctl).Rae_core.Checkpoint.poisons;
+  (* The panic recovers cold, from S0, and keeps every acknowledged create. *)
+  assert_matches_spec ~expect_recoveries:true ~sp ctl [ Op.Create (p "/pwn", 0o644) ];
+  (match Controller.last_recovery ctl with
+  | Some { Report.r_outcome = Report.Recovered; r_seeded = false; r_replayed = 8; _ } -> ()
+  | _ -> Alcotest.fail "expected a cold recovery replaying all eight creates");
+  assert_same_tree sp ctl
+
+let test_persistent_device_error_fails_stop () =
+  let dir =
+    let path = Filename.temp_file "rae-core-bundles" "" in
+    Sys.remove path;
+    path
+  in
+  let ctl =
+    mk_faulty ~bugs:(arm [ "crafted-name-panic" ]) ~bundle_dir:dir ~policy:(fold_every 1000)
+      (superblock_read_error ~from_nth:1 ~count:max_int)
+  in
+  for i = 1 to 5 do
+    ignore (ok (Controller.create ctl (file i) ~mode:0o644))
+  done;
+  (* Neither the seed nor the cold path gets past the fault: fail-stop. *)
+  (match Controller.create ctl (p "/pwn") ~mode:0o644 with
+  | Error Errno.EIO -> ()
+  | Ok _ -> Alcotest.fail "expected EIO, got a result"
+  | Error e -> Alcotest.failf "expected EIO, got %s" (Errno.to_string e));
+  Alcotest.(check int) "fell back first" 1 (ckpt_stats ctl).Rae_core.Checkpoint.fallbacks;
+  Alcotest.(check bool) "degraded" true (Controller.degraded ctl <> None);
+  Alcotest.(check bool) "health FAILSTOP" true (Controller.health ctl = Rae_obs.Events.Failstop);
+  (match Controller.bundles ctl with
+  | [ path ] -> (
+      match Rae_obs.Blackbox.check_file path with
+      | Ok s ->
+          Alcotest.(check string) "bundle kind" Rae_obs.Blackbox.kind_failstop
+            s.Rae_obs.Blackbox.s_kind
+      | Error vs -> Alcotest.failf "bundle invalid: %s" (String.concat "; " vs))
+  | l -> Alcotest.failf "expected one bundle, got %d" (List.length l));
+  match Controller.lookup ctl (file 1) with
+  | Error Errno.EIO -> ()
+  | _ -> Alcotest.fail "a fail-stopped controller answers EIO"
+
+(* Without a checkpoint: fsck passes S0 (the first superblock read), then
+   the cold shadow's own attach hits the fault.  That is a failed
+   recovery, not an exception out of [Controller.exec]. *)
+let test_device_error_in_cold_attach () =
+  let ctl =
+    mk_faulty ~bugs:(arm [ "crafted-name-panic" ]) ~policy:Controller.default_policy
+      (superblock_read_error ~from_nth:2 ~count:max_int)
+  in
+  ignore (ok (Controller.create ctl (file 1) ~mode:0o644));
+  (match Controller.create ctl (p "/pwn") ~mode:0o644 with
+  | Error Errno.EIO -> ()
+  | _ -> Alcotest.fail "expected EIO");
+  Alcotest.(check bool) "health FAILSTOP" true (Controller.health ctl = Rae_obs.Events.Failstop);
+  match Controller.last_recovery ctl with
+  | Some { Report.r_outcome = Report.Recovery_failed msg; _ } ->
+      Alcotest.(check bool) ("names the device error: " ^ msg) true (contains msg "device error")
+  | _ -> Alcotest.fail "expected a failed-recovery report"
+
+(* The centerpiece property: replay-from-checkpoint is indistinguishable
+   from replay-from-S0, for arbitrary traces — reads, opens, closes and
+   failing ops included — and arbitrary fold cadences.  The warm arm runs
+   the real [Checkpoint.cut]/[fold]/[seed], so it leaves out exactly what
+   the fold leaves out, then replays Δ on the seeded shadow; the reference
+   arm is one shadow that replayed every entry from S0. *)
 let prop_checkpoint_replay_equivalence =
   QCheck2.Test.make ~name:"replay-from-checkpoint = replay-from-S0" ~count:25
-    QCheck2.Gen.(triple ui64 (int_range 20 120) (int_range 0 100))
-    (fun (seed, count, cut_pct) ->
+    QCheck2.Gen.(triple ui64 (int_range 20 160) (int_range 1 16))
+    (fun (seed, count, fold_interval) ->
       let module Shadow = Rae_shadowfs.Shadow in
+      let module Checkpoint = Rae_core.Checkpoint in
+      let module Oplog = Rae_core.Oplog in
       let disk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks:2048 () in
       let dev = Device.of_disk disk in
       ignore (ok (Base.mkfs dev ~ninodes:256 ()));
       let base =
         ok (Base.mount ~config:{ Base.default_config with Base.commit_interval = max_int } dev)
       in
-      (* Execute a sync-free trace against the base: the journal never
-         commits, so the disk stays at S0 and every mutation lands in the
-         window — exactly the state a recovery replays over. *)
-      let ops =
-        List.filter
-          (fun op -> not (Op.is_sync op))
-          (Rae_workload.Workload.uniform (Rae_util.Rng.create seed) ~count)
-      in
-      let entries =
-        List.filter Op.is_mutation ops
-        |> List.mapi (fun seq op -> { Op.op; outcome = Base.exec base op; seq })
-      in
+      (* A sync-free trace against the base: the journal never commits, so
+         the disk stays at S0 and every op lands in the window — exactly
+         the state a recovery replays over. *)
+      let log = Oplog.create () in
+      let ckpt = Checkpoint.create ~fold_interval dev in
+      ok (Checkpoint.cut ckpt ~window:0 ~fds:[] ~next_seq:0 ~commit_seq:0L);
+      List.iter
+        (fun op ->
+          Oplog.record log op (Base.exec base op);
+          if Checkpoint.due ckpt ~next_seq:(Oplog.next_seq log) then Checkpoint.fold ckpt log)
+        (Rae_workload.Workload.uniform_mutations (Rae_util.Rng.create seed) ~count);
       let replay sh = List.iter (fun r -> ignore (Shadow.exec_constrained sh r)) in
       let full = ok (Shadow.attach dev) in
-      replay full entries;
-      (* The checkpointed arm: warm shadow folds the prefix, recovery seeds
-         from its exported state and replays only the suffix. *)
-      let k = cut_pct * List.length entries / 100 in
-      let warm = ok (Shadow.attach dev) in
-      replay warm (List.filteri (fun i _ -> i < k) entries);
-      let seeded = ok (Shadow.attach_from (Shadow.export_state warm) dev) in
-      replay seeded (List.filteri (fun i _ -> i >= k) entries);
-      if Rae_core.Differential.shadow_states_equal full seeded then true
+      replay full (Oplog.entries log);
+      let seeded, cursor =
+        match Checkpoint.seed ckpt with
+        | Ok x -> x
+        | Error msg -> QCheck2.Test.fail_reportf "seed failed: %s (seed %Ld)" msg seed
+      in
+      replay seeded (Oplog.entries_from log ~seq:cursor);
+      let s = Checkpoint.stats ckpt in
+      if s.Checkpoint.poisons > 0 || s.Checkpoint.fold_divergences > 0 then
+        QCheck2.Test.fail_reportf "fold poisoned (%d divergences, seed %Ld)"
+          s.Checkpoint.fold_divergences seed
+      else if Shadow.time full <> Shadow.time seeded then
+        QCheck2.Test.fail_reportf "clocks differ: %Ld vs %Ld (seed %Ld)" (Shadow.time full)
+          (Shadow.time seeded) seed
+      else if Rae_core.Differential.shadow_states_equal full seeded then true
       else
-        QCheck2.Test.fail_reportf "states diverge at cut %d/%d (seed %Ld)" k
-          (List.length entries) seed)
+        QCheck2.Test.fail_reportf "states diverge at cursor %d/%d (seed %Ld)" cursor
+          (Oplog.length log) seed)
 
 (* The controller-level statement: with checkpointing on, applications
    observe exactly the same outcomes and the same final tree as with it
@@ -681,8 +896,10 @@ let prop_checkpoint_controller_equivalence =
 
 (* ---- cross-checking finds wrong-result bugs (E9) ---- *)
 
-let test_cross_check_finds_wrong_results () =
-  let _disk, _dev, ctl = mk ~bugs:(arm [ "stat-size-skew"; "crafted-name-panic" ]) () in
+(* Twenty stats of one file, the 20th of which lies about its size, then
+   a panic whose replay must expose the lie. *)
+let wrong_result_scenario ?policy () =
+  let _disk, _dev, ctl = mk ?policy ~bugs:(arm [ "stat-size-skew"; "crafted-name-panic" ]) () in
   let fd = ok (Controller.openf ctl (p "/f") Types.flags_create) in
   ignore (ok (Controller.pwrite ctl fd ~off:0 "12345"));
   ignore (ok (Controller.close ctl fd));
@@ -704,7 +921,25 @@ let test_cross_check_finds_wrong_results () =
       | _ -> Alcotest.fail "expected stat outcomes")
   | [] -> ());
   Alcotest.(check (option Alcotest.string)) "recovery still succeeded (policy: continue)" None
-    (Controller.degraded ctl)
+    (Controller.degraded ctl);
+  ctl
+
+let test_cross_check_finds_wrong_results () = ignore (wrong_result_scenario ())
+
+(* The same lie with the checkpoint on: 23 recorded ops folded every 8,
+   so the last fold stops at seq 16 and the lying stat (seq 22) is in Δ.
+   A seeded recovery replays Δ in full, reads included, and reports it. *)
+let test_cross_check_in_delta_with_checkpoint () =
+  let ctl = wrong_result_scenario ~policy:ckpt_policy () in
+  let s = Option.get (Controller.checkpoint_stats ctl) in
+  Alcotest.(check int) "two folds" 2 s.Rae_core.Checkpoint.folds;
+  Alcotest.(check int) "seeded" 1 s.Rae_core.Checkpoint.seeded;
+  match Controller.last_recovery ctl with
+  | Some r ->
+      Alcotest.(check bool) "report marked seeded" true r.Report.r_seeded;
+      Alcotest.(check (list int)) "the lying stat is listed" [ 22 ]
+        (List.map (fun d -> d.Report.d_seq) r.Report.r_discrepancies)
+  | None -> Alcotest.fail "no recovery report"
 
 (* ---- the restart-only baseline loses what RAE preserves ---- *)
 
@@ -827,11 +1062,25 @@ let () =
             test_seeded_recovery_replays_only_delta;
           Alcotest.test_case "cuts defer the attach" `Quick test_cuts_defer_the_attach;
           Alcotest.test_case "invalidation adversary" `Quick test_invalidation_adversary;
+          Alcotest.test_case "fold skips pure reads" `Quick test_fold_skips_pure_reads;
+          Alcotest.test_case "device error in the fold's attach" `Quick
+            test_device_error_in_fold_attach;
+          Alcotest.test_case "device error in the seed's attach" `Quick
+            test_device_error_in_seed_attach;
+          Alcotest.test_case "device error in a folded op" `Quick test_device_error_in_fold_read;
+          Alcotest.test_case "persistent device error fails stop" `Quick
+            test_persistent_device_error_fails_stop;
+          Alcotest.test_case "device error in the cold attach fails stop" `Quick
+            test_device_error_in_cold_attach;
           q prop_checkpoint_replay_equivalence;
           q prop_checkpoint_controller_equivalence;
         ] );
       ( "cross-check",
-        [ Alcotest.test_case "wrong results exposed" `Quick test_cross_check_finds_wrong_results ] );
+        [
+          Alcotest.test_case "wrong results exposed" `Quick test_cross_check_finds_wrong_results;
+          Alcotest.test_case "wrong result in Δ reported with the checkpoint on" `Quick
+            test_cross_check_in_delta_with_checkpoint;
+        ] );
       ( "baseline",
         [
           Alcotest.test_case "restart-only loses state" `Quick

@@ -91,6 +91,21 @@ let test_entries_from_across_checkpoints () =
   | [ e ] -> Alcotest.(check int) "one-op delta" 4 e.Op.seq
   | other -> Alcotest.failf "expected 1 entry, got %d" (List.length other))
 
+(* The fold's read-out: the suffix from a cursor, filtered by op, in
+   record order. *)
+let test_select_from () =
+  let log = Oplog.create () in
+  List.iter
+    (fun op -> Oplog.record log op (Ok Op.Unit))
+    [ Op.Stat (p "/a"); Op.Close 1; Op.Lookup (p "/b"); Op.Close 2; Op.Fstat 3; Op.Close 4 ];
+  let seqs l = List.map (fun r -> r.Op.seq) l in
+  Alcotest.(check (list int)) "reads left out, order kept" [ 1; 3; 5 ]
+    (seqs (Oplog.select_from log ~seq:0 (fun op -> not (Op.is_pure_read op))));
+  Alcotest.(check (list int)) "from a cursor" [ 3; 5 ]
+    (seqs (Oplog.select_from log ~seq:2 (fun op -> not (Op.is_pure_read op))));
+  Alcotest.(check (list int)) "nothing past next_seq" []
+    (seqs (Oplog.select_from log ~seq:6 (fun _ -> true)))
+
 let test_report_rendering () =
   let d =
     {
@@ -150,6 +165,7 @@ let () =
           Alcotest.test_case "entries_from suffix" `Quick test_entries_from_suffix;
           Alcotest.test_case "entries_from across checkpoints" `Quick
             test_entries_from_across_checkpoints;
+          Alcotest.test_case "select_from" `Quick test_select_from;
         ] );
       ("report", [ Alcotest.test_case "rendering" `Quick test_report_rendering ]);
     ]

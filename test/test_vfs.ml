@@ -151,6 +151,21 @@ let test_is_mutation () =
   Alcotest.(check bool) "fsync is sync" true (Op.is_sync (Op.Fsync 1));
   Alcotest.(check bool) "close not sync" false (Op.is_sync (Op.Close 1))
 
+(* The warm fold's filter: exactly the six read kinds, none of which is a
+   mutation or a sync.  A read-only open and a close are not mutations,
+   but they move the descriptor table, so they are not pure reads. *)
+let test_is_pure_read () =
+  let p = Path.parse_exn in
+  let pure = List.filter Op.is_pure_read (Op.Open (p "/f", Types.flags_ro) :: sample_ops) in
+  Alcotest.(check (list string)) "the six read kinds"
+    [ "pread"; "lookup"; "stat"; "fstat"; "readdir"; "readlink" ]
+    (List.map (fun op -> Op.kind_to_string (Op.kind op)) pure);
+  List.iter
+    (fun op ->
+      Alcotest.(check bool) (Op.to_string op ^ " is no mutation") false (Op.is_mutation op);
+      Alcotest.(check bool) (Op.to_string op ^ " is no sync") false (Op.is_sync op))
+    pure
+
 let test_op_pp_total () =
   List.iter
     (fun op ->
@@ -247,6 +262,7 @@ let () =
         [
           Alcotest.test_case "kinds cover" `Quick test_op_kinds_cover;
           Alcotest.test_case "is_mutation" `Quick test_is_mutation;
+          Alcotest.test_case "is_pure_read" `Quick test_is_pure_read;
           Alcotest.test_case "pp total" `Quick test_op_pp_total;
           Alcotest.test_case "value equality" `Quick test_value_equal;
           Alcotest.test_case "outcome equality" `Quick test_outcome_equal;
