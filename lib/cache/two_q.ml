@@ -8,7 +8,6 @@ module Make (K : Lru.KEY) = struct
     mutable value : 'v;
     mutable pinned : bool;
     where : [ `A1in | `Am ];
-    mutable slots : int;  (* A1in: this key's occurrences in [a1in] *)
     mutable prev : 'v entry option;  (* towards MRU *)
     mutable next : 'v entry option;  (* towards LRU *)
   }
@@ -16,8 +15,7 @@ module Make (K : Lru.KEY) = struct
   type 'v t = {
     table : 'v entry H.t;
     a1in : K.t Queue.t;  (* FIFO of probation keys; may hold stale keys *)
-    stale : int H.t;  (* occurrences in [a1in] of keys not resident in A1in *)
-    mutable a1in_live : int;  (* occurrences in [a1in] of keys resident in A1in *)
+    mutable a1in_live : int;  (* resident A1in entries *)
     mutable mru : 'v entry option;  (* Am, most recent first *)
     mutable lru : 'v entry option;
     ghosts : unit H.t;  (* A1out key set *)
@@ -37,7 +35,6 @@ module Make (K : Lru.KEY) = struct
     {
       table = H.create (2 * capacity);
       a1in = Queue.create ();
-      stale = H.create 16;
       a1in_live = 0;
       mru = None;
       lru = None;
@@ -55,8 +52,7 @@ module Make (K : Lru.KEY) = struct
 
   let length t = H.length t.table
   let ghost_length t = H.length t.ghosts
-  let entry key value where ~slots =
-    { key; value; pinned = false; where; slots; prev = None; next = None }
+  let entry key value where = { key; value; pinned = false; where; prev = None; next = None }
 
   (* ---- Am: O(1) recency list ---- *)
 
@@ -76,39 +72,10 @@ module Make (K : Lru.KEY) = struct
     am_detach t e;
     am_push_front t e
 
-  (* ---- A1in: a key FIFO whose stale keys are dropped lazily ----
-
-     Reclaim compares [a1in_live] against Kin, and every occurrence of a
-     resident key counts: a key removed from A1in leaves its slots behind
-     as [stale] ones, and they count again if it is re-admitted before
-     they are popped.  Without [remove] nothing goes stale, and the
-     bookkeeping is two field updates per admission and per pop. *)
-
-  let take_stale t key =
-    if H.length t.stale = 0 then 0
-    else
-      match H.find_opt t.stale key with
-      | Some n ->
-          H.remove t.stale key;
-          n
-      | None -> 0
-
-  let add_stale t key n =
-    H.replace t.stale key (n + Option.value (H.find_opt t.stale key) ~default:0)
-
-  let drop_stale_slot t key =
-    match H.find_opt t.stale key with
-    | Some 1 -> H.remove t.stale key
-    | Some n -> H.replace t.stale key (n - 1)
-    | None -> ()
-
-  (* Take [e] out of its queue's bookkeeping and the table. *)
+  (* Take [e] out of its queue's bookkeeping and the table.  An A1in
+     key stays in the FIFO until popped; the pop skips it. *)
   let unlink t e =
-    (match e.where with
-    | `Am -> am_detach t e
-    | `A1in ->
-        t.a1in_live <- t.a1in_live - e.slots;
-        if e.slots > 0 then add_stale t e.key e.slots);
+    (match e.where with `Am -> am_detach t e | `A1in -> t.a1in_live <- t.a1in_live - 1);
     H.remove t.table e.key
 
   let ghost_add t key =
@@ -134,17 +101,11 @@ module Make (K : Lru.KEY) = struct
       else
         let key = Queue.pop t.a1in in
         match H.find_opt t.table key with
-        | Some e when e.where = `A1in && not e.pinned ->
-            e.slots <- e.slots - 1;
-            t.a1in_live <- t.a1in_live - 1;
-            Some e
+        | Some e when e.where = `A1in && not e.pinned -> Some e
         | Some e when e.where = `A1in ->
             Queue.add key t.a1in;
             go (tried + 1)
-        | Some _ | None ->
-            (* stale queue residue: key moved or gone *)
-            drop_stale_slot t key;
-            go tried
+        | Some _ | None -> go tried (* stale queue residue: key moved or gone *)
     in
     go 0
 
@@ -198,15 +159,14 @@ module Make (K : Lru.KEY) = struct
         if H.mem t.ghosts key then begin
           (* Re-reference of a ghosted page: admit straight into Am. *)
           H.remove t.ghosts key;
-          let e = entry key value `Am ~slots:0 in
+          let e = entry key value `Am in
           H.replace t.table key e;
           am_push_front t e
         end
         else begin
-          let slots = 1 + take_stale t key in
-          H.replace t.table key (entry key value `A1in ~slots);
+          H.replace t.table key (entry key value `A1in);
           Queue.add key t.a1in;
-          t.a1in_live <- t.a1in_live + slots
+          t.a1in_live <- t.a1in_live + 1
         end
 
   let remove t key = match H.find_opt t.table key with None -> () | Some e -> unlink t e
@@ -217,7 +177,6 @@ module Make (K : Lru.KEY) = struct
   let clear t =
     H.reset t.table;
     Queue.clear t.a1in;
-    H.reset t.stale;
     t.a1in_live <- 0;
     t.mru <- None;
     t.lru <- None;

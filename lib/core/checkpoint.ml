@@ -102,25 +102,23 @@ let cut t ~window ~fds ~next_seq ~commit_seq =
         (match t.events with Some ev -> Rae_obs.Events.record_ckpt_cut ev | None -> ());
         Ok ())
 
-(* The shadow's operations map device errors to EIO, but its attach,
-   state import and descriptor reinstatement let them through: here they
-   are one more way to fail. *)
-let device_guard f = try f () with Rae_block.Device.Io_error msg -> Error ("device error: " ^ msg)
-
-(* A shadow on the cut's S0 with S0's descriptors reinstated. *)
+(* A shadow on the cut's S0 with S0's descriptors reinstated.  The
+   shadow's operations map device errors to EIO, but its attach, state
+   import and descriptor reinstatement raise them, and a corrupt inode
+   raises [Shadow.Violation]: {!fold} and the controller's recovery
+   phases turn both into a failure. *)
 let attach_s0 t fds =
-  device_guard (fun () ->
-      match Shadow.attach ~config:t.config t.device with
-      | Error msg -> Error ("warm attach: " ^ msg)
-      | Ok warm ->
-          let rec install = function
-            | [] -> Ok warm
-            | (fd, ino, flags) :: rest -> (
-                match Shadow.install_fd warm ~fd ~ino flags with
-                | Ok () -> install rest
-                | Error msg -> Error ("warm fd reinstatement: " ^ msg))
-          in
-          install fds)
+  match Shadow.attach ~config:t.config t.device with
+  | Error msg -> Error ("warm attach: " ^ msg)
+  | Ok warm ->
+      let rec install = function
+        | [] -> Ok warm
+        | (fd, ino, flags) :: rest -> (
+            match Shadow.install_fd warm ~fd ~ino flags with
+            | Ok () -> install rest
+            | Error msg -> Error ("warm fd reinstatement: " ^ msg))
+      in
+      install fds
 
 (* The warm shadow, attached first if the last cut deferred that; [None]
    without a checkpoint. *)
@@ -155,23 +153,22 @@ let due t ~next_seq = valid t && next_seq - t.cursor >= t.fold_interval
    acknowledged, and only the cold path from S0 can still report it. *)
 let fold_into t warm oplog =
   let window = Oplog.select_from oplog ~seq:t.cursor (fun op -> not (Op.is_pure_read op)) in
-  match Shadow.exec_constrained_window warm window with
-  | res ->
-      t.cursor <- Oplog.next_seq oplog;
-      t.s_folds <- t.s_folds + 1;
-      t.s_folded_ops <- t.s_folded_ops + res.Shadow.w_ops;
-      t.s_fold_divergences <- t.s_fold_divergences + res.Shadow.w_divergences;
-      (match t.events with
-      | Some ev -> Rae_obs.Events.record_ckpt_fold ev ~ops:res.Shadow.w_ops
-      | None -> ());
-      if res.Shadow.w_divergences > 0 then poison t
-  | exception (Shadow.Violation _ | Rae_block.Device.Io_error _) -> poison t
+  let res = Shadow.exec_constrained_window warm window in
+  t.cursor <- Oplog.next_seq oplog;
+  t.s_folds <- t.s_folds + 1;
+  t.s_folded_ops <- t.s_folded_ops + res.Shadow.w_ops;
+  t.s_fold_divergences <- t.s_fold_divergences + res.Shadow.w_divergences;
+  (match t.events with
+  | Some ev -> Rae_obs.Events.record_ckpt_fold ev ~ops:res.Shadow.w_ops
+  | None -> ());
+  if res.Shadow.w_divergences > 0 then poison t
 
 (* A deferred attach is part of the first fold's span. *)
 let fold t oplog =
   if valid t then
     with_span t "ckpt-fold" (fun () ->
-        match materialize t with Some warm -> fold_into t warm oplog | None -> ())
+        try match materialize t with Some warm -> fold_into t warm oplog | None -> ()
+        with Shadow.Violation _ | Rae_block.Device.Io_error _ -> poison t)
 
 (* ---- seed: hand recovery a shadow pre-advanced to the cursor ---- *)
 
@@ -182,10 +179,7 @@ let seed t =
     (* A cut nothing has folded into: what exporting its freshly attached
        shadow would give, built directly. *)
     | Pending fds -> Some (attach_s0 t fds)
-    | Warm warm ->
-        Some
-          (device_guard (fun () ->
-               Shadow.attach_from ~config:t.config (Shadow.export_state warm) t.device))
+    | Warm warm -> Some (Shadow.attach_from ~config:t.config (Shadow.export_state warm) t.device)
   in
   match fresh with
   | None -> Error "no warm checkpoint"

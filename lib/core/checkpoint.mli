@@ -100,8 +100,10 @@ val seed : t -> (Rae_shadowfs.Shadow.t * int, string) result
     cursor: recovery replays only entries with
     [seq >= cursor].  The warm instance itself is untouched (a failed
     recovery can seed again).  Fails, poisoning the checkpoint, if no
-    valid checkpoint exists or the state import is rejected or hits a
-    device error. *)
+    valid checkpoint exists or the attach or state import is rejected.
+    A device error ([Rae_block.Device.Io_error]) or a
+    {!Rae_shadowfs.Shadow.Violation} while building the shadow is
+    raised; the controller's recovery turns it into a cold fallback. *)
 
 val poison : t -> unit
 (** Discard the warm instance (counted when one existed).  Subsequent

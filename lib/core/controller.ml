@@ -353,13 +353,14 @@ let rec recover t ~trigger ~inflight ~attempt =
   (* Time one pipeline step: span on the tracer, duration into the phase
      histogram and the [phases] accumulator (closed on exception too, so a
      failed recovery's report still shows where time went).  A device
-     error in a step fails it like any other recovery error: a seeded
-     attempt falls back to the cold path, the cold path fail-stops. *)
+     error or a shadow violation in a step fails it like any other
+     recovery error: a seeded attempt falls back to the cold path, the
+     cold path fail-stops. *)
   let phase name f =
     let f () =
-      try f ()
-      with Rae_block.Device.Io_error msg ->
-        raise (Recovery_error (name ^ ": device error: " ^ msg))
+      try f () with
+      | Rae_block.Device.Io_error msg -> raise (Recovery_error (name ^ ": device error: " ^ msg))
+      | Shadow.Violation msg -> raise (Recovery_error (name ^ ": shadow violation: " ^ msg))
     in
     let p0 = t.now () in
     (match t.tracer with Some tr -> Rae_obs.Tracer.span_begin tr ~cat:"recovery" name | None -> ());
@@ -412,10 +413,7 @@ let rec recover t ~trigger ~inflight ~attempt =
   let finish shadow replay_entries ~seeded =
     (* 4. Constrained mode: replay the recorded suffix, cross-checking. *)
     let replayed, skipped, discrepancies =
-      phase "constrained-replay" (fun () ->
-          try run_constrained t shadow replay_entries
-          with Shadow.Violation msg ->
-            raise (Recovery_error ("shadow violation in replay: " ^ msg)))
+      phase "constrained-replay" (fun () -> run_constrained t shadow replay_entries)
     in
     (* 5. Autonomous mode: the in-flight operation, whose result the
        application has not seen.  Sync operations are not handled by the
@@ -423,11 +421,7 @@ let rec recover t ~trigger ~inflight ~attempt =
     let delegated = Op.is_sync inflight in
     let inflight_outcome =
       phase "inflight-autonomous" (fun () ->
-          if delegated then Ok Op.Unit
-          else
-            try Shadow.exec shadow inflight
-            with Shadow.Violation msg ->
-              raise (Recovery_error ("shadow violation on in-flight op: " ^ msg)))
+          if delegated then Ok Op.Unit else Shadow.exec shadow inflight)
     in
     (* 6. Hand-off: the base absorbs the shadow's overlay and descriptor
        table through its own well-tested interfaces, then commits.  A
@@ -503,8 +497,7 @@ let rec recover t ~trigger ~inflight ~attempt =
           | Ok (s, cursor) -> (s, cursor)
           | Error msg -> raise (Recovery_error msg))
     in
-    let delta = List.filter (fun r -> r.Op.seq >= from_seq) entries in
-    finish shadow delta ~seeded:true
+    finish shadow (Oplog.entries_from t.oplog ~seq:from_seq) ~seeded:true
   in
   let go () =
     try

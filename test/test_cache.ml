@@ -176,8 +176,11 @@ let prop_twoq_find_after_put =
 
    The list version below is the reference: Am as an MRU-first list
    rebuilt on every hit, and the resident A1in count recomputed by a walk
-   of the whole queue on every insert at capacity.  The O(1) version must
-   agree with it on every answer, eviction and counter. *)
+   of the whole table on every insert at capacity.  The O(1) version must
+   agree with it on every answer, eviction and counter.  (The list version
+   walked the queue instead, and so counted twice a key removed and
+   re-admitted while still queued; nothing removes from the block cache,
+   and without [remove] the two counts are equal.) *)
 module Ref_two_q = struct
   module Make (K : Rae_cache.Lru.KEY) = struct
     module H = Hashtbl.Make (K)
@@ -278,12 +281,7 @@ module Ref_two_q = struct
       if H.length t.table >= t.capacity then begin
         (* 2Q reclaim: prefer evicting from A1in once it exceeds Kin; ghost
            the victim.  Otherwise evict the LRU of Am (no ghost). *)
-        let a1in_size =
-          Queue.fold
-            (fun acc k ->
-              match H.find_opt t.table k with Some e when e.where = `A1in -> acc + 1 | _ -> acc)
-            0 t.a1in
-        in
+        let a1in_size = H.fold (fun _ e acc -> if e.where = `A1in then acc + 1 else acc) t.table 0 in
         if a1in_size > t.kin then begin
           match pop_a1in_victim t with
           | Some (key, e) ->

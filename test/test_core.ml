@@ -786,15 +786,72 @@ let test_device_error_in_cold_attach () =
       Alcotest.(check bool) ("names the device error: " ^ msg) true (contains msg "device error")
   | _ -> Alcotest.fail "expected a failed-recovery report"
 
+(* A bit flip in every inode of the first inode-table block, on that
+   block's first read through the controller: the warm attach that
+   reinstates S0's open descriptor decodes a bad checksum and raises
+   [Shadow.Violation].  The flip is spent by the time the cold path's
+   fsck reads the block, so the cold path recovers. *)
+let inode_table_flip g =
+  let block = g.Layout.inode_table_start in
+  List.init Layout.inodes_per_block (fun i ->
+      Rae_block.Fault.Flip_on_read
+        { block; byte = (i * Layout.inode_size) + 8; bit = 0; from_nth = 1; count = 1 })
+
+let violation_at_s0 ~fold_interval ~creates =
+  let ctl =
+    mk_faulty ~bugs:(arm [ "crafted-name-panic" ]) ~policy:(fold_every fold_interval)
+      inode_table_flip
+  in
+  let log = ok (Controller.openf ctl (p "/log") Types.flags_create) in
+  ignore (ok (Controller.sync ctl));
+  for i = 1 to creates do
+    ignore (ok (Controller.create ctl (file i) ~mode:0o644))
+  done;
+  let poisons = (ckpt_stats ctl).Rae_core.Checkpoint.poisons in
+  ignore (ok (Controller.create ctl (p "/pwn") ~mode:0o644));
+  let after_panic = ckpt_stats ctl in
+  (match Controller.last_recovery ctl with
+  | Some { Report.r_outcome = Report.Recovered; r_seeded = false; r_replayed; _ } ->
+      Alcotest.(check int) "cold replay of every create" creates r_replayed
+  | _ -> Alcotest.fail "expected a cold, successful recovery");
+  Alcotest.(check bool) "healthy" true (Controller.health ctl = Rae_obs.Events.Healthy);
+  for i = 1 to creates do
+    ignore (ok (Controller.lookup ctl (file i)))
+  done;
+  ignore (ok (Controller.lookup ctl (p "/pwn")));
+  ignore (ok (Controller.pwrite ctl log ~off:0 "still open"));
+  Alcotest.(check string) "S0 descriptor intact" "still open"
+    (ok (Controller.pread ctl log ~off:0 ~len:64));
+  (poisons, after_panic)
+
+let test_violation_in_fold_attach () =
+  let poisons_before_panic, s = violation_at_s0 ~fold_interval:8 ~creates:8 in
+  Alcotest.(check int) "the fold poisoned" 1 poisons_before_panic;
+  Alcotest.(check int) "nothing folded" 0 s.Rae_core.Checkpoint.folds
+
+let test_violation_in_seed_attach () =
+  let poisons_before_panic, s = violation_at_s0 ~fold_interval:1000 ~creates:5 in
+  Alcotest.(check int) "no fold, no poison" 0 poisons_before_panic;
+  Alcotest.(check int) "fell back" 1 s.Rae_core.Checkpoint.fallbacks;
+  Alcotest.(check int) "not seeded" 0 s.Rae_core.Checkpoint.seeded
+
 (* The centerpiece property: replay-from-checkpoint is indistinguishable
    from replay-from-S0, for arbitrary traces — reads, opens, closes and
    failing ops included — and arbitrary fold cadences.  The warm arm runs
    the real [Checkpoint.cut]/[fold]/[seed], so it leaves out exactly what
    the fold leaves out, then replays Δ on the seeded shadow; the reference
-   arm is one shadow that replayed every entry from S0. *)
+   arm is one shadow that replayed every entry from S0.  Cadences run
+   from many short folds to none at all, so Δ ranges from empty to the
+   whole window, and a cadence past [count] seeds from a cut nothing has
+   folded into. *)
 let prop_checkpoint_replay_equivalence =
-  QCheck2.Test.make ~name:"replay-from-checkpoint = replay-from-S0" ~count:25
-    QCheck2.Gen.(triple ui64 (int_range 20 160) (int_range 1 16))
+  QCheck2.Test.make ~name:"replay-from-checkpoint = replay-from-S0" ~count:40
+    QCheck2.Gen.(
+      let* count = int_range 20 160 in
+      let* fold_interval =
+        oneof [ int_range 1 16; int_range 1 (count + 1); int_range (count + 1) 200 ]
+      in
+      map (fun seed -> (seed, count, fold_interval)) ui64)
     (fun (seed, count, fold_interval) ->
       let module Shadow = Rae_shadowfs.Shadow in
       let module Checkpoint = Rae_core.Checkpoint in
@@ -1072,6 +1129,10 @@ let () =
             test_persistent_device_error_fails_stop;
           Alcotest.test_case "device error in the cold attach fails stop" `Quick
             test_device_error_in_cold_attach;
+          Alcotest.test_case "corrupt S0 inode in the fold's attach" `Quick
+            test_violation_in_fold_attach;
+          Alcotest.test_case "corrupt S0 inode in the seed's attach" `Quick
+            test_violation_in_seed_attach;
           q prop_checkpoint_replay_equivalence;
           q prop_checkpoint_controller_equivalence;
         ] );
