@@ -1532,7 +1532,6 @@ let stats t =
 let detector t = t.det
 let bugs t = t.bug_reg
 let time t = t.time
-let set_time t v = t.time <- v
 
 let fd_table t =
   Hashtbl.fold (fun fd { fino; fflags } acc -> (fd, fino, fflags) :: acc) t.fds []

@@ -107,7 +107,6 @@ val stats : t -> stats
 val detector : t -> Detector.t
 val bugs : t -> Bug_registry.t
 val time : t -> int64
-val set_time : t -> int64 -> unit
 val fd_table : t -> (Rae_vfs.Types.fd * Rae_vfs.Types.ino * Rae_vfs.Types.open_flags) list
 (** Sorted snapshot of the descriptor table.  Comparators should prefer
     {!fd_count}/{!fd_iter}/{!fd_lookup}, which probe the live table

@@ -14,14 +14,14 @@ type stats = {
   fold_divergences : int;  (** constrained-mode mismatches seen while folding (each poisons) *)
   seeded : int;  (** recoveries seeded from the checkpoint *)
   fallbacks : int;  (** seeded recoveries that fell back to the cold path *)
-  poisons : int;  (** checkpoints discarded after a fold/seed failure *)
+  poisons : int;  (** checkpoints discarded after a fold or seed-attach failure *)
 }
 
 (* The checkpoint's one state cell.  A cut only names its S0 (by the
    descriptor table open there); the warm shadow is attached on first use,
    by a fold or a seed. *)
 type warm =
-  | Absent  (* never cut, or poisoned *)
+  | Absent  (* never cut, poisoned, or handed to a recovery *)
   | Pending of (Types.fd * Types.ino * Types.open_flags) list  (* cut, not yet attached *)
   | Warm of Shadow.t
 
@@ -103,10 +103,10 @@ let cut t ~window ~fds ~next_seq ~commit_seq =
         Ok ())
 
 (* A shadow on the cut's S0 with S0's descriptors reinstated.  The
-   shadow's operations map device errors to EIO, but its attach, state
-   import and descriptor reinstatement raise them, and a corrupt inode
-   raises [Shadow.Violation]: {!fold} and the controller's recovery
-   phases turn both into a failure. *)
+   shadow's operations map device errors to EIO, but its attach and
+   descriptor reinstatement raise them, and a corrupt inode raises
+   [Shadow.Violation]: {!fold} and {!seed} poison the checkpoint on
+   either. *)
 let attach_s0 t fds =
   match Shadow.attach ~config:t.config t.device with
   | Error msg -> Error ("warm attach: " ^ msg)
@@ -120,20 +120,20 @@ let attach_s0 t fds =
       in
       install fds
 
-(* The warm shadow, attached first if the last cut deferred that; [None]
-   without a checkpoint. *)
+(* The warm shadow, attached first if the last cut deferred that.  A
+   rejected attach poisons the checkpoint. *)
 let materialize t =
   match t.warm with
-  | Absent -> None
-  | Warm warm -> Some warm
+  | Absent -> Error "no warm checkpoint"
+  | Warm warm -> Ok warm
   | Pending fds -> (
       match attach_s0 t fds with
       | Ok warm ->
           t.warm <- Warm warm;
-          Some warm
-      | Error _ ->
+          Ok warm
+      | Error msg ->
           poison t;
-          None)
+          Error msg)
 
 (* ---- fold: advance the warm shadow through the recorded suffix ---- *)
 
@@ -141,10 +141,10 @@ let due t ~next_seq = valid t && next_seq - t.cursor >= t.fold_interval
 
 (* Fold only what recovery rebuilds.  A pure read ({!Op.is_pure_read})
    ticks no clock and touches none of the shadow's descriptors, orphans,
-   bitmaps, superblock or overlay; it only fills caches, and a seed starts
-   from empty caches anyway.  The cursor still passes the reads, so the
-   seed and Δ are what folding them would give, and Δ replay still
-   cross-checks every read recorded after the last fold.
+   bitmaps, superblock or overlay; it only fills caches, which stay
+   coherent whichever reads filled them.  The cursor still passes the
+   reads, so the seed and Δ are what folding them would give, and Δ
+   replay still cross-checks every read recorded after the last fold.
 
    The whole window goes to the shadow in one batched pass, which
    amortizes superblock/bitmap write-back and the summary re-check.  Any
@@ -167,28 +167,25 @@ let fold_into t warm oplog =
 let fold t oplog =
   if valid t then
     with_span t "ckpt-fold" (fun () ->
-        try match materialize t with Some warm -> fold_into t warm oplog | None -> ()
+        try match materialize t with Ok warm -> fold_into t warm oplog | Error _ -> ()
         with Shadow.Violation _ | Rae_block.Device.Io_error _ -> poison t)
 
-(* ---- seed: hand recovery a shadow pre-advanced to the cursor ---- *)
+(* ---- seed: hand the warm shadow itself to recovery ---- *)
 
+(* Recovery takes the warm shadow itself — caches, hints and allocation
+   rotor included — so the checkpoint is spent until the next cut.  The
+   contained reboot in between rewrites only committed blocks with their
+   own contents, so what the shadow read before it is still S0. *)
 let seed t =
-  let fresh =
-    match t.warm with
-    | Absent -> None
-    (* A cut nothing has folded into: what exporting its freshly attached
-       shadow would give, built directly. *)
-    | Pending fds -> Some (attach_s0 t fds)
-    | Warm warm -> Some (Shadow.attach_from ~config:t.config (Shadow.export_state warm) t.device)
-  in
-  match fresh with
-  | None -> Error "no warm checkpoint"
-  | Some (Ok shadow) ->
+  match materialize t with
+  | Ok warm ->
+      t.warm <- Absent;
       t.s_seeded <- t.s_seeded + 1;
-      Ok (shadow, t.cursor)
-  | Some (Error msg) ->
+      Ok (warm, t.cursor)
+  | Error msg -> Error ("checkpoint seed: " ^ msg)
+  | exception e ->
       poison t;
-      Error ("checkpoint seed: " ^ msg)
+      raise e
 
 let note_fallback t = t.s_fallbacks <- t.s_fallbacks + 1
 
@@ -240,7 +237,7 @@ let register_obs reg t =
     ~reset:(fun () -> t.s_fallbacks <- 0)
     "rae_ckpt_fallbacks_total"
     (fun () -> t.s_fallbacks);
-  M.register_counter reg ~help:"checkpoints discarded after a fold or seed failure"
+  M.register_counter reg ~help:"checkpoints discarded after a fold or attach failure"
     ~reset:(fun () -> t.s_poisons <- 0)
     "rae_ckpt_poisons_total"
     (fun () -> t.s_poisons);

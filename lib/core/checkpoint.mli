@@ -14,20 +14,23 @@
       pure reads left out ({!Rae_vfs.Op.is_pure_read}: they change
       nothing recovery rebuilds).
 
-    On a detected bug, {!seed} exports the warm instance's state (COW
-    overlay + fd table + clock, {!Rae_shadowfs.Shadow.export_state}) into
-    a fresh shadow, and recovery replays only the Δ suffix past the fold
+    On a detected bug, {!seed} hands the warm shadow itself to recovery —
+    overlay, descriptor table, clock, caches and allocation rotor, no
+    copy — and recovery replays only the Δ suffix past the fold
     {!cursor}.  Because the warm overlay holds exactly the blocks dirtied
     since the last commit, the hand-off download stays precisely the
     differential set — identical to what cold replay would reconstruct.
+    The checkpoint is spent by the hand-over; the re-cut at recovery's
+    resume (or at the next commit) re-arms it.
 
     The warm shadow never writes to disk: it is an ordinary shadow over a
     read-only device handle, and this module is under the shadow-purity
-    lint rule.  Any fold or seed failure {e poisons} the checkpoint
-    (drops the warm instance): a shadow violation, a device error, or a
-    folded op whose outcome diverges from the base's.  The controller then
-    falls back to cold recovery, so checkpointing can only ever change
-    recovery latency, never its semantics. *)
+    lint rule.  A fold failure or a rejected attach {e poisons} the
+    checkpoint (drops the warm instance): a shadow violation, a device
+    error, or a folded op whose outcome diverges from the base's.  A
+    seeded recovery that fails after the hand-over falls back to cold
+    recovery, so checkpointing can only ever change recovery latency,
+    never its semantics. *)
 
 type t
 
@@ -37,8 +40,13 @@ type stats = {
   folded_ops : int;  (** operations the folds executed (pure reads are not folded) *)
   fold_divergences : int;  (** constrained-mode mismatches seen while folding (each poisons) *)
   seeded : int;  (** recoveries seeded from the checkpoint *)
-  fallbacks : int;  (** seeded recoveries that fell back to the cold path *)
-  poisons : int;  (** checkpoints discarded after a fold/seed failure *)
+  fallbacks : int;
+      (** seeded recoveries that fell back to the cold path, whether the
+          seed itself failed or a later phase did *)
+  poisons : int;
+      (** checkpoints discarded because a fold failed or the deferred
+          attach was rejected, by a fold or by a seed; a fallback after a
+          hand-over discards nothing and is not counted here *)
 }
 
 val create :
@@ -94,20 +102,16 @@ val fold : t -> Oplog.t -> unit
     [ckpt-fold] span. *)
 
 val seed : t -> (Rae_shadowfs.Shadow.t * int, string) result
-(** Build a fresh shadow from the warm instance's exported state — or,
-    for a cut nothing has folded into yet, attach one to S0 with S0's
-    descriptors, which is the same shadow — and return it with the fold
-    cursor: recovery replays only entries with
-    [seq >= cursor].  The warm instance itself is untouched (a failed
-    recovery can seed again).  Fails, poisoning the checkpoint, if no
-    valid checkpoint exists or the attach or state import is rejected.
-    A device error ([Rae_block.Device.Io_error]) or a
-    {!Rae_shadowfs.Shadow.Violation} while building the shadow is
-    raised; the controller's recovery turns it into a cold fallback. *)
-
-val poison : t -> unit
-(** Discard the warm instance (counted when one existed).  Subsequent
-    recoveries take the cold path until the next {!cut}. *)
+(** Hand the warm shadow to recovery, attaching it to S0 with S0's
+    descriptors first when the last cut deferred that, and return it with
+    the fold cursor: recovery replays only entries with [seq >= cursor].
+    No copy is made, so afterwards the checkpoint is spent ({!valid} is
+    false) until the next {!cut}, whether [seed] returned or raised.
+    Fails if no valid checkpoint exists or the attach is rejected (which
+    poisons it).  A device error ([Rae_block.Device.Io_error]) or a
+    {!Rae_shadowfs.Shadow.Violation} during that attach poisons the
+    checkpoint and is raised; the controller's recovery turns it into a
+    cold fallback. *)
 
 val note_fallback : t -> unit
 (** Record that a seeded recovery fell back to the cold path. *)

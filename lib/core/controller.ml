@@ -347,8 +347,7 @@ let rec recover t ~trigger ~inflight ~attempt =
   | Some ev ->
       Rae_obs.Events.record_recovery_begin ev ~trigger:(Report.trigger_to_string trigger)
   | None -> ());
-  let entries = Oplog.entries t.oplog in
-  let window = List.length entries in
+  let window = Oplog.length t.oplog in
   let phases = ref [] in
   (* Time one pipeline step: span on the tracer, duration into the phase
      histogram and the [phases] accumulator (closed on exception too, so a
@@ -378,7 +377,9 @@ let rec recover t ~trigger ~inflight ~attempt =
       f
   in
   let fail_report msg ~replayed ~skipped ~discrepancies ~handoff ~delegated ~seeded =
-    Rae_obs.Metrics.observe t.recovery_hist (Int64.sub (t.now ()) t0);
+    (* One clock read, so the histogram and the report agree. *)
+    let wall = Int64.sub (t.now ()) t0 in
+    Rae_obs.Metrics.observe t.recovery_hist wall;
     {
       Report.r_trigger = trigger;
       r_window = window;
@@ -388,7 +389,7 @@ let rec recover t ~trigger ~inflight ~attempt =
       r_handoff_blocks = handoff;
       r_delegated_sync = delegated;
       r_seeded = seeded;
-      r_wall_seconds = Int64.to_float (Int64.sub (t.now ()) t0) /. 1e9;
+      r_wall_seconds = Int64.to_float wall /. 1e9;
       r_phases = List.rev !phases;
       r_outcome = (match msg with None -> Report.Recovered | Some m -> Report.Recovery_failed m);
     }
@@ -409,7 +410,7 @@ let rec recover t ~trigger ~inflight ~attempt =
   in
   (* Steps 4-8, shared by the cold and checkpoint-seeded strategies: the
      strategies differ only in how the shadow reaches the replay start
-     point ([entries] for cold, the Δ suffix for seeded). *)
+     point (the whole window for cold, the Δ suffix for seeded). *)
   let finish shadow replay_entries ~seeded =
     (* 4. Constrained mode: replay the recorded suffix, cross-checking. *)
     let replayed, skipped, discrepancies =
@@ -425,9 +426,9 @@ let rec recover t ~trigger ~inflight ~attempt =
     in
     (* 6. Hand-off: the base absorbs the shadow's overlay and descriptor
        table through its own well-tested interfaces, then commits.  A
-       seeded shadow's overlay carries the imported checkpoint dirt plus
-       the Δ replay — exactly the blocks dirtied since the last commit,
-       so the download is differential by construction. *)
+       seeded shadow's overlay carries the folded prefix plus the Δ
+       replay — exactly the blocks dirtied since the last commit, so the
+       download is differential by construction. *)
     let dirty = Shadow.dirty_blocks shadow in
     phase "metadata-download" (fun () ->
         match
@@ -484,9 +485,9 @@ let rec recover t ~trigger ~inflight ~attempt =
             | Ok () -> ()
             | Error msg -> raise (Recovery_error ("fd reinstatement: " ^ msg)))
           (Oplog.fd_snapshot t.oplog));
-    finish shadow entries ~seeded:false
+    finish shadow (Oplog.entries t.oplog) ~seeded:false
   in
-  (* The O(Δ) strategy: seed a fresh shadow from the warm checkpoint (its
+  (* The O(Δ) strategy: take the warm shadow from the checkpoint (its
      overlay already reflects the folded prefix of the window) and replay
      only the suffix past the fold cursor. *)
   let go_seeded c =
@@ -505,10 +506,11 @@ let rec recover t ~trigger ~inflight ~attempt =
       | Some c when Checkpoint.valid c -> (
           try go_seeded c
           with Recovery_error reason ->
-            (* The checkpoint let us down: poison it, note the fallback,
-               and reconstruct the slow, trusted way — from S0. *)
+            (* The seeded attempt failed: note the fallback and
+               reconstruct the slow, trusted way — from S0.  The seed
+               already spent the checkpoint; the cold path's resume
+               re-cuts it. *)
             Checkpoint.note_fallback c;
-            Checkpoint.poison c;
             (match t.tracer with
             | Some tr -> Rae_obs.Tracer.instant tr ~cat:"ckpt" ("ckpt-fallback:" ^ reason)
             | None -> ());

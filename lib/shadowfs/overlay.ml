@@ -49,7 +49,6 @@ let rmw t blk f =
       let b = Device.read t.dev blk in
       if f b then Hashtbl.add t.blocks blk b
 
-let import t blocks = List.iter (fun (blk, data) -> write t blk data) blocks
 let mem t blk = Hashtbl.mem t.blocks blk
 
 let dirty t =
@@ -57,6 +56,4 @@ let dirty t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let dirty_count t = Hashtbl.length t.blocks
-let block_size t = Device.block_size t.dev
-let nblocks t = Device.nblocks t.dev
 let reads_from_device t = t.device_reads

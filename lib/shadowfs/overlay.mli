@@ -35,11 +35,6 @@ val rmw : t -> int -> (bytes -> bool) -> unit
     [f] reports a modification.  [f] must not retain the buffer.
     @raise Invalid_argument on out-of-range block numbers. *)
 
-val import : t -> (int * bytes) list -> unit
-(** Bulk-preload overlay content, e.g. an exported {!dirty} list from
-    another overlay over the same device.  Each block goes through
-    {!write}, so the same validation and copy semantics apply. *)
-
 val mem : t -> int -> bool
 (** Is the block shadowed by the overlay? *)
 
@@ -47,8 +42,6 @@ val dirty : t -> (int * bytes) list
 (** All overlaid blocks, sorted by block number; fresh copies. *)
 
 val dirty_count : t -> int
-val block_size : t -> int
-val nblocks : t -> int
 
 val reads_from_device : t -> int
 (** Device reads that missed the overlay — the shadow's IO footprint. *)

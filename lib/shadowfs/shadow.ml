@@ -83,7 +83,7 @@ let dir_kind_code = Types.kind_code Types.Directory
 
 (* ---- attach ---- *)
 
-let mk_t ov reader config ~ibm ~bbm ~time =
+let mk_t ov reader config ~ibm ~bbm =
   {
     ov;
     reader;
@@ -94,7 +94,7 @@ let mk_t ov reader config ~ibm ~bbm ~time =
     bbm;
     fds = Hashtbl.create 64;
     orphans = Hashtbl.create 16;
-    time;
+    time = reader.Reader.sb.Superblock.fs_time;
     nchecks = 0;
     gen = 0;
     icache = Hashtbl.create 256;
@@ -111,35 +111,29 @@ let mk_t ov reader config ~ibm ~bbm ~time =
 let attach ?(config = default_config) ?tracer dev =
   let ov = Overlay.create dev in
   let read blk = Overlay.read ov blk in
-  if config.fsck_on_attach then begin
+  (* The strict superblock and bitmap decode every attach runs. *)
+  let decode () =
+    match Reader.attach read with
+    | Error e -> Error (Reader.error_to_string e)
+    | Ok reader -> (
+        match (Reader.load_inode_bitmap reader, Reader.load_block_bitmap reader) with
+        | Ok ibm, Ok bbm -> Ok (mk_t ov reader config ~ibm ~bbm)
+        | Error e, _ | _, Error e -> Error (Reader.error_to_string e))
+  in
+  if not config.fsck_on_attach then decode ()
+  else
     let run () = Rae_fsck.Fsck.check read in
     let report =
       match tracer with
       | Some tr -> Rae_obs.Tracer.with_span tr ~cat:"recovery" "fsck" run
       | None -> run ()
     in
-    if not (Rae_fsck.Fsck.clean report) then
+    if Rae_fsck.Fsck.clean report then decode ()
+    else
       Error
         (match Rae_fsck.Fsck.errors report with
         | [] -> "fsck rejected the image"
         | f :: _ -> Format.asprintf "fsck rejected the image: %a" Rae_fsck.Fsck.pp_finding f)
-    else
-      match Reader.attach read with
-      | Error e -> Error (Reader.error_to_string e)
-      | Ok reader -> (
-          match (Reader.load_inode_bitmap reader, Reader.load_block_bitmap reader) with
-          | Ok ibm, Ok bbm ->
-              Ok (mk_t ov reader config ~ibm ~bbm ~time:reader.Reader.sb.Superblock.fs_time)
-          | Error e, _ | _, Error e -> Error (Reader.error_to_string e))
-  end
-  else
-    match Reader.attach read with
-    | Error e -> Error (Reader.error_to_string e)
-    | Ok reader -> (
-        match (Reader.load_inode_bitmap reader, Reader.load_block_bitmap reader) with
-        | Ok ibm, Ok bbm ->
-            Ok (mk_t ov reader config ~ibm ~bbm ~time:reader.Reader.sb.Superblock.fs_time)
-        | Error e, _ | _, Error e -> Error (Reader.error_to_string e))
 
 (* ---- superblock / bitmap write-back (into the overlay) ---- *)
 
@@ -1403,38 +1397,5 @@ let install_fd t ~fd ~ino flags =
         Ok ()
 
 let time t = t.time
-let set_time t v = t.time <- v
 let checks_performed t = t.nchecks
 let device_reads t = Overlay.reads_from_device t.ov
-
-(* ---- state export / replay-from-state ---- *)
-
-type state = {
-  st_overlay : (int * bytes) list;
-  st_fds : (Types.fd * Types.ino * Types.open_flags) list;
-  st_time : int64;
-}
-
-let export_state t = { st_overlay = Overlay.dirty t.ov; st_fds = fd_table t; st_time = t.time }
-
-let attach_from ?(config = default_config) state dev =
-  let ov = Overlay.create dev in
-  match Overlay.import ov state.st_overlay with
-  | exception Invalid_argument msg -> Error ("state import: " ^ msg)
-  | () -> (
-      let read blk = Overlay.read ov blk in
-      match Reader.attach read with
-      | Error e -> Error (Reader.error_to_string e)
-      | Ok reader -> (
-          match (Reader.load_inode_bitmap reader, Reader.load_block_bitmap reader) with
-          | Ok ibm, Ok bbm ->
-              let t = mk_t ov reader config ~ibm ~bbm ~time:state.st_time in
-              let rec install = function
-                | [] -> Ok t
-                | (fd, ino, flags) :: rest -> (
-                    match install_fd t ~fd ~ino flags with
-                    | Ok () -> install rest
-                    | Error msg -> Error ("state import: " ^ msg))
-              in
-              install state.st_fds
-          | Error e, _ | _, Error e -> Error (Reader.error_to_string e)))

@@ -116,30 +116,6 @@ val install_fd :
     Validates that the inode is allocated and of a kind that can be open. *)
 
 val time : t -> int64
-val set_time : t -> int64 -> unit
-
-type state = {
-  st_overlay : (int * bytes) list;  (** the COW overlay, as {!dirty_blocks} *)
-  st_fds : (Rae_vfs.Types.fd * Rae_vfs.Types.ino * Rae_vfs.Types.open_flags) list;
-  st_time : int64;
-}
-(** A portable snapshot of everything a shadow instance holds beyond the
-    device: the overlay, the descriptor table and the logical clock.  The
-    warm-checkpoint subsystem exports this from its warm instance and
-    seeds recovery replay from it. *)
-
-val export_state : t -> state
-(** Snapshot the instance.  All block payloads are fresh copies, so the
-    snapshot stays valid however the source instance evolves. *)
-
-val attach_from : ?config:config -> state -> Rae_block.Device.t -> (t, string) result
-(** Replay-from-state entry point: build a fresh instance over [dev] with
-    the snapshot's overlay pre-loaded (imported {e before} the superblock
-    and bitmaps are decoded, so the strict attach-time validation runs
-    against the imported state), the descriptor table reinstated through
-    {!install_fd}, and the clock restored.  Never runs fsck: the exporter
-    was validating every operation as it folded them, which is the
-    liveness argument a cold attach gets from [fsck_on_attach]. *)
 
 val checks_performed : t -> int
 (** Number of runtime invariant checks executed so far (bench E6). *)

@@ -48,7 +48,6 @@ let make ?(max_fds = 1024) ?(max_file_size = Rae_format.Layout.max_file_size) ()
   }
 
 let time t = t.st.time
-let set_time t v = t.st <- { t.st with time = v }
 
 (* The state is persistent, so copying is one record.  The resolution
    cache is the only mutable structure that would otherwise be shared:

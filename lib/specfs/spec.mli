@@ -60,8 +60,6 @@ val snapshot : t -> State.t
 (** Walk the tree and dump the essential state. *)
 
 val time : t -> int64
-val set_time : t -> int64 -> unit
-(** Used when replaying a suffix of a trace from a known logical time. *)
 
 val open_fds : t -> (Rae_vfs.Types.fd * Rae_vfs.Types.ino * Rae_vfs.Types.open_flags) list
 val copy : t -> t

@@ -786,13 +786,13 @@ let test_device_error_in_cold_attach () =
       Alcotest.(check bool) ("names the device error: " ^ msg) true (contains msg "device error")
   | _ -> Alcotest.fail "expected a failed-recovery report"
 
-(* A bit flip in every inode of the first inode-table block, on that
-   block's first read through the controller: the warm attach that
+(* A bit flip in every inode of inode-table block [n], on that block's
+   first read through the controller.  With [n = 0], the warm attach that
    reinstates S0's open descriptor decodes a bad checksum and raises
    [Shadow.Violation].  The flip is spent by the time the cold path's
    fsck reads the block, so the cold path recovers. *)
-let inode_table_flip g =
-  let block = g.Layout.inode_table_start in
+let inode_table_flip n g =
+  let block = g.Layout.inode_table_start + n in
   List.init Layout.inodes_per_block (fun i ->
       Rae_block.Fault.Flip_on_read
         { block; byte = (i * Layout.inode_size) + 8; bit = 0; from_nth = 1; count = 1 })
@@ -800,7 +800,7 @@ let inode_table_flip g =
 let violation_at_s0 ~fold_interval ~creates =
   let ctl =
     mk_faulty ~bugs:(arm [ "crafted-name-panic" ]) ~policy:(fold_every fold_interval)
-      inode_table_flip
+      (inode_table_flip 0)
   in
   let log = ok (Controller.openf ctl (p "/log") Types.flags_create) in
   ignore (ok (Controller.sync ctl));
@@ -835,15 +835,82 @@ let test_violation_in_seed_attach () =
   Alcotest.(check int) "fell back" 1 s.Rae_core.Checkpoint.fallbacks;
   Alcotest.(check int) "not seeded" 0 s.Rae_core.Checkpoint.seeded
 
+(* The seed hands the warm shadow over rather than copying it, so the
+   checkpoint is spent until the next cut re-arms it. *)
+let test_seed_spends_the_checkpoint () =
+  let module Checkpoint = Rae_core.Checkpoint in
+  let module Oplog = Rae_core.Oplog in
+  let disk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks:2048 () in
+  let dev = Device.of_disk disk in
+  ignore (ok (Base.mkfs dev ~ninodes:256 ()));
+  let base =
+    ok (Base.mount ~config:{ Base.default_config with Base.commit_interval = max_int } dev)
+  in
+  let log = Oplog.create () in
+  let ckpt = Checkpoint.create ~fold_interval:4 dev in
+  ok (Checkpoint.cut ckpt ~window:0 ~fds:[] ~next_seq:0 ~commit_seq:0L);
+  for i = 1 to 4 do
+    let op = Op.Create (file i, 0o644) in
+    Oplog.record log op (Base.exec base op)
+  done;
+  Checkpoint.fold ckpt log;
+  Alcotest.(check int) "folded" 1 (Checkpoint.stats ckpt).Checkpoint.folds;
+  (match Checkpoint.seed ckpt with
+  | Ok (_, cursor) -> Alcotest.(check int) "cursor past the fold" 4 cursor
+  | Error msg -> Alcotest.failf "seed failed: %s" msg);
+  Alcotest.(check bool) "spent" false (Checkpoint.valid ckpt);
+  (match Checkpoint.seed ckpt with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a spent checkpoint must not seed again");
+  ok (Checkpoint.cut ckpt ~window:0 ~fds:[] ~next_seq:4 ~commit_seq:1L);
+  Alcotest.(check bool) "re-armed by the next cut" true (Checkpoint.valid ckpt)
+
+(* A failure after the hand-over: the fold reads only inode-table block
+   0, Δ replay is the first to read block 1, and its flipped inodes raise
+   [Shadow.Violation] in the handed-over shadow.  Recovery falls back to
+   the cold path, which replays the whole window; the seed already spent
+   the checkpoint, so nothing is poisoned, and the cold path's resume
+   re-arms it. *)
+let test_fallback_after_a_hand_over () =
+  let ctl =
+    mk_faulty ~bugs:(arm [ "crafted-name-panic" ]) ~policy:(fold_every 8) (inode_table_flip 1)
+  in
+  for i = 1 to 20 do
+    ignore (ok (Controller.create ctl (file i) ~mode:0o644));
+    if i mod 5 = 0 then ignore (ok (Controller.sync ctl))
+  done;
+  for i = 1 to 8 do
+    ignore (ok (Controller.chmod ctl (file i) ~mode:0o600))
+  done;
+  Alcotest.(check int) "one fold" 1 (ckpt_stats ctl).Rae_core.Checkpoint.folds;
+  ignore (ok (Controller.stat ctl (file 20)));
+  ignore (ok (Controller.create ctl (p "/pwn") ~mode:0o644));
+  let s = ckpt_stats ctl in
+  Alcotest.(check int) "handed over" 1 s.Rae_core.Checkpoint.seeded;
+  Alcotest.(check int) "fell back" 1 s.Rae_core.Checkpoint.fallbacks;
+  Alcotest.(check int) "nothing poisoned" 0 s.Rae_core.Checkpoint.poisons;
+  (match Controller.last_recovery ctl with
+  | Some { Report.r_outcome = Report.Recovered; r_seeded = false; r_replayed; _ } ->
+      Alcotest.(check int) "cold replay of the whole window" 9 r_replayed
+  | _ -> Alcotest.fail "expected a cold, successful recovery");
+  for i = 1 to 20 do
+    ignore (ok (Controller.lookup ctl (file i)))
+  done;
+  ignore (ok (Controller.lookup ctl (p "/pwn")));
+  Alcotest.(check bool) "checkpoint re-armed" true (Controller.checkpoint_valid ctl)
+
 (* The centerpiece property: replay-from-checkpoint is indistinguishable
    from replay-from-S0, for arbitrary traces — reads, opens, closes and
    failing ops included — and arbitrary fold cadences.  The warm arm runs
    the real [Checkpoint.cut]/[fold]/[seed], so it leaves out exactly what
-   the fold leaves out, then replays Δ on the seeded shadow; the reference
-   arm is one shadow that replayed every entry from S0.  Cadences run
-   from many short folds to none at all, so Δ ranges from empty to the
-   whole window, and a cadence past [count] seeds from a cut nothing has
-   folded into. *)
+   the fold leaves out, then replays Δ on the handed-over shadow; the
+   reference arm is one shadow that replayed every entry from S0.
+   Cadences run from many short folds to none at all, so Δ ranges from
+   empty to the whole window, and a cadence past [count] seeds from a cut
+   nothing has folded into.  Both arms must hand off the same block
+   numbers: the handed-over shadow keeps its allocation rotor, so Δ
+   places blocks where a replay from S0 would.  (Bytes may differ in the
+   superblock's write-back generation, which batching changes.) *)
 let prop_checkpoint_replay_equivalence =
   QCheck2.Test.make ~name:"replay-from-checkpoint = replay-from-S0" ~count:40
     QCheck2.Gen.(
@@ -889,10 +956,15 @@ let prop_checkpoint_replay_equivalence =
       else if Shadow.time full <> Shadow.time seeded then
         QCheck2.Test.fail_reportf "clocks differ: %Ld vs %Ld (seed %Ld)" (Shadow.time full)
           (Shadow.time seeded) seed
-      else if Rae_core.Differential.shadow_states_equal full seeded then true
-      else
+      else if not (Rae_core.Differential.shadow_states_equal full seeded) then
         QCheck2.Test.fail_reportf "states diverge at cursor %d/%d (seed %Ld)" cursor
-          (Oplog.length log) seed)
+          (Oplog.length log) seed
+      else
+        let blocks sh = List.map fst (Shadow.dirty_blocks sh) in
+        if blocks full = blocks seeded then true
+        else
+          QCheck2.Test.fail_reportf "hand-off blocks differ: %d vs %d (seed %Ld, interval %d)"
+            (List.length (blocks full)) (List.length (blocks seeded)) seed fold_interval)
 
 (* The controller-level statement: with checkpointing on, applications
    observe exactly the same outcomes and the same final tree as with it
@@ -1133,6 +1205,8 @@ let () =
             test_violation_in_fold_attach;
           Alcotest.test_case "corrupt S0 inode in the seed's attach" `Quick
             test_violation_in_seed_attach;
+          Alcotest.test_case "seed spends the checkpoint" `Quick test_seed_spends_the_checkpoint;
+          Alcotest.test_case "fallback after a hand-over" `Quick test_fallback_after_a_hand_over;
           q prop_checkpoint_replay_equivalence;
           q prop_checkpoint_controller_equivalence;
         ] );

@@ -259,14 +259,18 @@ let armed_panic () =
       };
     ]
 
-let mk_stack ?bundle_dir () =
+(* A fresh base with the panic armed, and its device. *)
+let mk_base () =
   let disk =
     Rae_block.Disk.create ~latency:Rae_block.Disk.zero_latency
       ~block_size:Rae_format.Layout.block_size ~nblocks:4096 ()
   in
   let dev = Rae_block.Device.of_disk disk in
   Result.get_ok (Base.mkfs dev ~ninodes:256 ());
-  let base = Result.get_ok (Base.mount ~bugs:(armed_panic ()) dev) in
+  (dev, Result.get_ok (Base.mount ~bugs:(armed_panic ()) dev))
+
+let mk_stack ?bundle_dir () =
+  let dev, base = mk_base () in
   let tracer = Tracer.create () in
   Tracer.enable tracer;
   let events = Events.create ~capacity:256 () in
@@ -290,14 +294,36 @@ let test_phases_within_wall () =
   in
   let ctl, _, _ = mk_stack () in
   check ctl;
-  let disk =
-    Rae_block.Disk.create ~latency:Rae_block.Disk.zero_latency
-      ~block_size:Rae_format.Layout.block_size ~nblocks:4096 ()
-  in
-  let dev = Rae_block.Device.of_disk disk in
-  Result.get_ok (Base.mkfs dev ~ninodes:256 ());
-  let base = Result.get_ok (Base.mount ~bugs:(armed_panic ()) dev) in
+  let dev, base = mk_base () in
   check (Controller.make ~device:dev base)
+
+(* The recovery's end is read once: on a clock that steps 1,000 ns per
+   read, the latency histogram and the report's wall time still agree. *)
+let test_recovery_wall_read_once () =
+  let dev, base = mk_base () in
+  let now = ref 0L in
+  let tracer =
+    Tracer.create
+      ~clock:(fun () ->
+        now := Int64.add !now 1_000L;
+        !now)
+      ()
+  in
+  let ctl = Controller.make ~tracer ~device:dev base in
+  let reg = Metrics.create () in
+  Controller.register_obs reg ctl;
+  ignore (Controller.create ctl (p "/a") ~mode:0o644);
+  ignore (Controller.create ctl (p "/boom") ~mode:0o644);
+  let wall_ns =
+    match Controller.last_recovery ctl with
+    | Some r -> r.Report.r_wall_seconds *. 1e9
+    | None -> Alcotest.fail "expected a recovery"
+  in
+  match Metrics.find reg "rae_recovery_ns" with
+  | Some (Metrics.Histo { count = 1; sum; _ }) ->
+      if Float.abs (sum -. wall_ns) > 1. then
+        Alcotest.failf "histogram %.0f ns, report %.0f ns" sum wall_ns
+  | _ -> Alcotest.fail "recovery latency histogram not fed once"
 
 let test_recovery_phases_and_spans () =
   let ctl, tracer, _ = mk_stack () in
@@ -679,6 +705,7 @@ let () =
         [
           Alcotest.test_case "recovery phases + spans" `Quick test_recovery_phases_and_spans;
           Alcotest.test_case "phases within the wall" `Quick test_phases_within_wall;
+          Alcotest.test_case "recovery wall read once" `Quick test_recovery_wall_read_once;
           Alcotest.test_case "register_obs + reset_stats" `Quick test_register_obs_and_reset;
         ] );
     ]
