@@ -564,6 +564,220 @@ let e_ckpt () =
 (* E-shadow: the fast path — caches, hints and batching vs naive     *)
 (* ---------------------------------------------------------------- *)
 
+(* E-shadow-e: what a warm-checkpoint fold costs, op by op.  A bare base
+   runs Metadata ops and the run is cut at every group commit, as the
+   controller cuts it: each window keeps its S0 descriptors, its recorded
+   ops and outcomes, and the device writes of the commit that closes it.
+   Replaying the windows in order from the mounted image therefore puts
+   the disk at each window's S0 in turn.  Each window is then folded as
+   the checkpoint folds it: attach, then the first 32 non-read ops in
+   one batch (cold: every block and inode is a first touch), then the
+   next 31 (warm: what the same shadow pays once its caches are full).
+   rfsd's fold interval is 32 and its commit interval 64, so the cold
+   fold is the one every window pays.  The disk is rfsd's 8192 blocks;
+   it has 4096 inodes instead of 1024, or the 100 windows would run out
+   of inodes around window 70 and fill with ENOSPC outcomes the fold
+   skips. *)
+
+type fold_window = {
+  fw_fds : (Types.fd * Types.ino * Types.open_flags) list;
+  fw_entries : Op.recorded list;  (* non-read ops only, as the fold sees them *)
+  fw_writes : (int * bytes) list;  (* the closing commit's device writes, in order *)
+}
+
+let fold_cold_ops = 32
+let fold_warm_ops = 31
+
+let record_fold_windows ~windows =
+  let disk = mk_disk () in
+  let raw = Device.of_disk disk in
+  let writes = ref [] in
+  let dev =
+    {
+      raw with
+      Device.dev_write =
+        (fun blk data ->
+          writes := (blk, Bytes.copy data) :: !writes;
+          raw.Device.dev_write blk data);
+    }
+  in
+  ignore (ok (Base.mkfs dev ~ninodes:4096 ()));
+  let b = ok (Base.mount dev) in
+  let image = Disk.snapshot disk in
+  writes := [];
+  let committed = ref false in
+  Base.on_commit b (fun ~commit_seq:_ -> committed := true);
+  let ops = W.ops W.Metadata (Rae_util.Rng.create 7L) ~count:(2 * (windows + 1) * 64) in
+  let out = ref [] and nout = ref 0 and cur = ref [] and fds = ref (Base.fd_table b) in
+  List.iteri
+    (fun seq op ->
+      if !nout < windows then begin
+        let outcome = Base.exec b op in
+        if not (Op.is_pure_read op) then cur := { Op.op; outcome; seq } :: !cur;
+        if !committed then begin
+          committed := false;
+          out := { fw_fds = !fds; fw_entries = List.rev !cur; fw_writes = List.rev !writes } :: !out;
+          incr nout;
+          cur := [];
+          writes := [];
+          fds := Base.fd_table b
+        end
+      end)
+    ops;
+  (disk, image, List.rev !out)
+
+let rec split_at n = function
+  | x :: rest when n > 0 ->
+      let a, b = split_at (n - 1) rest in
+      (x :: a, b)
+  | l -> ([], l)
+
+(* One pass over every window from the mounted image.  [fold] gets the
+   S0 device and the window, and must not write. *)
+let replay_fold_windows disk image windows fold =
+  Disk.restore disk image;
+  let dev = Device.of_disk disk in
+  List.iter
+    (fun w ->
+      fold dev w;
+      List.iter (fun (blk, data) -> Device.write dev blk data) w.fw_writes)
+    windows
+
+let attach_window dev w =
+  let sh = ok (Shadow.attach dev) in
+  List.iter (fun (fd, ino, flags) -> ok (Shadow.install_fd sh ~fd ~ino flags)) w.fw_fds;
+  sh
+
+let fold_cost () =
+  subsection "E-shadow-e | warm-checkpoint fold: attach + 32 ops cold, 31 ops warm, per op kind";
+  let nwindows = sc 100 in
+  let disk, image, windows = record_fold_windows ~windows:nwindows in
+  let nops sel = List.fold_left (fun n w -> n + List.length (sel w.fw_entries)) 0 windows in
+  let cold_of l = fst (split_at fold_cold_ops l) in
+  let warm_of l = fst (split_at fold_warm_ops (snd (split_at fold_cold_ops l))) in
+  let n_cold = nops cold_of and n_warm = nops warm_of in
+  let errors =
+    List.fold_left
+      (fun n w -> n + List.length (List.filter (fun r -> Result.is_error r.Op.outcome) w.fw_entries))
+      0 windows
+  in
+  Printf.printf "%d commit windows of metadata ops (seed 7), %d cold + %d warm folded ops, %d error outcomes\n"
+    (List.length windows) n_cold n_warm errors;
+  (* Exact allocation counts, from a pass without the timing hook: minor
+     words, and words allocated straight into the major heap (blocks over
+     256 words, such as a 4 KiB buffer).  Each window starts on an empty
+     minor heap, which one fold does not fill: a count read across a
+     minor collection drifts. *)
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    (Gc.minor_words (), major -. promoted)
+  in
+  let words_cold = ref (0., 0.) and words_warm = ref (0., 0.) in
+  let add acc (m0, d0) (m1, d1) =
+    let m, d = !acc in
+    acc := (m +. (m1 -. m0), d +. (d1 -. d0))
+  in
+  replay_fold_windows disk image windows (fun dev w ->
+      Gc.minor ();
+      let w0 = words () in
+      let sh = attach_window dev w in
+      ignore (Shadow.exec_constrained_window sh (cold_of w.fw_entries));
+      let w1 = words () in
+      ignore (Shadow.exec_constrained_window sh (warm_of w.fw_entries));
+      let w2 = words () in
+      add words_cold w0 w1;
+      add words_warm w1 w2);
+  let per (m, d) n = (m /. float_of_int n, d /. float_of_int n) in
+  let per_cold, direct_cold = per !words_cold n_cold and per_warm, direct_warm = per !words_warm n_warm in
+  (* Timed passes.  The hook charges each op the time since the previous
+     op (or since the attach); the batch's write-back and summary check
+     after its last op is the fold's epilogue. *)
+  let reps = reps 11 in
+  let kinds = Hashtbl.create 16 in
+  let charge kind phase ns =
+    let cold, warm, n_c, n_w =
+      Option.value (Hashtbl.find_opt kinds kind) ~default:(0., 0., 0, 0)
+    in
+    Hashtbl.replace kinds kind
+      (match phase with
+      | `Cold -> (cold +. ns, warm, n_c + 1, n_w)
+      | `Warm -> (cold, warm +. ns, n_c, n_w + 1))
+  in
+  let now () = Int64.to_float (Rae_obs.Clock.now_ns ()) in
+  let fold_us = ref [] and attach_us = ref [] and cold_us = ref [] and warm_us = ref [] in
+  replay_fold_windows disk image windows (fun dev w -> ignore (attach_window dev w));
+  Gc.compact ();
+  for _ = 1 to reps do
+    Gc.major ();
+    let t_fold = ref 0. and t_attach = ref 0. and t_cold = ref 0. and t_warm = ref 0. in
+    replay_fold_windows disk image windows (fun dev w ->
+        let last = ref 0. and phase = ref `Cold in
+        let on_op r _ =
+          let t = now () in
+          charge (Op.kind_to_string (Op.kind r.Op.op)) !phase (t -. !last);
+          last := t
+        in
+        let t0 = now () in
+        let sh = attach_window dev w in
+        let t1 = now () in
+        last := t1;
+        ignore (Shadow.exec_constrained_window ~on_op sh (cold_of w.fw_entries));
+        let t2 = now () in
+        phase := `Warm;
+        last := t2;
+        ignore (Shadow.exec_constrained_window ~on_op sh (warm_of w.fw_entries));
+        let t3 = now () in
+        t_fold := !t_fold +. (t2 -. t0);
+        t_attach := !t_attach +. (t1 -. t0);
+        t_cold := !t_cold +. (t2 -. t1);
+        t_warm := !t_warm +. (t3 -. t2));
+    let nw = float_of_int (List.length windows) in
+    fold_us := (!t_fold /. nw /. 1e3) :: !fold_us;
+    attach_us := (!t_attach /. nw /. 1e3) :: !attach_us;
+    cold_us := (!t_cold /. float_of_int n_cold /. 1e3) :: !cold_us;
+    warm_us := (!t_warm /. float_of_int n_warm /. 1e3) :: !warm_us
+  done;
+  let stats l =
+    let a = Array.of_list (List.sort compare l) in
+    let q f = a.(min (Array.length a - 1) (int_of_float (f *. float_of_int (Array.length a)))) in
+    (q 0.5, q 0.25, q 0.75)
+  in
+  let row name unit l =
+    let med, q1, q3 = stats l in
+    Printf.printf "  %-34s %9.2f %s   (quartiles %.2f-%.2f over %d reps)\n" name med unit q1 q3
+      (List.length l);
+    json_note ~sec:"E-shadow" ~name:("fold/" ^ name) ~unit med
+  in
+  row "fold-per-window" "us" !fold_us;
+  row "attach-per-window" "us" !attach_us;
+  row "cold-per-op" "us" !cold_us;
+  row "warm-per-op" "us" !warm_us;
+  Printf.printf "  %-34s %9.1f words (cold)  %9.1f words (warm)\n" "minor words per folded op"
+    per_cold per_warm;
+  Printf.printf "  %-34s %9.1f words (cold)  %9.1f words (warm)\n" "direct major words per folded op"
+    direct_cold direct_warm;
+  json_note ~sec:"E-shadow" ~name:"fold/minor-words-per-cold-op" ~unit:"words" per_cold;
+  json_note ~sec:"E-shadow" ~name:"fold/minor-words-per-warm-op" ~unit:"words" per_warm;
+  json_note ~sec:"E-shadow" ~name:"fold/direct-major-words-per-cold-op" ~unit:"words" direct_cold;
+  Printf.printf "  per op kind (mean over reps; the epilogue is not charged to any op):\n";
+  Printf.printf "  %-10s %8s %12s %8s %12s\n" "kind" "cold n" "cold us/op" "warm n" "warm us/op";
+  Hashtbl.fold (fun k v acc -> (k, v) :: acc) kinds []
+  |> List.sort compare
+  |> List.iter (fun (kind, (cold, warm, n_c, n_w)) ->
+         let per t n = if n = 0 then 0. else t /. float_of_int n /. 1e3 in
+         Printf.printf "  %-10s %8d %12.2f %8d %12.2f\n" kind (n_c / reps) (per cold n_c) (n_w / reps)
+           (per warm n_w);
+         json_note ~sec:"E-shadow" ~name:("fold/kind/" ^ kind ^ "/cold") ~unit:"us_per_op" (per cold n_c);
+         json_note ~sec:"E-shadow" ~name:("fold/kind/" ^ kind ^ "/warm") ~unit:"us_per_op" (per warm n_w));
+  (* Floor: the allocation count repeats exactly, so its ceiling is this
+     code's count plus 10% (1242.9 words over the 100 windows, 475.4
+     over the sampled 12); the code before the unboxed codec and the
+     in-place decode allocated 2245.3 and 813.6. *)
+  let ceiling = if !quick then 525. else 1370. in
+  if per_cold > ceiling then
+    [ Printf.sprintf "fold: %.1f minor words per cold folded op > %.0f" per_cold ceiling ]
+  else []
+
 (* Both arms run in this process on the same images, so the speedup is a
    host-independent shape: [fast_paths=false] is the seed's literal
    walk-and-scan execution, [fast_paths=true] the cached one,
@@ -744,6 +958,8 @@ let e_shadow () =
     (float_of_int appends /. t_chunked);
   json_note ~sec:"E-shadow" ~name:"append/speedup" ~unit:"x" speedup;
 
+  floor_violations := List.rev_append (fold_cost ()) !floor_violations;
+
   if !floor_violations <> [] then begin
     List.iter (fun v -> Printf.eprintf "E-shadow: %s\n" v) (List.rev !floor_violations);
     exit 1
@@ -761,6 +977,15 @@ let e_shadow () =
      the fast fold costs strictly less than the naive fold, and on no\n\
      profile is it more than 10pp worse.  Chunked appends stop re-copying\n\
      the file.\n"
+
+(* E-shadow-e on its own, for A/B runs of the fold. *)
+let e_fold () =
+  section "E-fold | warm-checkpoint fold cost (E-shadow-e alone)";
+  match fold_cost () with
+  | [] -> ()
+  | violations ->
+      List.iter (fun v -> Printf.eprintf "E-fold: %s\n" v) violations;
+      exit 1
 
 (* ---------------------------------------------------------------- *)
 (* E6: the cost of extensive runtime checks                          *)
@@ -1734,6 +1959,7 @@ let () =
   if want "e5" then e5_recovery_latency ();
   if want "e-ckpt" then e_ckpt ();
   if want "e-shadow" then e_shadow ();
+  if List.mem "e-fold" sels then e_fold ();
   if want "e6" then e6_check_cost ();
   if want "e7" then e7_lookup_depth ();
   if want "e8" then e8_availability ();

@@ -53,7 +53,10 @@ let bc_clear c = match c with Lru_c c -> BL.clear c | Twoq_c c -> BQ.clear c
 let bc_stats c = match c with Lru_c c -> BL.stats c | Twoq_c c -> BQ.stats c
 let bc_reset_stats c = match c with Lru_c c -> BL.reset_stats c | Twoq_c c -> BQ.reset_stats c
 
-type meta_kind = K_sb | K_bitmap | K_itable | K_dir | K_indirect
+(* [K_handoff] is a data-region block a recovery's download journals
+   whole (directory, indirect, symlink or file data): the shadow verified
+   it, and its kind is not known here. *)
+type meta_kind = K_sb | K_bitmap | K_itable | K_dir | K_indirect | K_handoff
 
 type fdinfo = { fino : Types.ino; fflags : Types.open_flags }
 
@@ -321,7 +324,7 @@ let validate_txn t =
             if p <> 0 && not (Reader.valid_data_block t.geo p) then
               Detector.validation_fail ~context:"indirect block" "block %d entry %d -> %d" blk i p
           done
-      | Some K_bitmap -> ())
+      | Some (K_bitmap | K_handoff) -> ())
 
 let commit_work t =
   begin
@@ -355,6 +358,12 @@ let commit t =
     | None -> commit_work t
 
 let on_commit t hook = t.commit_hooks <- t.commit_hooks @ [ hook ]
+
+let pinned_blocks t =
+  match t.bcache with
+  | Lru_c c -> BL.fold c ~init:0 ~f:(fun n k _ -> if BL.pinned c k then n + 1 else n)
+  | Twoq_c c -> BQ.fold c ~init:0 ~f:(fun n k _ -> if BQ.pinned c k then n + 1 else n)
+
 let ops_since_commit t = t.ops_since_commit
 
 (* ---- inode IO (trusting fast path) ---- *)
@@ -1462,10 +1471,9 @@ let download_metadata t ~blocks ~fd_table ~time =
         | `Data ->
             (* Dir, indirect or file data: journal it wholesale; the kinds
                are unknown here so skip structural validation (the shadow
-               already verified them). *)
-            bc_put t.bcache blk data;
-            bc_pin t.bcache blk;
-            Journal.txn_write t.txn blk data;
+               already verified them).  Recording the block's kind is what
+               lets the commit that persists it unpin it. *)
+            bput_meta t blk data ~kind:K_handoff;
             if Journal.txn_block_count t.txn > txn_soft_limit t then begin
               (* Chunk very large recoveries across several transactions. *)
               Hashtbl.iter (fun b _ -> bc_unpin t.bcache b) t.txn_kinds;

@@ -67,6 +67,11 @@ val commit : t -> unit
 
 val ops_since_commit : t -> int
 
+val pinned_blocks : t -> int
+(** Blocks the block cache holds pinned: the running transaction's
+    metadata and its ordered data.  Every commit unpins what it
+    persisted, so this is 0 right after one. *)
+
 val on_commit : t -> (commit_seq:int64 -> unit) -> unit
 (** Register a callback fired after every successful commit — the RAE
     oplog uses this to discard operations that are now durable.  The

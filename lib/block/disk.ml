@@ -8,8 +8,9 @@ type t = {
   block_size : int;
   latency : latency;
   clock : Rae_util.Vclock.t;
-  (* Atomics: parallel destage and parallel fsck read/write one disk from
-     several domains at once; the op counters must not drop increments. *)
+  (* Atomics, like the clock's: one domain owns each disk today (every
+     crash-sweep point builds its own), and the counters would not drop
+     increments if a disk were shared. *)
   reads : int Atomic.t;
   writes : int Atomic.t;
 }

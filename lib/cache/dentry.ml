@@ -9,18 +9,50 @@ end
 
 module L = Lru.Make (Key)
 
-type t = result L.t
+(* [by_dir] indexes the cached names of each directory, so dropping one
+   directory's entries touches only those entries instead of folding the
+   whole cache.  It holds exactly the LRU's keys: [add] inserts, and
+   every way a key leaves the LRU — eviction (the [on_evict] hook),
+   [invalidate], [invalidate_dir] and [clear] — removes it here too. *)
+type t = { lru : result L.t; by_dir : (int, (string, unit) Hashtbl.t) Hashtbl.t }
 
-let create ~capacity = L.create ~capacity ()
-let find t ~dir ~name = L.find t (dir, name)
-let add t ~dir ~name result = L.put t (dir, name) result
-let invalidate t ~dir ~name = L.remove t (dir, name)
+let forget by_dir (dir, name) =
+  match Hashtbl.find_opt by_dir dir with
+  | None -> ()
+  | Some names ->
+      Hashtbl.remove names name;
+      if Hashtbl.length names = 0 then Hashtbl.remove by_dir dir
+
+let create ~capacity =
+  let by_dir = Hashtbl.create 64 in
+  { lru = L.create ~on_evict:(fun key _ -> forget by_dir key) ~capacity (); by_dir }
+
+let find t ~dir ~name = L.find t.lru (dir, name)
+
+let add t ~dir ~name result =
+  L.put t.lru (dir, name) result;
+  match Hashtbl.find_opt t.by_dir dir with
+  | Some names -> Hashtbl.replace names name ()
+  | None ->
+      let names = Hashtbl.create 8 in
+      Hashtbl.replace names name ();
+      Hashtbl.replace t.by_dir dir names
+
+let invalidate t ~dir ~name =
+  L.remove t.lru (dir, name);
+  forget t.by_dir (dir, name)
 
 let invalidate_dir t ~dir =
-  let victims = L.fold t ~init:[] ~f:(fun acc (d, n) _ -> if d = dir then (d, n) :: acc else acc) in
-  List.iter (L.remove t) victims
+  match Hashtbl.find_opt t.by_dir dir with
+  | None -> ()
+  | Some names ->
+      Hashtbl.remove t.by_dir dir;
+      Hashtbl.iter (fun name () -> L.remove t.lru (dir, name)) names
 
-let clear = L.clear
-let length = L.length
-let stats = L.stats
-let reset_stats = L.reset_stats
+let clear t =
+  L.clear t.lru;
+  Hashtbl.reset t.by_dir
+
+let length t = L.length t.lru
+let stats t = L.stats t.lru
+let reset_stats t = L.reset_stats t.lru

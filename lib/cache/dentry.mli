@@ -20,7 +20,8 @@ val invalidate : t -> dir:Rae_vfs.Types.ino -> name:string -> unit
 
 val invalidate_dir : t -> dir:Rae_vfs.Types.ino -> unit
 (** Drop every entry under a directory (on rmdir or rename of the directory
-    itself). *)
+    itself).  Entries are indexed by directory, so this touches only that
+    directory's entries, not the whole cache. *)
 
 val clear : t -> unit
 (** Contained reboot: drop the whole cache. *)

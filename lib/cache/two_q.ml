@@ -173,6 +173,7 @@ module Make (K : Lru.KEY) = struct
 
   let pin t key = match H.find_opt t.table key with Some e -> e.pinned <- true | None -> ()
   let unpin t key = match H.find_opt t.table key with Some e -> e.pinned <- false | None -> ()
+  let pinned t key = match H.find_opt t.table key with Some e -> e.pinned | None -> false
 
   let clear t =
     H.reset t.table;

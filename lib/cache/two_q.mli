@@ -29,6 +29,7 @@ module Make (K : Lru.KEY) : sig
   val remove : 'v t -> K.t -> unit
   val pin : 'v t -> K.t -> unit
   val unpin : 'v t -> K.t -> unit
+  val pinned : 'v t -> K.t -> bool
   val clear : 'v t -> unit
   val length : 'v t -> int
   val iter : 'v t -> (K.t -> 'v -> unit) -> unit

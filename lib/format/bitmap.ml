@@ -127,16 +127,36 @@ let reset_cursor t = t.cursor <- 0
 let count_set t = t.nset
 let count_free t = t.nbits - t.nset
 
+(* Set bits of a value below 2^32 (SWAR; OCaml's 63-bit ints hold every
+   intermediate). *)
+let popcount32 v =
+  let v = v - ((v lsr 1) land 0x5555_5555) in
+  let v = (v land 0x3333_3333) + ((v lsr 2) land 0x3333_3333) in
+  let v = (v + (v lsr 4)) land 0x0F0F_0F0F in
+  ((v * 0x0101_0101) land 0xFFFF_FFFF) lsr 24
+
+(* Four bytes per step: the attach of every shadow counts both bitmaps. *)
 let popcount_bytes bits =
-  let popcount_byte c =
-    let rec go n acc = if n = 0 then acc else go (n lsr 1) (acc + (n land 1)) in
-    go (Char.code c) 0
-  in
-  let total = ref 0 in
-  for byte = 0 to Bytes.length bits - 1 do
-    total := !total + popcount_byte (Bytes.get bits byte)
+  let len = Bytes.length bits in
+  let total = ref 0 and i = ref 0 in
+  while !i + 4 <= len do
+    total := !total + popcount32 (Int32.to_int (Bytes.get_int32_le bits !i) land 0xFFFF_FFFF);
+    i := !i + 4
+  done;
+  while !i < len do
+    total := !total + popcount32 (Char.code (Bytes.get bits !i));
+    incr i
   done;
   !total
+
+(* Whether every byte of [b] from [pos] on reads 0xFF, eight at a time. *)
+let all_ones_from b pos =
+  let len = Bytes.length b in
+  let rec go i =
+    if i + 8 <= len then Int64.equal (Bytes.get_int64_le b i) (-1L) && go (i + 8)
+    else i >= len || (Bytes.get b i = '\xff' && go (i + 1))
+  in
+  go pos
 
 let to_blocks t ~block_size =
   let nblocks = (Bytes.length t.bits + block_size - 1) / block_size in
@@ -189,14 +209,18 @@ let parse blocks ~nbits ~strict =
     if total_bytes < needed_bytes then
       Error (Printf.sprintf "bitmap blocks hold %d bytes, need %d" total_bytes needed_bytes)
     else begin
-      let flat = Bytes.create total_bytes in
+      (* The bitmap's bytes are copied straight out of the blocks; the
+         rest of each block must read all-ones in strict mode. *)
+      let bits = Bytes.create needed_bytes in
+      let tail_ones = ref true in
       let off = ref 0 in
       List.iter
         (fun b ->
-          Bytes.blit b 0 flat !off (Bytes.length b);
+          let take = max 0 (min (Bytes.length b) (needed_bytes - !off)) in
+          if take > 0 then Bytes.blit b 0 bits !off take;
+          if strict && !tail_ones then tail_ones := all_ones_from b take;
           off := !off + Bytes.length b)
         blocks;
-      let bits = Bytes.sub flat 0 needed_bytes in
       (* Clear the in-memory padding bits of the final byte. *)
       let used_bits = ((nbits - 1) mod 8) + 1 in
       let padding_ok = ref true in
@@ -207,13 +231,7 @@ let parse blocks ~nbits ~strict =
         Bytes.set bits (needed_bytes - 1) (Char.chr (v land ((1 lsl used_bits) - 1)))
       end;
       let t = { bits; nbits; nset = popcount_bytes bits; cursor = 0 } in
-      (* Bytes past needed_bytes must be all-ones in strict mode. *)
-      if strict then begin
-        for i = needed_bytes to total_bytes - 1 do
-          if Bytes.get flat i <> '\xff' then padding_ok := false
-        done;
-        if not !padding_ok then Error "bitmap padding bits are not all-ones" else Ok t
-      end
+      if strict && not (!padding_ok && !tail_ones) then Error "bitmap padding bits are not all-ones"
       else Ok t
     end
 

@@ -71,39 +71,64 @@ let is_free_slot b ~pos =
   go 0
 
 (* Seeded with the inode number, so a slot blitted to the wrong table
-   position fails verification. *)
-let checksum b ~pos ~ino =
-  Checksum.crc32c ~init:(Checksum.crc32c_string (string_of_int ino)) b ~pos ~len:off_checksum
+   position fails verification.  The seed is the CRC32C of the number's
+   decimal string, computed without building the string. *)
+let checksum_int b ~pos ~ino =
+  Checksum.crc32c_int ~init:(Checksum.crc32c_decimal ino) b ~pos ~len:off_checksum
+
+let checksum b ~pos ~ino = Int32.of_int (checksum_int b ~pos ~ino)
+
+(* The field accessors are the [Bytes] primitives, which the compiler
+   keeps unboxed ([Codec]'s [int64] and [int32] functions box), so encode
+   and verify allocate nothing.  [slot_check] gives a slot outside the
+   buffer [Codec]'s verdict. *)
+let slot_check b ~pos what =
+  if pos < 0 || pos > Bytes.length b - Layout.inode_size then
+    raise
+      (Codec.Decode_error
+         (Printf.sprintf "%s: inode slot at %d outside buffer of %d bytes" what pos
+            (Bytes.length b)))
+
+let u16 b off = Bytes.get_uint16_le b off
+let u32 b off = Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
+let set_u32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
 let encode inode ~ino b ~pos =
   Bytes.fill b pos Layout.inode_size '\000';
-  Codec.set_u16 b (pos + off_kind) (Rae_vfs.Types.kind_code inode.kind);
-  Codec.set_u16 b (pos + off_mode) (inode.mode land 0o777);
-  Codec.set_u16 b (pos + off_nlink) inode.nlink;
-  Codec.set_u64 b (pos + off_size) (Int64.of_int inode.size);
-  Codec.set_u64 b (pos + off_mtime) inode.mtime;
-  Codec.set_u64 b (pos + off_ctime) inode.ctime;
-  Array.iteri (fun i blk -> Codec.set_u32_int b (pos + off_direct + (4 * i)) blk) inode.direct;
-  Codec.set_u32_int b (pos + off_indirect) inode.indirect;
-  Codec.set_u32_int b (pos + off_double) inode.double_indirect;
-  Codec.set_u32_int b (pos + off_generation) inode.generation;
-  Codec.set_i32 b (pos + off_checksum) (checksum b ~pos ~ino)
+  Bytes.set_uint16_le b (pos + off_kind) (Rae_vfs.Types.kind_code inode.kind);
+  Bytes.set_uint16_le b (pos + off_mode) (inode.mode land 0o777);
+  Bytes.set_uint16_le b (pos + off_nlink) inode.nlink;
+  Bytes.set_int64_le b (pos + off_size) (Int64.of_int inode.size);
+  Bytes.set_int64_le b (pos + off_mtime) inode.mtime;
+  Bytes.set_int64_le b (pos + off_ctime) inode.ctime;
+  for i = 0 to Array.length inode.direct - 1 do
+    set_u32 b (pos + off_direct + (4 * i)) inode.direct.(i)
+  done;
+  set_u32 b (pos + off_indirect) inode.indirect;
+  set_u32 b (pos + off_double) inode.double_indirect;
+  set_u32 b (pos + off_generation) inode.generation;
+  Bytes.set_int32_le b (pos + off_checksum) (Int32.of_int (checksum_int b ~pos ~ino))
 
 let parse b ~pos =
+  slot_check b ~pos "Inode.parse";
+  let direct = Array.make Layout.direct_pointers 0 in
+  for i = 0 to Layout.direct_pointers - 1 do
+    direct.(i) <- u32 b (pos + off_direct + (4 * i))
+  done;
   {
     kind =
-      (match Rae_vfs.Types.kind_of_code (Codec.get_u16 b (pos + off_kind)) with
+      (match Rae_vfs.Types.kind_of_code (u16 b (pos + off_kind)) with
       | Some k -> k
       | None -> Rae_vfs.Types.Regular (* caller validates separately *));
-    mode = Codec.get_u16 b (pos + off_mode);
-    nlink = Codec.get_u16 b (pos + off_nlink);
-    size = Int64.to_int (Codec.get_u64 b (pos + off_size));
-    mtime = Codec.get_u64 b (pos + off_mtime);
-    ctime = Codec.get_u64 b (pos + off_ctime);
-    direct = Array.init Layout.direct_pointers (fun i -> Codec.get_u32_int b (pos + off_direct + (4 * i)));
-    indirect = Codec.get_u32_int b (pos + off_indirect);
-    double_indirect = Codec.get_u32_int b (pos + off_double);
-    generation = Codec.get_u32_int b (pos + off_generation);
+    mode = u16 b (pos + off_mode);
+    nlink = u16 b (pos + off_nlink);
+    size = Int64.to_int (Bytes.get_int64_le b (pos + off_size));
+    mtime = Bytes.get_int64_le b (pos + off_mtime);
+    ctime = Bytes.get_int64_le b (pos + off_ctime);
+    direct;
+    indirect = u32 b (pos + off_indirect);
+    double_indirect = u32 b (pos + off_double);
+    generation = u32 b (pos + off_generation);
   }
 
 let decode_nocheck b ~pos = parse b ~pos
@@ -112,17 +137,19 @@ let decode_nocheck b ~pos = parse b ~pos
    an allocated inode: an orphan kept alive by open descriptors (fsck
    reports it as a warning when at rest). *)
 let verify b ~pos ~ino =
-  let kind_raw = Codec.get_u16 b (pos + off_kind) in
-  if Rae_vfs.Types.kind_of_code kind_raw = None then Error (Bad_kind kind_raw)
-  else if not (Int32.equal (checksum b ~pos ~ino) (Codec.get_i32 b (pos + off_checksum))) then
-    Error (Bad_checksum { ino })
-  else
-    let size = Int64.to_int (Codec.get_u64 b (pos + off_size)) in
-    if size < 0 then Error (Bad_field "negative size")
-    else if size > Layout.max_file_size then Error (Bad_field "size exceeds maximum")
-    else if Codec.get_u16 b (pos + off_mode) land lnot 0o777 <> 0 then
-      Error (Bad_field "mode has non-permission bits")
-    else Ok ()
+  slot_check b ~pos "Inode.verify";
+  let kind_raw = u16 b (pos + off_kind) in
+  match Rae_vfs.Types.kind_of_code kind_raw with
+  | None -> Error (Bad_kind kind_raw)
+  | Some _ ->
+      if checksum_int b ~pos ~ino <> u32 b (pos + off_checksum) then Error (Bad_checksum { ino })
+      else
+        let size = Int64.to_int (Bytes.get_int64_le b (pos + off_size)) in
+        if size < 0 then Error (Bad_field "negative size")
+        else if size > Layout.max_file_size then Error (Bad_field "size exceeds maximum")
+        else if u16 b (pos + off_mode) land lnot 0o777 <> 0 then
+          Error (Bad_field "mode has non-permission bits")
+        else Ok ()
 
 let decode b ~pos ~ino =
   match verify b ~pos ~ino with Ok () -> Ok (parse b ~pos) | Error e -> Error e

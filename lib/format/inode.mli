@@ -39,6 +39,11 @@ val empty : Rae_vfs.Types.kind -> mode:int -> time:int64 -> t
 val is_free_slot : bytes -> pos:int -> bool
 (** True when the 256-byte slot is all zeroes (never-used inode). *)
 
+val checksum : bytes -> pos:int -> ino:int -> int32
+(** The slot's checksum as {!encode} stores it: the CRC32C of the slot's
+    first 252 bytes, seeded with
+    [Checksum.crc32c_string (string_of_int ino)]. *)
+
 val encode : t -> ino:int -> bytes -> pos:int -> unit
 (** Serialise into a 256-byte slot at [pos]. *)
 

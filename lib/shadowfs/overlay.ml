@@ -15,19 +15,15 @@ let read t blk =
       t.device_reads <- t.device_reads + 1;
       Device.read t.dev blk
 
+(* Every caller hands over a buffer it built (or got from [read]) and
+   does not touch again, so [data] itself becomes the stored block: a
+   block enters or replaces its overlay entry without a copy. *)
 let write t blk data =
   if blk < 0 || blk >= Device.nblocks t.dev then
     invalid_arg (Printf.sprintf "Overlay.write: block %d out of range" blk);
   if Bytes.length data <> Device.block_size t.dev then
     invalid_arg "Overlay.write: wrong block size";
-  (* Re-use the stored buffer when the block is already shadowed: stored
-     bytes never escape uncopied ([read]/[dirty] copy on the way out), so
-     blitting in place is unobservable — and it keeps hot blocks
-     (superblock, bitmaps, inode table, directories) from churning one
-     promoted-then-garbage 4 KiB buffer per write. *)
-  match Hashtbl.find_opt t.blocks blk with
-  | Some stored -> Bytes.blit data 0 stored 0 (Bytes.length data)
-  | None -> Hashtbl.add t.blocks blk (Bytes.copy data)
+  Hashtbl.replace t.blocks blk data
 
 let view t blk f =
   match Hashtbl.find_opt t.blocks blk with

@@ -16,7 +16,10 @@ val read : t -> int -> bytes
 (** Overlay content if present, else the device.  Returns a fresh copy. *)
 
 val write : t -> int -> bytes -> unit
-(** Stores a copy in the overlay; the device is never touched.
+(** [write t blk data] stores [data] itself as [blk]'s overlay block,
+    replacing any stored one, without a copy; the device is never
+    touched.  The caller hands [data] over and must neither mutate nor
+    retain it afterwards.
     @raise Invalid_argument on wrong-sized blocks or out-of-range block
     numbers. *)
 

@@ -197,17 +197,19 @@ let check_summaries t =
 
 let inode_allocated t ino = ino >= 1 && ino <= t.geo.Layout.ninodes && Bitmap.test t.ibm ino
 
+(* Decoded in place: [decode] copies the fields out, so the block itself
+   is never copied. *)
 let read_inode_slow t ino =
   check t (inode_allocated t ino) "read of unallocated inode %d" ino;
   let blk, pos = Layout.inode_location t.geo ino in
-  let b = Overlay.read t.ov blk in
-  if t.cfg.checks then begin
-    t.nchecks <- t.nchecks + 1;
-    match Inode.decode b ~pos ~ino with
-    | Ok inode -> inode
-    | Error e -> violation "inode %d: %s" ino (Inode.error_to_string e)
-  end
-  else Inode.decode_nocheck b ~pos
+  Overlay.view t.ov blk (fun b ->
+      if t.cfg.checks then begin
+        t.nchecks <- t.nchecks + 1;
+        match Inode.decode b ~pos ~ino with
+        | Ok inode -> inode
+        | Error e -> violation "inode %d: %s" ino (Inode.error_to_string e)
+      end
+      else Inode.decode_nocheck b ~pos)
 
 (* The cache stays coherent because [write_inode] and [free_ino] are the
    only writers of inode slots, and both update it.  Nothing mutates a
@@ -275,8 +277,9 @@ let free_ino t ino =
    at zero on attach, so a fresh shadow is deterministic).  Constrained-
    mode replay compares operation outcomes, which never expose physical
    block numbers, so the shadow is free to place data wherever its own
-   bitmap permits. *)
-let alloc_block t =
+   bitmap permits.  The new block's content is [fresh], a buffer the
+   overlay takes over without a copy (zeroes by default). *)
+let alloc_block ?fresh t =
   match Bitmap.find_free_next t.bbm ~lo:t.geo.Layout.data_start with
   | None -> Error Errno.ENOSPC
   | Some blk ->
@@ -284,9 +287,10 @@ let alloc_block t =
       | Ok () -> ()
       | Error msg -> violation "block allocation: %s" msg);
       t.sb <- { t.sb with Superblock.free_blocks = t.sb.Superblock.free_blocks - 1 };
-      (* A fresh block must read as zeroes regardless of stale medium
-         content. *)
-      Overlay.write t.ov blk (Bytes.make Layout.block_size '\000');
+      (* A fresh block must read as [fresh] (zeroes) regardless of stale
+         medium content. *)
+      Overlay.write t.ov blk
+        (match fresh with Some b -> b | None -> Bytes.make Layout.block_size '\000');
       mark_bitmap_dirty t `Block;
       Ok blk
 
@@ -528,17 +532,24 @@ let dir_index t ~dino dinode =
   match Hashtbl.find_opt t.dcache dino with
   | Some ix -> ix
   | None ->
-      let by_name = Hashtbl.create 16 in
-      let loc = Hashtbl.create 16 in
-      let n = dir_nblocks dinode in
-      for idx = 0 to n - 1 do
-        let _, b = dir_block t dinode idx in
-        List.iter
-          (fun e ->
-            Hashtbl.replace by_name e.Dirent.name e;
-            Hashtbl.replace loc e.Dirent.name idx)
-          (dir_entries_of_block t b)
-      done;
+      (* The blocks are decoded in place, and both tables are sized for
+         the entries they will hold, so the build neither copies a block
+         nor resizes a table. *)
+      let blocks =
+        List.init (dir_nblocks dinode) (fun idx ->
+            Overlay.view t.ov (dir_phys t dinode idx) (dir_entries_of_block t))
+      in
+      let count = List.fold_left (fun acc es -> acc + List.length es) 0 blocks in
+      let by_name = Hashtbl.create count in
+      let loc = Hashtbl.create count in
+      List.iteri
+        (fun idx es ->
+          List.iter
+            (fun e ->
+              Hashtbl.replace by_name e.Dirent.name e;
+              Hashtbl.replace loc e.Dirent.name idx)
+            es)
+        blocks;
       let ix = { by_name; loc; free_hint = 0; sorted = None } in
       Hashtbl.replace t.dcache dino ix;
       ix
@@ -640,12 +651,10 @@ let dir_insert t ~dino dinode ~name ~ino ~kind_code =
   match try_existing start with
   | Some dinode -> noted (Ok dinode)
   | None ->
+      let b = Dirent.empty_block () in
+      if not (Dirent.insert b ~name ~ino ~kind_code) then violation "empty dir block refused insert";
       noted
-        (Result.bind (alloc_block t) (fun blk ->
-             let b = Dirent.empty_block () in
-             if not (Dirent.insert b ~name ~ino ~kind_code) then
-               violation "empty dir block refused insert";
-             Overlay.write t.ov blk b;
+        (Result.bind (alloc_block ~fresh:b t) (fun blk ->
              Result.map
                (fun dinode ->
                  placed n;
@@ -843,11 +852,10 @@ let create_node t path ~mode ~kind ~content =
                 match kind with
                 | Types.Directory ->
                     (* ".", "..", parent nlink bump. *)
-                    Result.bind (alloc_block t) (fun blk ->
-                        let b = Dirent.empty_block () in
-                        ignore (Dirent.insert b ~name:"." ~ino ~kind_code:dir_kind_code);
-                        ignore (Dirent.insert b ~name:".." ~ino:pino ~kind_code:dir_kind_code);
-                        Overlay.write t.ov blk b;
+                    let b = Dirent.empty_block () in
+                    ignore (Dirent.insert b ~name:"." ~ino ~kind_code:dir_kind_code);
+                    ignore (Dirent.insert b ~name:".." ~ino:pino ~kind_code:dir_kind_code);
+                    Result.bind (alloc_block ~fresh:b t) (fun blk ->
                         let inode = { base with Inode.nlink = 2; size = Layout.block_size } in
                         Result.map (fun inode -> inode) (set_block t inode 0 blk))
                 | Types.Regular -> Ok base
@@ -1339,7 +1347,7 @@ type window_result = { w_ops : int; w_matches : int; w_divergences : int; w_skip
    value.  On a [Violation] the pending write-back still runs (so the
    overlay is not left behind the in-memory state) and the exception
    propagates; the checkpoint poisons the warm shadow in that case. *)
-let exec_constrained_window t entries =
+let exec_constrained_window ?on_op t entries =
   if t.batch then invalid_arg "Shadow.exec_constrained_window: nested window";
   t.batch <- true;
   let finish () =
@@ -1351,7 +1359,9 @@ let exec_constrained_window t entries =
     end
   in
   let step acc r =
-    match exec_constrained t r with
+    let res = exec_constrained t r in
+    (match on_op with Some f -> f r res | None -> ());
+    match res with
     | Matches -> { acc with w_ops = acc.w_ops + 1; w_matches = acc.w_matches + 1 }
     | Divergence _ -> { acc with w_ops = acc.w_ops + 1; w_divergences = acc.w_divergences + 1 }
     | Skipped_error | Skipped_sync -> { acc with w_ops = acc.w_ops + 1; w_skipped = acc.w_skipped + 1 }

@@ -82,7 +82,11 @@ type window_result = {
   w_skipped : int;  (** error-outcome and sync entries *)
 }
 
-val exec_constrained_window : t -> Rae_vfs.Op.recorded list -> window_result
+val exec_constrained_window :
+  ?on_op:(Rae_vfs.Op.recorded -> constrained_result -> unit) ->
+  t ->
+  Rae_vfs.Op.recorded list ->
+  window_result
 (** Batched constrained execution: run a whole checkpoint-fold window in
     one pass, deferring the per-mutation superblock/bitmap write-back and
     summary re-check to the end of the window.  Equivalent to folding
@@ -90,7 +94,9 @@ val exec_constrained_window : t -> Rae_vfs.Op.recorded list -> window_result
     repository is view-level, and the only physical difference is the
     overlay superblock's generation count.  A {!Violation} raised mid-
     window still leaves the overlay write-back consistent before
-    propagating.  Windows do not nest. *)
+    propagating.  Windows do not nest.  [on_op] is called after each
+    entry with its verdict (the benches time the fold op by op with it);
+    the deferred write-back runs after the last call. *)
 
 val dirty_blocks : t -> (int * bytes) list
 (** The overlay: every block the shadow would have written. *)

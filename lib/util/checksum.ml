@@ -107,14 +107,34 @@ let crc32c_portable ?(init = 0l) b ~pos ~len =
   let c = Int32.to_int init land mask32 lxor mask32 in
   Int32.of_int (portable_update c b ~pos ~len lxor mask32)
 
-let crc32c ?(init = 0l) b ~pos ~len =
+let crc32c_int ~init b ~pos ~len =
   check_range b ~pos ~len;
-  let c = Int32.to_int init land mask32 lxor mask32 in
+  let c = init land mask32 lxor mask32 in
   let c = if hardware then hardware_update c b pos len else portable_update c b ~pos ~len in
-  Int32.of_int (c lxor mask32)
+  c lxor mask32
+
+let crc32c ?(init = 0l) b ~pos ~len = Int32.of_int (crc32c_int ~init:(Int32.to_int init) b ~pos ~len)
 
 let crc32c_string s =
   let b = Bytes.unsafe_of_string s in
   crc32c b ~pos:0 ~len:(Bytes.length b)
+
+(* [string_of_int n]'s bytes fed one at a time through the byte table,
+   most significant digit first.  The digits are taken from the
+   non-positive [-|n|], which cannot overflow even at [min_int]; [m mod 10]
+   is then in [-9, 0].  Top-level functions, so no closure is allocated. *)
+let decimal_byte t0 c ch = Array.unsafe_get t0 ((c lxor ch) land 0xFF) lxor (c lsr 8)
+
+let rec decimal_digits t0 c m =
+  let c = if m <= -10 then decimal_digits t0 c (m / 10) else c in
+  decimal_byte t0 c (Char.code '0' - (m mod 10))
+
+let crc32c_decimal n =
+  let t0 = (Lazy.force tables).(0) in
+  let c =
+    if n < 0 then decimal_digits t0 (decimal_byte t0 mask32 (Char.code '-')) n
+    else decimal_digits t0 mask32 (-n)
+  in
+  c lxor mask32
 
 let verify b ~pos ~len ~expect = Int32.equal (crc32c b ~pos ~len) expect

@@ -21,8 +21,20 @@ val crc32c_portable : ?init:int32 -> bytes -> pos:int -> len:int -> int32
 (** The portable slicing-by-8 kernel, whatever the CPU: the reference
     {!crc32c} is tested against.  Same contract as {!crc32c}. *)
 
+val crc32c_int : init:int -> bytes -> pos:int -> len:int -> int
+(** {!crc32c} on native ints, so neither the seed nor the result is
+    boxed: [crc32c_int ~init b ~pos ~len] is
+    [Int32.to_int (crc32c ~init:(Int32.of_int init) b ~pos ~len) land 0xFFFF_FFFF],
+    in the range 0 to 2^32 - 1.  Only [init]'s low 32 bits are read.
+    @raise Invalid_argument if [pos]/[len] fall outside [b]. *)
+
 val crc32c_string : string -> int32
 (** [crc32c_string s] is the CRC32C of the whole string [s]. *)
+
+val crc32c_decimal : int -> int
+(** [crc32c_decimal n] is [crc32c_string (string_of_int n)] as an int in
+    the range 0 to 2^32 - 1, computed digit by digit without building
+    the string: the inode checksum's seed. *)
 
 val verify : bytes -> pos:int -> len:int -> expect:int32 -> bool
 (** [verify b ~pos ~len ~expect] recomputes the checksum and compares it

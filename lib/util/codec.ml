@@ -2,8 +2,10 @@ exception Decode_error of string
 
 let fail fmt = Format.kasprintf (fun s -> raise (Decode_error s)) fmt
 
+(* Written so that no sum can overflow: [off + len] wraps for an [off]
+   near [max_int] and would let a read past the end through. *)
 let check b off len what =
-  if off < 0 || len < 0 || off + len > Bytes.length b then
+  if off < 0 || len < 0 || off > Bytes.length b - len then
     fail "%s: offset %d len %d outside buffer of %d bytes" what off len (Bytes.length b)
 
 let get_u8 b off =
@@ -14,15 +16,14 @@ let get_u16 b off =
   check b off 2 "get_u16";
   Char.code (Bytes.get b off) lor (Char.code (Bytes.get b (off + 1)) lsl 8)
 
-let get_u32 b off =
+(* The u32 accessors go through [Bytes.get_int32_le]/[set_int32_le],
+   which the compiler keeps unboxed: the format layers make tens of these
+   calls per op, so none of them may allocate. *)
+let get_u32_int b off =
   check b off 4 "get_u32";
-  let g i = Int64.of_int (Char.code (Bytes.get b (off + i))) in
-  Int64.logor (g 0)
-    (Int64.logor
-       (Int64.shift_left (g 1) 8)
-       (Int64.logor (Int64.shift_left (g 2) 16) (Int64.shift_left (g 3) 24)))
+  Int32.to_int (Bytes.get_int32_le b off) land 0xFFFF_FFFF
 
-let get_u32_int b off = Int64.to_int (get_u32 b off)
+let get_u32 b off = Int64.of_int (get_u32_int b off)
 
 let get_i32 b off =
   check b off 4 "get_i32";
@@ -45,14 +46,12 @@ let set_u16 b off v =
   Bytes.set b off (Char.chr (v land 0xFF));
   Bytes.set b (off + 1) (Char.chr ((v lsr 8) land 0xFF))
 
-let set_u32 b off v =
+(* Both store the low 32 bits of [v]. *)
+let set_u32_int b off v =
   check b off 4 "set_u32";
-  for i = 0 to 3 do
-    Bytes.set b (off + i)
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
-  done
+  Bytes.set_int32_le b off (Int32.of_int v)
 
-let set_u32_int b off v = set_u32 b off (Int64.of_int v)
+let set_u32 b off v = set_u32_int b off (Int64.to_int v)
 
 let set_i32 b off v =
   check b off 4 "set_i32";

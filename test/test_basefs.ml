@@ -527,6 +527,40 @@ let test_contained_reboot_restores_committed_state () =
   Alcotest.(check (list (pair int (pair int Alcotest.reject)))) "fd table empty" []
     (List.map (fun (a, b, c) -> (a, (b, c))) (Base.fd_table b))
 
+(* A recovery's download journals the shadow's data-region blocks
+   (directory, indirect, symlink and file data) whole.  The commit that
+   persists them must unpin them, as it unpins every block it persists:
+   on the one-commit path, and on the chunked path a small journal forces
+   (its soft limit is 8 blocks at 16 journal blocks). *)
+let test_download_unpins_handoff () =
+  let module Shadow = Rae_shadowfs.Shadow in
+  List.iter
+    (fun (name, journal_len, ndirs) ->
+      let disk = mk_disk () in
+      let dev = Device.of_disk disk in
+      ignore (ok (Base.mkfs dev ~ninodes:256 ?journal_len ()));
+      let b = ok (Base.mount dev) in
+      ignore (ok (Base.mkdir b (p "/a") ~mode:0o755));
+      Base.commit b;
+      Alcotest.(check int) (name ^ ": pinned after a commit") 0 (Base.pinned_blocks b);
+      let sh = ok (Shadow.attach dev) in
+      for i = 0 to ndirs - 1 do
+        ignore (ok (Shadow.mkdir sh (p (Printf.sprintf "/a/d%d" i)) ~mode:0o755))
+      done;
+      ignore (ok (Base.contained_reboot b));
+      ok
+        (Base.download_metadata b ~blocks:(Shadow.dirty_blocks sh) ~fd_table:[]
+           ~time:(Shadow.time sh));
+      Alcotest.(check int) (name ^ ": pinned after the download") 0 (Base.pinned_blocks b);
+      Alcotest.(check int) (name ^ ": handed-over entries") ndirs
+        (List.length (ok (Base.readdir b (p "/a"))));
+      for i = 0 to 159 do
+        ignore (ok (Base.create b (p (Printf.sprintf "/a/f%d" i)) ~mode:0o644))
+      done;
+      ignore (ok (Base.sync b));
+      Alcotest.(check int) (name ^ ": pinned after creates and a sync") 0 (Base.pinned_blocks b))
+    [ ("one commit", None, 1); ("chunked", Some 16, 24) ]
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rae_basefs"
@@ -551,6 +585,8 @@ let () =
         [
           Alcotest.test_case "freed block leaves the txn" `Quick test_freed_block_leaves_txn;
           Alcotest.test_case "major allocation budget" `Quick test_major_alloc_budget;
+          Alcotest.test_case "download commit unpins the hand-off" `Quick
+            test_download_unpins_handoff;
         ] );
       ( "equivalence",
         [

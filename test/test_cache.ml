@@ -472,6 +472,95 @@ let test_dentry_invalidate () =
   Dentry.clear d;
   Alcotest.(check int) "cleared" 0 (Dentry.length d)
 
+(* The dcache as it was before entries were indexed by directory, kept as
+   the reference: [invalidate_dir] folds the whole LRU for the
+   directory's keys. *)
+module Ref_dentry = struct
+  module L = Rae_cache.Lru.Make (struct
+    type t = int * string
+
+    let equal (d1, n1) (d2, n2) = d1 = d2 && String.equal n1 n2
+    let hash = Hashtbl.hash
+  end)
+
+  let create ~capacity = L.create ~capacity ()
+  let find t ~dir ~name = L.find t (dir, name)
+  let add t ~dir ~name result = L.put t (dir, name) result
+  let invalidate t ~dir ~name = L.remove t (dir, name)
+
+  let invalidate_dir t ~dir =
+    let victims =
+      L.fold t ~init:[] ~f:(fun acc (d, n) _ -> if d = dir then (d, n) :: acc else acc)
+    in
+    List.iter (L.remove t) victims
+
+  let clear = L.clear
+  let length = L.length
+  let stats = L.stats
+end
+
+type dentry_op =
+  | D_add of int * string * bool
+  | D_find of int * string
+  | D_invalidate of int * string
+  | D_invalidate_dir of int
+  | D_clear
+
+(* Random add/find/invalidate/invalidate_dir/clear sequences over a small
+   key space and a small capacity, so evictions are frequent: every find
+   answers alike, and the two agree on length and on every stat
+   (evictions included) after every step and after a final probe of
+   every key. *)
+let prop_dentry_matches_fold_reference =
+  let dirs = 6 and names = [| "a"; "b"; "c"; "d"; "e"; "f"; "g"; "h" |] in
+  let gen =
+    QCheck2.Gen.(
+      let key = pair (int_range 1 dirs) (oneofa names) in
+      let op =
+        frequency
+          [
+            (6, map2 (fun (d, n) pos -> D_add (d, n, pos)) key bool);
+            (4, map (fun (d, n) -> D_find (d, n)) key);
+            (2, map (fun (d, n) -> D_invalidate (d, n)) key);
+            (2, map (fun d -> D_invalidate_dir d) (int_range 1 dirs));
+            (1, return D_clear);
+          ]
+      in
+      pair (int_range 1 12) (list_size (int_bound 200) op))
+  in
+  QCheck2.Test.make ~name:"dcache invalidate_dir = whole-cache fold" ~count:500 gen
+    (fun (capacity, ops) ->
+      let d = Dentry.create ~capacity and r = Ref_dentry.create ~capacity in
+      let agree () = Dentry.length d = Ref_dentry.length r && Dentry.stats d = Ref_dentry.stats r in
+      let step = function
+        | D_add (dir, name, pos) ->
+            let v =
+              if pos then Dentry.Present { ino = (dir * 100) + Char.code name.[0]; kind = Types.Regular }
+              else Dentry.Absent
+            in
+            Dentry.add d ~dir ~name v;
+            Ref_dentry.add r ~dir ~name v;
+            true
+        | D_find (dir, name) -> Dentry.find d ~dir ~name = Ref_dentry.find r ~dir ~name
+        | D_invalidate (dir, name) ->
+            Dentry.invalidate d ~dir ~name;
+            Ref_dentry.invalidate r ~dir ~name;
+            true
+        | D_invalidate_dir dir ->
+            Dentry.invalidate_dir d ~dir;
+            Ref_dentry.invalidate_dir r ~dir;
+            true
+        | D_clear ->
+            Dentry.clear d;
+            Ref_dentry.clear r;
+            true
+      in
+      List.for_all (fun op -> step op && agree ()) ops
+      && List.for_all
+           (fun dir ->
+             Array.for_all (fun name -> step (D_find (dir, name)) && agree ()) names)
+           (List.init dirs (fun i -> i + 1)))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rae_cache"
@@ -504,5 +593,6 @@ let () =
           Alcotest.test_case "positive/negative" `Quick test_dentry_positive_negative;
           Alcotest.test_case "scoped by dir" `Quick test_dentry_scoped_by_dir;
           Alcotest.test_case "invalidation" `Quick test_dentry_invalidate;
+          q prop_dentry_matches_fold_reference;
         ] );
     ]

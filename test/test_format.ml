@@ -6,6 +6,16 @@ module Types = Rae_vfs.Types
 
 let bs = Layout.block_size
 
+(* Minor words [f] allocates, net of the measurement's own. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let minor_words_per_call ~calls f =
+  let idle = minor_words (fun () -> ()) in
+  (minor_words (fun () -> for _ = 1 to calls do f () done) -. idle) /. float_of_int calls
+
 let geo ?(nblocks = 256) ?(ninodes = 64) () =
   match Layout.compute ~nblocks ~ninodes () with
   | Ok g -> g
@@ -259,6 +269,59 @@ let test_bitmap_padding_strictness () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "lenient parse rejected: %s" e
 
+(* The parse before it copied the bitmap straight out of the blocks and
+   counted and checked words at a time, kept as its reference: the
+   blocks flattened, the bitmap cut out, its bits counted one by one, and
+   the tail checked byte by byte. *)
+let reference_bitmap_parse blocks ~nbits ~strict =
+  let needed = (nbits + 7) / 8 in
+  let flat = Bytes.concat Bytes.empty blocks in
+  if Bytes.length flat < needed then None
+  else begin
+    let bits = Bytes.sub flat 0 needed in
+    let used = ((nbits - 1) mod 8) + 1 in
+    let ok = ref true in
+    if used < 8 then begin
+      let v = Char.code (Bytes.get bits (needed - 1)) in
+      let high = lnot ((1 lsl used) - 1) land 0xFF in
+      if v land high <> high then ok := false;
+      Bytes.set bits (needed - 1) (Char.chr (v land ((1 lsl used) - 1)))
+    end;
+    for i = needed to Bytes.length flat - 1 do
+      if Bytes.get flat i <> '\xff' then ok := false
+    done;
+    let count = ref 0 in
+    for i = 0 to nbits - 1 do
+      if Char.code (Bytes.get bits (i / 8)) land (1 lsl (i mod 8)) <> 0 then incr count
+    done;
+    if strict && not !ok then None else Some (bits, !count)
+  end
+
+(* Random bitmap sizes over one to three blocks of random length, each
+   byte all-ones, all-zeroes or random, so tails and padding bits are
+   valid as often as not: the verdict, the bits and the count agree. *)
+let prop_bitmap_parse_matches_reference =
+  QCheck2.Test.make ~name:"Bitmap.of_blocks = byte-wise reference" ~count:1000
+    QCheck2.Gen.(quad (int_range 1 20_000) (int_range 1 3) (int_range 1 4096) (pair bool int))
+    (fun (nbits, nblocks, block_len, (strict, fill)) ->
+      let rng = Random.State.make [| fill |] in
+      let mode = Random.State.int rng 3 in
+      let byte () =
+        match (mode, Random.State.int rng 8) with
+        | 0, _ | _, 0 -> '\xff'
+        | 1, _ -> '\000'
+        | _ -> Char.chr (Random.State.int rng 256)
+      in
+      let blocks = List.init nblocks (fun _ -> Bytes.init block_len (fun _ -> byte ())) in
+      let parse = if strict then Bitmap.of_blocks else Bitmap.of_blocks_lenient in
+      match (parse blocks ~nbits, reference_bitmap_parse blocks ~nbits ~strict) with
+      | Error _, None -> true
+      | Ok bm, Some (bits, count) ->
+          let bit i = Char.code (Bytes.get bits (i / 8)) land (1 lsl (i mod 8)) <> 0 in
+          Bitmap.count_set bm = count
+          && Seq.for_all (fun i -> Bitmap.test bm i = bit i) (Seq.init nbits Fun.id)
+      | Ok _, None | Error _, Some _ -> false)
+
 let test_bitmap_too_few_blocks () =
   match Bitmap.of_blocks [ Bytes.make 4 '\xff' ] ~nbits:100 with
   | Error _ -> ()
@@ -390,6 +453,54 @@ let prop_inode_roundtrip =
       let b = Bytes.make Layout.inode_size '\000' in
       Inode.encode i ~ino:9 b ~pos:0;
       match Inode.decode b ~pos:0 ~ino:9 with Ok i' -> Inode.equal i i' | Error _ -> false)
+
+(* The seed is the CRC32C of the inode number's decimal string, computed
+   without building it: the reference builds it, for small numbers, for
+   numbers past any table a faster seed might keep, and for both ends of
+   the int range. *)
+let prop_inode_checksum_reference =
+  QCheck2.Gen.(
+    let ino =
+      oneof
+        [
+          int_bound 5000;
+          int_range 5000 1_000_000;
+          int;
+          oneofl [ 0; 1; 9; 10; 65535; 65536; max_int; min_int; -1 ];
+        ]
+    in
+    QCheck2.Test.make ~name:"Inode.checksum = crc32c seeded with string_of_int ino" ~count:1000
+      (pair ino int)
+      (fun (ino, fill) ->
+        let rng = Random.State.make [| fill |] in
+        let b = Bytes.init (2 * Layout.inode_size) (fun _ -> Char.chr (Random.State.int rng 256)) in
+        let pos = Random.State.int rng (Layout.inode_size + 1) in
+        let seed = Rae_util.Checksum.crc32c_string (string_of_int ino) in
+        Int32.equal (Inode.checksum b ~pos ~ino)
+          (Rae_util.Checksum.crc32c ~init:seed b ~pos ~len:252)))
+
+(* What one inode encode, verify and parse allocate.  The codec used to
+   box an [int64] or [int32] per field and the checksum seed formatted a
+   string: 64, 16 and 158 minor words per call.  Now encode and verify
+   allocate nothing and parse allocates just its record: the record
+   (11 words), its pointer array (13) and the two boxed times (3 each). *)
+let test_inode_codec_allocation () =
+  let inode = sample_inode () in
+  let b = Bytes.make bs '\000' in
+  let ino = 1234 and pos = 512 in
+  Inode.encode inode ~ino b ~pos;
+  let encode = minor_words_per_call ~calls:100 (fun () -> Inode.encode inode ~ino b ~pos) in
+  let verify =
+    minor_words_per_call ~calls:100 (fun () -> ignore (Sys.opaque_identity (Inode.verify b ~pos ~ino)))
+  in
+  let parse =
+    minor_words_per_call ~calls:100 (fun () ->
+        ignore (Sys.opaque_identity (Inode.decode_nocheck b ~pos)))
+  in
+  Alcotest.(check (float 0.)) "encode" 0. encode;
+  Alcotest.(check (float 0.)) "verify" 0. verify;
+  Alcotest.(check (float 0.)) "parse" 30. parse;
+  Alcotest.(check bool) "still decodes" true (Result.is_ok (Inode.decode b ~pos ~ino))
 
 let flip_bits b bits =
   List.iter
@@ -691,16 +802,7 @@ let test_dirent_validate_allocates_nothing () =
     incr n
   done;
   Alcotest.(check int) "block full" 256 !n;
-  let minor_words f =
-    let w0 = Gc.minor_words () in
-    f ();
-    Gc.minor_words () -. w0
-  in
-  let idle = minor_words (fun () -> ()) in
-  let per_call f =
-    let words = minor_words (fun () -> for _ = 1 to 100 do ignore (Sys.opaque_identity (f b)) done) in
-    (words -. idle) /. 100.
-  in
+  let per_call f = minor_words_per_call ~calls:100 (fun () -> ignore (Sys.opaque_identity (f b))) in
   Alcotest.(check (float 0.)) "validate" 0. (per_call Dirent.validate);
   Alcotest.(check (float 0.)) "free_bytes" 0. (per_call Dirent.free_bytes)
 
@@ -835,6 +937,7 @@ let () =
           Alcotest.test_case "padding strictness" `Quick test_bitmap_padding_strictness;
           Alcotest.test_case "undersized rejected" `Quick test_bitmap_too_few_blocks;
           q prop_bitmap_roundtrip;
+          q prop_bitmap_parse_matches_reference;
           q prop_encode_block_matches_to_blocks;
           q prop_find_free_matches_naive;
           q prop_cursor_allocates_every_free_bit;
@@ -850,6 +953,8 @@ let () =
           Alcotest.test_case "field validation" `Quick test_inode_field_validation;
           q prop_inode_roundtrip;
           q prop_inode_verify_matches_decode;
+          q prop_inode_checksum_reference;
+          Alcotest.test_case "codec allocation" `Quick test_inode_codec_allocation;
         ] );
       ( "dirent",
         [

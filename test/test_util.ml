@@ -60,6 +60,38 @@ let prop_crc32c_kernels_agree =
       let b = Bytes.init (pos + len + Random.State.int rng 8) byte in
       Int32.equal (Checksum.crc32c ~init b ~pos ~len) (Checksum.crc32c_portable ~init b ~pos ~len))
 
+let test_crc32c_int_matches () =
+  let b = Bytes.of_string "123456789 and then some" in
+  List.iter
+    (fun init ->
+      let want =
+        Int32.to_int (Checksum.crc32c ~init:(Int32.of_int init) b ~pos:2 ~len:17) land 0xFFFF_FFFF
+      in
+      Alcotest.(check int) (Printf.sprintf "init %d" init) want
+        (Checksum.crc32c_int ~init b ~pos:2 ~len:17))
+    [ 0; 1; 0x7FFF_FFFF; 0x8000_0000; 0xFFFF_FFFF; -1; min_int; max_int ];
+  Alcotest.check_raises "bounds" (Invalid_argument "Checksum.crc32c: out of bounds") (fun () ->
+      ignore (Checksum.crc32c_int ~init:0 b ~pos:20 ~len:4))
+
+let prop_crc32c_int_agrees =
+  QCheck2.Test.make ~name:"crc32c_int = crc32c" ~count:500
+    QCheck2.Gen.(triple (int_bound 300) (int_bound 15) int)
+    (fun (len, pos, init) ->
+      let rng = Random.State.make [| len; pos; init |] in
+      let b = Bytes.init (pos + len) (fun _ -> Char.chr (Random.State.int rng 256)) in
+      Checksum.crc32c_int ~init b ~pos ~len
+      = Int32.to_int (Checksum.crc32c ~init:(Int32.of_int init) b ~pos ~len) land 0xFFFF_FFFF)
+
+(* The inode checksum seed: every sign, every digit count, both ends of
+   the int range. *)
+let prop_crc32c_decimal =
+  let edges = [ 0; 1; 9; 10; 99; 100; 1023; 1024; 65535; -1; -9; -10; max_int; min_int; min_int + 1 ] in
+  QCheck2.Test.make ~name:"crc32c_decimal n = crc32c_string (string_of_int n)" ~count:1000
+    QCheck2.Gen.(oneof [ oneofl edges; int_bound 100_000; int; map (fun n -> -n) (int_bound 1000) ])
+    (fun n ->
+      Checksum.crc32c_decimal n
+      = Int32.to_int (Checksum.crc32c_string (string_of_int n)) land 0xFFFF_FFFF)
+
 let test_verify () =
   let b = Bytes.of_string "payload" in
   let c = Checksum.crc32c b ~pos:0 ~len:7 in
@@ -90,6 +122,104 @@ let test_codec_bounds () =
   Alcotest.(check bool) "u64 over end" true (raises (fun () -> ignore (Codec.get_u64 b 0)));
   Alcotest.(check bool) "negative offset" true (raises (fun () -> ignore (Codec.get_u8 b (-1))));
   Alcotest.(check bool) "set over end" true (raises (fun () -> Codec.set_u32 b 1 0L))
+
+(* Every accessor rejects every offset that puts any of its bytes outside
+   the buffer, with [Decode_error]. *)
+let test_codec_every_out_of_range_offset () =
+  let len = 12 in
+  let b = Bytes.make len '\000' in
+  let accessors =
+    [
+      ("get_u8", 1, fun off -> ignore (Codec.get_u8 b off));
+      ("get_u16", 2, fun off -> ignore (Codec.get_u16 b off));
+      ("get_u32", 4, fun off -> ignore (Codec.get_u32 b off));
+      ("get_u32_int", 4, fun off -> ignore (Codec.get_u32_int b off));
+      ("get_i32", 4, fun off -> ignore (Codec.get_i32 b off));
+      ("get_u64", 8, fun off -> ignore (Codec.get_u64 b off));
+      ("set_u8", 1, fun off -> Codec.set_u8 b off 1);
+      ("set_u16", 2, fun off -> Codec.set_u16 b off 1);
+      ("set_u32", 4, fun off -> Codec.set_u32 b off 0xFFFF_FFFFL);
+      ("set_u32_int", 4, fun off -> Codec.set_u32_int b off 0xFFFF_FFFF);
+      ("set_i32", 4, fun off -> Codec.set_i32 b off 1l);
+      ("set_u64", 8, fun off -> Codec.set_u64 b off 1L);
+    ]
+  in
+  List.iter
+    (fun (name, width, f) ->
+      for off = -width - 2 to len + 2 do
+        let in_range = off >= 0 && off + width <= len in
+        let raised = try f off; false with Codec.Decode_error _ -> true in
+        Alcotest.(check bool) (Printf.sprintf "%s at %d raises" name off) (not in_range) raised
+      done)
+    accessors;
+  List.iter
+    (fun off ->
+      let raised = try ignore (Codec.get_u32 b off); false with Codec.Decode_error _ -> true in
+      Alcotest.(check bool) (Printf.sprintf "get_u32 at %d raises" off) true raised)
+    [ min_int; max_int; max_int - 2 ]
+
+(* The byte loops the unboxed u32 accessors replaced, kept as their
+   reference. *)
+module Ref_u32 = struct
+  let get_u32 b off =
+    let g i = Int64.of_int (Char.code (Bytes.get b (off + i))) in
+    Int64.logor (g 0)
+      (Int64.logor
+         (Int64.shift_left (g 1) 8)
+         (Int64.logor (Int64.shift_left (g 2) 16) (Int64.shift_left (g 3) 24)))
+
+  let get_u32_int b off = Int64.to_int (get_u32 b off)
+
+  let set_u32 b off v =
+    for i = 0 to 3 do
+      Bytes.set b (off + i)
+        (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xFFL)))
+    done
+
+  let set_u32_int b off v = set_u32 b off (Int64.of_int v)
+end
+
+(* Random buffers, offsets (some out of range) and values: 32-bit values
+   at and past 2^31, full-range and negative [int64]s for [set_u32],
+   full-range and negative [int]s for [set_u32_int]. *)
+let prop_u32_matches_byte_loops =
+  QCheck2.Gen.(
+    let v64 =
+      oneof
+        [
+          map Int64.of_int (int_bound 0x7FFF_FFFF);
+          map (fun v -> Int64.add 0x8000_0000L (Int64.of_int v)) (int_bound 0x7FFF_FFFF);
+          ui64;
+          map Int64.neg (map Int64.of_int (int_bound 0xFFFF_FFFF));
+          oneofl [ 0L; 0xFFFF_FFFFL; 0x1_0000_0000L; -1L; Int64.min_int; Int64.max_int ];
+        ]
+    in
+    let vint = oneof [ int_bound 0xFFFF_FFFF; int; oneofl [ -1; min_int; max_int; 0x8000_0000 ] ] in
+    let input = tup5 (int_range 4 40) (int_range (-6) 44) v64 vint int in
+    QCheck2.Test.make ~name:"codec u32 = byte-loop reference" ~count:2000 input
+      (fun (len, off, v64, vint, fill) ->
+        let rng = Random.State.make [| fill |] in
+        let b = Bytes.init len (fun _ -> Char.chr (Random.State.int rng 256)) in
+        if off < 0 || off + 4 > len then
+          List.for_all
+            (fun f -> try f (); false with Codec.Decode_error _ -> true)
+            [
+              (fun () -> ignore (Codec.get_u32 b off));
+              (fun () -> ignore (Codec.get_u32_int b off));
+              (fun () -> Codec.set_u32 (Bytes.copy b) off v64);
+              (fun () -> Codec.set_u32_int (Bytes.copy b) off vint);
+            ]
+        else
+          let set f g v =
+            let x = Bytes.copy b and y = Bytes.copy b in
+            f x off v;
+            g y off v;
+            Bytes.equal x y
+          in
+          Int64.equal (Codec.get_u32 b off) (Ref_u32.get_u32 b off)
+          && Codec.get_u32_int b off = Ref_u32.get_u32_int b off
+          && set Codec.set_u32 Ref_u32.set_u32 v64
+          && set Codec.set_u32_int Ref_u32.set_u32_int vint))
 
 let test_cursor () =
   let b = Bytes.make 32 '\000' in
@@ -217,15 +347,20 @@ let () =
           Alcotest.test_case "bit flip detected" `Quick test_crc32c_differs_on_flip;
           Alcotest.test_case "bounds" `Quick test_crc32c_bounds;
           Alcotest.test_case "verify" `Quick test_verify;
+          Alcotest.test_case "crc32c_int edge seeds" `Quick test_crc32c_int_matches;
           q prop_crc32c_kernels_agree;
+          q prop_crc32c_int_agrees;
+          q prop_crc32c_decimal;
         ] );
       ( "codec",
         [
           Alcotest.test_case "fixed roundtrip" `Quick test_codec_roundtrip_fixed;
           Alcotest.test_case "bounds checked" `Quick test_codec_bounds;
+          Alcotest.test_case "every out-of-range offset" `Quick test_codec_every_out_of_range_offset;
           Alcotest.test_case "cursor" `Quick test_cursor;
           q prop_u32_roundtrip;
           q prop_u64_roundtrip;
+          q prop_u32_matches_byte_loops;
         ] );
       ( "rng",
         [
