@@ -1711,10 +1711,115 @@ let e_srv_recovery () =
     exit 1
   end
 
+(* E-srv/c: one session's pread replies of 0.5-64 KiB through Server and
+   Drive over Loopback.  Per reply: the wall time of the server's turn
+   (poll, feed, dispatch, encode, drain, the loopback's copy) and the
+   words that turn allocates straight into the major heap, which every
+   fresh copy of a reply over 2 KiB is.  The client's side (encoding the
+   request, taking the reply out of the loopback) is outside both. *)
+let e_srv_reply () =
+  subsection "E-srv/c | read-reply path: pread replies through Server + Drive over Loopback";
+  let _, dev, base = fresh_base () in
+  let ctl = Controller.make ~device:dev base in
+  let hub = Loopback.create (Srv.create ctl) in
+  let ep = Loopback.connect hub in
+  let send = (Loopback.io ep).SrvClient.io_send in
+  let await () =
+    let rec go tries =
+      ignore (Loopback.pump hub);
+      match SWire.decode_string (Loopback.recv ep) with
+      | SWire.Frame ((SWire.Hello_ok _ | SWire.Op_reply _) as f, _) -> f
+      | _ when tries > 0 -> go (tries - 1)
+      | _ -> failwith "e-srv/c: no reply"
+    in
+    go 10
+  in
+  let call op =
+    send (SWire.encode (SWire.Op_req { req = 1; corr = 0; op }));
+    match await () with SWire.Op_reply { outcome; _ } -> outcome | _ -> failwith "e-srv/c: reply"
+  in
+  send (SWire.encode (SWire.Hello { version = SWire.protocol_version }));
+  ignore (await ());
+  let path = p "/reply" in
+  ignore (call (Op.Create (path, 0o644)));
+  let fd =
+    match call (Op.Open (path, Rae_vfs.Types.flags_rw)) with
+    | Ok (Op.Fd fd) -> fd
+    | _ -> failwith "e-srv/c: open"
+  in
+  let data = String.init 65536 (fun i -> Char.chr (i * 11 land 0xff)) in
+  ignore (call (Op.Pwrite (fd, 0, data)));
+  (* Replies per batch: a commit before each batch empties the op log, so
+     its array never outgrows the minor heap within one.  (Reads alone
+     leave nothing to commit.) *)
+  let batch = 32 in
+  let batches = if !quick then 2 else 20 in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let now () = Int64.to_float (Rae_obs.Clock.now_ns ()) in
+  let measure len =
+    let req = SWire.encode (SWire.Op_req { req = 1; corr = 0; op = Op.Pread (fd, 0, len) }) in
+    let reply () =
+      match SWire.decode_string (Loopback.recv ep) with
+      | SWire.Frame (SWire.Op_reply { outcome = Ok (Op.Data d); _ }, _)
+        when String.length d = len && d = String.sub data 0 len -> ()
+      | _ -> failwith (Printf.sprintf "e-srv/c: bad %d-byte reply" len)
+    in
+    (* Warm: the connection's buffer and the loopback's grow to size. *)
+    send req;
+    ignore (Loopback.pump hub);
+    reply ();
+    let w = ref 0. and us = ref [] in
+    for _ = 1 to batches do
+      ignore (Controller.chmod ctl path ~mode:0o644);
+      ignore (Controller.sync ctl);
+      let t = ref 0. in
+      for _ = 1 to batch do
+        send req;
+        let w0 = words () and t0 = now () in
+        ignore (Loopback.pump hub);
+        let t1 = now () and w1 = words () in
+        t := !t +. (t1 -. t0);
+        w := !w +. (w1 -. w0);
+        reply ()
+      done;
+      us := (!t /. float_of_int batch /. 1e3) :: !us
+    done;
+    (!w /. float_of_int (batch * batches), !us)
+  in
+  Printf.printf "  %-10s %12s %24s %14s\n" "reply" "us/reply" "(quartiles)" "direct words";
+  let at_16k = ref 0. in
+  List.iter
+    (fun len ->
+      let direct, us = measure len in
+      let a = Array.of_list (List.sort compare us) in
+      let q f = a.(min (Array.length a - 1) (int_of_float (f *. float_of_int (Array.length a)))) in
+      let name = Printf.sprintf "%d" len in
+      Printf.printf "  %-10s %12.2f %13.2f-%-10.2f %14.1f\n" (name ^ " B") (q 0.5) (q 0.25) (q 0.75)
+        direct;
+      json_note ~sec:"E-srv" ~name:("reply/" ^ name ^ "/us") ~unit:"us_per_reply" (q 0.5);
+      json_note ~sec:"E-srv" ~name:("reply/" ^ name ^ "/direct-major-words") ~unit:"words" direct;
+      if len = 16384 then at_16k := direct)
+    [ 512; 4096; 16384; 65536 ];
+  (* Floor: the count repeats exactly.  This code allocates one 16 KiB
+     string per 16 KiB reply (2050 words, the read's result); the ceiling
+     is that plus 10 %, below a second copy.  Before the in-place encoder
+     and `Server.drain` it was 6152: three copies, the read's buffer and
+     its string, and the server's output string. *)
+  let ceiling = 2255. in
+  Printf.printf "  16 KiB reply: %.1f direct major words (ceiling %.0f)\n" !at_16k ceiling;
+  if !at_16k > ceiling then begin
+    Printf.eprintf "E-srv: %.1f direct major words per 16 KiB reply > %.0f\n" !at_16k ceiling;
+    exit 1
+  end
+
 let e_srv () =
   section "E-srv | serving layer: multi-client throughput, batching, recovery transparency";
   e_srv_throughput ();
-  e_srv_recovery ()
+  e_srv_recovery ();
+  e_srv_reply ()
 
 (* The lint engine rides the inner loop of CI (`dune build @lint` runs on
    every `dune runtest`), so its cost is a budget like any other: a full

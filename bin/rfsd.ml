@@ -20,113 +20,9 @@ module Controller = Rae_core.Controller
 module Server = Rae_srv.Server
 module Srv_client = Rae_srv.Srv_client
 module Transport = Rae_srv.Transport
+module Socket_transport = Rae_srv.Socket_transport
 
 let stop = ref false
-
-(* ---- the select-based transport ---- *)
-
-module Socket_transport = struct
-  type link = { fd : Unix.file_descr; wbuf : Buffer.t }
-
-  type t = {
-    listen_fd : Unix.file_descr;
-    links : (int, link) Hashtbl.t;
-    mutable order : int list;
-    mutable next_link : int;
-    timeout : float;  (* select timeout: the idle turn rate *)
-    rbuf : Bytes.t;
-        (* One read buffer for the daemon's life: at 64 KiB it is over the
-           minor heap's size limit, so a fresh one per wakeup went straight
-           to the major heap. *)
-  }
-
-  let create ~path ~timeout =
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 16;
-    Unix.set_nonblock fd;
-    {
-      listen_fd = fd;
-      links = Hashtbl.create 16;
-      order = [];
-      next_link = 1;
-      timeout;
-      rbuf = Bytes.create 65536;
-    }
-
-  let drop t id =
-    match Hashtbl.find_opt t.links id with
-    | None -> ()
-    | Some link ->
-        (try Unix.close link.fd with Unix.Unix_error _ -> ());
-        Hashtbl.remove t.links id;
-        t.order <- List.filter (fun l -> l <> id) t.order
-
-  (* Flush as much buffered output as the socket accepts; the rest stays
-     queued for the next writable turn. *)
-  let flush_link t id link =
-    let s = Buffer.contents link.wbuf in
-    if s <> "" then
-      match Unix.write_substring link.fd s 0 (String.length s) with
-      | n ->
-          Buffer.clear link.wbuf;
-          if n < String.length s then
-            Buffer.add_substring link.wbuf s n (String.length s - n)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-      | exception Unix.Unix_error _ -> drop t id
-
-  let poll t =
-    let live = List.filter_map (fun id -> Hashtbl.find_opt t.links id |> Option.map (fun l -> (id, l))) t.order in
-    let rds = t.listen_fd :: List.map (fun (_, l) -> l.fd) live in
-    let wrs = List.filter_map (fun (_, l) -> if Buffer.length l.wbuf > 0 then Some l.fd else None) live in
-    match Unix.select rds wrs [] t.timeout with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
-    | readable, writable, _ ->
-        List.iter
-          (fun (id, link) -> if List.memq link.fd writable then flush_link t id link)
-          live;
-        let evs = ref [] in
-        if List.memq t.listen_fd readable then begin
-          match Unix.accept t.listen_fd with
-          | fd, _ ->
-              Unix.set_nonblock fd;
-              let id = t.next_link in
-              t.next_link <- id + 1;
-              Hashtbl.replace t.links id { fd; wbuf = Buffer.create 256 };
-              t.order <- t.order @ [ id ];
-              evs := Transport.Accepted id :: !evs
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-        end;
-        let buf = t.rbuf in
-        List.iter
-          (fun (id, link) ->
-            if List.memq link.fd readable then
-              match Unix.read link.fd buf 0 (Bytes.length buf) with
-              | 0 ->
-                  drop t id;
-                  evs := Transport.Closed id :: !evs
-              | n -> evs := Transport.Data (id, Bytes.sub_string buf 0 n) :: !evs
-              | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-                ->
-                  ()
-              | exception Unix.Unix_error _ ->
-                  drop t id;
-                  evs := Transport.Closed id :: !evs)
-          live;
-        List.rev !evs
-
-  let send t id s =
-    match Hashtbl.find_opt t.links id with
-    | None -> ()
-    | Some link ->
-        Buffer.add_string link.wbuf s;
-        flush_link t id link
-
-  let close t id =
-    (match Hashtbl.find_opt t.links id with Some link -> flush_link t id link | None -> ());
-    drop t id
-end
 
 module Drive = Transport.Drive (Socket_transport)
 

@@ -593,7 +593,9 @@ let read_range t inode ~off ~len =
       end;
       pos := !pos + chunk
     done;
-    Bytes.to_string buf
+    (* Nothing else holds [buf] and nothing writes it after this point,
+       so it becomes the result without a copy. *)
+    Bytes.unsafe_to_string buf
   end
 
 let write_range t inode ~off data =

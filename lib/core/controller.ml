@@ -688,6 +688,13 @@ let checkpoint_valid t = match t.ckpt with Some c -> Checkpoint.valid c | None -
 
 let recoveries t = List.rev t.recovery_log
 
+let recent_recoveries t n =
+  let rec take n acc = function
+    | r :: older when n > 0 -> take (n - 1) (r :: acc) older
+    | _ -> acc
+  in
+  take n [] t.recovery_log
+
 let discrepancies t =
   List.concat_map (fun r -> r.Report.r_discrepancies) (List.rev t.recovery_log)
 

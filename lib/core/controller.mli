@@ -143,6 +143,10 @@ val stats : t -> stats
 val recoveries : t -> Report.recovery list
 (** All recovery reports, oldest first. *)
 
+val recent_recoveries : t -> int -> Report.recovery list
+(** The newest [n] recovery reports (all of them if fewer), oldest
+    first.  O(n), however long the log. *)
+
 val discrepancies : t -> Report.discrepancy list
 (** All cross-check mismatches ever observed (the §4.3 testing signal). *)
 

@@ -16,10 +16,15 @@ type t = {
 let create () =
   { buf = [||]; window = 0; next_seq = 0; fds = []; total = 0; discarded = 0; max_window = 0 }
 
+(* What a grown array's free slots hold.  It must not be a fresh record:
+   [Array.make] of more than 256 words with a minor-heap initial value
+   first runs a whole minor collection. *)
+let vacant = { Op.op = Op.Sync; outcome = Ok Op.Unit; seq = -1 }
+
 let record t op outcome =
   let r = { Op.op; outcome; seq = t.next_seq } in
   if t.window = Array.length t.buf then begin
-    let grown = Array.make (max 16 (2 * t.window)) r in
+    let grown = Array.make (max 16 (2 * t.window)) vacant in
     Array.blit t.buf 0 grown 0 t.window;
     t.buf <- grown
   end;

@@ -449,7 +449,9 @@ let read_range t inode ~off ~len =
       else Overlay.view t.ov phys (fun b -> Bytes.blit b boff buf !pos chunk);
       pos := !pos + chunk
     done;
-    Bytes.to_string buf
+    (* Nothing else holds [buf] and nothing writes it after this point,
+       so it becomes the result without a copy. *)
+    Bytes.unsafe_to_string buf
   end
 
 (* Write [data] at byte offset [off]; allocates blocks and extends the

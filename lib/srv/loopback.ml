@@ -53,11 +53,11 @@ let poll t =
   if !evs <> [] then t.activity <- true;
   List.rev !evs
 
-let send t link s =
+let send t link buf off len =
   match Hashtbl.find_opt t.eps link with
   | None -> ()
   | Some ep ->
-      Buffer.add_string ep.ep_from_server s;
+      Buffer.add_subbytes ep.ep_from_server buf off len;
       t.activity <- true
 
 let close t link =

@@ -37,8 +37,7 @@ type conn = {
   cid : int;
   mutable session : Session.t option;  (* None until Hello *)
   mutable rx : string;  (* undecoded byte backlog *)
-  tx : Buffer.t;
-  enc : Wire.encoder;  (* reused across frames: no per-frame allocation *)
+  out : Wire.encoder;  (* pending output: frames encoded in place, drained by the transport *)
   mutable closed : bool;
 }
 
@@ -156,7 +155,7 @@ let set_metrics_source t f = t.metrics_src <- Some f
 
 let send t conn frame =
   if not conn.closed then begin
-    Wire.encode_into conn.enc frame conn.tx;
+    Wire.append conn.out frame;
     t.s_frames_out <- t.s_frames_out + 1
   end
 
@@ -184,8 +183,7 @@ let open_conn t =
       cid;
       session = None;
       rx = "";
-      tx = Buffer.create 256;
-      enc = Wire.encoder ();
+      out = Wire.encoder ();
       closed = false;
     };
   t.order <- t.order @ [ cid ];
@@ -303,17 +301,20 @@ let feed t cid bytes =
       if not conn.closed then
         conn.rx <- (if !pos = 0 then conn.rx else String.sub conn.rx !pos (len - !pos))
 
-let output t cid =
+let drain t cid f =
   match Hashtbl.find_opt t.conns cid with
-  | None -> ""
+  | None -> ()
   | Some conn ->
-      let s = Buffer.contents conn.tx in
-      Buffer.clear conn.tx;
-      if conn.closed && s = "" then Hashtbl.remove t.conns cid;
-      s
+      if conn.closed && Wire.pending conn.out = 0 then Hashtbl.remove t.conns cid
+      else Wire.drain conn.out f
+
+let output t cid =
+  let s = ref "" in
+  drain t cid (fun buf off len -> s := Bytes.sub_string buf off len);
+  !s
 
 let has_output t cid =
-  match Hashtbl.find_opt t.conns cid with None -> false | Some conn -> Buffer.length conn.tx > 0
+  match Hashtbl.find_opt t.conns cid with None -> false | Some conn -> Wire.pending conn.out > 0
 
 let conn_closed t cid =
   match Hashtbl.find_opt t.conns cid with None -> true | Some conn -> conn.closed
@@ -323,7 +324,7 @@ let close_conn t cid =
   | None -> ()
   | Some conn ->
       drop t conn;
-      if Buffer.length conn.tx = 0 then Hashtbl.remove t.conns cid
+      if Wire.pending conn.out = 0 then Hashtbl.remove t.conns cid
 
 (* ---- dispatch ---- *)
 
@@ -398,19 +399,26 @@ let broadcast_recovery_notes t =
   let cs = Controller.stats t.ctl in
   let recoveries = cs.Controller.recoveries in
   if recoveries > t.seen_recoveries then begin
-    let reports = Controller.recoveries t.ctl in
-    for seq = t.seen_recoveries + 1 to recoveries do
-      let trigger, wall_us =
-        match List.nth_opt reports (seq - 1) with
-        | Some r ->
-            ( Report.trigger_to_string r.Report.r_trigger,
-              int_of_float (r.Report.r_wall_seconds *. 1e6) )
-        | None -> ("unknown", 0)
-      in
-      List.iter
-        (fun conn -> send t conn (Wire.Note_recovered { seq; trigger; wall_us }))
-        (attached_sessions t)
+    (* The log keeps one report per recovery, so the new ones are its
+       newest [fresh]; reading only those keeps a turn O(new recoveries)
+       however long the daemon has run.  Should the log hold fewer, the
+       oldest new seqs go out as unknown. *)
+    let fresh = recoveries - t.seen_recoveries in
+    let reports = Controller.recent_recoveries t.ctl fresh in
+    let sessions = attached_sessions t in
+    let note seq trigger wall_us =
+      List.iter (fun conn -> send t conn (Wire.Note_recovered { seq; trigger; wall_us })) sessions
+    in
+    let first = recoveries - List.length reports + 1 in
+    for seq = t.seen_recoveries + 1 to first - 1 do
+      note seq "unknown" 0
     done;
+    List.iteri
+      (fun i r ->
+        note (first + i)
+          (Report.trigger_to_string r.Report.r_trigger)
+          (int_of_float (r.Report.r_wall_seconds *. 1e6)))
+      reports;
     t.seen_recoveries <- recoveries
   end;
   match Controller.degraded t.ctl with

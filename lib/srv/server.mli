@@ -3,7 +3,7 @@
 
     The server is transport-agnostic and byte-driven: a transport feeds it
     raw bytes per connection ({!feed}) and drains response bytes
-    ({!output}); {!step} runs one scheduler turn.  A turn drains up to
+    ({!drain}); {!step} runs one scheduler turn.  A turn drains up to
     [batch_max] decoded requests across sessions — round-robin, one request
     per session per pass, each session capped at its
     [Session.max_ops_per_turn] rate quota — so dispatch overhead (the
@@ -74,11 +74,22 @@ val set_metrics_source : t -> (unit -> string) -> unit
 
 val open_conn : t -> int
 val feed : t -> int -> string -> unit
+
+val drain : t -> int -> (bytes -> int -> int -> unit) -> unit
+(** [drain t cid f] hands the connection's pending output to [f] as one
+    slice [buf off len] and empties it; [f] is not called when nothing
+    is pending.  Each connection keeps its output in one buffer that
+    replies are encoded into in place, and the slice is borrowed from
+    it: it is valid only during the call, so [f] copies whatever it
+    keeps (a socket write copies it anyway). *)
+
 val output : t -> int -> string
+(** {!drain} into a fresh string ([""] when nothing is pending). *)
+
 val has_output : t -> int -> bool
 val conn_closed : t -> int -> bool
 (** The server dropped this connection (protocol error, detach, eviction);
-    the transport should flush remaining {!output} and close the link. *)
+    the transport should flush remaining {!drain} output and close the link. *)
 
 val close_conn : t -> int -> unit
 (** Transport-observed disconnect: releases the session's fds. *)

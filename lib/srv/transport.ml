@@ -4,7 +4,7 @@ module type S = sig
   type t
 
   val poll : t -> event list
-  val send : t -> int -> string -> unit
+  val send : t -> int -> bytes -> int -> int -> unit
   val close : t -> int -> unit
 end
 
@@ -37,8 +37,7 @@ module Drive (T : S) = struct
     let dead = ref [] in
     Hashtbl.iter
       (fun link cid ->
-        let out = Server.output d.server cid in
-        if out <> "" then T.send d.transport link out;
+        Server.drain d.server cid (T.send d.transport link);
         if Server.conn_closed d.server cid then dead := link :: !dead)
       d.links;
     List.iter

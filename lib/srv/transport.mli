@@ -4,8 +4,8 @@
     edge-triggered events; {!Drive} binds any transport to a server,
     shuttling bytes both ways and running one scheduler turn per tick.
     Two implementations exist: the deterministic in-memory {!Loopback}
-    (tests, benches, the demo) and the select-based Unix-socket loop in
-    [bin/rfsd.ml] (the daemon). *)
+    (tests, benches, the demo) and the select-based Unix-socket loop
+    {!Socket_transport} (the daemon). *)
 
 type event =
   | Accepted of int  (** a new link appeared *)
@@ -19,8 +19,11 @@ module type S = sig
   (** Collect pending events.  Must not block indefinitely; an empty list
       means no activity. *)
 
-  val send : t -> int -> string -> unit
-  (** Queue bytes toward the peer.  Unknown links are ignored. *)
+  val send : t -> int -> bytes -> int -> int -> unit
+  (** [send t link buf off len] sends [buf[off, off+len)] toward the
+      peer.  The slice is borrowed from the server's output buffer and
+      is valid only during the call: an implementation copies whatever
+      it keeps.  Unknown links are ignored. *)
 
   val close : t -> int -> unit
   (** Drop a link (server-initiated). *)
@@ -33,6 +36,7 @@ module Drive (T : S) : sig
 
   val tick : t -> int
   (** One event-loop turn: poll the transport into the server, run one
-      scheduler {!Server.step}, flush server output back out, close links
-      the server dropped.  Returns the number of requests dispatched. *)
+      scheduler {!Server.step}, hand each connection's output to
+      [T.send] with {!Server.drain}, close links the server dropped.
+      Returns the number of requests dispatched. *)
 end

@@ -1,6 +1,7 @@
-(* The serving-layer wire codec.  Encoding builds payloads into a Buffer;
-   decoding runs a bounds-checked Rae_util.Codec cursor over the payload
-   slice, so every malformed input surfaces as a typed decode failure. *)
+(* The serving-layer wire codec.  Encoding writes frames in place into a
+   growable byte buffer; decoding runs a bounds-checked Rae_util.Codec
+   cursor over the payload slice, so every malformed input surfaces as a
+   typed decode failure. *)
 
 open Rae_vfs
 module Codec = Rae_util.Codec
@@ -119,27 +120,61 @@ let tag_of_frame = function
   | Bundle_req _ -> 19
   | Bundle_reply _ -> 20
 
-(* ---- payload encoding ---- *)
+(* ---- frame encoding ---- *)
 
-let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+(* A growable byte buffer frames are encoded into in place: the header,
+   the payload and the CRC of each frame are written at the end of [buf],
+   so a payload's bytes are copied once, into the frame. *)
+type encoder = { mutable buf : Bytes.t; mutable len : int }
 
-let add_u16 b v =
-  add_u8 b v;
-  add_u8 b (v lsr 8)
+let encoder () = { buf = Bytes.create 256; len = 0 }
+let pending e = e.len
 
-let add_u32 b v =
-  add_u16 b (v land 0xffff);
-  add_u16 b ((v lsr 16) land 0xffff)
+(* Claim [n] bytes at the end of the buffer, growing it by doubling;
+   returns the offset they start at. *)
+let reserve e n =
+  let at = e.len in
+  let need = at + n in
+  if need > Bytes.length e.buf then begin
+    let grown = Bytes.create (max need (2 * Bytes.length e.buf)) in
+    Bytes.blit e.buf 0 grown 0 at;
+    e.buf <- grown
+  end;
+  e.len <- need;
+  at
 
-let add_int b v = Buffer.add_int64_le b (Int64.of_int v)
+(* Each writer reserves before it reads [e.buf]: a reservation may move
+   the buffer. *)
+let add_u8 e v =
+  let at = reserve e 1 in
+  Bytes.set e.buf at (Char.unsafe_chr (v land 0xff))
 
-let add_str16 b s =
-  add_u16 b (String.length s);
-  Buffer.add_string b s
+let add_u16 e v =
+  let at = reserve e 2 in
+  Bytes.set_uint16_le e.buf at (v land 0xffff)
 
-let add_str32 b s =
-  add_u32 b (String.length s);
-  Buffer.add_string b s
+let add_u32 e v =
+  let at = reserve e 4 in
+  Bytes.set_int32_le e.buf at (Int32.of_int v)
+
+let add_i64 e v =
+  let at = reserve e 8 in
+  Bytes.set_int64_le e.buf at v
+
+let add_int e v = add_i64 e (Int64.of_int v)
+
+let add_string e s =
+  let n = String.length s in
+  let at = reserve e n in
+  Bytes.blit_string s 0 e.buf at n
+
+let add_str16 e s =
+  add_u16 e (String.length s);
+  add_string e s
+
+let add_str32 e s =
+  add_u32 e (String.length s);
+  add_string e s
 
 let add_path b path =
   add_u16 b (List.length path);
@@ -231,8 +266,8 @@ let add_stat b (st : Types.stat) =
   add_int b st.Types.st_size;
   add_int b st.Types.st_nlink;
   add_int b st.Types.st_mode;
-  Buffer.add_int64_le b st.Types.st_mtime;
-  Buffer.add_int64_le b st.Types.st_ctime
+  add_i64 b st.Types.st_mtime;
+  add_i64 b st.Types.st_ctime
 
 let add_value b = function
   | Op.Unit -> add_u8 b 0
@@ -306,35 +341,35 @@ let add_payload b = function
       add_str16 b name;
       add_str32 b data
 
-(* A reusable encoder: one payload buffer and one growable scratch area
-   per connection, so the steady-state serving path allocates nothing per
-   frame beyond what the transport itself copies out. *)
-type encoder = { payload : Buffer.t; mutable scratch : Bytes.t }
+let append e frame =
+  let start = reserve e header_bytes in
+  add_payload e frame;
+  (* Patch the header in place; [add_payload] may have moved [e.buf]. *)
+  let b = e.buf in
+  let plen = e.len - start - header_bytes in
+  Codec.set_u16 b start magic;
+  Codec.set_u8 b (start + 2) protocol_version;
+  Codec.set_u8 b (start + 3) (tag_of_frame frame);
+  Codec.set_u32_int b (start + 4) plen;
+  let crc = Checksum.crc32c b ~pos:start ~len:8 in
+  let crc = Checksum.crc32c ~init:crc b ~pos:(start + header_bytes) ~len:plen in
+  Codec.set_i32 b (start + 8) crc
 
-let encoder () = { payload = Buffer.create 256; scratch = Bytes.create 256 }
+let drain e f =
+  let n = e.len in
+  e.len <- 0;
+  if n > 0 then f e.buf 0 n
 
-let encode_into enc frame out =
-  Buffer.clear enc.payload;
-  add_payload enc.payload frame;
-  let plen = Buffer.length enc.payload in
-  let need = header_bytes + plen in
-  if Bytes.length enc.scratch < need then
-    enc.scratch <- Bytes.create (max need (2 * Bytes.length enc.scratch));
-  let b = enc.scratch in
-  Codec.set_u16 b 0 magic;
-  Codec.set_u8 b 2 protocol_version;
-  Codec.set_u8 b 3 (tag_of_frame frame);
-  Codec.set_u32_int b 4 plen;
-  Buffer.blit enc.payload 0 b header_bytes plen;
-  let crc = Checksum.crc32c b ~pos:0 ~len:8 in
-  let crc = Checksum.crc32c ~init:crc b ~pos:header_bytes ~len:plen in
-  Codec.set_i32 b 8 crc;
-  Buffer.add_subbytes out b 0 need
+let encode_into e frame out =
+  let start = e.len in
+  append e frame;
+  Buffer.add_subbytes out e.buf start (e.len - start);
+  e.len <- start
 
 let encode frame =
-  let out = Buffer.create 64 in
-  encode_into (encoder ()) frame out;
-  Buffer.contents out
+  let e = encoder () in
+  append e frame;
+  Bytes.sub_string e.buf 0 e.len
 
 (* ---- payload decoding ---- *)
 

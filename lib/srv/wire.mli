@@ -95,22 +95,33 @@ val equal_frame : frame -> frame -> bool
     with exact timestamps). *)
 
 type encoder
-(** Reusable per-connection encode state: a payload buffer plus a
-    growable scratch area, so the hot serving path serializes frames
-    with no per-frame allocation. *)
+(** A growable byte buffer that frames are encoded into in place: each
+    frame's header, payload and CRC32C are written at its end, so a
+    payload's bytes are copied once, into the frame.  The serving layer
+    keeps one per connection as that connection's pending output. *)
 
 val encoder : unit -> encoder
 
+val append : encoder -> frame -> unit
+(** Serialize one frame, header included, after the bytes already
+    pending in the encoder. *)
+
+val pending : encoder -> int
+(** Bytes appended and not yet drained. *)
+
+val drain : encoder -> (bytes -> int -> int -> unit) -> unit
+(** [drain e f] empties [e] and, if it held any bytes, calls
+    [f buf off len] on them.  The slice is borrowed from the encoder: it
+    is valid only during the call, so [f] copies whatever it keeps. *)
+
 val encode_into : encoder -> frame -> Buffer.t -> unit
 (** Serialize one frame, header included, appending the bytes to the
-    given output buffer (typically the connection's tx buffer).  The
-    encoder's scratch state is clobbered; one encoder must not be shared
-    across connections that encode concurrently. *)
+    given output buffer.  The encoder's pending bytes are left as they
+    were. *)
 
 val encode : frame -> string
-(** Serialize one frame, header included.  Convenience wrapper over
-    {!encode_into} with a throwaway encoder (tests, client one-shots);
-    servers should hold an {!encoder} per connection instead. *)
+(** Serialize one frame, header included.  Convenience wrapper with a
+    throwaway encoder (tests, client one-shots). *)
 
 val decode : bytes -> pos:int -> len:int -> decode_result
 (** [decode buf ~pos ~len] attempts to decode one frame from

@@ -215,6 +215,24 @@ let test_major_alloc_budget () =
   if per_op > float_of_int image_words then
     Alcotest.failf "%.0f major words per op, over one block image (%d)" per_op image_words
 
+(* A 16 KiB read copies its bytes out of the block cache once, into the
+   one string it returns. *)
+let test_read_one_string () =
+  let _disk, _dev, b = mk_base () in
+  let fd = ok (Base.openf b (p "/big") Types.flags_create) in
+  let data = String.init 16384 (fun i -> Char.chr (i * 7 land 0xff)) in
+  Alcotest.(check int) "write" 16384 (ok (Base.pwrite b fd ~off:0 data));
+  Alcotest.(check string) "first read" data (ok (Base.pread b fd ~off:0 ~len:16384));
+  let got = ref "" in
+  let words =
+    Alloc_words.direct_major_words (fun () -> got := ok (Base.pread b fd ~off:0 ~len:16384))
+  in
+  Alcotest.(check string) "second read" data !got;
+  let one_string = Alloc_words.string_words 16384 in
+  if words <> float_of_int one_string then
+    Alcotest.failf "a 16 KiB read allocated %.0f major words, not one %d-word string" words
+      one_string
+
 let test_cache_policies_equivalent_semantics () =
   (* LRU vs 2Q must not change any outcome, only performance. *)
   let run policy =
@@ -585,6 +603,7 @@ let () =
         [
           Alcotest.test_case "freed block leaves the txn" `Quick test_freed_block_leaves_txn;
           Alcotest.test_case "major allocation budget" `Quick test_major_alloc_budget;
+          Alcotest.test_case "16 KiB read allocates one string" `Quick test_read_one_string;
           Alcotest.test_case "download commit unpins the hand-off" `Quick
             test_download_unpins_handoff;
         ] );

@@ -153,6 +153,21 @@ let test_report_rendering () =
       Report.Warning_storm { bug = "x"; msg = "" };
     ]
 
+(* Growing the window's array must not force a minor collection: an
+   [Array.make] of more than 256 words whose initial value sits in the
+   minor heap runs one first. *)
+let test_growth_no_minor_gc () =
+  let log = Oplog.create () in
+  let op = Op.Fstat 3 and outcome = Ok Op.Unit in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  for _ = 1 to 600 do
+    Oplog.record log op outcome
+  done;
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check int) "window past 512 entries" 600 (Oplog.length log);
+  Alcotest.(check int) "minor collections while growing" 0 (after - before)
+
 let () =
   Alcotest.run "rae_oplog"
     [
@@ -166,6 +181,7 @@ let () =
           Alcotest.test_case "entries_from across checkpoints" `Quick
             test_entries_from_across_checkpoints;
           Alcotest.test_case "select_from" `Quick test_select_from;
+          Alcotest.test_case "growth forces no minor collection" `Quick test_growth_no_minor_gc;
         ] );
       ("report", [ Alcotest.test_case "rendering" `Quick test_report_rendering ]);
     ]

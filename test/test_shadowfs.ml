@@ -349,6 +349,24 @@ let test_fd_table_exposed () =
   | other -> Alcotest.failf "unexpected fd table size %d" (List.length other));
   ignore (ok (Shadow.close sh fd))
 
+(* A 16 KiB read of blocks the overlay holds copies its bytes once, into
+   the one string it returns. *)
+let test_read_one_string () =
+  let _disk, sh = mk_shadow () in
+  let fd = ok (Shadow.openf sh (p "/big") Types.flags_create) in
+  let data = String.init 16384 (fun i -> Char.chr (i * 7 land 0xff)) in
+  Alcotest.(check int) "write" 16384 (ok (Shadow.pwrite sh fd ~off:0 data));
+  Alcotest.(check string) "first read" data (ok (Shadow.pread sh fd ~off:0 ~len:16384));
+  let got = ref "" in
+  let words =
+    Alloc_words.direct_major_words (fun () -> got := ok (Shadow.pread sh fd ~off:0 ~len:16384))
+  in
+  Alcotest.(check string) "second read" data !got;
+  let one_string = Alloc_words.string_words 16384 in
+  if words <> float_of_int one_string then
+    Alcotest.failf "a 16 KiB read allocated %.0f major words, not one %d-word string" words
+      one_string
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rae_shadowfs"
@@ -365,6 +383,7 @@ let () =
           Alcotest.test_case "indirect blocks" `Quick test_shadow_large_file_indirect;
           Alcotest.test_case "ENOSPC" `Quick test_shadow_enospc;
           Alcotest.test_case "fd table" `Quick test_fd_table_exposed;
+          Alcotest.test_case "16 KiB read allocates one string" `Quick test_read_one_string;
         ] );
       ( "checks",
         [

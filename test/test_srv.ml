@@ -171,6 +171,257 @@ let gen_frame =
 
 let frame_to_string = Format.asprintf "%a" Wire.pp_frame
 
+(* ---- the Buffer-based encoder the in-place one replaced ---- *)
+
+(* Kept verbatim as the reference: every frame the in-place encoder
+   writes must equal its output byte for byte. *)
+module Reference = struct
+  open Wire
+  module Codec = Rae_util.Codec
+  module Checksum = Rae_util.Checksum
+
+  let magic = 0x5253
+
+  let tag_of_frame = function
+    | Hello _ -> 1
+    | Hello_ok _ -> 2
+    | Detach -> 3
+    | Detach_ok -> 4
+    | Ping _ -> 5
+    | Pong _ -> 6
+    | Stats_req -> 7
+    | Stats_reply _ -> 8
+    | Op_req _ -> 9
+    | Op_reply _ -> 10
+    | Busy _ -> 11
+    | Err _ -> 12
+    | Note_degraded _ -> 13
+    | Note_recovered _ -> 14
+    | Metrics_req -> 15
+    | Metrics_reply _ -> 16
+    | Bundles_req -> 17
+    | Bundles_reply _ -> 18
+    | Bundle_req _ -> 19
+    | Bundle_reply _ -> 20
+
+  (* ---- payload encoding ---- *)
+
+  let add_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+
+  let add_u16 b v =
+    add_u8 b v;
+    add_u8 b (v lsr 8)
+
+  let add_u32 b v =
+    add_u16 b (v land 0xffff);
+    add_u16 b ((v lsr 16) land 0xffff)
+
+  let add_int b v = Buffer.add_int64_le b (Int64.of_int v)
+
+  let add_str16 b s =
+    add_u16 b (String.length s);
+    Buffer.add_string b s
+
+  let add_str32 b s =
+    add_u32 b (String.length s);
+    Buffer.add_string b s
+
+  let add_path b path =
+    add_u16 b (List.length path);
+    List.iter (fun c -> add_str16 b c) path
+
+  let add_flags b (f : Types.open_flags) =
+    let bit c i = if c then 1 lsl i else 0 in
+    add_u8 b
+      (bit f.Types.rd 0 lor bit f.Types.wr 1 lor bit f.Types.creat 2 lor bit f.Types.excl 3
+     lor bit f.Types.trunc 4 lor bit f.Types.append 5)
+
+  let add_op b op =
+    let tag t = add_u8 b t in
+    match op with
+    | Op.Create (path, mode) ->
+        tag 1;
+        add_path b path;
+        add_int b mode
+    | Op.Mkdir (path, mode) ->
+        tag 2;
+        add_path b path;
+        add_int b mode
+    | Op.Unlink path ->
+        tag 3;
+        add_path b path
+    | Op.Rmdir path ->
+        tag 4;
+        add_path b path
+    | Op.Open (path, flags) ->
+        tag 5;
+        add_path b path;
+        add_flags b flags
+    | Op.Close fd ->
+        tag 6;
+        add_int b fd
+    | Op.Pread (fd, off, len) ->
+        tag 7;
+        add_int b fd;
+        add_int b off;
+        add_int b len
+    | Op.Pwrite (fd, off, data) ->
+        tag 8;
+        add_int b fd;
+        add_int b off;
+        add_str32 b data
+    | Op.Lookup path ->
+        tag 9;
+        add_path b path
+    | Op.Stat path ->
+        tag 10;
+        add_path b path
+    | Op.Fstat fd ->
+        tag 11;
+        add_int b fd
+    | Op.Readdir path ->
+        tag 12;
+        add_path b path
+    | Op.Rename (src, dst) ->
+        tag 13;
+        add_path b src;
+        add_path b dst
+    | Op.Truncate (path, size) ->
+        tag 14;
+        add_path b path;
+        add_int b size
+    | Op.Link (src, dst) ->
+        tag 15;
+        add_path b src;
+        add_path b dst
+    | Op.Symlink (target, link) ->
+        tag 16;
+        add_str16 b target;
+        add_path b link
+    | Op.Readlink path ->
+        tag 17;
+        add_path b path
+    | Op.Chmod (path, mode) ->
+        tag 18;
+        add_path b path;
+        add_int b mode
+    | Op.Fsync fd ->
+        tag 19;
+        add_int b fd
+    | Op.Sync -> tag 20
+
+  let add_stat b (st : Types.stat) =
+    add_int b st.Types.st_ino;
+    add_u8 b (Types.kind_code st.Types.st_kind);
+    add_int b st.Types.st_size;
+    add_int b st.Types.st_nlink;
+    add_int b st.Types.st_mode;
+    Buffer.add_int64_le b st.Types.st_mtime;
+    Buffer.add_int64_le b st.Types.st_ctime
+
+  let add_value b = function
+    | Op.Unit -> add_u8 b 0
+    | Op.Fd fd ->
+        add_u8 b 1;
+        add_int b fd
+    | Op.Ino ino ->
+        add_u8 b 2;
+        add_int b ino
+    | Op.Data s ->
+        add_u8 b 3;
+        add_str32 b s
+    | Op.Len n ->
+        add_u8 b 4;
+        add_int b n
+    | Op.St st ->
+        add_u8 b 5;
+        add_stat b st
+    | Op.Names names ->
+        add_u8 b 6;
+        add_u32 b (List.length names);
+        List.iter (fun n -> add_str16 b n) names
+
+  let add_outcome b = function
+    | Ok v ->
+        add_u8 b 0;
+        add_value b v
+    | Error e ->
+        add_u8 b 1;
+        add_u8 b (Errno.to_wire e)
+
+  let add_payload b = function
+    | Hello { version } -> add_u16 b version
+    | Hello_ok { session; version } ->
+        add_u32 b session;
+        add_u16 b version
+    | Detach | Detach_ok | Stats_req -> ()
+    | Ping { token } -> add_int b token
+    | Pong { token } -> add_int b token
+    | Stats_reply s ->
+        add_u32 b s.ws_sessions;
+        add_int b s.ws_served;
+        add_int b s.ws_busy;
+        add_u32 b s.ws_recoveries;
+        add_u8 b (if s.ws_degraded then 1 else 0)
+    | Op_req { req; corr; op } ->
+        add_u32 b req;
+        add_op b op;
+        add_u32 b corr
+    | Op_reply { req; outcome } ->
+        add_u32 b req;
+        add_outcome b outcome
+    | Busy { req; retry_after_ms } ->
+        add_u32 b req;
+        add_u16 b retry_after_ms
+    | Err { errno; msg } ->
+        add_u8 b (Errno.to_wire errno);
+        add_str16 b msg
+    | Note_degraded { reason } -> add_str16 b reason
+    | Note_recovered { seq; trigger; wall_us } ->
+        add_u32 b seq;
+        add_str16 b trigger;
+        add_int b wall_us
+    | Metrics_req | Bundles_req -> ()
+    | Metrics_reply { text } -> add_str32 b text
+    | Bundles_reply { names } ->
+        add_u16 b (List.length names);
+        List.iter (fun n -> add_str16 b n) names
+    | Bundle_req { name } -> add_str16 b name
+    | Bundle_reply { name; data } ->
+        add_str16 b name;
+        add_str32 b data
+
+  (* A reusable encoder: one payload buffer and one growable scratch area
+     per connection, so the steady-state serving path allocates nothing per
+     frame beyond what the transport itself copies out. *)
+  type encoder = { payload : Buffer.t; mutable scratch : Bytes.t }
+
+  let encoder () = { payload = Buffer.create 256; scratch = Bytes.create 256 }
+
+  let encode_into enc frame out =
+    Buffer.clear enc.payload;
+    add_payload enc.payload frame;
+    let plen = Buffer.length enc.payload in
+    let need = header_bytes + plen in
+    if Bytes.length enc.scratch < need then
+      enc.scratch <- Bytes.create (max need (2 * Bytes.length enc.scratch));
+    let b = enc.scratch in
+    Codec.set_u16 b 0 magic;
+    Codec.set_u8 b 2 protocol_version;
+    Codec.set_u8 b 3 (tag_of_frame frame);
+    Codec.set_u32_int b 4 plen;
+    Buffer.blit enc.payload 0 b header_bytes plen;
+    let crc = Checksum.crc32c b ~pos:0 ~len:8 in
+    let crc = Checksum.crc32c ~init:crc b ~pos:header_bytes ~len:plen in
+    Codec.set_i32 b 8 crc;
+    Buffer.add_subbytes out b 0 need
+
+  let encode frame =
+    let out = Buffer.create 64 in
+    encode_into (encoder ()) frame out;
+    Buffer.contents out
+end
+
 (* ---- wire properties ---- *)
 
 let prop_roundtrip =
@@ -198,6 +449,41 @@ let prop_encode_into_matches_encode =
           Wire.encode_into enc f out;
           Buffer.contents out = Wire.encode f)
         frames)
+
+(* Frames whose payload is over 64 KiB: a read reply, a write request
+   and the two bulk observability replies. *)
+let gen_big_frame =
+  let open QCheck2.Gen in
+  let* n = int_range 65_537 200_000 in
+  let* k = int_range 1 255 in
+  let big = String.init n (fun i -> Char.chr ((i * k) lsr 3 land 0xff)) in
+  oneofl
+    [
+      Wire.Op_reply { req = k; outcome = Ok (Op.Data big) };
+      Wire.Op_req { req = k; corr = n; op = Op.Pwrite (3, n, big) };
+      Wire.Bundle_reply { name = "b"; data = big };
+      Wire.Metrics_reply { text = big };
+    ]
+
+let prop_encoder_matches_reference =
+  (* Several frames appended to one fresh encoder (which starts at 256
+     bytes, so big frames grow it), then the same frames again through
+     [encode_into] on the grown encoder and through [encode]. *)
+  QCheck2.Test.make ~name:"in-place encoder = reference encoder" ~count:200
+    ~print:(fun fs -> String.concat " | " (List.map frame_to_string fs))
+    QCheck2.Gen.(list_size (int_range 1 8) (frequency [ (8, gen_frame); (1, gen_big_frame) ]))
+    (fun frames ->
+      let expected = String.concat "" (List.map Reference.encode frames) in
+      let e = Wire.encoder () in
+      List.iter (Wire.append e) frames;
+      let appended = ref "" in
+      Wire.drain e (fun buf off len -> appended := Bytes.sub_string buf off len);
+      let out = Buffer.create 16 in
+      List.iter (fun f -> Wire.encode_into e f out) frames;
+      !appended = expected
+      && Wire.pending e = 0
+      && Buffer.contents out = expected
+      && String.concat "" (List.map Wire.encode frames) = expected)
 
 let prop_truncated =
   QCheck2.Test.make ~name:"every strict prefix decodes to Need_more" ~count:200
@@ -740,6 +1026,195 @@ let test_bundle_names_impacted_sessions () =
         replies)
     conns
 
+(* ---- the reply path: drain, allocation, recovery notes ---- *)
+
+let request req op = Wire.encode (Wire.Op_req { req; corr = 0; op })
+
+(* One request, one turn, one reply. *)
+let call server cid req op =
+  Server.feed server cid (request req op);
+  ignore (Server.step server);
+  match decode_all "call" (Server.output server cid) with
+  | [ Wire.Op_reply { outcome; _ } ] -> outcome
+  | fs -> Alcotest.failf "expected one reply, got %d frame(s)" (List.length fs)
+
+let gen_srv_op =
+  let open QCheck2.Gen in
+  let path = map (fun c -> [ c ]) (oneofl [ "a"; "b"; "c" ]) in
+  let vfd = int_bound 5 in
+  let off = int_bound 40_000 in
+  oneof
+    [
+      map (fun path -> Op.Create (path, 0o644)) path;
+      map (fun path -> Op.Open (path, Types.flags_rw)) path;
+      map3 (fun fd off n -> Op.Pwrite (fd, off, String.make n 'w')) vfd off (int_bound 20_000);
+      map3 (fun fd off len -> Op.Pread (fd, off, len)) vfd off (int_bound 20_000);
+      map (fun fd -> Op.Fstat fd) vfd;
+      map (fun fd -> Op.Close fd) vfd;
+      map (fun path -> Op.Unlink path) path;
+      return (Op.Readdir []);
+      return Op.Sync;
+    ]
+
+let prop_drain_matches_output =
+  (* Two servers over identical fresh images get the same request
+     stream; one hands its output out through [drain], the other through
+     [output], after every turn. *)
+  QCheck2.Test.make ~name:"drain hands out what output returns" ~count:30
+    ~print:(fun turns ->
+      String.concat " / "
+        (List.map (fun ops -> String.concat ", " (List.map (Format.asprintf "%a" Op.pp) ops)) turns))
+    QCheck2.Gen.(list_size (int_range 1 12) (list_size (int_bound 6) gen_srv_op))
+    (fun turns ->
+      let a = Server.create (mk_ctl ()) and b = Server.create (mk_ctl ()) in
+      let ca = attach a and cb = attach b in
+      let req = ref 0 in
+      List.for_all
+        (fun ops ->
+          List.iter
+            (fun op ->
+              incr req;
+              Server.feed a ca (request !req op);
+              Server.feed b cb (request !req op))
+            ops;
+          ignore (Server.step a);
+          ignore (Server.step b);
+          let calls = ref 0 and got = Buffer.create 16 in
+          Server.drain a ca (fun buf off len ->
+              incr calls;
+              Buffer.add_subbytes got buf off len);
+          let want = Server.output b cb in
+          Buffer.contents got = want && !calls = if want = "" then 0 else 1)
+        turns)
+
+(* A warm 16 KiB read reply, from the request bytes to the drained
+   slice: the read's one string is the only block that skips the minor
+   heap; the frame is encoded into the connection's grown buffer. *)
+let test_read_reply_allocation () =
+  let server = Server.create (mk_ctl ()) in
+  let cid = attach server in
+  let data = String.init 16384 (fun i -> Char.chr (i * 13 land 0xff)) in
+  ignore (ok_or "create" (call server cid 1 (Op.Create (p "/big", 0o644))));
+  let fd =
+    match call server cid 2 (Op.Open (p "/big", Types.flags_rw)) with
+    | Ok (Op.Fd fd) -> fd
+    | _ -> Alcotest.fail "open"
+  in
+  ignore (ok_or "pwrite" (call server cid 3 (Op.Pwrite (fd, 0, data))));
+  ignore (ok_or "warm pread" (call server cid 4 (Op.Pread (fd, 0, 16384))));
+  let req = request 5 (Op.Pread (fd, 0, 16384)) in
+  let sink = Bytes.create 32768 and got = ref 0 in
+  let words =
+    Alloc_words.direct_major_words (fun () ->
+        Server.feed server cid req;
+        ignore (Server.step server);
+        Server.drain server cid (fun buf off len ->
+            Bytes.blit buf off sink 0 len;
+            got := len))
+  in
+  (match decode_all "reply" (Bytes.sub_string sink 0 !got) with
+  | [ Wire.Op_reply { req = 5; outcome = Ok (Op.Data d) } ] ->
+      Alcotest.(check bool) "read back" true (d = data)
+  | _ -> Alcotest.fail "expected the read reply");
+  let one_string = Alloc_words.string_words 16384 in
+  if words <> float_of_int one_string then
+    Alcotest.failf "a 16 KiB read reply allocated %.0f major words, not one %d-word string" words
+      one_string
+
+(* Two requests that each trip the armed bug, dispatched in one turn: every
+   session gets both notes, in seq order, with each report's trigger and
+   wall time. *)
+let test_recovery_notes_one_turn () =
+  let ctl = mk_ctl ~bugs:(arm [ "crafted-name-panic" ]) () in
+  let server = Server.create ctl in
+  let a = attach server and b = attach server in
+  Server.feed server a (request 1 (Op.Create (p "/pwn", 0o644)));
+  Server.feed server b (request 1 (Op.Stat (p "/pwn")));
+  ignore (Server.step server);
+  let reports = Controller.recoveries ctl in
+  Alcotest.(check int) "two recoveries" 2 (List.length reports);
+  let want =
+    List.mapi
+      (fun i r ->
+        Wire.Note_recovered
+          {
+            seq = i + 1;
+            trigger = Rae_core.Report.trigger_to_string r.Rae_core.Report.r_trigger;
+            wall_us = int_of_float (r.Rae_core.Report.r_wall_seconds *. 1e6);
+          })
+      reports
+  in
+  List.iter
+    (fun (name, cid) ->
+      match decode_all name (Server.output server cid) with
+      | Wire.Op_reply { req = 1; outcome = Ok _ } :: notes ->
+          Alcotest.(check (list string))
+            (name ^ ": notes") (List.map frame_to_string want) (List.map frame_to_string notes)
+      | _ -> Alcotest.failf "%s: expected its reply, then the notes" name)
+    [ ("a", a); ("b", b) ]
+
+(* ---- the daemon's socket transport ---- *)
+
+module Socket_transport = Rae_srv.Socket_transport
+module Transport = Rae_srv.Transport
+
+let with_socket f =
+  let path = Filename.temp_file "rae-srv" ".sock" in
+  Sys.remove path;
+  let tr = Socket_transport.create ~path ~timeout:0.01 in
+  let client = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect client (Unix.ADDR_UNIX path);
+  let rec accepted tries =
+    match Socket_transport.poll tr with
+    | [ Transport.Accepted link ] -> link
+    | _ when tries > 0 -> accepted (tries - 1)
+    | _ -> Alcotest.fail "no Accepted event"
+  in
+  let link = accepted 100 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close client with Unix.Unix_error _ -> ());
+      Socket_transport.close tr link;
+      try Sys.remove path with Sys_error _ -> ())
+    (fun () -> f tr link client)
+
+let test_socket_large_send () =
+  with_socket (fun tr link client ->
+      let big = Bytes.init (4 * 1024 * 1024) (fun i -> Char.chr (((i * 31) + (i lsr 12)) land 0xff)) in
+      let small = Bytes.of_string "the tail" in
+      let expected = Bytes.to_string big ^ "tail" in
+      Socket_transport.send tr link big 0 (Bytes.length big);
+      Socket_transport.send tr link small 4 4;
+      (* The slices were borrowed: clobbering them must not reach the peer. *)
+      Bytes.fill big 0 (Bytes.length big) '\000';
+      Bytes.fill small 0 (Bytes.length small) '\000';
+      Unix.set_nonblock client;
+      let got = Buffer.create (String.length expected) in
+      let chunk = Bytes.create 65536 in
+      let deadline = Unix.gettimeofday () +. 20. in
+      while Buffer.length got < String.length expected && Unix.gettimeofday () < deadline do
+        List.iter
+          (function
+            | Transport.Closed _ -> Alcotest.fail "link closed" | _ -> ())
+          (Socket_transport.poll tr);
+        match Unix.read client chunk 0 (Bytes.length chunk) with
+        | 0 -> Alcotest.fail "unexpected EOF"
+        | n -> Buffer.add_subbytes got chunk 0 n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+      done;
+      Alcotest.(check int) "bytes received" (String.length expected) (Buffer.length got);
+      Alcotest.(check bool) "bytes equal, in order" true (Buffer.contents got = expected))
+
+let test_socket_send_to_closed_peer () =
+  with_socket (fun tr link client ->
+      Unix.close client;
+      Socket_transport.send tr link (Bytes.of_string "reply") 0 5;
+      Alcotest.(check bool) "dropped link reported closed" true
+        (List.mem (Transport.Closed link) (Socket_transport.poll tr));
+      Socket_transport.send tr link (Bytes.of_string "again") 0 5;
+      Alcotest.(check bool) "reported once" false
+        (List.mem (Transport.Closed link) (Socket_transport.poll tr)))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rae_srv"
@@ -748,6 +1223,7 @@ let () =
         [
           q prop_roundtrip;
           q prop_encode_into_matches_encode;
+          q prop_encoder_matches_reference;
           q prop_truncated;
           q prop_corrupted;
           q prop_chunked;
@@ -783,5 +1259,18 @@ let () =
           Alcotest.test_case "metrics/bundle verbs over the wire" `Quick test_obs_verbs;
           Alcotest.test_case "bundle names impacted sessions by corr id" `Quick
             test_bundle_names_impacted_sessions;
+          Alcotest.test_case "two recoveries in one turn: both notes" `Quick
+            test_recovery_notes_one_turn;
+        ] );
+      (* Group labels stay within seven characters: a longer one widens
+         Alcotest's label column and shortens every truncated test name. *)
+      ( "reply",
+        [
+          q prop_drain_matches_output;
+          Alcotest.test_case "16 KiB read reply allocates one string" `Quick
+            test_read_reply_allocation;
+          Alcotest.test_case "socket: 4 MiB then small, in order" `Quick test_socket_large_send;
+          Alcotest.test_case "socket: send to a closed peer drops the link" `Quick
+            test_socket_send_to_closed_peer;
         ] );
     ]
