@@ -126,15 +126,13 @@ let run_daemon path bug_ids seed batch_max bundle_dir =
   (* Warm-shadow checkpointing keeps recovery replay O(Δ): clients see
      shorter Busy windows when a bug fires mid-serving. *)
   let policy = { Controller.default_policy with Controller.ckpt_enabled = true } in
-  (* Always-on observability: a bounded tracer (the ring cap holds the
-     daemon's memory constant no matter how long it serves), the flight
-     recorder, and a bundle directory for postmortems. *)
-  let tracer = Rae_obs.Tracer.create ~max_events:65536 () in
+  (* Observability: the flight recorder (a fixed-size ring, so the
+     daemon's memory holds however long it serves) and a bundle directory
+     for postmortems.  No tracer: nothing in the daemon could enable one,
+     and bundles embed the recorder. *)
   let events = Rae_obs.Events.create ~capacity:4096 () in
   let run_id = Printf.sprintf "rfsd-%d-%.0f" (Unix.getpid ()) (Unix.time ()) in
-  let ctl =
-    Controller.make ~policy ~tracer ~events ?bundle_dir ~run_id ~device:dev base
-  in
+  let ctl = Controller.make ~policy ~events ?bundle_dir ~run_id ~device:dev base in
   let config = { Server.default_config with Server.batch_max } in
   let server = Server.create ~config ctl in
   let reg = Rae_obs.Metrics.create () in

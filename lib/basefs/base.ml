@@ -51,7 +51,6 @@ let bc_pin c k = match c with Lru_c c -> BL.pin c k | Twoq_c c -> BQ.pin c k
 let bc_unpin c k = match c with Lru_c c -> BL.unpin c k | Twoq_c c -> BQ.unpin c k
 let bc_clear c = match c with Lru_c c -> BL.clear c | Twoq_c c -> BQ.clear c
 let bc_stats c = match c with Lru_c c -> BL.stats c | Twoq_c c -> BQ.stats c
-let bc_reset_stats c = match c with Lru_c c -> BL.reset_stats c | Twoq_c c -> BQ.reset_stats c
 
 (* [K_handoff] is a data-region block a recovery's download journals
    whole (directory, indirect, symlink or file data): the shadow verified
@@ -1382,7 +1381,9 @@ let contained_reboot t =
   Hashtbl.reset t.fds;
   Hashtbl.reset t.orphans;
   Detector.clear t.det;
-  t.mq <- Blkmq.create t.dev;
+  (* The fresh queue and journal count on from the ones they replace:
+     their counters are observations, not state the reboot distrusts. *)
+  t.mq <- Blkmq.create ~carry:t.mq t.dev;
   (match t.tracer with Some tr -> Blkmq.set_tracer t.mq tr | None -> ());
   (* Recover the trusted on-disk state S0. *)
   let replay () =
@@ -1412,7 +1413,7 @@ let contained_reboot t =
           match (ibm, bbm) with
           | Error msg, _ | _, Error msg -> Error ("bitmaps: " ^ msg)
           | Ok ibm, Ok bbm -> (
-              match Journal.attach t.dev t.geo with
+              match Journal.attach ~carry:t.journal t.dev t.geo with
               | Error msg -> Error ("journal: " ^ msg)
               | Ok journal ->
                   t.journal <- journal;
@@ -1569,17 +1570,10 @@ let set_events t ev = t.events <- Some ev
 
 let register_obs reg t =
   let module M = Rae_obs.Metrics in
-  M.register_counter reg ~help:"VFS operations executed by the base"
-    ~reset:(fun () -> t.s_ops <- 0)
-    "base_ops_total"
-    (fun () -> t.s_ops);
-  M.register_counter reg ~help:"group commits"
-    ~reset:(fun () -> t.s_commits <- 0)
-    "base_commits_total"
-    (fun () -> t.s_commits);
-  M.register_counter reg ~help:"commit-time validation passes"
-    ~reset:(fun () -> t.s_validations <- 0)
-    "base_validations_total"
+  M.register_counter reg ~help:"VFS operations executed by the base" "base_ops_total" (fun () ->
+      t.s_ops);
+  M.register_counter reg ~help:"group commits" "base_commits_total" (fun () -> t.s_commits);
+  M.register_counter reg ~help:"commit-time validation passes" "base_validations_total"
     (fun () -> t.s_validations);
   M.register_counter reg ~help:"injected bugs fired" "base_bugs_fired_total" (fun () ->
       Bug_registry.fired_count t.bug_reg);
@@ -1593,16 +1587,11 @@ let register_obs reg t =
       float_of_int (Hashtbl.length t.orphans));
   (* Caches: the containers live for the mount, so closing over [t] and
      sampling through the accessors stays correct across contained reboots. *)
-  Rae_cache.Lru.register_stats reg ~prefix:"bcache"
-    ~reset:(fun () -> bc_reset_stats t.bcache)
-    (fun () -> bc_stats t.bcache);
-  Rae_cache.Lru.register_stats reg ~prefix:"icache"
-    ~reset:(fun () -> IC.reset_stats t.icache)
-    (fun () -> IC.stats t.icache);
-  Rae_cache.Lru.register_stats reg ~prefix:"dcache"
-    ~reset:(fun () -> Rae_cache.Dentry.reset_stats t.dcache)
-    (fun () -> Rae_cache.Dentry.stats t.dcache);
+  Rae_cache.Lru.register_stats reg ~prefix:"bcache" (fun () -> bc_stats t.bcache);
+  Rae_cache.Lru.register_stats reg ~prefix:"icache" (fun () -> IC.stats t.icache);
+  Rae_cache.Lru.register_stats reg ~prefix:"dcache" (fun () -> Rae_cache.Dentry.stats t.dcache);
   (* Journal and queue layer are replaced by contained reboot: register
-     through getters so samples always read the live instance. *)
+     through getters so samples always read the live instance, which
+     carries its predecessor's counts. *)
   Journal.register_obs reg (fun () -> t.journal);
   Blkmq.register_obs reg (fun () -> t.mq)

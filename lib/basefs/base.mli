@@ -130,6 +130,9 @@ val dcache_stats : t -> Rae_cache.Lru.stats
 val icache_stats : t -> Rae_cache.Lru.stats
 val journal_stats : t -> Rae_journal.Journal.stats
 val mq_stats : t -> Rae_block.Blkmq.stats
+(** The journal's and the queue layer's counters over the mount's life:
+    a contained reboot replaces both instances, and each new one counts
+    on from the one it replaced. *)
 
 val set_tracer : t -> Rae_obs.Tracer.t -> unit
 (** Attach a tracer: group commits emit a [base.commit] span, journal
@@ -145,4 +148,4 @@ val register_obs : Rae_obs.Metrics.t -> t -> unit
 (** Register the base's counters and gauges — op/commit/validation counts,
     detector warnings, all three caches, the journal, and the blk-mq layer
     — with a metrics registry.  Samplers read the live instances, so they
-    stay accurate across contained reboots. *)
+    stay accurate across contained reboots, and no counter falls at one. *)

@@ -27,18 +27,19 @@ type t = {
   mutable tracer : Rae_obs.Tracer.t option;
 }
 
-let create ?(nr_queues = 4) ?(batch = 32) dev =
+let create ?(nr_queues = 4) ?(batch = 32) ?carry dev =
   if nr_queues <= 0 || batch <= 0 then invalid_arg "Blkmq.create";
+  let count f = match carry with Some q -> f q | None -> 0 in
   {
     dev;
     queues = Array.init nr_queues (fun _ -> Queue.create ());
     batch;
     next_queue = 0;
-    s_submitted = 0;
-    s_completed = 0;
-    s_merged = 0;
-    s_kicks = 0;
-    s_maxdepth = 0;
+    s_submitted = count (fun q -> q.s_submitted);
+    s_completed = count (fun q -> q.s_completed);
+    s_merged = count (fun q -> q.s_merged);
+    s_kicks = count (fun q -> q.s_kicks);
+    s_maxdepth = count (fun q -> q.s_maxdepth);
     tracer = None;
   }
 
@@ -142,21 +143,11 @@ let stats t =
     max_queue_depth = t.s_maxdepth;
   }
 
-let reset_stats t =
-  t.s_submitted <- 0;
-  t.s_completed <- 0;
-  t.s_merged <- 0;
-  t.s_kicks <- 0;
-  t.s_maxdepth <- 0
-
 (* Registration goes through a getter so the sampled instance can change
    underneath the registry (a contained reboot replaces the queue layer). *)
 let register_obs reg ?(prefix = "blkmq") get =
   let c name help sample =
-    Rae_obs.Metrics.register_counter reg ~help
-      ~reset:(fun () -> reset_stats (get ()))
-      (prefix ^ "_" ^ name)
-      (fun () -> sample (get ()))
+    Rae_obs.Metrics.register_counter reg ~help (prefix ^ "_" ^ name) (fun () -> sample (get ()))
   in
   c "submitted_total" "block requests submitted" (fun t -> t.s_submitted);
   c "completed_total" "block requests completed" (fun t -> t.s_completed);

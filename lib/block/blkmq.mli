@@ -20,10 +20,13 @@ type stats = {
 
 type t
 
-val create : ?nr_queues:int -> ?batch:int -> Device.t -> t
+val create : ?nr_queues:int -> ?batch:int -> ?carry:t -> Device.t -> t
 (** [create dev] builds the queueing layer; [nr_queues] software queues
     (default 4) are selected per-request round-robin, [batch] bounds how many
-    requests one {!kick} dispatches per queue (default 32). *)
+    requests one {!kick} dispatches per queue (default 32).  A queue that
+    replaces [carry] starts its counters and high-water depth at [carry]'s,
+    so its {!stats} cover the life of the mount, not of the instance; none
+    of [carry]'s requests come along. *)
 
 val submit_read : t -> int -> req
 (** Enqueue a read of the given block.  The result is available from
@@ -49,7 +52,6 @@ val drain : t -> unit
 
 val in_flight : t -> int
 val stats : t -> stats
-val reset_stats : t -> unit
 
 val set_tracer : t -> Rae_obs.Tracer.t -> unit
 (** Attach a tracer; {!drain} then emits a [blkmq.destage] span whenever it

@@ -55,4 +55,3 @@ let clear t =
 
 let length t = L.length t.lru
 let stats t = L.stats t.lru
-let reset_stats t = L.reset_stats t.lru

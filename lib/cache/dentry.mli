@@ -28,4 +28,3 @@ val clear : t -> unit
 
 val length : t -> int
 val stats : t -> Lru.stats
-val reset_stats : t -> unit

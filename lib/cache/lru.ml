@@ -123,19 +123,12 @@ module Make (K : KEY) = struct
   let fold t ~init ~f = H.fold (fun k node acc -> f acc k node.value) t.table init
 
   let stats t = { hits = t.hits; misses = t.misses; evictions = t.evictions; inserts = t.inserts }
-
-  let reset_stats t =
-    t.hits <- 0;
-    t.misses <- 0;
-    t.evictions <- 0;
-    t.inserts <- 0
 end
 
 (* Shared by every cache exposing this [stats] shape (LRU, 2Q, dentry). *)
-let register_stats reg ~prefix ?(reset = fun () -> ()) get =
+let register_stats reg ~prefix get =
   let c name help sample =
-    Rae_obs.Metrics.register_counter reg ~help ~reset (prefix ^ "_" ^ name)
-      (fun () -> sample (get ()))
+    Rae_obs.Metrics.register_counter reg ~help (prefix ^ "_" ^ name) (fun () -> sample (get ()))
   in
   c "hits_total" "cache hits" (fun s -> s.hits);
   c "misses_total" "cache misses" (fun s -> s.misses);

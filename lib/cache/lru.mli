@@ -48,11 +48,8 @@ module Make (K : KEY) : sig
   val iter : 'v t -> (K.t -> 'v -> unit) -> unit
   val fold : 'v t -> init:'a -> f:('a -> K.t -> 'v -> 'a) -> 'a
   val stats : 'v t -> stats
-  val reset_stats : 'v t -> unit
 end
 
-val register_stats :
-  Rae_obs.Metrics.t -> prefix:string -> ?reset:(unit -> unit) -> (unit -> stats) -> unit
+val register_stats : Rae_obs.Metrics.t -> prefix:string -> (unit -> stats) -> unit
 (** Register a [stats] sampler as [<prefix>_{hits,misses,evictions,inserts}_total]
-    counters.  Shared by every cache exposing this record (LRU, 2Q, dentry);
-    [reset] is wired into the registry's reset hook. *)
+    counters.  Shared by every cache exposing this record (LRU, 2Q, dentry). *)

@@ -189,10 +189,4 @@ module Make (K : Lru.KEY) = struct
 
   let stats t =
     { Lru.hits = t.hits; misses = t.misses; evictions = t.evictions; inserts = t.inserts }
-
-  let reset_stats t =
-    t.hits <- 0;
-    t.misses <- 0;
-    t.evictions <- 0;
-    t.inserts <- 0
 end

@@ -35,7 +35,6 @@ module Make (K : Lru.KEY) : sig
   val iter : 'v t -> (K.t -> 'v -> unit) -> unit
   val fold : 'v t -> init:'a -> f:('a -> K.t -> 'v -> 'a) -> 'a
   val stats : 'v t -> Lru.stats
-  val reset_stats : 'v t -> unit
 
   val ghost_length : 'v t -> int
   (** Occupancy of [A1out], exposed for tests. *)

@@ -202,44 +202,21 @@ let stats t =
     poisons = t.s_poisons;
   }
 
-let reset_stats t =
-  t.s_cuts <- 0;
-  t.s_folds <- 0;
-  t.s_folded_ops <- 0;
-  t.s_fold_divergences <- 0;
-  t.s_seeded <- 0;
-  t.s_fallbacks <- 0;
-  t.s_poisons <- 0
-
 let register_obs reg t =
   let module M = Rae_obs.Metrics in
   M.register_counter reg ~help:"warm checkpoint cuts (re-bases on a committed S0)"
-    ~reset:(fun () -> t.s_cuts <- 0)
-    "rae_ckpt_cuts_total"
-    (fun () -> t.s_cuts);
+    "rae_ckpt_cuts_total" (fun () -> t.s_cuts);
   M.register_counter reg ~help:"fold batches applied to the warm shadow"
-    ~reset:(fun () -> t.s_folds <- 0)
-    "rae_ckpt_folds_total"
-    (fun () -> t.s_folds);
+    "rae_ckpt_folds_total" (fun () -> t.s_folds);
   M.register_counter reg ~help:"operations folded into the warm shadow (pure reads are not)"
-    ~reset:(fun () -> t.s_folded_ops <- 0)
-    "rae_ckpt_folded_ops_total"
-    (fun () -> t.s_folded_ops);
+    "rae_ckpt_folded_ops_total" (fun () -> t.s_folded_ops);
   M.register_counter reg ~help:"constrained-mode divergences observed while folding"
-    ~reset:(fun () -> t.s_fold_divergences <- 0)
-    "rae_ckpt_fold_divergences_total"
-    (fun () -> t.s_fold_divergences);
+    "rae_ckpt_fold_divergences_total" (fun () -> t.s_fold_divergences);
   M.register_counter reg ~help:"recoveries seeded from the warm checkpoint"
-    ~reset:(fun () -> t.s_seeded <- 0)
-    "rae_ckpt_seeded_total"
-    (fun () -> t.s_seeded);
+    "rae_ckpt_seeded_total" (fun () -> t.s_seeded);
   M.register_counter reg ~help:"seeded recoveries that fell back to the cold path"
-    ~reset:(fun () -> t.s_fallbacks <- 0)
-    "rae_ckpt_fallbacks_total"
-    (fun () -> t.s_fallbacks);
+    "rae_ckpt_fallbacks_total" (fun () -> t.s_fallbacks);
   M.register_counter reg ~help:"checkpoints discarded after a fold or attach failure"
-    ~reset:(fun () -> t.s_poisons <- 0)
-    "rae_ckpt_poisons_total"
-    (fun () -> t.s_poisons);
+    "rae_ckpt_poisons_total" (fun () -> t.s_poisons);
   M.register_gauge reg ~help:"1 while a warm checkpoint is available" "rae_ckpt_valid" (fun () ->
       if valid t then 1. else 0.)

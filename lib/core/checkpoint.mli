@@ -123,7 +123,6 @@ val base_seq : t -> int64
 (** Journal commit sequence of the S0 the checkpoint is based on. *)
 
 val stats : t -> stats
-val reset_stats : t -> unit
 
 val register_obs : Rae_obs.Metrics.t -> t -> unit
 (** Register the [rae_ckpt_*] counter/gauge family. *)

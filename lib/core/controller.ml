@@ -76,10 +76,7 @@ type t = {
   mutable recovery_log : Report.recovery list;  (* newest first *)
   mutable s_ops : int;
   mutable s_recoveries : int;
-  mutable s_failed : int;
   mutable s_discrepancies : int;
-  mutable s_bundles : int;
-  mutable s_bundle_errors : int;
 }
 
 let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~device base =
@@ -126,10 +123,7 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
       recovery_log = [];
       s_ops = 0;
       s_recoveries = 0;
-      s_failed = 0;
       s_discrepancies = 0;
-      s_bundles = 0;
-      s_bundle_errors = 0;
     }
   in
   (match tracer with Some tr -> Base.set_tracer base tr | None -> ());
@@ -283,13 +277,12 @@ let emit_bundle t ~kind ~report =
       let json = bundle_json t ~kind ~report in
       t.bundle_seq <- t.bundle_seq + 1;
       match Rae_obs.Blackbox.write ~dir ~seq:t.bundle_seq ~kind json with
-      | Ok path ->
-          t.s_bundles <- t.s_bundles + 1;
-          t.bundle_log <- path :: t.bundle_log
+      | Ok path -> t.bundle_log <- path :: t.bundle_log
       | Error _ ->
           (* A failed write must never take recovery down with it; the
-             error is visible through rae_blackbox_errors_total. *)
-          t.s_bundle_errors <- t.s_bundle_errors + 1)
+             error is visible through rae_blackbox_errors_total, the
+             sequence numbers the log lacks. *)
+          ())
 
 (* Re-base the warm checkpoint; sound only when the window is empty (both
    call sites run right after an oplog prune). *)
@@ -517,7 +510,6 @@ let rec recover t ~trigger ~inflight ~attempt =
             go_cold ())
       | _ -> go_cold ()
     with Recovery_error msg ->
-      t.s_failed <- t.s_failed + 1;
       t.degraded <- Some msg;
       let report =
         fail_report (Some msg) ~replayed:0 ~skipped:0 ~discrepancies:[] ~handoff:0
@@ -654,27 +646,21 @@ let sync t = unit_of (exec t Op.Sync)
 
 (* ---- introspection ---- *)
 
+(* Fail-stop is terminal: once degraded, no recovery runs again, so the
+   recoveries that failed number exactly one. *)
+let recoveries_failed t = if t.degraded = None then 0 else 1
+
 let stats t =
   {
     ops = t.s_ops;
     recoveries = t.s_recoveries;
-    recoveries_failed = t.s_failed;
+    recoveries_failed = recoveries_failed t;
     discrepancies = t.s_discrepancies;
     window = Oplog.length t.oplog;
     max_window = Oplog.max_window t.oplog;
     total_recorded = Oplog.total_recorded t.oplog;
     total_discarded = Oplog.total_discarded t.oplog;
   }
-
-let reset_stats t =
-  t.s_ops <- 0;
-  t.s_recoveries <- 0;
-  t.s_failed <- 0;
-  t.s_discrepancies <- 0;
-  Oplog.reset_stats t.oplog;
-  Rae_obs.Metrics.h_reset t.recovery_hist;
-  List.iter (fun (_, h) -> Rae_obs.Metrics.h_reset h) t.ph_hists;
-  match t.ckpt with Some c -> Checkpoint.reset_stats c | None -> ()
 
 let checkpoint_now t =
   match t.ckpt with
@@ -706,14 +692,10 @@ let register_obs reg t =
   t.metrics <- Some reg;
   M.register_gauge reg ~help:"derived health: 0 OK, 1 RECOVERING, 2 DEGRADED, 3 FAILSTOP"
     "rae_health" (fun () -> float_of_int (Rae_obs.Events.health_code (health t)));
-  M.register_counter reg ~help:"black-box bundles written"
-    ~reset:(fun () -> t.s_bundles <- 0)
-    "rae_blackbox_written_total"
-    (fun () -> t.s_bundles);
-  M.register_counter reg ~help:"black-box bundle write failures"
-    ~reset:(fun () -> t.s_bundle_errors <- 0)
-    "rae_blackbox_errors_total"
-    (fun () -> t.s_bundle_errors);
+  M.register_counter reg ~help:"black-box bundles written" "rae_blackbox_written_total"
+    (fun () -> List.length t.bundle_log);
+  M.register_counter reg ~help:"black-box bundle write failures" "rae_blackbox_errors_total"
+    (fun () -> t.bundle_seq - List.length t.bundle_log);
   (match t.events with
   | Some ev ->
       M.register_counter reg ~help:"flight-recorder events recorded" "rae_flight_events_total"
@@ -722,25 +704,15 @@ let register_obs reg t =
         "rae_flight_dropped_total"
         (fun () -> Rae_obs.Events.dropped ev)
   | None -> ());
-  M.register_counter reg ~help:"operations executed through the controller"
-    ~reset:(fun () -> t.s_ops <- 0)
-    "rae_ops_total"
+  M.register_counter reg ~help:"operations executed through the controller" "rae_ops_total"
     (fun () -> t.s_ops);
-  M.register_counter reg ~help:"recoveries attempted"
-    ~reset:(fun () -> t.s_recoveries <- 0)
-    "rae_recoveries_total"
-    (fun () -> t.s_recoveries);
+  M.register_counter reg ~help:"recoveries attempted" "rae_recoveries_total" (fun () ->
+      t.s_recoveries);
   M.register_counter reg ~help:"recoveries that degraded to fail-stop"
-    ~reset:(fun () -> t.s_failed <- 0)
-    "rae_recoveries_failed_total"
-    (fun () -> t.s_failed);
-  M.register_counter reg ~help:"base/shadow cross-check mismatches"
-    ~reset:(fun () -> t.s_discrepancies <- 0)
-    "rae_discrepancies_total"
+    "rae_recoveries_failed_total" (fun () -> recoveries_failed t);
+  M.register_counter reg ~help:"base/shadow cross-check mismatches" "rae_discrepancies_total"
     (fun () -> t.s_discrepancies);
-  M.register_counter reg ~help:"operations ever recorded in the oplog"
-    ~reset:(fun () -> Oplog.reset_stats t.oplog)
-    "rae_oplog_recorded_total"
+  M.register_counter reg ~help:"operations ever recorded in the oplog" "rae_oplog_recorded_total"
     (fun () -> Oplog.total_recorded t.oplog);
   M.register_counter reg ~help:"oplog operations discarded at checkpoints" "rae_oplog_discarded_total"
     (fun () -> Oplog.total_discarded t.oplog);

@@ -66,7 +66,7 @@ val default_policy : policy
 type stats = {
   ops : int;  (** operations executed through the controller *)
   recoveries : int;
-  recoveries_failed : int;
+  recoveries_failed : int;  (** 1 once degraded (fail-stop is terminal), else 0 *)
   discrepancies : int;
   window : int;  (** currently recorded (volatile) operations *)
   max_window : int;
@@ -151,15 +151,6 @@ val discrepancies : t -> Report.discrepancy list
 (** All cross-check mismatches ever observed (the §4.3 testing signal). *)
 
 val last_recovery : t -> Report.recovery option
-
-val reset_stats : t -> unit
-(** Zero the controller's counters and oplog/latency statistics so
-    before/after windows can be compared (parity with
-    {!Rae_block.Blkmq.reset_stats} and the cache stats API): the op and
-    recovery counters, the oplog totals, the end-to-end recovery and
-    per-phase latency histograms, and the checkpoint counters.  The
-    recovery log itself —
-    {!recoveries}, {!discrepancies} — is retained. *)
 
 val checkpoint_now : t -> (unit, string) result
 (** Force a checkpoint cut.  Fails when checkpointing is disabled by

@@ -8,13 +8,10 @@ type t = {
   mutable window : int;
   mutable next_seq : int;
   mutable fds : (Types.fd * Types.ino * Types.open_flags) list;
-  mutable total : int;
-  mutable discarded : int;
   mutable max_window : int;
 }
 
-let create () =
-  { buf = [||]; window = 0; next_seq = 0; fds = []; total = 0; discarded = 0; max_window = 0 }
+let create () = { buf = [||]; window = 0; next_seq = 0; fds = []; max_window = 0 }
 
 (* What a grown array's free slots hold.  It must not be a fresh record:
    [Array.make] of more than 256 words with a minor-heap initial value
@@ -31,7 +28,6 @@ let record t op outcome =
   t.buf.(t.window) <- r;
   t.window <- t.window + 1;
   t.next_seq <- t.next_seq + 1;
-  t.total <- t.total + 1;
   if t.window > t.max_window then t.max_window <- t.window
 
 let length t = t.window
@@ -53,17 +49,13 @@ let entries_from t ~seq = select_from t ~seq (fun _ -> true)
 let entries t = entries_from t ~seq:0
 
 let checkpoint t ~fds =
-  t.discarded <- t.discarded + t.window;
   t.window <- 0;
   t.buf <- [||] (* drop references so discarded records can be collected *);
   t.fds <- fds
 
 let fd_snapshot t = t.fds
-let total_recorded t = t.total
-let total_discarded t = t.discarded
+(* Every record takes the next seq and only a checkpoint empties the
+   window, so both totals follow from the numbering. *)
+let total_recorded t = t.next_seq
+let total_discarded t = t.next_seq - t.window
 let max_window t = t.max_window
-
-let reset_stats t =
-  t.total <- 0;
-  t.discarded <- 0;
-  t.max_window <- t.window

@@ -46,14 +46,11 @@ val fd_snapshot : t -> (Rae_vfs.Types.fd * Rae_vfs.Types.ino * Rae_vfs.Types.ope
 (** Descriptors open at the last commit (the S0 descriptor table). *)
 
 val total_recorded : t -> int
-(** Operations ever recorded (monotonic). *)
+(** Operations ever recorded (monotonic): {!next_seq}. *)
 
 val total_discarded : t -> int
-(** Operations discarded by checkpoints (monotonic). *)
+(** Operations discarded by checkpoints (monotonic): {!next_seq} minus
+    the window. *)
 
 val max_window : t -> int
 (** Largest window length observed — bounds worst-case recovery work. *)
-
-val reset_stats : t -> unit
-(** Zero the monotonic counters and re-seat [max_window] at the current
-    window length.  The window itself is untouched. *)

@@ -145,7 +145,8 @@ let format dev geo =
   Device.write dev (region_start geo) (encode_jsb ~tail_seq:1L ~tail_ptr:(region_start geo + 1));
   Device.flush dev
 
-let attach dev geo =
+let attach ?carry dev geo =
+  let count f = match carry with Some j -> f j | None -> 0 in
   match decode_jsb (Device.read dev (region_start geo)) with
   | Some (tail_seq, tail_ptr) ->
       if tail_ptr <= region_start geo || tail_ptr > region_end geo then
@@ -157,11 +158,11 @@ let attach dev geo =
             geo;
             tail_seq;
             tail_ptr;
-            s_commits = 0;
-            s_blocks_logged = 0;
-            s_escapes = 0;
-            s_revokes = 0;
-            s_tail_resets = 0;
+            s_commits = count (fun j -> j.s_commits);
+            s_blocks_logged = count (fun j -> j.s_blocks_logged);
+            s_escapes = count (fun j -> j.s_escapes);
+            s_revokes = count (fun j -> j.s_revokes);
+            s_tail_resets = count (fun j -> j.s_tail_resets);
           }
   | None -> Error "journal superblock unreadable (not formatted or corrupt)"
 

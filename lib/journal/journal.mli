@@ -34,10 +34,12 @@ exception Journal_full of { needed : int; capacity : int }
 val format : Rae_block.Device.t -> Rae_format.Layout.geometry -> unit
 (** Write a fresh (empty) journal superblock; part of mkfs. *)
 
-val attach : Rae_block.Device.t -> Rae_format.Layout.geometry -> (t, string) result
+val attach : ?carry:t -> Rae_block.Device.t -> Rae_format.Layout.geometry -> (t, string) result
 (** Open the journal of a formatted device.  Fails when the journal
     superblock is unreadable (run {!replay} — which tolerates any tail state
-    — or re-{!format} first). *)
+    — or re-{!format} first).  A journal that replaces [carry] starts its
+    counters at [carry]'s, so its {!stats} cover the life of the mount, not
+    of the instance; nothing else of [carry] is read. *)
 
 type txn
 

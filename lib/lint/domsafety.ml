@@ -236,13 +236,18 @@ let findings reports =
         g.g_cells)
     reports
 
-(* ---- domain_escape.json ---- *)
+(* ---- domain_escape.json ----
+
+   A writer is named by its definition and file, not its line: the
+   committed catalogue is a drift gate, and it should move when what a
+   region reaches changes, not when an edit shifts lines.  Findings
+   keep their file:line. *)
 
 let to_json reports =
   let open Rae_obs.Jsonx in
   Obj
     [
-      ("schema", Str "rae-domain-escape/1");
+      ("schema", Str "rae-domain-escape/2");
       ( "regions",
         List
           (List.map
@@ -276,7 +281,6 @@ let to_json reports =
                                              [
                                                ("def", Str s.s_def);
                                                ("file", Str s.s_loc.Analysis.l_file);
-                                               ("line", Int s.s_loc.Analysis.l_line);
                                                ("escape", Bool s.s_escape);
                                              ])
                                          c.r_writes) );

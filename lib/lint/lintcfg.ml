@@ -49,11 +49,13 @@ type t = {
          ordered-mode data destage. *)
   (* ---- domain-safety pre-pass (rule domain-safety) ---- *)
   domain_regions : (string * string list) list;
-      (* region name -> def-name prefixes of the code ROADMAP item 2
-         wants on separate domains.  Every global mutable cell (or
+      (* region name -> def-name prefixes of code that runs on a worker
+         domain (the pool and the crash sweep) or that a worker could
+         be handed (the checkpoint fold and constrained replay, on the
+         controller's domain today).  Every global mutable cell (or
          mutable record field) written by code reachable from a region
          root must be guarded, declared domain-local, or it is a
-         finding — the work-list for the multicore PR. *)
+         finding. *)
   guarded_cells : (string * string) list;
       (* cell prefix -> justification.  For cells whose guard the
          analysis cannot see (e.g. ring slots made exclusive by an
@@ -255,9 +257,10 @@ let default =
     domain_local_cells =
       [
         (* A shadow (and its overlay/chunk/cache state) is owned by the
-           domain replaying into it: parallel constrained replay gives
-           each group its own seeded shadow and cross-checks at merge
-           points, so intra-shadow state never crosses domains. *)
+           domain replaying into it: every controller and every
+           crash-sweep oracle builds its own shadows, and the warm one
+           passes to recovery whole at a seed, never shared, so
+           intra-shadow state never crosses domains. *)
         ("Rae_shadowfs.", "shadow instance owned by the replaying domain");
         ("Rae_specfs.", "spec state embedded in a domain-owned shadow");
         (* fsck and journal replay run on a sweep worker only against

@@ -21,7 +21,6 @@ type body =
   | Bug_fired of { id : string }
   | Session_event of { action : [ `Attach | `Evict | `Retry | `Detach ]; session : int }
   | Degradation of { reason : string }
-  | Note of { msg : string }
 
 type event = { seq : int; ts_ns : int; body : body }
 type health = Healthy | Recovering | Degraded | Failstop
@@ -31,13 +30,6 @@ let health_to_string = function
   | Recovering -> "RECOVERING"
   | Degraded -> "DEGRADED"
   | Failstop -> "FAILSTOP"
-
-let health_of_string = function
-  | "OK" -> Some Healthy
-  | "RECOVERING" -> Some Recovering
-  | "DEGRADED" -> Some Degraded
-  | "FAILSTOP" -> Some Failstop
-  | _ -> None
 
 let health_code = function Healthy -> 0 | Recovering -> 1 | Degraded -> 2 | Failstop -> 3
 
@@ -56,7 +48,6 @@ let k_evict = 10
 let k_retry = 11
 let k_detach = 12
 let k_degraded = 13
-let k_note = 14
 
 type t = {
   mask : int;  (* capacity - 1; capacity is a power of two *)
@@ -140,7 +131,6 @@ let record_session t action ~session =
   put t kind 0 0 session 0 "" ""
 
 let record_degraded t ~reason = put t k_degraded 0 0 0 0 reason ""
-let record_note t msg = put t k_note 0 0 0 0 msg ""
 
 (* ---- read side: materialize typed views ---- *)
 
@@ -166,8 +156,7 @@ let body_at t i =
   else if kind = k_evict then Session_event { action = `Evict; session = c }
   else if kind = k_retry then Session_event { action = `Retry; session = c }
   else if kind = k_detach then Session_event { action = `Detach; session = c }
-  else if kind = k_degraded then Degradation { reason = s1 }
-  else Note { msg = s1 }
+  else Degradation { reason = s1 }
 
 let tail ?n t =
   let total = total t in
@@ -194,7 +183,6 @@ let body_kind_string = function
   | Session_event { action = `Retry; _ } -> "session-retry"
   | Session_event { action = `Detach; _ } -> "session-detach"
   | Degradation _ -> "degraded"
-  | Note _ -> "note"
 
 let event_json ev =
   let base = [ ("seq", Jsonx.Int ev.seq); ("ts_ns", Jsonx.Int ev.ts_ns) ] in
@@ -226,12 +214,7 @@ let event_json ev =
     | Bug_fired { id } -> [ ("bug", Jsonx.Str id) ]
     | Session_event { session; _ } -> [ ("session", Jsonx.Int session) ]
     | Degradation { reason } -> [ ("reason", Jsonx.Str reason) ]
-    | Note { msg } -> [ ("msg", Jsonx.Str msg) ]
   in
   Jsonx.Obj ((base @ [ kind ]) @ rest)
 
 let to_json ?n t = Jsonx.List (List.map event_json (tail ?n t))
-
-let pp_event ppf ev =
-  let j = event_json ev in
-  Format.pp_print_string ppf (Jsonx.to_string j)

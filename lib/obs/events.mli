@@ -27,7 +27,6 @@ type body =
   | Bug_fired of { id : string }
   | Session_event of { action : [ `Attach | `Evict | `Retry | `Detach ]; session : int }
   | Degradation of { reason : string }
-  | Note of { msg : string }
 
 type event = { seq : int;  (** global event number, monotone from 0 *) ts_ns : int; body : body }
 
@@ -40,7 +39,6 @@ type health = Healthy | Recovering | Degraded | Failstop
 val health_to_string : health -> string
 (** ["OK"] / ["RECOVERING"] / ["DEGRADED"] / ["FAILSTOP"]. *)
 
-val health_of_string : string -> health option
 val health_code : health -> int
 
 type t
@@ -75,7 +73,6 @@ val record_ckpt_poison : t -> unit
 val record_bug_fired : t -> id:string -> unit
 val record_session : t -> [ `Attach | `Evict | `Retry | `Detach ] -> session:int -> unit
 val record_degraded : t -> reason:string -> unit
-val record_note : t -> string -> unit
 
 (** {1 Read side} *)
 
@@ -85,4 +82,3 @@ val tail : ?n:int -> t -> event list
 val body_kind_string : body -> string
 val event_json : event -> Jsonx.t
 val to_json : ?n:int -> t -> Jsonx.t
-val pp_event : Format.formatter -> event -> unit

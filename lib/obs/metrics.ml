@@ -50,12 +50,6 @@ let quantile h q =
     go 0 0.
   end
 
-let h_reset h =
-  Array.fill h.buckets 0 nbuckets 0;
-  h.count <- 0;
-  h.sum <- 0.;
-  h.max <- 0.
-
 (* ---- the registry ---- *)
 
 type value =
@@ -67,7 +61,6 @@ type metric = {
   m_help : string;
   m_kind : [ `Counter | `Gauge | `Histogram ];
   m_sample : unit -> value;
-  m_reset : unit -> unit;
 }
 
 type t = { tbl : (string, metric) Hashtbl.t }
@@ -76,13 +69,11 @@ let create () = { tbl = Hashtbl.create 64 }
 
 let register t name m = Hashtbl.replace t.tbl name m
 
-let register_counter t ?(help = "") ?(reset = fun () -> ()) name sample =
-  register t name
-    { m_help = help; m_kind = `Counter; m_sample = (fun () -> Counter (sample ())); m_reset = reset }
+let register_counter t ?(help = "") name sample =
+  register t name { m_help = help; m_kind = `Counter; m_sample = (fun () -> Counter (sample ())) }
 
-let register_gauge t ?(help = "") ?(reset = fun () -> ()) name sample =
-  register t name
-    { m_help = help; m_kind = `Gauge; m_sample = (fun () -> Gauge (sample ())); m_reset = reset }
+let register_gauge t ?(help = "") name sample =
+  register t name { m_help = help; m_kind = `Gauge; m_sample = (fun () -> Gauge (sample ())) }
 
 let register_histogram t ?(help = "") name h =
   let sample () =
@@ -96,15 +87,13 @@ let register_histogram t ?(help = "") name h =
         max = h.max;
       }
   in
-  register t name
-    { m_help = help; m_kind = `Histogram; m_sample = sample; m_reset = (fun () -> h_reset h) }
+  register t name { m_help = help; m_kind = `Histogram; m_sample = sample }
 
 let snapshot t =
   Hashtbl.fold (fun name m acc -> (name, m.m_sample ()) :: acc) t.tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let find t name = Option.map (fun m -> m.m_sample ()) (Hashtbl.find_opt t.tbl name)
-let reset t = Hashtbl.iter (fun _ m -> m.m_reset ()) t.tbl
 let names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.tbl [] |> List.sort String.compare
 
 (* ---- prometheus text exposition ---- *)
@@ -167,33 +156,3 @@ let value_json v =
 
 let json t = Jsonx.Obj (List.map (fun (name, v) -> (name, value_json v)) (snapshot t))
 let to_json t = Jsonx.to_string (json t)
-
-let value_of_json j =
-  let num f = Jsonx.to_float_opt f in
-  match Jsonx.member "type" j with
-  | Some (Jsonx.Str "counter") -> Option.map (fun n -> Counter n) (Option.bind (Jsonx.member "value" j) Jsonx.to_int_opt)
-  | Some (Jsonx.Str "gauge") -> Option.map (fun g -> Gauge g) (Option.bind (Jsonx.member "value" j) num)
-  | Some (Jsonx.Str "histogram") -> (
-      match
-        ( Option.bind (Jsonx.member "count" j) Jsonx.to_int_opt,
-          Option.bind (Jsonx.member "sum" j) num,
-          Option.bind (Jsonx.member "p50" j) num,
-          Option.bind (Jsonx.member "p90" j) num,
-          Option.bind (Jsonx.member "p99" j) num,
-          Option.bind (Jsonx.member "max" j) num )
-      with
-      | Some count, Some sum, Some p50, Some p90, Some p99, Some max ->
-          Some (Histo { count; sum; p50; p90; p99; max })
-      | _ -> None)
-  | _ -> None
-
-let snapshot_of_json j =
-  match j with
-  | Jsonx.Obj fields ->
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | (name, v) :: rest -> (
-            match value_of_json v with Some v -> go ((name, v) :: acc) rest | None -> None)
-      in
-      go [] fields
-  | _ -> None

@@ -9,9 +9,13 @@
     prometheus exporter) runs.
 
     Histograms are the exception: they own their state (log-bucketed
-    counts) and are fed explicitly via {!observe} — RAE uses them for
-    recovery and recovery-phase latencies, which are off the common path by
-    definition. *)
+    counts) and are fed explicitly via {!observe}, at a fixed cost with no
+    allocation.  RAE feeds recovery and recovery-phase latencies, which are
+    off the common path, and the serving layer's per-dispatch latency and
+    batch size ([rae_srv_op_ns], [rae_srv_batch_size]), which are on it.
+
+    Every counter counts up for the life of the process; there is no reset.
+    To measure a window, diff two {!snapshot}s taken at its ends. *)
 
 (** {1 Log-bucketed histograms} *)
 
@@ -34,8 +38,6 @@ val quantile : histogram -> float -> float
     interpolation inside the covering bucket.  Monotone in [q]; returns 0
     on an empty histogram. *)
 
-val h_reset : histogram -> unit
-
 (** {1 The registry} *)
 
 type value =
@@ -47,25 +49,18 @@ type t
 
 val create : unit -> t
 
-val register_counter : t -> ?help:string -> ?reset:(unit -> unit) -> string -> (unit -> int) -> unit
-(** Register a monotone counter sampled by the closure.  [reset] is invoked
-    by {!reset} (subsystems pass their own [reset_stats]).  Re-registering
-    a name replaces the previous metric — reboot-style re-registration is
+val register_counter : t -> ?help:string -> string -> (unit -> int) -> unit
+(** Register a monotone counter sampled by the closure.  Re-registering a
+    name replaces the previous metric — reboot-style re-registration is
     legal. *)
 
-val register_gauge : t -> ?help:string -> ?reset:(unit -> unit) -> string -> (unit -> float) -> unit
-
+val register_gauge : t -> ?help:string -> string -> (unit -> float) -> unit
 val register_histogram : t -> ?help:string -> string -> histogram -> unit
-(** The registered histogram is cleared by {!reset}. *)
 
 val snapshot : t -> (string * value) list
 (** Sample every registered metric, sorted by name. *)
 
 val find : t -> string -> value option
-
-val reset : t -> unit
-(** Run every registered reset hook and clear registered histograms, so
-    before/after windows can be compared. *)
 
 val names : t -> string list
 
@@ -84,8 +79,3 @@ val json : t -> Jsonx.t
     is what black-box bundles embed. *)
 
 val to_json : t -> string
-
-val value_of_json : Jsonx.t -> value option
-val snapshot_of_json : Jsonx.t -> (string * value) list option
-(** Inverse of {!json}, for tools reading a bundle back; [None] on any
-    shape mismatch. *)

@@ -474,33 +474,19 @@ let stats t =
 
 let register_obs reg t =
   Metrics.register_counter reg ~help:"frames decoded from clients"
-    ~reset:(fun () -> t.s_frames_in <- 0)
-    "rae_srv_frames_in_total"
-    (fun () -> t.s_frames_in);
+    "rae_srv_frames_in_total" (fun () -> t.s_frames_in);
   Metrics.register_counter reg ~help:"frames sent to clients"
-    ~reset:(fun () -> t.s_frames_out <- 0)
-    "rae_srv_frames_out_total"
-    (fun () -> t.s_frames_out);
+    "rae_srv_frames_out_total" (fun () -> t.s_frames_out);
   Metrics.register_counter reg ~help:"operations dispatched to the controller"
-    ~reset:(fun () -> t.s_served <- 0)
-    "rae_srv_ops_total"
-    (fun () -> t.s_served);
+    "rae_srv_ops_total" (fun () -> t.s_served);
   Metrics.register_counter reg ~help:"Busy (backpressure) frames sent"
-    ~reset:(fun () -> t.s_busy <- 0)
-    "rae_srv_busy_total"
-    (fun () -> t.s_busy);
+    "rae_srv_busy_total" (fun () -> t.s_busy);
   Metrics.register_counter reg ~help:"scheduler turns that dispatched work"
-    ~reset:(fun () -> t.s_batches <- 0)
-    "rae_srv_batches_total"
-    (fun () -> t.s_batches);
+    "rae_srv_batches_total" (fun () -> t.s_batches);
   Metrics.register_counter reg ~help:"sessions evicted for idleness"
-    ~reset:(fun () -> t.s_evicted <- 0)
-    "rae_srv_evicted_total"
-    (fun () -> t.s_evicted);
+    "rae_srv_evicted_total" (fun () -> t.s_evicted);
   Metrics.register_counter reg ~help:"protocol violations that dropped a connection"
-    ~reset:(fun () -> t.s_proto_errors <- 0)
-    "rae_srv_protocol_errors_total"
-    (fun () -> t.s_proto_errors);
+    "rae_srv_protocol_errors_total" (fun () -> t.s_proto_errors);
   Metrics.register_gauge reg ~help:"currently attached sessions" "rae_srv_sessions" (fun () ->
       float_of_int (List.length (attached_sessions t)));
   Metrics.register_gauge reg ~help:"requests queued across sessions" "rae_srv_queue_depth"

@@ -72,17 +72,14 @@ let test_histogram_basics () =
   Metrics.observe h (-5L) (* clamped to 0 *);
   Alcotest.(check int) "count" 2 (Metrics.h_count h);
   Alcotest.(check (float 0.)) "sum counts clamped negative as 0" 100. (Metrics.h_sum h);
-  Alcotest.(check (float 0.)) "max" 100. (Metrics.h_max h);
-  Metrics.h_reset h;
-  Alcotest.(check int) "reset count" 0 (Metrics.h_count h);
-  Alcotest.(check (float 0.)) "reset max" 0. (Metrics.h_max h)
+  Alcotest.(check (float 0.)) "max" 100. (Metrics.h_max h)
 
 (* ---- registry ---- *)
 
-let test_registry_snapshot_reset () =
+let test_registry_snapshot_replace () =
   let reg = Metrics.create () in
   let n = ref 7 in
-  Metrics.register_counter reg ~help:"test" ~reset:(fun () -> n := 0) "acme_ops" (fun () -> !n);
+  Metrics.register_counter reg ~help:"test" "acme_ops" (fun () -> !n);
   Metrics.register_gauge reg "acme_depth" (fun () -> 2.5);
   let h = Metrics.histogram () in
   Metrics.observe h 1000L;
@@ -99,13 +96,16 @@ let test_registry_snapshot_reset () =
   (match Metrics.find reg "acme_depth" with
   | Some (Metrics.Gauge g) -> Alcotest.(check (float 0.)) "replaced" 9. g
   | _ -> Alcotest.fail "gauge sample");
-  Metrics.reset reg;
+  (* The registry keeps no copy: every read samples the subsystem's own
+     state, so a counter and a histogram move between two snapshots. *)
+  n := 9;
+  Metrics.observe h 3000L;
   (match Metrics.find reg "acme_ops" with
-  | Some (Metrics.Counter 0) -> ()
-  | _ -> Alcotest.fail "reset hook ran");
-  match Metrics.find reg "acme_lat" with
-  | Some (Metrics.Histo { count = 0; _ }) -> ()
-  | _ -> Alcotest.fail "histogram cleared by registry reset"
+  | Some (Metrics.Counter 9) -> ()
+  | _ -> Alcotest.fail "counter sampled at read time");
+  match List.assoc_opt "acme_lat" (Metrics.snapshot reg) with
+  | Some (Metrics.Histo { count = 2; _ }) -> ()
+  | _ -> Alcotest.fail "histogram sampled at read time"
 
 let test_prometheus_export () =
   let reg = Metrics.create () in
@@ -269,12 +269,14 @@ let mk_base () =
   Result.get_ok (Base.mkfs dev ~ninodes:256 ());
   (dev, Result.get_ok (Base.mount ~bugs:(armed_panic ()) dev))
 
-let mk_stack ?bundle_dir () =
+let mk_stack ?policy ?bundle_dir () =
   let dev, base = mk_base () in
   let tracer = Tracer.create () in
   Tracer.enable tracer;
   let events = Events.create ~capacity:256 () in
-  let ctl = Controller.make ~tracer ~events ?bundle_dir ~run_id:"test-obs" ~device:dev base in
+  let ctl =
+    Controller.make ?policy ~tracer ~events ?bundle_dir ~run_id:"test-obs" ~device:dev base
+  in
   (ctl, tracer, events)
 
 (* Phases and the recovery's wall time come from one monotonic clock, so
@@ -365,35 +367,60 @@ let test_recovery_phases_and_spans () =
        (function Tracer.Begin { name = "recovery"; _ } -> true | _ -> false)
        (Tracer.events tracer))
 
+(* Counters count up for the process's life.  With the registry rfsd
+   builds (controller and server), no counter falls across a commit and a
+   recovery, cold or seeded: the contained reboot swaps in a fresh journal
+   and blk-mq queue, and each carries the retired instance's counts. *)
 let test_register_obs_and_reset () =
-  let ctl, _, _ = mk_stack () in
-  let reg = Metrics.create () in
-  Controller.register_obs reg ctl;
-  ignore (Controller.create ctl (p "/a") ~mode:0o644);
-  ignore (Controller.create ctl (p "/boom") ~mode:0o644);
-  (match Metrics.find reg "rae_recoveries_total" with
-  | Some (Metrics.Counter 1) -> ()
-  | Some (Metrics.Counter n) -> Alcotest.failf "expected 1 recovery, sampled %d" n
-  | _ -> Alcotest.fail "rae_recoveries_total missing");
-  (match Metrics.find reg "rae_recovery_ns" with
-  | Some (Metrics.Histo { count = 1; _ }) -> ()
-  | _ -> Alcotest.fail "recovery latency histogram not fed");
-  (match Metrics.find reg "base_ops_total" with
-  | Some (Metrics.Counter n) when n > 0 -> ()
-  | _ -> Alcotest.fail "base metrics not registered");
-  (* Controller.reset_stats zeroes counters but keeps the recovery log. *)
-  Controller.reset_stats ctl;
-  let s = Controller.stats ctl in
-  Alcotest.(check int) "ops reset" 0 s.Controller.ops;
-  Alcotest.(check int) "recoveries reset" 0 s.Controller.recoveries;
-  Alcotest.(check int) "recorded reset" 0 s.Controller.total_recorded;
-  Alcotest.(check int) "log kept" 1 (List.length (Controller.recoveries ctl));
-  (* Metrics.reset drives the same hooks through the registry. *)
-  ignore (Controller.create ctl (p "/b") ~mode:0o644);
-  Metrics.reset reg;
-  match Metrics.find reg "rae_ops_total" with
-  | Some (Metrics.Counter 0) -> ()
-  | _ -> Alcotest.fail "registry reset did not zero controller counters"
+  List.iter
+    (fun ckpt_enabled ->
+      let policy = { Controller.default_policy with Controller.ckpt_enabled } in
+      let ctl, _, _ = mk_stack ~policy () in
+      let reg = Metrics.create () in
+      Controller.register_obs reg ctl;
+      Rae_srv.Server.register_obs reg (Rae_srv.Server.create ctl);
+      let counters () =
+        List.filter_map
+          (function name, Metrics.Counter n -> Some (name, n) | _ -> None)
+          (Metrics.snapshot reg)
+      in
+      let last = ref (counters ()) in
+      let step what f =
+        f ();
+        let now = counters () in
+        List.iter
+          (fun (name, before) ->
+            match List.assoc_opt name now with
+            | Some after when after >= before -> ()
+            | Some after -> Alcotest.failf "%s fell from %d to %d across %s" name before after what
+            | None -> Alcotest.failf "%s vanished across %s" name what)
+          !last;
+        last := now
+      in
+      step "a commit" (fun () ->
+          let fd = Result.get_ok (Controller.openf ctl (p "/a") Types.flags_create) in
+          ignore (Controller.pwrite ctl fd ~off:0 (String.make 10_000 'x'));
+          ignore (Controller.mkdir ctl (p "/d") ~mode:0o755);
+          Result.get_ok (Controller.sync ctl));
+      let kind = if ckpt_enabled then "a seeded recovery" else "a cold recovery" in
+      step kind (fun () -> ignore (Controller.create ctl (p "/d/boom") ~mode:0o644));
+      (match Controller.last_recovery ctl with
+      | Some r ->
+          Alcotest.(check bool) (kind ^ " recovered") true (r.Report.r_outcome = Report.Recovered);
+          Alcotest.(check bool) (kind ^ " took that path") ckpt_enabled r.Report.r_seeded
+      | None -> Alcotest.failf "expected %s" kind);
+      let find name = Metrics.find reg name in
+      match
+        (find "rae_recoveries_total", find "rae_recovery_ns", find "base_ops_total",
+         find "journal_commits_total")
+      with
+      | ( Some (Metrics.Counter 1),
+          Some (Metrics.Histo { count = 1; _ }),
+          Some (Metrics.Counter ops),
+          Some (Metrics.Counter commits) )
+        when ops > 0 && commits >= 2 -> ()
+      | _ -> Alcotest.failf "%s: expected 1 recovery, timed, after base ops and 2+ commits" kind)
+    [ false; true ]
 
 (* ---- flight recorder ---- *)
 
@@ -632,23 +659,24 @@ let test_metrics_json_roundtrip () =
   Metrics.observe h 100L;
   Metrics.observe h 10_000L;
   Metrics.register_histogram reg "m_lat" h;
-  (match Jsonx.parse (Metrics.to_json reg) with
+  (* Bundle tools read the snapshot back through Jsonx. *)
+  match Jsonx.parse (Metrics.to_json reg) with
   | Error m -> Alcotest.failf "metrics snapshot does not reparse: %s" m
-  | Ok j -> (
-      match Metrics.snapshot_of_json j with
-      | None -> Alcotest.fail "snapshot_of_json rejected its own output"
-      | Some kvs -> (
-          Alcotest.(check int) "entries" 3 (List.length kvs);
-          match
-            (List.assoc "m_ops" kvs, List.assoc "m_depth" kvs, List.assoc "m_lat" kvs)
-          with
-          | Metrics.Counter 42, Metrics.Gauge g, Metrics.Histo { count = 2; _ } ->
-              Alcotest.(check (float 0.)) "gauge value" 1.5 g
-          | _ -> Alcotest.fail "values did not round-trip")));
-  (* Shape mismatches answer None, never an exception. *)
-  Alcotest.(check bool) "non-object" true (Metrics.snapshot_of_json (Jsonx.Int 3) = None);
-  Alcotest.(check bool) "bad entry" true
-    (Metrics.snapshot_of_json (Jsonx.Obj [ ("x", Jsonx.Str "?") ]) = None)
+  | Ok j ->
+      let field name key = Option.bind (Jsonx.member name j) (Jsonx.member key) in
+      let str name key = Option.bind (field name key) Jsonx.to_str_opt in
+      let int name key = Option.bind (field name key) Jsonx.to_int_opt in
+      let num name key = Option.bind (field name key) Jsonx.to_float_opt in
+      Alcotest.(check (option int)) "entries" (Some 3)
+        (Option.map List.length (Jsonx.to_obj_opt j));
+      Alcotest.(check (option string)) "counter type" (Some "counter") (str "m_ops" "type");
+      Alcotest.(check (option int)) "counter value" (Some 42) (int "m_ops" "value");
+      Alcotest.(check (option string)) "gauge type" (Some "gauge") (str "m_depth" "type");
+      Alcotest.(check (option (float 0.))) "gauge value" (Some 1.5) (num "m_depth" "value");
+      Alcotest.(check (option string)) "histogram type" (Some "histogram") (str "m_lat" "type");
+      Alcotest.(check (option int)) "histogram count" (Some 2) (int "m_lat" "count");
+      Alcotest.(check (option (float 0.))) "histogram sum" (Some 10_100.) (num "m_lat" "sum");
+      Alcotest.(check (option (float 0.))) "histogram max" (Some 10_000.) (num "m_lat" "max")
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -664,7 +692,7 @@ let () =
         ] );
       ( "registry",
         [
-          Alcotest.test_case "snapshot/reset/replace" `Quick test_registry_snapshot_reset;
+          Alcotest.test_case "snapshot/reset/replace" `Quick test_registry_snapshot_replace;
           Alcotest.test_case "prometheus" `Quick test_prometheus_export;
         ] );
       ( "tracer",

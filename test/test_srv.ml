@@ -27,14 +27,14 @@ let ok_or name = function
 let arm ids =
   Bug_registry.arm ~rng:(Rae_util.Rng.create 7L) (List.filter_map Bug_registry.find ids)
 
-let mk_ctl ?bugs ?bundle_dir ?events () =
+let mk_ctl ?bugs ?policy ?bundle_dir ?events () =
   let disk =
     Disk.create ~latency:Disk.zero_latency ~block_size:Layout.block_size ~nblocks:2048 ()
   in
   let dev = Device.of_disk disk in
   ignore (Result.get_ok (Base.mkfs dev ~ninodes:256 ()));
   let base = Result.get_ok (Base.mount ?bugs dev) in
-  Controller.make ?events ?bundle_dir ~run_id:"test-srv" ~device:dev base
+  Controller.make ?policy ?events ?bundle_dir ~run_id:"test-srv" ~device:dev base
 
 (* A fresh directory path for bundle-emission tests; the controller's
    bundle writer creates it on first use. *)
@@ -913,6 +913,29 @@ let test_obs_verbs () =
   | Error e -> Alcotest.failf "bundles: %s" (Errno.to_string e));
   Client.detach c
 
+(* rfsbench reads these names from the daemon's Prometheus text and takes
+   a missing one as 0, so a dropped registration would zero its ledger
+   rows without an error.  The stack is built as rfsd builds it. *)
+let test_rfsbench_metric_names () =
+  let policy = { Controller.default_policy with Controller.ckpt_enabled = true } in
+  let ctl = mk_ctl ~policy ~events:(Rae_obs.Events.create ~capacity:128 ()) () in
+  let reg = Rae_obs.Metrics.create () in
+  Controller.register_obs reg ctl;
+  Server.register_obs reg (Server.create ctl);
+  let lines = String.split_on_char '\n' (Rae_obs.Metrics.to_prometheus reg) in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " sampled") true
+        (List.exists (String.starts_with ~prefix:(name ^ " ")) lines))
+    [
+      "rae_srv_ops_total"; "rae_srv_batches_total"; "rae_srv_busy_total";
+      "rae_srv_frames_in_total"; "rae_srv_frames_out_total"; "base_commits_total";
+      "bcache_hits_total"; "bcache_misses_total"; "bcache_evictions_total"; "icache_hits_total";
+      "icache_misses_total"; "dcache_hits_total"; "dcache_misses_total"; "rae_ckpt_cuts_total";
+      "rae_ckpt_folds_total"; "rae_ckpt_folded_ops_total"; "rae_ckpt_seeded_total";
+      "rae_recoveries_total";
+    ]
+
 (* ---- the acceptance scenario: a 4-session recovery bundle names every
    impacted session via its client correlation id ---- *)
 
@@ -1257,6 +1280,8 @@ let () =
             test_reconnect_revalidates_fds;
           Alcotest.test_case "detach then EIO" `Quick test_client_detach_then_eio;
           Alcotest.test_case "metrics/bundle verbs over the wire" `Quick test_obs_verbs;
+          Alcotest.test_case "exports the metric names rfsbench reads" `Quick
+            test_rfsbench_metric_names;
           Alcotest.test_case "bundle names impacted sessions by corr id" `Quick
             test_bundle_names_impacted_sessions;
           Alcotest.test_case "two recoveries in one turn: both notes" `Quick
