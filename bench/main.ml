@@ -1939,6 +1939,41 @@ let e_crash () =
      shrinks to a reproducer of at most 3 ops.\n"
 
 (* ---------------------------------------------------------------- *)
+(* E-avail: the availability oracle over fixed seeds                  *)
+(* ---------------------------------------------------------------- *)
+
+(* The oracle behind test_core's "RAE == spec under armed bugs" on seeds
+   1..20,000 (a 250-seed sample under --quick): every outcome equals the
+   spec's, and fsck finds the image clean after a final sync.  Seed [s]
+   replays a trace of 50 + s mod 201 ops, the property's 50..250 range.
+   Floor: 0 failures. *)
+let e_avail () =
+  section "E-avail | availability oracle (spec + fsck after sync) over fixed seeds";
+  let seeds = if !quick then 250 else 20_000 in
+  let t0 = now_s () in
+  let failures = ref [] in
+  for seed = 1 to seeds do
+    let count = 50 + (seed mod 201) in
+    match Rae_core.Differential.availability ~seed:(Int64.of_int seed) ~count with
+    | Ok () -> ()
+    | Error msg -> failures := Printf.sprintf "seed %d (%d ops): %s" seed count msg :: !failures
+  done;
+  let wall = now_s () -. t0 in
+  let nfail = List.length !failures in
+  Printf.printf "  %d seeds, %d failures, %.1fs wall (%.2f ms per seed)\n" seeds nfail wall
+    (wall *. 1000. /. float_of_int seeds);
+  json_note ~sec:"E-avail" ~name:"seeds" ~unit:"count" (float_of_int seeds);
+  json_note ~sec:"E-avail" ~name:"failures" ~unit:"count" (float_of_int nfail);
+  json_note ~sec:"E-avail" ~name:"wall" ~unit:"s" wall;
+  if nfail > 0 then begin
+    List.iter (fun f -> Printf.eprintf "E-avail: %s\n" f) (List.rev !failures);
+    exit 1
+  end;
+  print_string
+    "\nExpected shape: 0 failures.  A failure prints its seed; the same seed\n\
+     through Differential.availability replays it.\n"
+
+(* ---------------------------------------------------------------- *)
 (* E-par: the crash sweep on OCaml 5 domains                          *)
 (* ---------------------------------------------------------------- *)
 
@@ -2075,6 +2110,7 @@ let () =
   if want "e-srv" then e_srv ();
   if want "e-lint" then e_lint ();
   if want "e-crash" then e_crash ();
+  if want "e-avail" then e_avail ();
   if want "e-par" then e_par ();
   Printf.printf "\nAll requested benches complete.\n";
   Option.iter

@@ -778,6 +778,18 @@ let resolve_parent t path =
           if pinode.Inode.kind <> Types.Directory then Error Errno.ENOTDIR
           else Ok (pino, pinode, name))
 
+(* Is [ino] the directory [dir] or below it?  Walks the on-disk ".."
+   chain to the root (read from the block: the dentry cache does not see
+   [dir_set_dotdot]); a chain longer than the inode count is a cycle. *)
+let rec dir_within t ~dir ?(steps = 0) ino =
+  ino = dir
+  || ino <> Types.root_ino
+     && (if steps > t.geo.Layout.ninodes then
+           Detector.bug_fail ~bug:"dir-structure" "\"..\" chain cycles at inode %d (oops)" ino;
+         match dir_scan t (load_inode t ino) ".." with
+         | Some e -> dir_within t ~dir ~steps:(steps + 1) e.Dirent.ino
+         | None -> Detector.bug_fail ~bug:"dir-structure" "directory missing \"..\" (oops)")
+
 (* ---- fd table / orphans ---- *)
 
 let alloc_fd t =
@@ -1092,11 +1104,11 @@ let rename t src dst =
             | None -> Error Errno.ENOENT
             | Some (sino, skind) -> (
                 let src_is_dir = skind = Types.Directory in
-                if src_is_dir && Path.is_prefix src ~of_:dst then Error Errno.EINVAL
-                else
-                  match resolve_parent t dst with
-                  | Error e -> Error e
-                  | Ok (dpino, dpinode, dname) -> (
+                match resolve_parent t dst with
+                | Error e -> Error e
+                | Ok (dpino, dpinode, dname) -> (
+                    if src_is_dir && dir_within t ~dir:sino dpino then Error Errno.EINVAL
+                    else
                       let dst_existing = dir_child t ~dino:dpino dpinode dname in
                       match dst_existing with
                       | Some (dino, _) when dino = sino -> Ok ()

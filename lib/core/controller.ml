@@ -305,31 +305,6 @@ let ckpt_fold t =
 
 exception Recovery_error of string
 
-let run_constrained t shadow entries =
-  let replayed = ref 0 and skipped = ref 0 and discrepancies = ref [] in
-  let step recorded =
-    (* Per-op replay spans (cheap static names from the op kind). *)
-    match t.tracer with
-    | Some tr ->
-        Rae_obs.Tracer.with_span tr ~cat:"replay"
-          (Op.kind_to_string (Op.kind recorded.Op.op))
-          (fun () -> Shadow.exec_constrained shadow recorded)
-    | None -> Shadow.exec_constrained shadow recorded
-  in
-  List.iter
-    (fun ({ Op.op; outcome; seq } as recorded) ->
-      match step recorded with
-      | Shadow.Skipped_error | Shadow.Skipped_sync -> incr skipped
-      | Shadow.Matches -> incr replayed
-      | Shadow.Divergence shadow_outcome ->
-          incr replayed;
-          if t.policy.cross_check then
-            discrepancies :=
-              { Report.d_seq = seq; d_op = op; d_base = outcome; d_shadow = shadow_outcome }
-              :: !discrepancies)
-    entries;
-  (!replayed, !skipped, List.rev !discrepancies)
-
 (* The full §3.2 protocol, as recovery number [attempt] of the in-flight
    operation.  Returns that operation's outcome. *)
 let rec recover t ~trigger ~inflight ~attempt =
@@ -405,10 +380,22 @@ let rec recover t ~trigger ~inflight ~attempt =
      strategies differ only in how the shadow reaches the replay start
      point (the whole window for cold, the Δ suffix for seeded). *)
   let finish shadow replay_entries ~seeded =
-    (* 4. Constrained mode: replay the recorded suffix, cross-checking. *)
-    let replayed, skipped, discrepancies =
-      phase "constrained-replay" (fun () -> run_constrained t shadow replay_entries)
+    (* 4. Constrained mode: replay the recorded suffix as one window,
+       cross-checking.  A summary violation surfaces at the window's end,
+       still in this phase and before any hand-off. *)
+    let discrepancies = ref [] in
+    let on_op { Op.op; outcome; seq } = function
+      | Shadow.Divergence d_shadow when t.policy.cross_check ->
+          discrepancies :=
+            { Report.d_seq = seq; d_op = op; d_base = outcome; d_shadow } :: !discrepancies
+      | _ -> ()
     in
+    let w =
+      phase "constrained-replay" (fun () ->
+          Shadow.exec_constrained_window ~on_op shadow replay_entries)
+    in
+    let replayed = w.Shadow.w_matches + w.Shadow.w_divergences and skipped = w.Shadow.w_skipped in
+    let discrepancies = List.rev !discrepancies in
     (* 5. Autonomous mode: the in-flight operation, whose result the
        application has not seen.  Sync operations are not handled by the
        shadow — they are delegated to the rebooted base after hand-off. *)

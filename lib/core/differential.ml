@@ -283,3 +283,46 @@ let run_seeded ?(count = 1000) ?profile ~seed () =
     | None -> Rae_workload.Workload.uniform rng ~count
   in
   run ops
+
+(* ---- the availability oracle ---- *)
+
+let availability ~seed ~count =
+  let dev =
+    Rae_block.Device.of_disk
+      (Rae_block.Disk.create ~latency:Rae_block.Disk.zero_latency
+         ~block_size:Rae_format.Layout.block_size ~nblocks:2048 ())
+  in
+  (match Base.mkfs dev ~ninodes:256 () with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Differential.availability: mkfs failed: " ^ msg));
+  let bugs =
+    Rae_basefs.Bug_registry.arm ~rng:(Rae_util.Rng.create 9L)
+      (List.filter_map Rae_basefs.Bug_registry.find
+         [ "dx-hash-panic"; "mballoc-freecount"; "orphan-close-uaf"; "extent-status-warn" ])
+  in
+  let base =
+    match Base.mount ~config:{ Base.default_config with Base.commit_interval = 8 } ~bugs dev with
+    | Ok b -> b
+    | Error msg -> invalid_arg ("Differential.availability: mount failed: " ^ msg)
+  in
+  let ctl = Controller.make ~device:dev base in
+  let sp = Rae_specfs.Spec.make () in
+  let rec go i = function
+    | [] -> (
+        match Controller.sync ctl with
+        | Error e -> Error ("final sync: " ^ Errno.to_string e)
+        | Ok () ->
+            let report = Rae_fsck.Fsck.check_device dev in
+            if Rae_fsck.Fsck.clean report then Ok ()
+            else
+              Error
+                (Format.asprintf "fsck after the final sync: %a" Rae_fsck.Fsck.pp_report report))
+    | op :: rest ->
+        let want = Rae_specfs.Spec.exec sp op and got = Controller.exec ctl op in
+        if Op.outcome_equal want got then go (i + 1) rest
+        else
+          Error
+            (Format.asprintf "op %d %a: spec %a, RAE %a" i Op.pp op Op.pp_outcome want
+               Op.pp_outcome got)
+  in
+  go 0 (Rae_workload.Workload.uniform (Rae_util.Rng.create seed) ~count)

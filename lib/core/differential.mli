@@ -72,3 +72,12 @@ val crash_states_equal :
     touched, unlinked or overwritten after the crash point's durable
     bound — have their content (for directories: their subtree) excluded,
     mirroring the guarantee set B3-style checkers test against. *)
+
+val availability : seed:int64 -> count:int -> (unit, string) Stdlib.result
+(** The availability oracle (the paper's promise that applications see no
+    error): a controller over a base with four bugs armed (two panics, a
+    WARN and a free-count corruption) runs a random trace of [count] ops
+    drawn from [seed]; every outcome must equal the spec's, and after a final
+    {!Controller.sync} fsck must find the image clean.  fsck is the one
+    check here that does not come from the spec, so it catches a bug the
+    spec shares.  [Error] names the first failure. *)

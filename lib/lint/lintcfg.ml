@@ -225,7 +225,7 @@ let default =
     domain_regions =
       [
         ("ckpt-fold", [ "Rae_core.Checkpoint.fold" ]);
-        ("constrained-replay", [ "Rae_shadowfs.Shadow.exec_constrained" ]);
+        ("constrained-replay", [ "Rae_shadowfs.Shadow.exec_constrained_window" ]);
         (* Code that actually runs on worker domains.  The pool's worker
            loop is the generic root (every parallel_for body executes
            under it); the other is the crash sweep's per-workload body,

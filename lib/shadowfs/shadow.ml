@@ -160,8 +160,8 @@ let flush_bitmap t which =
 
 (* On the fast path a bitmap change only marks the bitmap dirty; the
    serialization into the overlay happens once per mutation (or once per
-   fold window) instead of on every alloc/free.  Aborted mutations that
-   allocated and then freed are net-zero: the overlay keeps its pre-op
+   constrained window) instead of on every alloc/free.  Aborted mutations
+   that allocated and then freed are net-zero: the overlay keeps its pre-op
    bitmap blocks, which equal the rolled-back in-memory bitmaps, so the
    op-boundary invariant "overlay == in-memory" still holds. *)
 let mark_bitmap_dirty t which =
@@ -777,6 +777,16 @@ let resolve_parent t path =
           if pinode.Inode.kind <> Types.Directory then Error Errno.ENOTDIR
           else Ok (pino, pinode, name))
 
+(* Is [ino] the directory [dir] or below it?  Walks ".." to the root; a
+   chain longer than the inode count is a cycle. *)
+let rec dir_within t ~dir ?(steps = 0) ino =
+  ino = dir
+  || ino <> Types.root_ino
+     && (if steps > t.geo.Layout.ninodes then violation "\"..\" chain cycles at inode %d" ino;
+         match dir_find t ~dino:ino (read_inode t ino) ".." with
+         | Some e -> dir_within t ~dir ~steps:(steps + 1) e.Dirent.ino
+         | None -> violation "directory %d has no \"..\" entry" ino)
+
 (* ---- fd table ---- *)
 
 (* Lowest-free, scanning from the hint (below which every fd is in use).
@@ -813,7 +823,7 @@ let tick t =
   t.time <- Int64.add t.time 1L;
   t.time
 
-(* Mutation epilogue.  Outside a fold window: write back any dirty
+(* Mutation epilogue.  In autonomous execution: write back any dirty
    bitmaps, flush the superblock and re-check the summary invariant.
    Inside a window ([batch]): just note that an epilogue is owed — the
    window runs it once at the end, amortizing the write-back and the
@@ -1118,11 +1128,11 @@ let rename t src dst =
                 let sino = sentry.Dirent.ino in
                 let sinode = read_inode t sino in
                 let src_is_dir = sinode.Inode.kind = Types.Directory in
-                if src_is_dir && Path.is_prefix src ~of_:dst then Error Errno.EINVAL
-                else
-                  match resolve_parent t dst with
-                  | Error e -> Error e
-                  | Ok (dpino, dpinode, dname) -> (
+                match resolve_parent t dst with
+                | Error e -> Error e
+                | Ok (dpino, dpinode, dname) -> (
+                    if src_is_dir && dir_within t ~dir:sino dpino then Error Errno.EINVAL
+                    else
                       let dst_existing = dir_find t ~dino:dpino dpinode dname in
                       match dst_existing with
                       | Some dentry when dentry.Dirent.ino = sino -> Ok ()
@@ -1329,26 +1339,15 @@ type constrained_result =
   | Skipped_error
   | Skipped_sync
 
-let exec_constrained t { Op.op; outcome; seq = _ } =
-  match outcome with
-  | Error _ -> Skipped_error
-  | Ok _ ->
-      if Op.is_sync op then Skipped_sync
-      else
-        let shadow_outcome = exec t op in
-        if Op.outcome_equal outcome shadow_outcome then Matches else Divergence shadow_outcome
-
 type window_result = { w_ops : int; w_matches : int; w_divergences : int; w_skipped : int }
 
-(* Execute a whole fold window in one batch: per-op mutation epilogues
-   (superblock flush, bitmap write-back, summary checks) are deferred and
-   run once at the end.  All equivalence comparisons in this repository
-   are view-level (op outcomes, readdir/stat/read views, fd tables), so
-   the only observable difference from per-op execution is the overlay's
-   superblock generation count — which nothing checks for a specific
-   value.  On a [Violation] the pending write-back still runs (so the
+(* The one constrained-mode executor: the warm fold and both recovery
+   replays run a window through here, with the per-op mutation epilogues
+   (superblock flush, bitmap write-back, summary checks) deferred to its
+   end.  On a [Violation] the pending write-back still runs (so the
    overlay is not left behind the in-memory state) and the exception
-   propagates; the checkpoint poisons the warm shadow in that case. *)
+   propagates; the checkpoint poisons the warm shadow, recovery fails
+   the attempt. *)
 let exec_constrained_window ?on_op t entries =
   if t.batch then invalid_arg "Shadow.exec_constrained_window: nested window";
   t.batch <- true;
@@ -1360,8 +1359,15 @@ let exec_constrained_window ?on_op t entries =
       flush_sb t
     end
   in
-  let step acc r =
-    let res = exec_constrained t r in
+  let step acc ({ Op.op; outcome; seq = _ } as r) =
+    let res =
+      match outcome with
+      | Error _ -> Skipped_error
+      | Ok _ when Op.is_sync op -> Skipped_sync
+      | Ok _ ->
+          let shadow_outcome = exec t op in
+          if Op.outcome_equal outcome shadow_outcome then Matches else Divergence shadow_outcome
+    in
     (match on_op with Some f -> f r res | None -> ());
     match res with
     | Matches -> { acc with w_ops = acc.w_ops + 1; w_matches = acc.w_matches + 1 }

@@ -16,7 +16,8 @@
     - {b extensive runtime checks}: with [checks] enabled (the default)
       every structural read verifies checksums and structure, every
       allocator transition is double-checked against the bitmaps, and the
-      superblock summaries are revalidated after every mutation.  A failed
+      superblock summaries are revalidated after every autonomous mutation
+      and at the end of every constrained window.  A failed
       check raises {!Violation} — the shadow refuses to continue on a bad
       image rather than corrupting further;
     - {b same API and on-disk format as the base}: it satisfies
@@ -68,13 +69,6 @@ type constrained_result =
       (** the base had returned an error; the shadow omits the op (§3.2) *)
   | Skipped_sync  (** sync-family op: nothing for a never-writing shadow to do *)
 
-val exec_constrained : t -> Rae_vfs.Op.recorded -> constrained_result
-(** Constrained mode (paper §3.2): re-execute a recorded operation and
-    validate the base's outcome — including its inode and descriptor
-    allocations — rather than trusting the shadow's own answer blindly.
-    On [Divergence] the shadow's state reflects the shadow's outcome (the
-    trusted answer); the caller decides whether to continue. *)
-
 type window_result = {
   w_ops : int;  (** entries processed (including skips) *)
   w_matches : int;
@@ -87,16 +81,19 @@ val exec_constrained_window :
   t ->
   Rae_vfs.Op.recorded list ->
   window_result
-(** Batched constrained execution: run a whole checkpoint-fold window in
-    one pass, deferring the per-mutation superblock/bitmap write-back and
-    summary re-check to the end of the window.  Equivalent to folding
-    {!exec_constrained} over the list — every state comparison in this
-    repository is view-level, and the only physical difference is the
-    overlay superblock's generation count.  A {!Violation} raised mid-
-    window still leaves the overlay write-back consistent before
-    propagating.  Windows do not nest.  [on_op] is called after each
-    entry with its verdict (the benches time the fold op by op with it);
-    the deferred write-back runs after the last call. *)
+(** Constrained mode (paper §3.2), its one executor: the warm fold and
+    both recovery replays run here.  Re-execute a window of recorded
+    operations and validate each of the base's outcomes — including its
+    inode and descriptor allocations — rather than trusting the shadow's
+    own answer blindly.  On [Divergence] the shadow's state reflects the
+    shadow's outcome (the trusted answer); the caller decides whether to
+    continue.  The per-mutation superblock/bitmap write-back and summary
+    re-check are deferred to the window's end, so a summary violation
+    surfaces there, not at the op; windows of one reach the same
+    view-level state.  A {!Violation} raised mid-window still leaves the
+    overlay write-back consistent before propagating.  Windows do not
+    nest.  [on_op] is called after each entry with its verdict; the
+    deferred write-back runs after the last call. *)
 
 val dirty_blocks : t -> (int * bytes) list
 (** The overlay: every block the shadow would have written. *)

@@ -458,6 +458,15 @@ let readdir t path =
 
 let is_dir st ino = match get st ino with Some { node = Dir _; _ } -> true | _ -> false
 
+(* Is [ino] the directory [dir] or inside its subtree?  The spec keeps no
+   parent links, so this searches the subtree; symlinks are leaves. *)
+let rec within st ~dir ino =
+  ino = dir
+  || match get st dir with
+     | Some { node = Dir entries; _ } ->
+         Dmap.exists (fun _ child -> within st ~dir:child ino) entries
+     | _ -> false
+
 let rename t src dst =
   let st = t.st in
   if src = [] || dst = [] then Error Errno.EINVAL
@@ -473,19 +482,22 @@ let rename t src dst =
     | Ok (spino, sname) -> (
         match find_child st spino sname with
         | Error e -> Error e
-        | Ok sino ->
-            if is_dir st sino && Path.is_prefix src ~of_:dst then Error Errno.EINVAL
-            else (
-              match resolve_parent t dst with
-              | Error e -> Error e
-              | Ok (dpino, dname) -> (
+        | Ok sino -> (
+            let src_is_dir = is_dir st sino in
+            match resolve_parent t dst with
+            | Error e -> Error e
+            | Ok (dpino, dname) -> (
+                (* A directory cannot move into its own subtree, checked
+                   on the resolved parent: the path alone misses a
+                   destination reached through a symlink. *)
+                if src_is_dir && within st ~dir:sino dpino then Error Errno.EINVAL
+                else
                   let dst_existing = Result.to_option (find_child st dpino dname) in
                   match dst_existing with
                   | Some dino when dino = sino ->
                       (* Hard links to the same inode: POSIX rename is a no-op. *)
                       Ok ()
                   | _ -> (
-                      let src_is_dir = is_dir st sino in
                       let proceed st =
                         let time = Int64.add st.time 1L in
                         let st = remove_entry st spino sname in

@@ -50,10 +50,4 @@ let split_last p =
 
 let append p name = p @ [ name ]
 
-let rec is_prefix p ~of_ =
-  match (p, of_) with
-  | [], _ -> true
-  | _, [] -> false
-  | a :: p', b :: q' -> String.equal a b && is_prefix p' ~of_:q'
-
 let depth = List.length

@@ -33,8 +33,5 @@ val split_last : t -> (t * string) option
 (** [split_last p] is [Some (parent, name)], or [None] for the root. *)
 
 val append : t -> string -> t
-val is_prefix : t -> of_:t -> bool
-(** [is_prefix p ~of_:q] — is [p] an ancestor of (or equal to) [q]?  Used to
-    reject [rename "/a" "/a/b"]-style cycles. *)
 
 val depth : t -> int

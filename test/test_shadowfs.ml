@@ -308,8 +308,9 @@ let test_cache_invalidation_adversary () =
   expect_enoent "stat through replaced symlink" (Shadow.stat sh (p "/ln"))
 
 let test_window_equals_per_op () =
-  (* Record a trace autonomously, then fold it both per-op and as one
-     batched window on fresh twins: identical tallies and identical state. *)
+  (* Record a trace autonomously, then fold it both per-op (a window of
+     one per entry) and as one batched window on fresh twins: identical
+     tallies and identical state. *)
   let rng = Rae_util.Rng.create 11L in
   let ops = Rae_workload.Workload.uniform rng ~count:150 in
   let _dr, recorder = mk_shadow () in
@@ -318,10 +319,8 @@ let test_window_equals_per_op () =
   let m, d, s =
     List.fold_left
       (fun (m, d, s) r ->
-        match Shadow.exec_constrained per_op r with
-        | Shadow.Matches -> (m + 1, d, s)
-        | Shadow.Divergence _ -> (m, d + 1, s)
-        | Shadow.Skipped_error | Shadow.Skipped_sync -> (m, d, s + 1))
+        let w = Shadow.exec_constrained_window per_op [ r ] in
+        (m + w.Shadow.w_matches, d + w.Shadow.w_divergences, s + w.Shadow.w_skipped))
       (0, 0, 0) recorded
   in
   let _d2, windowed = mk_shadow () in

@@ -64,13 +64,6 @@ let test_split_last () =
     "basic" (Some ([ "a" ], "b"))
     (Path.split_last [ "a"; "b" ])
 
-let test_is_prefix () =
-  Alcotest.(check bool) "root prefixes all" true (Path.is_prefix [] ~of_:[ "a" ]);
-  Alcotest.(check bool) "self" true (Path.is_prefix [ "a" ] ~of_:[ "a" ]);
-  Alcotest.(check bool) "proper" true (Path.is_prefix [ "a" ] ~of_:[ "a"; "b" ]);
-  Alcotest.(check bool) "not prefix" false (Path.is_prefix [ "a"; "b" ] ~of_:[ "a" ]);
-  Alcotest.(check bool) "diverging" false (Path.is_prefix [ "a" ] ~of_:[ "b"; "a" ])
-
 let prop_parse_normalizes =
   (* to_string ∘ parse is idempotent: reparsing a printed path is identity. *)
   let gen_component =
@@ -250,7 +243,6 @@ let () =
           Alcotest.test_case "component_ok" `Quick test_component_ok;
           Alcotest.test_case "to_string roundtrip" `Quick test_to_string_roundtrip;
           Alcotest.test_case "split_last" `Quick test_split_last;
-          Alcotest.test_case "is_prefix" `Quick test_is_prefix;
           q prop_parse_normalizes;
         ] );
       ( "types",
