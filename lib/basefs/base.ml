@@ -213,14 +213,14 @@ let bput_data t blk data =
   Hashtbl.replace t.dirty_data blk ()
 
 (* The one read-modify-write path.  [b] is [blk]'s cached image (from
-   [bget]); the result is the running transaction's image of [blk], which
-   the caller then writes in place.  A block the transaction already holds
-   is returned as is — its cache entry and the transaction share one
-   buffer.  A clean block is copied once, when the transaction first
-   dirties it, so an image the device or an earlier commit has seen is
-   never written through. *)
+   [bget]); it becomes the running transaction's image of [blk] in place,
+   and the caller then writes through it.  A cached block either equals
+   its committed image or belongs to the running transaction (DESIGN
+   §14), so no copy is needed: nothing else holds a cached buffer past
+   the commit that persisted it — [Device.write] copies, and the ordered
+   flush completes before the commit returns — and a contained reboot
+   drops the cache with the transaction. *)
 let writable t blk b ~route =
-  let b = if Hashtbl.mem t.txn_kinds blk || Hashtbl.mem t.dirty_data blk then b else Bytes.copy b in
   (match route with `Data -> bput_data t blk b | `Meta kind -> bput_meta t blk b ~kind);
   b
 
@@ -252,26 +252,32 @@ let flush_bitmap_bit t which bit =
   end
 
 (* Journal the dirty bitmap blocks and the superblock, after every other
-   write of the commit. *)
+   write of the commit.  Each is encoded into its cached buffer, which
+   thereby joins the running transaction as after [writable]; only a
+   block the cache does not hold gets a fresh one. *)
 let serialize_derived t =
   let g = t.geo in
+  let image blk =
+    match bc_peek t.bcache blk with Some b -> b | None -> Bytes.create Layout.block_size
+  in
   if t.bm_ndirty > 0 then begin
     for i = 0 to Array.length t.bm_dirty - 1 do
       if t.bm_dirty.(i) then begin
         t.bm_dirty.(i) <- false;
-        let image =
-          if i < g.Layout.inode_bitmap_len then
-            Bitmap.encode_block t.ibm ~block_size:Layout.block_size i
-          else Bitmap.encode_block t.bbm ~block_size:Layout.block_size (i - g.Layout.inode_bitmap_len)
-        in
-        bput_meta t (g.Layout.inode_bitmap_start + i) image ~kind:K_bitmap
+        let blk = g.Layout.inode_bitmap_start + i in
+        let b = image blk in
+        if i < g.Layout.inode_bitmap_len then Bitmap.encode_block_into t.ibm i b
+        else Bitmap.encode_block_into t.bbm (i - g.Layout.inode_bitmap_len) b;
+        bput_meta t blk b ~kind:K_bitmap
       end
     done;
     t.bm_ndirty <- 0
   end;
   if t.sb_dirty then begin
     t.sb_dirty <- false;
-    bput_meta t 0 (Superblock.encode t.sb) ~kind:K_sb
+    let b = image 0 in
+    Superblock.encode_into t.sb b;
+    bput_meta t 0 b ~kind:K_sb
   end
 
 (* Blocks the next commit writes, derived metadata included. *)
@@ -330,14 +336,21 @@ let commit_work t =
     serialize_derived t;
     if t.cfg.validate_on_commit then validate_txn t;
     (* Ordered mode: data reaches the medium before the metadata that
-       references it commits. *)
-    Hashtbl.iter
-      (fun blk () ->
-        match bc_peek t.bcache blk with
-        | Some data -> ignore (Blkmq.submit_write t.mq blk data)
-        | None -> Detector.bug_fail ~bug:"writeback" "dirty data block %d lost from the cache" blk)
-      t.dirty_data;
+       references it commits.  The queue writes from the cached buffers
+       themselves; nothing writes through them before the drain. *)
+    let reqs =
+      Hashtbl.fold
+        (fun blk () reqs ->
+          match bc_peek t.bcache blk with
+          | Some data -> Blkmq.submit_write t.mq blk data :: reqs
+          | None -> Detector.bug_fail ~bug:"writeback" "dirty data block %d lost from the cache" blk)
+        t.dirty_data []
+    in
     Blkmq.drain t.mq;
+    (* A failed data write fails the whole commit, before the metadata
+       that points at it commits.  The transaction and the dirty data
+       stay for the next commit. *)
+    if List.exists Blkmq.failed reqs then raise (Device.Io_error "ordered data write failed");
     Hashtbl.iter (fun blk () -> bc_unpin t.bcache blk) t.dirty_data;
     Hashtbl.reset t.dirty_data;
     Journal.commit t.journal t.txn;

@@ -72,8 +72,9 @@ let submit_read t block =
   enqueue t req;
   req
 
+(* No copy: the request owns [data] until it completes (blkmq.mli). *)
 let submit_write t block data =
-  let req = { block; kind = Write (Bytes.copy data); state = `Queued } in
+  let req = { block; kind = Write data; state = `Queued } in
   enqueue t req;
   req
 

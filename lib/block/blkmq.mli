@@ -34,7 +34,11 @@ val submit_read : t -> int -> req
 
 val submit_write : t -> int -> bytes -> req
 (** Enqueue a write.  If an earlier write to the same block is still queued
-    in the same software queue it is merged (superseded). *)
+    in the same software queue it is merged (superseded).
+
+    The request owns [data] until it completes: it is not copied, and
+    what reaches the device is its content at dispatch.  The caller must
+    not write through it before then ({!wait} or {!drain} completes it). *)
 
 val kick : t -> unit
 (** Dispatch up to [batch] requests from every queue to the device. *)

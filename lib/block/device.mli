@@ -22,8 +22,16 @@ type t = {
 }
 
 val of_disk : Disk.t -> t
+
 val read : t -> int -> bytes
+(** A fresh buffer the caller owns. *)
+
 val write : t -> int -> bytes -> unit
+(** Copies: once the call returns, the caller may write through its
+    buffer again, and what the device holds does not change with it.
+    Every handle built here, by {!Crashsim} and by {!Fault} keeps this
+    contract; a handle made by hand must keep it too. *)
+
 val flush : t -> unit
 val block_size : t -> int
 val nblocks : t -> int

@@ -183,11 +183,11 @@ let to_blocks t ~block_size =
   end;
   out
 
-let encode_block t ~block_size index =
-  let nbytes = Bytes.length t.bits in
+let encode_block_into t index out =
+  let nbytes = Bytes.length t.bits and block_size = Bytes.length out in
   if index < 0 || index >= max 1 ((nbytes + block_size - 1) / block_size) then
     invalid_arg (Printf.sprintf "Bitmap.encode_block: block %d out of range" index);
-  let out = Bytes.make block_size '\xff' in
+  Bytes.fill out 0 block_size '\xff';
   let src_off = index * block_size in
   let len = min block_size (nbytes - src_off) in
   if len > 0 then Bytes.blit t.bits src_off out 0 len;
@@ -198,7 +198,11 @@ let encode_block t ~block_size index =
     let off = last_byte mod block_size in
     let mask_high = lnot ((1 lsl used_bits) - 1) land 0xFF in
     Bytes.set out off (Char.chr (Char.code (Bytes.get out off) lor mask_high))
-  end;
+  end
+
+let encode_block t ~block_size index =
+  let out = Bytes.create block_size in
+  encode_block_into t index out;
   out
 
 let parse blocks ~nbits ~strict =

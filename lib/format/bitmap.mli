@@ -57,6 +57,11 @@ val encode_block : t -> block_size:int -> int -> bytes
     blocks a transaction touched.
     @raise Invalid_argument when [i] is not a block of {!to_blocks}. *)
 
+val encode_block_into : t -> int -> bytes -> unit
+(** [encode_block_into t i out] is {!encode_block} with [block_size] the
+    length of [out], written over all of [out] instead of a fresh buffer.
+    @raise Invalid_argument as {!encode_block}. *)
+
 val of_blocks : bytes list -> nbits:int -> (t, string) result
 (** Parse; fails if the blocks cannot hold [nbits] or padding bits are not
     all-ones (a corruption signal fsck reports). *)

@@ -59,8 +59,9 @@ let off_fs_time = 80
 let off_generation = 88
 let off_checksum = 4092
 
-let encode sb =
-  let b = Bytes.make Layout.block_size '\000' in
+let encode_into sb b =
+  if Bytes.length b <> Layout.block_size then invalid_arg "Superblock.encode_into: not a block";
+  Bytes.fill b 0 Layout.block_size '\000';
   let g = sb.geometry in
   Codec.set_u64 b off_magic Layout.magic;
   Codec.set_u32_int b off_version Layout.version;
@@ -82,7 +83,11 @@ let encode sb =
   Codec.set_u32_int b off_state (state_code sb.state);
   Codec.set_u64 b off_fs_time sb.fs_time;
   Codec.set_u64 b off_generation sb.generation;
-  Codec.set_i32 b off_checksum (Checksum.crc32c b ~pos:0 ~len:off_checksum);
+  Codec.set_i32 b off_checksum (Checksum.crc32c b ~pos:0 ~len:off_checksum)
+
+let encode sb =
+  let b = Bytes.create Layout.block_size in
+  encode_into sb b;
   b
 
 let parse b =

@@ -35,6 +35,10 @@ val error_to_string : error -> string
 val encode : t -> bytes
 (** Serialise to one block, computing the checksum. *)
 
+val encode_into : t -> bytes -> unit
+(** {!encode} into a block-sized buffer the caller owns, overwriting all
+    of it.  @raise Invalid_argument on a buffer of another size. *)
+
 val decode : bytes -> (t, error) result
 (** Parse and fully validate: magic, version, checksum, block size, region
     layout consistency (regions in order, non-overlapping, within the

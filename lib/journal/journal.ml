@@ -25,6 +25,10 @@ exception Journal_full of { needed : int; capacity : int }
 type t = {
   dev : Device.t;
   geo : Layout.geometry;
+  scratch : bytes;
+      (* the descriptor, commit and journal-superblock blocks are encoded
+         here, one at a time: [Device.write] copies, so each write frees it
+         for the next *)
   mutable tail_seq : int64;
   mutable tail_ptr : int;  (* absolute block number of the next append *)
   mutable s_commits : int;
@@ -72,19 +76,20 @@ let region_end g = g.Layout.journal_start + g.Layout.journal_len
 
 (* ---- block encoding ---- *)
 
-let header ~btype ~seq =
-  let b = Bytes.make Layout.block_size '\000' in
+(* Every encoder below overwrites all of [b], so it can be a reused
+   buffer. *)
+let header b ~btype ~seq =
+  Bytes.fill b 0 Layout.block_size '\000';
   Codec.set_u32 b 0 jmagic;
   Codec.set_u32_int b 4 btype;
-  Codec.set_u64 b 8 seq;
-  b
+  Codec.set_u64 b 8 seq
 
 let parse_header b =
   if not (Int64.equal (Codec.get_u32 b 0) jmagic) then None
   else Some (Codec.get_u32_int b 4, Codec.get_u64 b 8)
 
-let encode_jsb ~tail_seq ~tail_ptr =
-  let b = header ~btype:bt_superblock ~seq:0L in
+let encode_jsb b ~tail_seq ~tail_ptr =
+  header b ~btype:bt_superblock ~seq:0L;
   Codec.set_u64 b 16 tail_seq;
   Codec.set_u32_int b 24 tail_ptr;
   Codec.set_i32 b 4092 (Checksum.crc32c b ~pos:0 ~len:4092);
@@ -103,8 +108,8 @@ let decode_jsb b =
    20 + 8*count. *)
 let max_tags = (Layout.block_size - 24) / 8 - 16 (* leave room for a few revokes *)
 
-let encode_descriptor ~seq ~tags ~revokes =
-  let b = header ~btype:bt_descriptor ~seq in
+let encode_descriptor b ~seq ~tags ~revokes =
+  header b ~btype:bt_descriptor ~seq;
   Codec.set_u32_int b 16 (List.length tags);
   List.iteri
     (fun i (home, flags) ->
@@ -130,8 +135,8 @@ let decode_descriptor b =
         let revokes = List.init nrev (fun i -> Codec.get_u32_int b (rev_off + 4 + (4 * i))) in
         Some (tags, revokes)
 
-let encode_commit ~seq ~count ~data_csum =
-  let b = header ~btype:bt_commit ~seq in
+let encode_commit b ~seq ~count ~data_csum =
+  header b ~btype:bt_commit ~seq;
   Codec.set_u32_int b 16 count;
   Codec.set_i32 b 20 data_csum;
   b
@@ -142,7 +147,8 @@ let decode_commit b = (Codec.get_u32_int b 16, Codec.get_i32 b 20)
 
 let format dev geo =
   if geo.Layout.journal_len < 4 then invalid_arg "Journal.format: journal region too small";
-  Device.write dev (region_start geo) (encode_jsb ~tail_seq:1L ~tail_ptr:(region_start geo + 1));
+  Device.write dev (region_start geo)
+    (encode_jsb (Bytes.create Layout.block_size) ~tail_seq:1L ~tail_ptr:(region_start geo + 1));
   Device.flush dev
 
 let attach ?carry dev geo =
@@ -156,6 +162,7 @@ let attach ?carry dev geo =
           {
             dev;
             geo;
+            scratch = Bytes.create Layout.block_size;
             tail_seq;
             tail_ptr;
             s_commits = count (fun j -> j.s_commits);
@@ -238,7 +245,8 @@ let escape_if_needed t data =
   else (data, 0)
 
 let write_jsb t =
-  Device.write t.dev (region_start t.geo) (encode_jsb ~tail_seq:t.tail_seq ~tail_ptr:t.tail_ptr)
+  Device.write t.dev (region_start t.geo)
+    (encode_jsb t.scratch ~tail_seq:t.tail_seq ~tail_ptr:t.tail_ptr)
 
 let commit t txn =
   if txn.w_len = 0 && txn.r_rev = [] then ()
@@ -281,9 +289,9 @@ let commit t txn =
         0l escaped
     in
     (* 1. Journal writes. *)
-    Device.write t.dev t.tail_ptr (encode_descriptor ~seq ~tags ~revokes);
+    Device.write t.dev t.tail_ptr (encode_descriptor t.scratch ~seq ~tags ~revokes);
     List.iteri (fun i (_, _, _, jcopy) -> Device.write t.dev (t.tail_ptr + 1 + i) jcopy) escaped;
-    Device.write t.dev (t.tail_ptr + 1 + n) (encode_commit ~seq ~count:n ~data_csum:csum);
+    Device.write t.dev (t.tail_ptr + 1 + n) (encode_commit t.scratch ~seq ~count:n ~data_csum:csum);
     Device.flush t.dev;
     (* 2. Checkpoint: home-location writes. *)
     List.iter (fun (home, _, data, _) -> Device.write t.dev home data) escaped;
@@ -383,7 +391,8 @@ let replay dev geo =
               List.fold_left (fun acc txn -> acc + List.length txn.r_writes + 2) 0 txns
             in
             Device.write dev (region_start geo)
-              (encode_jsb ~tail_seq:(Int64.add last.r_seq 1L) ~tail_ptr:(tail_ptr + consumed));
+              (encode_jsb (Bytes.create Layout.block_size) ~tail_seq:(Int64.add last.r_seq 1L)
+                 ~tail_ptr:(tail_ptr + consumed));
             Device.flush dev);
         Ok (List.length txns)
       end

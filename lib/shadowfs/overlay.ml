@@ -48,7 +48,7 @@ let rmw t blk f =
 let mem t blk = Hashtbl.mem t.blocks blk
 
 let dirty t =
-  Hashtbl.fold (fun blk data acc -> (blk, Bytes.copy data) :: acc) t.blocks []
+  Hashtbl.fold (fun blk data acc -> (blk, data) :: acc) t.blocks []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let dirty_count t = Hashtbl.length t.blocks

@@ -4,7 +4,7 @@
     a {!Rae_block.Device.read_only} handle and funnels every would-be write
     into this in-memory overlay.  Reads consult the overlay first.  When
     recovery completes, {!dirty} is exactly the hand-off payload the base
-    downloads into its caches. *)
+    downloads into its caches, buffers and all. *)
 
 type t
 
@@ -42,7 +42,9 @@ val mem : t -> int -> bool
 (** Is the block shadowed by the overlay? *)
 
 val dirty : t -> (int * bytes) list
-(** All overlaid blocks, sorted by block number; fresh copies. *)
+(** All overlaid blocks, sorted by block number.  The buffers are the
+    overlay's own, not copies: the caller takes them over, and the
+    overlay must not be read or written afterwards. *)
 
 val dirty_count : t -> int
 

@@ -96,7 +96,11 @@ val exec_constrained_window :
     deferred write-back runs after the last call. *)
 
 val dirty_blocks : t -> (int * bytes) list
-(** The overlay: every block the shadow would have written. *)
+(** The overlay: every block the shadow would have written, sorted by
+    block number.  This is the recovery hand-off, and it hands over the
+    overlay's own buffers, not copies: the receiver (the base's download)
+    makes them its cache and transaction images and writes through them.
+    The shadow is spent by the call and must run no further operation. *)
 
 val fd_table : t -> (Rae_vfs.Types.fd * Rae_vfs.Types.ino * Rae_vfs.Types.open_flags) list
 (** Sorted snapshot of the descriptor table.  Comparators should prefer

@@ -233,6 +233,90 @@ let test_read_one_string () =
     Alcotest.failf "a 16 KiB read allocated %.0f major words, not one %d-word string" words
       one_string
 
+(* A commit writes from buffers it already owns: the journal encodes its
+   descriptor, commit and journal-superblock blocks into one block it
+   keeps, the ordered flush writes the cached data blocks themselves, the
+   bitmap blocks and the superblock are encoded into their cached images,
+   and a clean cached block becomes the transaction's image in place.  On
+   rfsd's image, once the blocks a write touches are cached, an overwrite
+   and its fsync allocate no block image, and a new file's cycle only its
+   one new data block. *)
+let test_commit_allocates_no_image () =
+  let _disk, _dev, b = mk_base ~nblocks:8192 ~ninodes:1024 () in
+  let data = String.make 512 'c' in
+  let fd = ok (Base.openf b (p "/f") Types.flags_create) in
+  let overwrite () =
+    ignore (ok (Base.pwrite b fd ~off:0 data));
+    ignore (ok (Base.fsync b fd))
+  in
+  overwrite ();
+  overwrite ();
+  let words = Alloc_words.direct_major_words overwrite in
+  if words <> 0. then Alcotest.failf "a pwrite and its fsync allocated %.0f major words" words;
+  let cycle i () =
+    let fd = ok (Base.openf b (p (Printf.sprintf "/g%d" i)) Types.flags_create) in
+    ignore (ok (Base.pwrite b fd ~off:0 data));
+    ignore (ok (Base.fsync b fd));
+    ignore (ok (Base.close b fd))
+  in
+  cycle 0 ();
+  cycle 1 ();
+  let words = Alloc_words.direct_major_words (cycle 2) in
+  let image = Alloc_words.string_words bs in
+  if words > float_of_int image then
+    Alcotest.failf "create, pwrite, fsync and close allocated %.0f major words, over one %d-word image"
+      words image;
+  ignore (ok (Base.close b fd))
+
+(* A data write the device refuses fails its commit whole.  The metadata
+   that points at the block must not commit without it, so [fsync]
+   reports EIO and the image keeps the old size; the transaction stays,
+   and the next [fsync] persists both. *)
+let test_failed_data_write_fails_commit () =
+  let disk = mk_disk () in
+  let raw = Device.of_disk disk in
+  ignore (ok (Base.mkfs raw ~ninodes:256 ()));
+  let data_start =
+    (ok (Rae_format.Superblock.decode (Disk.read disk 0))).Rae_format.Superblock.geometry
+      .Layout.data_start
+  in
+  let refuse = ref false in
+  let dev =
+    {
+      raw with
+      Device.dev_write =
+        (fun blk data ->
+          if !refuse && blk >= data_start then raise (Device.Io_error "data write refused");
+          raw.Device.dev_write blk data);
+    }
+  in
+  let b = ok (Base.mount dev) in
+  let fd = ok (Base.openf b (p "/f") Types.flags_create) in
+  ignore (ok (Base.fsync b fd));
+  (* The size the image shows, from a remount of a copy of the disk. *)
+  let persisted () =
+    let copy = mk_disk () in
+    Disk.restore copy (Disk.snapshot disk);
+    let b2 = ok (Base.mount (Device.of_disk copy)) in
+    let fd2 = ok (Base.openf b2 (p "/f") Types.flags_ro) in
+    ok (Base.pread b2 fd2 ~off:0 ~len:100)
+  in
+  refuse := true;
+  Alcotest.(check int) "write" 5 (ok (Base.pwrite b fd ~off:0 "hello"));
+  (match Base.fsync b fd with
+  | Error Errno.EIO -> ()
+  | Ok () -> Alcotest.fail "fsync returned Ok over a refused data write"
+  | Error e -> Alcotest.failf "fsync: %s, not EIO" (Errno.to_string e));
+  Alcotest.(check string) "the image keeps the old size" "" (persisted ());
+  refuse := false;
+  (match Base.fsync b fd with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "the next fsync: %s" (Errno.to_string e));
+  Alcotest.(check string) "read back" "hello" (ok (Base.pread b fd ~off:0 ~len:100));
+  Alcotest.(check string) "persisted" "hello" (persisted ());
+  ignore (ok (Base.close b fd));
+  Alcotest.(check bool) "fsck clean" true (Fsck.clean (Fsck.check_device raw))
+
 let test_cache_policies_equivalent_semantics () =
   (* LRU vs 2Q must not change any outcome, only performance. *)
   let run policy =
@@ -606,6 +690,10 @@ let () =
           Alcotest.test_case "16 KiB read allocates one string" `Quick test_read_one_string;
           Alcotest.test_case "download commit unpins the hand-off" `Quick
             test_download_unpins_handoff;
+          Alcotest.test_case "a commit allocates no block image" `Quick
+            test_commit_allocates_no_image;
+          Alcotest.test_case "a failed data write fails the commit" `Quick
+            test_failed_data_write_fails_commit;
         ] );
       ( "equivalence",
         [

@@ -82,6 +82,69 @@ let test_device_counting () =
   Device.write dev 2 (block_of_char 'x');
   Alcotest.(check (pair int int)) "counted" (2, 1) (counts ())
 
+(* [Device.write] copies (device.mli): the journal encodes its header
+   blocks into one buffer it reuses, and the base writes through a cached
+   block as soon as the commit that wrote it returns.  So every handle
+   must keep the bytes it was given, not the caller's later ones.  Each
+   write below is followed by scribbling over the caller's buffer. *)
+let test_device_write_copies () =
+  let old = 'o' in
+  let write dev blk c =
+    let b = block_of_char c in
+    Device.write dev blk b;
+    Bytes.fill b 0 bs '#'
+  in
+  let check name dev blk expect =
+    Alcotest.(check bool) (Printf.sprintf "%s: block %d" name blk) true
+      (Bytes.equal (Device.read dev blk) expect)
+  in
+  let fresh () =
+    let d = mk_disk () in
+    for blk = 0 to 7 do
+      Disk.write d blk (block_of_char old)
+    done;
+    d
+  in
+  let plain name dev =
+    write dev 3 'a';
+    write dev 4 'b';
+    check name dev 3 (block_of_char 'a');
+    check name dev 4 (block_of_char 'b')
+  in
+  plain "of_disk" (Device.of_disk (fresh ()));
+  plain "counting" (fst (Device.counting (Device.of_disk (fresh ()))));
+  plain "fault, no spec" (Fault.wrap (Fault.create []) (Device.of_disk (fresh ())));
+  (* Crashsim: the volatile buffer, the traced events and the medium
+     after a flush all keep the written bytes. *)
+  let d = fresh () in
+  let sim, dev = Crashsim.create ~trace:true (Device.of_disk d) in
+  plain "crashsim, buffered" dev;
+  (match Crashsim.events sim with
+  | [| Crashsim.Write (3, a); Crashsim.Write (4, b) |] ->
+      Alcotest.(check bool) "crashsim: traced payloads" true
+        (Bytes.equal a (block_of_char 'a') && Bytes.equal b (block_of_char 'b'))
+  | _ -> Alcotest.fail "crashsim: expected two traced writes");
+  Device.flush dev;
+  check "crashsim, flushed" (Device.of_disk d) 3 (block_of_char 'a');
+  check "crashsim, flushed" (Device.of_disk d) 4 (block_of_char 'b');
+  (* A stuck write leaves the old block; a torn one keeps the written
+     prefix over the old rest. *)
+  let dev = Fault.wrap (Fault.create [ Fault.Stuck_write { block = 3 } ]) (Device.of_disk (fresh ())) in
+  write dev 3 'a';
+  write dev 4 'b';
+  check "stuck write" dev 3 (block_of_char old);
+  check "stuck write" dev 4 (block_of_char 'b');
+  let keep = 100 in
+  let dev =
+    Fault.wrap (Fault.create [ Fault.Torn_write { block = 3; keep_bytes = keep } ]) (Device.of_disk (fresh ()))
+  in
+  write dev 3 'a';
+  write dev 4 'b';
+  let torn = block_of_char old in
+  Bytes.fill torn 0 keep 'a';
+  check "torn write" dev 3 torn;
+  check "torn write" dev 4 (block_of_char 'b')
+
 (* ---- Fault ---- *)
 
 let test_fault_read_error_window () =
@@ -275,6 +338,7 @@ let () =
         [
           Alcotest.test_case "read_only enforced" `Quick test_device_read_only;
           Alcotest.test_case "counting wrapper" `Quick test_device_counting;
+          Alcotest.test_case "write copies the caller's buffer" `Quick test_device_write_copies;
         ] );
       ( "fault",
         [

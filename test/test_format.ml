@@ -59,9 +59,13 @@ let mk_sb () = Superblock.make (geo ()) ~free_blocks:10 ~free_inodes:20
 
 let test_sb_roundtrip () =
   let sb = mk_sb () in
-  match Superblock.decode (Superblock.encode sb) with
+  (match Superblock.decode (Superblock.encode sb) with
   | Ok sb' -> Alcotest.(check bool) "equal" true (sb = sb')
-  | Error e -> Alcotest.failf "decode: %a" Superblock.pp_error e
+  | Error e -> Alcotest.failf "decode: %a" Superblock.pp_error e);
+  (* Encoding into a used buffer overwrites all of it. *)
+  let b = Bytes.make bs '\x5a' in
+  Superblock.encode_into sb b;
+  Alcotest.(check bool) "encode_into == encode" true (Bytes.equal b (Superblock.encode sb))
 
 let test_sb_bad_magic () =
   let b = Superblock.encode (mk_sb ()) in
@@ -346,8 +350,14 @@ let prop_encode_block_matches_to_blocks =
     (fun (block_size, nbits, sets) ->
       let bm = Bitmap.create ~nbits in
       List.iter (fun i -> if i < nbits then Bitmap.set bm i) sets;
+      (* [encode_block_into] overwrites all of a used buffer. *)
+      let into i =
+        let out = Bytes.make block_size '\x5a' in
+        Bitmap.encode_block_into bm i out;
+        out
+      in
       Bitmap.to_blocks bm ~block_size
-      |> List.mapi (fun i b -> Bytes.equal b (Bitmap.encode_block bm ~block_size i))
+      |> List.mapi (fun i b -> Bytes.equal b (Bitmap.encode_block bm ~block_size i) && Bytes.equal b (into i))
       |> List.for_all Fun.id)
 
 (* ---- Inode ---- *)

@@ -190,6 +190,37 @@ let test_crash_before_journal_flush () =
   Alcotest.(check bool) "home untouched" true
     (Bytes.equal (Disk.read disk (data_blk g 0)) (block_of_char '\000'))
 
+(* The descriptor, commit and journal-superblock blocks are encoded one
+   after another into one reused buffer, so each encoding must cover the
+   whole block: a small transaction after a large one leaves none of the
+   large one's tags, revokes or checksum behind. *)
+let test_header_blocks_rewritten_whole () =
+  let disk, dev, g = setup () in
+  let j = attach_exn dev g in
+  let txn = Journal.begin_txn j in
+  for i = 0 to 4 do
+    Journal.txn_write txn (data_blk g i) (block_of_char 'a')
+  done;
+  List.iter (fun i -> Journal.txn_revoke txn (data_blk g i)) [ 7; 8; 9 ];
+  Journal.commit j txn;
+  let txn = Journal.begin_txn j in
+  Journal.txn_write txn (data_blk g 0) (block_of_char 'b');
+  Journal.commit j txn;
+  let zero_from name blk pos ~upto =
+    let b = Disk.read disk blk in
+    for i = pos to upto - 1 do
+      if Bytes.get b i <> '\000' then Alcotest.failf "%s: byte %d is %C" name i (Bytes.get b i)
+    done
+  in
+  (* The second descriptor follows the first transaction's 5 + 2 blocks;
+     past its header, one tag and an empty revoke count comes nothing. *)
+  let desc = g.Layout.journal_start + 1 + 7 in
+  let count blk = Rae_util.Codec.get_u32_int (Disk.read disk blk) 16 in
+  Alcotest.(check (pair int int)) "one tag, one logged block" (1, 1) (count desc, count (desc + 2));
+  zero_from "descriptor" desc (20 + 8 + 4) ~upto:bs;
+  zero_from "commit block" (desc + 2) 24 ~upto:bs;
+  zero_from "journal superblock" g.Layout.journal_start 28 ~upto:4092
+
 let test_escaping () =
   (* A data block that begins with the journal magic must roundtrip. *)
   let disk, dev, g = setup () in
@@ -396,6 +427,8 @@ let () =
           Alcotest.test_case "journal full" `Quick test_journal_full;
           Alcotest.test_case "wraparound" `Quick test_many_commits_wrap;
           Alcotest.test_case "magic escaping" `Quick test_escaping;
+          Alcotest.test_case "header blocks rewritten whole" `Quick
+            test_header_blocks_rewritten_whole;
         ] );
       ( "replay",
         [

@@ -366,6 +366,19 @@ let test_read_one_string () =
     Alcotest.failf "a 16 KiB read allocated %.0f major words, not one %d-word string" words
       one_string
 
+(* The hand-off takes the overlay's own buffers: a file of 11 data
+   blocks dirties 16 blocks (the data, its inode-table block, both
+   bitmaps, the superblock and the root directory), and handing them
+   over allocates no block image. *)
+let test_handoff_copies_nothing () =
+  let _disk, sh = mk_shadow () in
+  let fd = ok (Shadow.openf sh (p "/f") Types.flags_create) in
+  Alcotest.(check int) "write" (11 * bs) (ok (Shadow.pwrite sh fd ~off:0 (String.make (11 * bs) 'h')));
+  let blocks = ref [] in
+  let words = Alloc_words.direct_major_words (fun () -> blocks := Shadow.dirty_blocks sh) in
+  Alcotest.(check int) "dirty blocks" 16 (List.length !blocks);
+  if words <> 0. then Alcotest.failf "handing over 16 blocks allocated %.0f major words" words
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rae_shadowfs"
@@ -383,6 +396,7 @@ let () =
           Alcotest.test_case "ENOSPC" `Quick test_shadow_enospc;
           Alcotest.test_case "fd table" `Quick test_fd_table_exposed;
           Alcotest.test_case "16 KiB read allocates one string" `Quick test_read_one_string;
+          Alcotest.test_case "the hand-off copies no block" `Quick test_handoff_copies_nothing;
         ] );
       ( "checks",
         [
