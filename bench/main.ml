@@ -2051,33 +2051,33 @@ let e_avail () =
 (* E-par: the crash sweep on OCaml 5 domains                          *)
 (* ---------------------------------------------------------------- *)
 
-(* E-par floors: sweep verdicts equal across pool sizes, full crash
+(* E-par floors: sweep verdicts equal across domain counts, full crash
    sweep 0 diverging over > 2000 workloads.  Both are correctness
    floors, enforced on every run. *)
 let e_par () =
   section "E-par | domain parallelism: the crash sweep";
-  let module Pool = Rae_par.Pool in
   let module CE = Rae_crash.Engine in
-  let cores = Domain.recommended_domain_count () in
-  Printf.printf "recommended_domain_count = %d\n" cores;
-  json_note ~sec:"E-par" ~name:"recommended-domains" ~unit:"count" (float_of_int cores);
+  let domains = Domain.recommended_domain_count () in
+  Printf.printf "recommended_domain_count = %d (the parallel arms' width)\n" domains;
+  json_note ~sec:"E-par" ~name:"recommended-domains" ~unit:"count" (float_of_int domains);
   let floor_violations = ref [] in
   let hard_floor msg ok = if not ok then floor_violations := msg :: !floor_violations in
-  (* One minor-heap size for the whole section, 4M words (32 MiB); past
-     it the sequential sweep gains little more (DESIGN §13).  At the
-     runtime default the sequential arm promotes far more than a pool of
-     four, and the ratio then rewards four minor heaps, not fan-out.
-     [Gc.set] sizes the calling domain only (OCaml 5.1 starts spawned
-     domains at the runtime's initial size), but the pool arm's time does
-     not move with its workers' heaps, so one setting is enough. *)
+  (* One minor-heap size for the calling domain, 4M words (32 MiB); past
+     it the one-domain sweep gains little more (DESIGN §13).  At the
+     runtime default the one-domain arm promotes far more, and the ratio
+     would then reward extra minor heaps, not fan-out.  [Gc.set] sizes
+     the calling domain only: the domains a [map_array] call spawns start
+     at the runtime's initial 256k words (OCaml 5.1), but the parallel
+     arm's time does not move with their heaps (DESIGN §13), so one
+     setting is enough. *)
   let gc0 = Gc.get () in
   Gc.set { gc0 with Gc.minor_heap_size = 4 lsl 20 };
   let minor_words = (Gc.get ()).Gc.minor_heap_size in
   Printf.printf "minor heap: %d words\n" minor_words;
   json_note ~sec:"E-par" ~name:"minor-heap-words" ~unit:"words" (float_of_int minor_words);
-  let pool4 = Pool.create ~domains:4 () in
 
-  subsection "E-par-d | crash sweep: 1 vs 4 domains, plus the exhaustive space";
+  subsection
+    (Printf.sprintf "E-par-d | crash sweep: 1 vs %d domains, plus the exhaustive space" domains);
   let cfg =
     {
       CE.default_config with
@@ -2087,10 +2087,10 @@ let e_par () =
   in
   let nsample = sc 120 in
   let sweep_stats = Array.make 2 CE.empty_stats in
-  let sweep_arm i pool () = sweep_stats.(i) <- CE.sweep_bounded ~cfg ?pool ~max_workloads:nsample () in
-  let smed =
-    time_interleaved ~reps:(reps 3) [| sweep_arm 0 None; sweep_arm 1 (Some pool4) |]
+  let sweep_arm i domains () =
+    sweep_stats.(i) <- CE.sweep_bounded ~cfg ~domains ~max_workloads:nsample ()
   in
+  let smed = time_interleaved ~reps:(reps 3) [| sweep_arm 0 1; sweep_arm 1 domains |] in
   let fingerprint (s : CE.stats) =
     ( s.CE.s_workloads,
       s.CE.s_points,
@@ -2099,11 +2099,11 @@ let e_par () =
       List.sort compare
         (List.map (fun d -> (d.CE.d_label, d.CE.d_key, d.CE.d_reason)) s.CE.s_diverging) )
   in
-  Printf.printf "  sweep seq   (%3d workloads): %8.2f s\n" nsample smed.(0);
-  Printf.printf "  sweep par=4 (%3d workloads): %8.2f s  (%.2fx)\n" nsample smed.(1)
+  Printf.printf "  sweep 1 domain  (%3d workloads): %8.2f s\n" nsample smed.(0);
+  Printf.printf "  sweep %d domains (%3d workloads): %8.2f s  (%.2fx)\n" domains nsample smed.(1)
     (smed.(0) /. smed.(1));
   json_note ~sec:"E-par" ~name:"sweep-seq" ~unit:"s" smed.(0);
-  json_note ~sec:"E-par" ~name:"sweep-par4" ~unit:"s" smed.(1);
+  json_note ~sec:"E-par" ~name:"sweep-par" ~unit:"s" smed.(1);
   hard_floor "parallel sweep verdicts differ from sequential"
     (fingerprint sweep_stats.(0) = fingerprint sweep_stats.(1));
   (* The exhaustive arm: every deduplicated bounded workload.  Skipped
@@ -2113,11 +2113,11 @@ let e_par () =
   if !quick then Printf.printf "  exhaustive sweep skipped under --quick\n"
   else begin
     let t0 = now_s () in
-    let full = CE.sweep_full ~cfg ~pool:pool4 () in
+    let full = CE.sweep_full ~cfg ~domains () in
     let wall = now_s () -. t0 in
     let diverging = List.length full.CE.s_diverging in
-    Printf.printf "  exhaustive  (%d workloads, %d points): %.1f s, %d diverging\n"
-      full.CE.s_workloads full.CE.s_points wall diverging;
+    Printf.printf "  exhaustive  (%d workloads, %d points, %d domains): %.1f s, %d diverging\n"
+      full.CE.s_workloads full.CE.s_points domains wall diverging;
     json_note ~sec:"E-par" ~name:"full-sweep-workloads" ~unit:"count"
       (float_of_int full.CE.s_workloads);
     json_note ~sec:"E-par" ~name:"full-sweep-points" ~unit:"count" (float_of_int full.CE.s_points);
@@ -2130,21 +2130,16 @@ let e_par () =
       (Printf.sprintf "exhaustive sweep covered only %d workloads" full.CE.s_workloads)
       (full.CE.s_workloads > 2000)
   end;
-  let pstats = Pool.stats pool4 in
-  Printf.printf "  pool4: %d chunks run, %d steals, %d parallel batches\n" pstats.Pool.tasks_run
-    pstats.Pool.steals pstats.Pool.batches;
-  json_note ~sec:"E-par" ~name:"pool4-steals" ~unit:"count" (float_of_int pstats.Pool.steals);
-  Pool.shutdown pool4;
   Gc.set gc0;
   if !floor_violations <> [] then begin
     List.iter (fun v -> Printf.eprintf "E-par: %s\n" v) (List.rev !floor_violations);
     exit 1
   end;
   print_string
-    "\nExpected shape: crash verdict sets are equal across pool sizes while the\n\
-     sweep fans out across domains, and the exhaustive bounded crash space\n\
-     still has zero diverging points.  The sweep ratio is wall-clock fan-out\n\
-     at one minor-heap size; on one core there is nothing to win.\n"
+    "\nExpected shape: crash verdict sets are equal across domain counts while\n\
+     the sweep fans out across domains, and the exhaustive bounded crash\n\
+     space still has zero diverging points.  The sweep ratio is wall-clock\n\
+     fan-out at one minor-heap size; on one core there is nothing to win.\n"
 
 let () =
   Printf.printf "RAE / Shadow Filesystems — benchmark harness\n";

@@ -1,31 +1,15 @@
-(* fsck.rfs: check an rfs image for consistency, optionally repairing
-   what has a unique safe fix (preen).  Exit status 0 = clean (warnings
-   allowed), 1 = structural errors, 2 = unreadable. *)
+(* fsck.rfs: check an rfs image for consistency.  Exit status 0 = clean
+   (warnings allowed), 1 = structural errors, 2 = unreadable. *)
 
 open Cmdliner
 
-let run image verbose preen =
+let run image verbose =
   match Rae_block.Disk.load image with
   | Error msg ->
       Printf.eprintf "cannot read %s: %s\n" image msg;
       exit 2
   | Ok disk ->
       let dev = Rae_block.Device.of_disk disk in
-      (if preen then
-         match Rae_fsck.Repair.repair dev with
-         | Ok [] -> Printf.printf "%s: nothing to repair\n" image
-         | Ok actions ->
-             List.iter
-               (fun a -> Format.printf "repaired: %a@." Rae_fsck.Repair.pp_action a)
-               actions;
-             (match Rae_block.Disk.save disk image with
-             | Ok () -> ()
-             | Error msg ->
-                 Printf.eprintf "cannot write %s: %s\n" image msg;
-                 exit 2)
-         | Error msg ->
-             Printf.eprintf "%s: repair refused: %s\n" image msg;
-             exit 1);
       let report = Rae_fsck.Fsck.check_device dev in
       if verbose || report.Rae_fsck.Fsck.findings <> [] then
         Format.printf "%a@." Rae_fsck.Fsck.pp_report report
@@ -37,9 +21,8 @@ let run image verbose preen =
 
 let image = Arg.(required & pos 0 (some file) None & info [] ~docv:"IMAGE" ~doc:"Image file to check.")
 let verbose = Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print the full report even when clean.")
-let preen = Arg.(value & flag & info [ "p"; "repair" ] ~doc:"Apply safe repairs (preen) before checking.")
 
 let cmd =
-  Cmd.v (Cmd.info "rae_fsck" ~doc:"Check an rfs image") Term.(const run $ image $ verbose $ preen)
+  Cmd.v (Cmd.info "rae_fsck" ~doc:"Check an rfs image") Term.(const run $ image $ verbose)
 
 let () = exit (Cmd.eval cmd)

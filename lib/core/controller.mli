@@ -86,10 +86,14 @@ val make :
   Rae_basefs.Base.t ->
   t
 (** Wrap a mounted base.  The controller registers itself on the base's
-    commit hook to prune the oplog.  When [tracer] is given it is also
-    attached to the base (commit/destage/replay spans), and every recovery
-    emits one [recovery] span containing one child span per §3.2 phase
-    plus per-op replay spans.
+    commit hook to prune the oplog.  When [tracer] is given it receives:
+    - the base's [base.commit], [blkmq.destage] and [journal.replay]
+      spans, and the warm checkpoint's [ckpt-cut] and [ckpt-fold] spans;
+    - one [recovery] span per recovery, with one child span per §3.2
+      phase, and an [fsck] child under the cold shadow attach;
+    - the [detect:<trigger>] instant at each recovery's start and the
+      [ckpt-fallback:<reason>] instant when a seeded recovery falls back
+      to the cold path.
 
     When [events] is given the flight recorder is attached to the whole
     stack (controller op/recovery events, checkpoint cut/fold/poison,

@@ -146,29 +146,21 @@ let sweep_ops ?cfg ?(barriers = true) ~label ops =
 
 (* Workloads are pairwise independent — each sweep records onto its own
    fresh image and judges each crash point against a fresh mount — so
-   the sweep parallelizes at workload granularity: one chunk per
-   workload, stolen freely across domains.  The merged stats fold in
-   workload order either way, so the result (divergence list included)
-   is identical to the sequential sweep's. *)
-let sweep_workloads ?cfg ?pool workloads =
-  match pool with
-  | Some p when Rae_par.Pool.size p > 1 ->
-      let outs =
-        Rae_par.Pool.map_array p ~chunk:1
-          (fun (label, ops) -> sweep_ops ?cfg ~label ops)
-          (Array.of_list workloads)
-      in
-      Array.fold_left merge empty_stats outs
-  | Some _ | None ->
-      List.fold_left
-        (fun acc (label, ops) -> merge acc (sweep_ops ?cfg ~label ops))
-        empty_stats workloads
+   the sweep fans out at workload granularity, one item per workload.
+   The per-workload stats merge in workload order whatever the domain
+   count, so the result (divergence list included) is identical to the
+   one-domain sweep's. *)
+let sweep_workloads ?cfg ?(domains = 1) workloads =
+  Rae_par.Pool.map_array ~domains
+    (fun (label, ops) -> sweep_ops ?cfg ~label ops)
+    (Array.of_list workloads)
+  |> Array.fold_left merge empty_stats
 
-let sweep_bounded ?cfg ?pool ~max_workloads () =
-  sweep_workloads ?cfg ?pool (Bounded.sample ~max:max_workloads)
+let sweep_bounded ?cfg ?domains ~max_workloads () =
+  sweep_workloads ?cfg ?domains (Bounded.sample ~max:max_workloads)
 
-let sweep_full ?cfg ?pool () =
-  sweep_workloads ?cfg ?pool
+let sweep_full ?cfg ?domains () =
+  sweep_workloads ?cfg ?domains
     (List.map (fun ops -> (Bounded.label ops, ops)) (Bounded.all ()))
 
 let sweep_targeted ?cfg ?(count = 40) ?(seeds = [ 1L; 2L ]) ?(profiles = [ Workload.Varmail; Workload.Metadata ]) () =

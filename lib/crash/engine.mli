@@ -43,20 +43,19 @@ val sweep_ops :
 (** Record a workload and sweep it.  [barriers:false] enumerates as if
     the device ignored flush barriers — the seeded-divergence fixture. *)
 
-val sweep_bounded :
-  ?cfg:config -> ?pool:Rae_par.Pool.t -> max_workloads:int -> unit -> stats
-(** Sweep a deterministic sample of the deduplicated seq-3 space.  With a
-    [pool] of size > 1 the workloads (each self-contained: fresh image,
-    fresh mounts per crash point) are dealt across domains and the per-
-    workload stats merged back in workload order, so the result —
-    including the divergence list — is identical to the sequential
-    sweep's. *)
+val sweep_bounded : ?cfg:config -> ?domains:int -> max_workloads:int -> unit -> stats
+(** Sweep a deterministic sample of the deduplicated seq-3 space.  The
+    workloads (each self-contained: fresh image, fresh mounts per crash
+    point) fan out over [domains] domains (default 1) with
+    {!Rae_par.Pool.map_array}, and the per-workload stats merge back in
+    workload order, so the result — including the divergence list — is
+    the same at every domain count. *)
 
-val sweep_full : ?cfg:config -> ?pool:Rae_par.Pool.t -> unit -> stats
+val sweep_full : ?cfg:config -> ?domains:int -> unit -> stats
 (** Sweep {e every} workload of the deduplicated bounded space
     ({!Bounded.all}, 2103 workloads at seq ≤ 3) — the exhaustive arm of
-    the crash study, practical only with a [pool].  Same determinism
-    contract as {!sweep_bounded}. *)
+    the crash study.  Same fan-out and determinism contract as
+    {!sweep_bounded}. *)
 
 val sweep_targeted :
   ?cfg:config ->

@@ -44,9 +44,9 @@ type t = {
   journal_commit_fns : string list;  (* making a transaction durable *)
   persist_writers : string list;
       (* def-name prefixes allowed to touch the raw sinks: the journal
-         itself, the block layer the sinks live in, mkfs/fsck-repair
-         (which write outside the journal protocol by design), and the
-         ordered-mode data destage. *)
+         itself, the block layer the sinks live in, mkfs (which writes
+         outside the journal protocol by design), and the ordered-mode
+         data destage. *)
   (* ---- domain-safety pre-pass (rule domain-safety) ---- *)
   domain_regions : (string * string list) list;
       (* region name -> def-name prefixes of code that runs on a worker
@@ -83,8 +83,8 @@ let default_libraries =
     ("util", []);
     ("obs", [ "util" ]);
     ("vfs", [ "util" ]);
-    (* the domain pool sits at the bottom of the cone beside util: pure
-       stdlib (Domain/Atomic/Mutex).  Only the crash sweep links it; the
+    (* the per-call fan-out sits at the bottom of the cone beside util:
+       pure stdlib (Domain/Atomic).  Only the crash sweep links it; the
        recovery stack below stays single-domain. *)
     ("par", []);
     ("block", [ "util"; "obs" ]);
@@ -209,10 +209,8 @@ let default =
         (* the one sanctioned writer of durable metadata *)
         "Rae_journal.Journal.";
         (* writes outside the journal protocol by design: formatting a
-           fresh image, and fsck repair (runs before any journal is
-           trusted, with its own flush barriers) *)
+           fresh image *)
         "Rae_format.Mkfs.";
-        "Rae_fsck.Repair.";
         (* ordered-mode data destage: data blocks reach the medium
            before the metadata commit that references them (base.ml
            commit_work), exactly like ext4 data=ordered *)
@@ -226,11 +224,11 @@ let default =
       [
         ("ckpt-fold", [ "Rae_core.Checkpoint.fold" ]);
         ("constrained-replay", [ "Rae_shadowfs.Shadow.exec_constrained_window" ]);
-        (* Code that actually runs on worker domains.  The pool's worker
-           loop is the generic root (every parallel_for body executes
-           under it); the other is the crash sweep's per-workload body,
-           which also reaches the fsck and journal-replay code each sweep
-           point runs. *)
+        (* Code that actually runs on spawned domains.  The fan-out is
+           the generic root (every map_array item runs under it, on the
+           caller or on a domain spawned for the call); the other is the
+           crash sweep's per-workload body, which also reaches the fsck
+           and journal-replay code each sweep point runs. *)
         ("par-pool", [ "Rae_par.Pool." ]);
         ("par-crash-sweep", [ "Rae_crash.Engine.sweep_workloads" ]);
       ];
@@ -247,11 +245,6 @@ let default =
            mutators; the analysis sees the helper defs without the
            lock. *)
         ("Rae_obs.Tracer.t.", "public mutators and export serialize on the per-tracer mutex");
-        (* The pool's own bookkeeping: each deque's items list is only
-           touched under that deque's dmu; batch publication and the
-           idle/work waits run under the pool mutex; callers serialize on
-           exec_mu; the join counter and stats counters are Atomics. *)
-        ("Rae_par.Pool.", "deque items under per-deque dmu; batch publication under pool mu; join/stats are Atomics");
       ]
       [@ocamlformat "disable"];
     domain_local_cells =

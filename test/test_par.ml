@@ -1,71 +1,79 @@
-(* Tests for rae_par and its one user: pool fork/join semantics, and
-   crash-sweep verdict-set equality across pool sizes.  The recovery
-   stack itself is single-domain; its checkpoint tests live in
+(* Tests for rae_par and its one user: the per-call fan-out's contract,
+   and crash-sweep verdict-set equality across domain counts.  The
+   recovery stack itself is single-domain; its checkpoint tests live in
    test_core. *)
 
 module Pool = Rae_par.Pool
 module Engine = Rae_crash.Engine
 
-let with_pool domains f =
-  let pl = Pool.create ~domains () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pl) (fun () -> f pl)
-
-(* ---- the pool itself ---- *)
+(* ---- the fan-out itself ---- *)
 
 let test_pool_size_one_is_sequential () =
-  with_pool 1 (fun pl ->
-      Alcotest.(check int) "size" 1 (Pool.size pl);
+  List.iter
+    (fun domains ->
       let seen = ref [] in
-      Pool.parallel_for pl ~n:10 (fun i -> seen := i :: !seen);
+      let got = Pool.map_array ~domains (fun i -> seen := i :: !seen; i) (Array.init 10 Fun.id) in
       Alcotest.(check (list int)) "ascending order" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
         (List.rev !seen);
-      let st = Pool.stats pl in
-      Alcotest.(check int) "counted as sequential" 1 st.Pool.seq_batches;
-      Alcotest.(check int) "no parallel batch" 0 st.Pool.batches)
+      Alcotest.(check (array int)) "results" (Array.init 10 Fun.id) got)
+    [ 0; 1 ]
+
+(* Spawning a domain can take milliseconds, so with cheap items the
+   first participant claims every index.  Items that spin keep all four
+   participants claiming. *)
+let spin k =
+  let acc = ref 0 in
+  for j = 1 to k do
+    acc := !acc lxor j
+  done;
+  ignore (Sys.opaque_identity !acc)
 
 let test_pool_every_index_exactly_once () =
-  with_pool 4 (fun pl ->
-      let n = 1000 in
-      let hits = Array.make n 0 in
-      (* Small chunks force dealing across all four deques (and give the
-         work-stealing path something to steal). *)
-      Pool.parallel_for pl ~chunk:7 ~n (fun i -> hits.(i) <- hits.(i) + 1);
-      Array.iteri
-        (fun i c -> if c <> 1 then Alcotest.failf "index %d ran %d times" i c)
-        hits;
-      let st = Pool.stats pl in
-      Alcotest.(check bool) "chunks counted" true (st.Pool.tasks_run >= n / 7);
-      Alcotest.(check int) "one parallel batch" 1 st.Pool.batches;
-      Pool.reset_stats pl;
-      Alcotest.(check int) "reset" 0 (Pool.stats pl).Pool.tasks_run)
+  let n = 1000 in
+  let hits = Array.init n (fun _ -> Atomic.make 0) in
+  ignore
+    (Pool.map_array ~domains:4
+       (fun i ->
+         spin 50_000;
+         Atomic.incr hits.(i))
+       (Array.init n Fun.id));
+  Array.iteri
+    (fun i c -> if Atomic.get c <> 1 then Alcotest.failf "index %d ran %d times" i (Atomic.get c))
+    hits
 
+(* Items cost less as the index rises, and item 0 costs the most: it runs
+   until every later item has finished.  So items finish out of index
+   order, and the results must still land by index. *)
 let test_pool_map_array () =
-  with_pool 3 (fun pl ->
-      let xs = Array.init 257 (fun i -> i) in
-      let got = Pool.map_array pl ~chunk:5 (fun x -> (x * 2) + 1) xs in
-      Alcotest.(check bool) "matches Array.map" true
-        (got = Array.map (fun x -> (x * 2) + 1) xs))
+  let xs = Array.init 257 Fun.id in
+  Alcotest.(check (array int)) "matches Array.map"
+    (Array.map (fun x -> (x * 2) + 1) xs)
+    (Pool.map_array ~domains:3 (fun x -> (x * 2) + 1) xs);
+  let n = 64 in
+  let finished = Atomic.make 0 in
+  let rank = Array.make n (-1) in
+  let item i =
+    if i = 0 then
+      while Atomic.get finished < n - 1 do
+        Domain.cpu_relax ()
+      done
+    else spin ((n - i) * 20_000);
+    rank.(i) <- Atomic.fetch_and_add finished 1;
+    (i * 2) + 1
+  in
+  let got = Pool.map_array ~domains:4 item (Array.init n Fun.id) in
+  Alcotest.(check (array int)) "results land by index" (Array.init n (fun i -> (i * 2) + 1)) got;
+  Alcotest.(check int) "item 0 finished last" (n - 1) rank.(0)
 
 let test_pool_reraises_child_exception () =
-  with_pool 4 (fun pl ->
-      (match Pool.parallel_for pl ~chunk:1 ~n:64 (fun i -> if i = 17 then failwith "boom17") with
-      | () -> Alcotest.fail "expected the child's exception"
-      | exception Failure m -> Alcotest.(check string) "child exception re-raised" "boom17" m);
-      (* The batch joined cleanly: the pool is reusable afterwards. *)
-      let hits = Array.make 64 0 in
-      Pool.parallel_for pl ~chunk:1 ~n:64 (fun i -> hits.(i) <- 1);
-      Alcotest.(check bool) "pool survives a failed batch" true
-        (Array.for_all (fun c -> c = 1) hits))
+  let xs = Array.init 64 Fun.id in
+  (match Pool.map_array ~domains:4 (fun i -> if i = 17 then failwith "boom17" else i) xs with
+  | _ -> Alcotest.fail "expected the item's exception"
+  | exception Failure m -> Alcotest.(check string) "item exception re-raised" "boom17" m);
+  (* Every domain joined: the next call works. *)
+  Alcotest.(check (array int)) "next call works" xs (Pool.map_array ~domains:4 Fun.id xs)
 
-let test_pool_shutdown_degrades () =
-  let pl = Pool.create ~domains:3 () in
-  Pool.shutdown pl;
-  Pool.shutdown pl (* idempotent *);
-  let seen = ref [] in
-  Pool.parallel_for pl ~n:5 (fun i -> seen := i :: !seen);
-  Alcotest.(check (list int)) "sequential after shutdown" [ 0; 1; 2; 3; 4 ] (List.rev !seen)
-
-(* ---- crash engine: verdict sets across pool sizes ---- *)
+(* ---- crash engine: verdict sets across domain counts ---- *)
 
 let sweep_fingerprint (s : Engine.stats) =
   ( s.Engine.s_workloads,
@@ -81,11 +89,10 @@ let test_sweep_verdicts_equal_across_domains () =
   let seq = Engine.sweep_bounded ~max_workloads:40 () in
   Alcotest.(check int) "workloads swept" 40 seq.Engine.s_workloads;
   Alcotest.(check bool) "points enumerated" true (seq.Engine.s_points > 0);
-  with_pool 2 (fun p2 ->
-      let par2 = Engine.sweep_bounded ~pool:p2 ~max_workloads:40 () in
-      Alcotest.(check bool) "par=2 verdicts equal" true
-        (sweep_fingerprint seq = sweep_fingerprint par2));
-  let par4 = with_pool 4 (fun p4 -> Engine.sweep_bounded ~pool:p4 ~max_workloads:40 ()) in
+  let par2 = Engine.sweep_bounded ~domains:2 ~max_workloads:40 () in
+  Alcotest.(check bool) "par=2 verdicts equal" true
+    (sweep_fingerprint seq = sweep_fingerprint par2);
+  let par4 = Engine.sweep_bounded ~domains:4 ~max_workloads:40 () in
   Alcotest.(check bool) "par=4 verdicts equal" true
     (sweep_fingerprint seq = sweep_fingerprint par4);
   Alcotest.(check int) "no divergence in the bounded space" 0
@@ -100,7 +107,6 @@ let () =
           Alcotest.test_case "every index exactly once" `Quick test_pool_every_index_exactly_once;
           Alcotest.test_case "map_array" `Quick test_pool_map_array;
           Alcotest.test_case "child exception re-raised" `Quick test_pool_reraises_child_exception;
-          Alcotest.test_case "shutdown degrades to sequential" `Quick test_pool_shutdown_degrades;
         ] );
       ( "crash-sweep",
         [
