@@ -103,7 +103,7 @@ let json_config () =
     c.Rae_basefs.Base.bcache_capacity c.Rae_basefs.Base.icache_capacity
     c.Rae_basefs.Base.dcache_capacity c.Rae_basefs.Base.commit_interval
     pol.Rae_core.Controller.ckpt_fold_interval
-    (if Rae_util.Checksum.hardware then "sse4.2" else "portable")
+    Rae_util.Checksum.kernel
 
 let write_json path =
   let samples = List.rev !json_samples in
@@ -633,6 +633,89 @@ let e_commit () =
     "\nExpected shape: 0 direct major words per commit: the journal's header blocks,\n\
      the ordered data write, the superblock and every rewritten block go through\n\
      buffers the commit already owns.\n"
+
+(* ---------------------------------------------------------------- *)
+(* E-kernel: the base's checksum and directory-lookup kernels, alone  *)
+(* ---------------------------------------------------------------- *)
+
+(* The CRC32C of one buffer at three sizes (a small wire frame, a
+   block, a 16 KiB reply), and one [Dirent.find] over a full directory
+   block: 146 live records, about a varmail spool's count of mails.  Their
+   19-byte names share their first 16 bytes, so the lookup compares most of
+   each name: the walk's worst case.  A hit finds the last record, a miss
+   compares every name.  Times are the median of the rounds.  The words are minor words per call, which
+   repeat exactly: a miss allocates nothing and a hit only the entry it
+   returns ([Some], [Ok] and the record), and more is a floor violation
+   (EXPERIMENTS.md E-kernel). *)
+let e_kernel () =
+  section
+    (Printf.sprintf "E-kernel | CRC32C (%s) and Dirent.find over a full block"
+       Rae_util.Checksum.kernel);
+  let rounds = reps 7 in
+  let us_per_call ~calls f =
+    time_runs ~reps:rounds (fun () ->
+        for _ = 1 to calls do
+          f ()
+        done)
+    *. 1e6 /. float_of_int calls
+  in
+  List.iter
+    (fun (label, n) ->
+      let b = Bytes.init n (fun i -> Char.chr (i * 31 land 0xFF)) in
+      let us =
+        us_per_call ~calls:(sc (100_000_000 / n)) (fun () ->
+            ignore (Sys.opaque_identity (Rae_util.Checksum.crc32c_int ~init:0 b ~pos:0 ~len:n)))
+      in
+      let gbs = float_of_int n /. (us *. 1e3) in
+      Printf.printf "  crc32c %6s: %7.3f us  %6.2f GB/s\n" label us gbs;
+      json_note ~sec:"E-kernel" ~name:("crc32c-" ^ label) ~unit:"us" us;
+      json_note ~sec:"E-kernel" ~name:("crc32c-" ^ label ^ "-gbs") ~unit:"GB/s" gbs)
+    [ ("256B", 256); ("4KiB", 4096); ("16KiB", 16384) ];
+  let module Dirent = Rae_format.Dirent in
+  let b = Dirent.empty_block () in
+  let name i = Printf.sprintf "m%018d" i in
+  let n = ref 0 in
+  while Dirent.insert b ~name:(name !n) ~ino:(!n + 1) ~kind_code:(Types.kind_code Types.Regular) do
+    incr n
+  done;
+  let entry_words = 8. in
+  let violations = ref [] in
+  List.iter
+    (fun (label, probe, ceiling) ->
+      let find () = ignore (Sys.opaque_identity (Dirent.find b probe)) in
+      let us = us_per_call ~calls:(sc 200_000) find in
+      let words =
+        let calls = 1000 in
+        let minor f =
+          let w0 = Gc.minor_words () in
+          f ();
+          Gc.minor_words () -. w0
+        in
+        let idle = minor (fun () -> ()) in
+        (minor (fun () ->
+             for _ = 1 to calls do
+               find ()
+             done)
+        -. idle)
+        /. float_of_int calls
+      in
+      Printf.printf "  Dirent.find %-4s (%d entries): %6.3f us  %4.1f words/call (ceiling %.0f)\n"
+        label !n us words ceiling;
+      json_note ~sec:"E-kernel" ~name:("dirent-find-" ^ label) ~unit:"us" us;
+      json_note ~sec:"E-kernel" ~name:("dirent-find-" ^ label ^ "-words") ~unit:"words" words;
+      if words > ceiling then
+        violations :=
+          Printf.sprintf "Dirent.find %s: %.1f minor words per call > %.0f" label words ceiling
+          :: !violations)
+    [ ("hit", name (!n - 1), entry_words); ("miss", name !n, 0.) ];
+  if !violations <> [] then begin
+    List.iter (fun v -> Printf.eprintf "E-kernel: %s\n" v) (List.rev !violations);
+    exit 1
+  end;
+  Printf.printf
+    "\nExpected shape: CRC32C throughput grows with the buffer up to the three-chain\n\
+     kernel's speed; Dirent.find checks every record in one walk, allocating only\n\
+     the entry it returns.\n"
 
 (* ---------------------------------------------------------------- *)
 (* E-shadow: the fast path — caches, hints and batching vs naive     *)
@@ -2168,6 +2251,7 @@ let () =
   if want "e5" then e5_recovery_latency ();
   if want "e-ckpt" then e_ckpt ();
   if want "e-commit" then e_commit ();
+  if want "e-kernel" then e_kernel ();
   if want "e-shadow" then e_shadow ();
   if List.mem "e-fold" sels then e_fold ();
   if want "e6" then e6_check_cost ();

@@ -652,10 +652,10 @@ let crafted_dirent e =
 let trusting_entries b =
   match Dirent.list b with Ok entries -> entries | Error e -> crafted_dirent e
 
-(* [Dirent.find] validates each block whole before comparing names in
-   place, so a malformed record is a BUG wherever it sits in the block —
-   the verdict [trusting_entries] gives — without materializing every
-   entry of a big directory. *)
+(* [Dirent.find] checks every record of each block while it compares
+   names in place, so a malformed record is a BUG wherever it sits in the
+   block — the verdict [trusting_entries] gives — without materializing
+   every entry of a big directory. *)
 let dir_scan t inode name =
   let n = dir_nblocks inode in
   let rec go idx =
@@ -703,11 +703,11 @@ let dir_insert t dinode ~dino ~name ~ino ~kind_code =
     if idx >= n then None
     else begin
       let phys, b = dir_block t dinode idx in
-      if Dirent.has_room b ~name then begin
-        ignore (Dirent.insert (writable t phys b ~route:(`Meta K_dir)) ~name ~ino ~kind_code);
-        Some dinode
-      end
-      else try_existing (idx + 1)
+      match Dirent.room b ~name with
+      | -1 -> try_existing (idx + 1)
+      | off ->
+          Dirent.insert_at (writable t phys b ~route:(`Meta K_dir)) off ~name ~ino ~kind_code;
+          Some dinode
     end
   in
   let update_dcache () =
@@ -734,21 +734,21 @@ let dir_remove t dinode ~dino ~name =
     if idx >= n then false
     else begin
       let phys, b = dir_block t dinode idx in
-      if Dirent.mem b name then begin
-        ignore (Dirent.remove (writable t phys b ~route:(`Meta K_dir)) name);
-        Rae_cache.Dentry.add t.dcache ~dir:dino ~name Rae_cache.Dentry.Absent;
-        true
-      end
-      else go (idx + 1)
+      match Dirent.locate b name with
+      | -1, _ -> go (idx + 1)
+      | off, prev ->
+          Dirent.remove_at (writable t phys b ~route:(`Meta K_dir)) ~off ~prev;
+          Rae_cache.Dentry.add t.dcache ~dir:dino ~name Rae_cache.Dentry.Absent;
+          true
     end
   in
   go 0
 
 let dir_set_dotdot t dinode ~parent =
   let phys, b = dir_block t dinode 0 in
-  if not (Dirent.mem b "..") then
-    Detector.bug_fail ~bug:"dir-structure" "directory missing \"..\" (oops)";
-  ignore (Dirent.set_entry_ino (writable t phys b ~route:(`Meta K_dir)) ".." parent)
+  match Dirent.locate b ".." with
+  | -1, _ -> Detector.bug_fail ~bug:"dir-structure" "directory missing \"..\" (oops)"
+  | off, _ -> Dirent.set_ino_at (writable t phys b ~route:(`Meta K_dir)) off parent
 
 (* ---- path resolution (dcache-accelerated) ---- *)
 

@@ -43,46 +43,56 @@ let name_len_at b off = Bytes.get_uint8 b (off + 6)
 let kind_code_at b off = Bytes.get_uint8 b (off + 7)
 
 (* A live record's name is legal when it is non-empty and holds neither
-   '/' nor NUL, which admits "." and ".."; checked in place. *)
-let name_ok_at b ~pos ~len =
-  let i = ref 0 in
-  while !i < len && (match Bytes.get b (pos + !i) with '/' | '\000' -> false | _ -> true) do
-    incr i
-  done;
-  len > 0 && !i = len
+   '/' nor NUL, which admits "." and ".."; checked in place, over a range
+   the caller has checked against the block. *)
+let rec name_bytes_ok b pos stop =
+  pos = stop
+  || match Bytes.unsafe_get b pos with '/' | '\000' -> false | _ -> name_bytes_ok b (pos + 1) stop
+
+let name_ok_at b ~pos ~len = len > 0 && name_bytes_ok b pos (pos + len)
 
 exception Malformed of error
 
+(* The check of the record at [o] in a block of [len] bytes, every record
+   before it having passed: raises [Malformed] with the record's first
+   structural error, else returns its [rec_len].  A live record's name is
+   the [name_len] bytes at [o + header_size].  Names are checked in place,
+   so a passing record allocates nothing: the error payload is built only
+   on failure.  [walk_exn], [validate] and [find] all check through here,
+   so they give the same verdict in the same order. *)
+let check_record b ~len o =
+  if o > len || o land 3 <> 0 then raise (Malformed (Misaligned { offset = o }));
+  if o + header_size > len then raise (Malformed (Overrun { offset = o; rec_len = header_size }));
+  let rec_len = rec_len_at b o in
+  if rec_len < header_size || rec_len land 3 <> 0 then
+    raise (Malformed (Bad_rec_len { offset = o; rec_len }));
+  if o + rec_len > len then raise (Malformed (Overrun { offset = o; rec_len }));
+  if ino_at b o <> 0 then begin
+    let name_len = name_len_at b o in
+    if header_size + name_len > rec_len then
+      raise (Malformed (Bad_name_len { offset = o; name_len; rec_len }));
+    if not (name_ok_at b ~pos:(o + header_size) ~len:name_len) then
+      raise
+        (Malformed (Bad_name { offset = o; name = Bytes.sub_string b (o + header_size) name_len }));
+    let code = kind_code_at b o in
+    match Rae_vfs.Types.kind_of_code code with
+    | None -> raise (Malformed (Bad_kind_code { offset = o; code }))
+    | Some _ -> ()
+  end;
+  rec_len
+
 (* Validated record walk: calls [f acc ~off ~ino ~rec_len ~name_len
-   ~kind_code] for every record (live and free; a live record's name is
-   the [name_len] bytes at [off + header_size]) and raises [Malformed]
-   with the first structural error.  Names are checked in place, so the
-   walk allocates nothing of its own: the error payload is built only on
-   failure. *)
+   ~kind_code] for every record (live and free) and raises [Malformed]
+   with the first structural error. *)
 let walk_exn b ~init ~f =
   let len = Bytes.length b in
   let off = ref 0 and acc = ref init in
   while !off <> len do
     let o = !off in
-    if o > len || o land 3 <> 0 then raise (Malformed (Misaligned { offset = o }));
-    if o + header_size > len then
-      raise (Malformed (Overrun { offset = o; rec_len = header_size }));
-    let ino = ino_at b o and rec_len = rec_len_at b o in
-    let name_len = name_len_at b o and kind_code = kind_code_at b o in
-    if rec_len < header_size || rec_len land 3 <> 0 then
-      raise (Malformed (Bad_rec_len { offset = o; rec_len }));
-    if o + rec_len > len then raise (Malformed (Overrun { offset = o; rec_len }));
-    if ino <> 0 then begin
-      if header_size + name_len > rec_len then
-        raise (Malformed (Bad_name_len { offset = o; name_len; rec_len }));
-      if not (name_ok_at b ~pos:(o + header_size) ~len:name_len) then
-        raise
-          (Malformed
-             (Bad_name { offset = o; name = Bytes.sub_string b (o + header_size) name_len }));
-      if Rae_vfs.Types.kind_of_code kind_code = None then
-        raise (Malformed (Bad_kind_code { offset = o; code = kind_code }))
-    end;
-    acc := f !acc ~off:o ~ino ~rec_len ~name_len ~kind_code;
+    let rec_len = check_record b ~len o in
+    acc :=
+      f !acc ~off:o ~ino:(ino_at b o) ~rec_len ~name_len:(name_len_at b o)
+        ~kind_code:(kind_code_at b o);
     off := o + rec_len
   done;
   !acc
@@ -133,96 +143,91 @@ let write_record b ~off ~ino ~rec_len ~name ~kind_code =
    created by [empty_block]; extracting a heap string per record just to
    measure or compare it made every insert into a fullish block cost tens
    of microseconds.  On a structurally bad block (bad rec_len) they stop
-   and return [false], same as the validated walk did. *)
+   and report no room or no such name. *)
 
-(* In-place comparison of [name] against the name stored at [off] (whose
-   name_len already matched [String.length name]). *)
-let name_at_equals b off name =
-  let n = String.length name in
-  let rec eq i =
-    i = n || (Bytes.unsafe_get b (off + header_size + i) = String.unsafe_get name i && eq (i + 1))
-  in
-  eq 0
+(* In-place comparison of [name] against the [n]-byte name stored at
+   [off] (whose name_len already matched [n]), from byte [i]; a top-level
+   function, so comparing allocates no closure. *)
+let rec name_at_equals b off name n i =
+  i = n
+  || Bytes.unsafe_get b (off + header_size + i) = String.unsafe_get name i
+     && name_at_equals b off name n (i + 1)
 
 let rec_len_ok ~len off rec_len =
   rec_len >= header_size && rec_len land 3 = 0 && off + rec_len <= len
 
-(* Offset of the first record that can take a [name] record — a free
-   record big enough, or a live record whose slack after its own name can
-   hold it — or -1. *)
 let room b ~name =
   let len = Bytes.length b in
   let needed = record_size name in
   let rec go off =
     if off + header_size > len then -1
     else
-      let rec_len = Codec.get_u16 b (off + 4) in
+      let rec_len = rec_len_at b off in
       if not (rec_len_ok ~len off rec_len) then -1
       else
-        let used =
-          if Codec.get_u32_int b off = 0 then 0 else header_size + pad4 (Codec.get_u8 b (off + 6))
-        in
+        let used = if ino_at b off = 0 then 0 else header_size + pad4 (name_len_at b off) in
         if rec_len - used >= needed then off else go (off + rec_len)
   in
   go 0
 
-let has_room b ~name = room b ~name >= 0
+let insert_at b off ~name ~ino ~kind_code =
+  let rec_len = rec_len_at b off in
+  if ino_at b off = 0 then write_record b ~off ~ino ~rec_len ~name ~kind_code
+  else begin
+    (* Shrink the live record to its needed size, put the new record in
+       the freed tail. *)
+    let used = header_size + pad4 (name_len_at b off) in
+    Codec.set_u16 b (off + 4) used;
+    write_record b ~off:(off + used) ~ino ~rec_len:(rec_len - used) ~name ~kind_code
+  end
 
 let insert b ~name ~ino ~kind_code =
   match room b ~name with
   | -1 -> false
   | off ->
-      let rec_len = Codec.get_u16 b (off + 4) in
-      if Codec.get_u32_int b off = 0 then write_record b ~off ~ino ~rec_len ~name ~kind_code
-      else begin
-        (* Shrink the live record to its needed size, put the new record
-           in the freed tail. *)
-        let used = header_size + pad4 (Codec.get_u8 b (off + 6)) in
-        Codec.set_u16 b (off + 4) used;
-        write_record b ~off:(off + used) ~ino ~rec_len:(rec_len - used) ~name ~kind_code
-      end;
+      insert_at b off ~name ~ino ~kind_code;
       true
 
-(* The offsets of [name]'s live record and of the record before it (-1
-   when it is the block's first); [(-1, -1)] when absent. *)
 let locate b name =
   let len = Bytes.length b in
   let nlen = String.length name in
   let rec go off prev =
     if off + header_size > len then (-1, -1)
     else
-      let rec_len = Codec.get_u16 b (off + 4) in
+      let rec_len = rec_len_at b off in
       if not (rec_len_ok ~len off rec_len) then (-1, -1)
-      else if
-        Codec.get_u32_int b off <> 0 && Codec.get_u8 b (off + 6) = nlen && name_at_equals b off name
+      else if ino_at b off <> 0 && name_len_at b off = nlen && name_at_equals b off name nlen 0
       then (off, prev)
       else go (off + rec_len) off
   in
   go 0 (-1)
 
-let mem b name = fst (locate b name) >= 0
+let remove_at b ~off ~prev =
+  if prev >= 0 then
+    (* Merge into the predecessor, ext2-style: records are contiguous, so
+       the predecessor ends exactly at [off]. *)
+    Codec.set_u16 b (prev + 4) (rec_len_at b prev + rec_len_at b off)
+  else begin
+    (* First record of the block: mark free. *)
+    Codec.set_u32_int b off 0;
+    Codec.set_u8 b (off + 6) 0;
+    Codec.set_u8 b (off + 7) 0
+  end
 
 let remove b name =
   match locate b name with
   | -1, _ -> false
   | off, prev ->
-      if prev >= 0 then
-        (* Merge into the predecessor, ext2-style: records are contiguous,
-           so the predecessor ends exactly at [off]. *)
-        Codec.set_u16 b (prev + 4) (Codec.get_u16 b (prev + 4) + Codec.get_u16 b (off + 4))
-      else begin
-        (* First record of the block: mark free. *)
-        Codec.set_u32_int b off 0;
-        Codec.set_u8 b (off + 6) 0;
-        Codec.set_u8 b (off + 7) 0
-      end;
+      remove_at b ~off ~prev;
       true
+
+let set_ino_at b off ino = Codec.set_u32_int b off ino
 
 let set_entry_ino b name ino =
   match locate b name with
   | -1, _ -> false
   | off, _ ->
-      Codec.set_u32_int b off ino;
+      set_ino_at b off ino;
       true
 
 let count b =
@@ -242,18 +247,34 @@ let free_bytes b =
   | exception Malformed _ -> 0
 
 let validate b =
-  match walk_exn b ~init:() ~f:(fun () ~off:_ ~ino:_ ~rec_len:_ ~name_len:_ ~kind_code:_ -> ()) with
+  let len = Bytes.length b in
+  let off = ref 0 in
+  match
+    while !off <> len do
+      off := !off + check_record b ~len !off
+    done
+  with
   | () -> Ok ()
   | exception Malformed e -> Error e
 
-(* Validate the whole block first, so a malformed record anywhere is
-   reported even when [name] sits before it; then the header-only
-   [locate] walk, which on a valid block finds the first live record
-   named [name], the one [list] would. *)
+(* One validating walk: every record is checked, in [walk_exn]'s order,
+   and the first live record named [name] is remembered, so a malformed
+   record after the match is still the verdict. *)
 let find b name =
-  match validate b with
-  | Error e -> Some (Error e)
-  | Ok () -> (
-      match locate b name with
-      | -1, _ -> None
-      | off, _ -> Some (Ok { ino = ino_at b off; kind_code = kind_code_at b off; name }))
+  let len = Bytes.length b in
+  let nlen = String.length name in
+  let off = ref 0 and hit = ref (-1) in
+  match
+    while !off <> len do
+      let o = !off in
+      let rec_len = check_record b ~len o in
+      if
+        !hit < 0 && ino_at b o <> 0 && name_len_at b o = nlen && name_at_equals b o name nlen 0
+      then hit := o;
+      off := o + rec_len
+    done
+  with
+  | () ->
+      let o = !hit in
+      if o < 0 then None else Some (Ok { ino = ino_at b o; kind_code = kind_code_at b o; name })
+  | exception Malformed e -> Some (Error e)

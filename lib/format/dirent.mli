@@ -51,29 +51,47 @@ val list_nocheck : bytes -> entry list
 val find : bytes -> string -> (entry, error) result option
 (** [find block name] is [None] when absent, [Some (Ok e)] when found,
     [Some (Error _)] when the block is malformed — anywhere in the block,
-    whether before or after [name]'s record.  It validates the block and
-    then compares names in place, so it allocates only the entry it
-    returns: the base's directory lookup. *)
+    whether before or after [name]'s record: the base's directory lookup.
+    One walk checks every record exactly as {!validate} does, in the same
+    order, and remembers the first live record named [name], the one
+    {!list} would find first.  Names are compared in place, so it
+    allocates only the entry it returns. *)
+
+val room : bytes -> name:string -> int
+(** Offset of the first record that can take a record for [name] — a
+    free record big enough, or a live record whose slack after its own
+    name can hold it — or [-1] when the block has no room.  Reads
+    headers only. *)
+
+val insert_at : bytes -> int -> name:string -> ino:int -> kind_code:int -> unit
+(** [insert_at block off ~name ~ino ~kind_code] inserts at [off], which
+    {!room} returned for [name] on this block's contents; a live record
+    there gives up its slack. *)
 
 val insert : bytes -> name:string -> ino:int -> kind_code:int -> bool
-(** Insert into free space, splitting a live record's slack if needed;
-    [false] when the block has no room.  The caller guarantees [name] is
-    not already present. *)
+(** {!insert_at} at {!room}; [false] when the block has no room.  The
+    caller guarantees [name] is not already present. *)
 
-val has_room : bytes -> name:string -> bool
-(** Whether {!insert} of [name] would succeed; reads only. *)
+val locate : bytes -> string -> int * int
+(** [(off, prev)]: the offset of the first live record named [name] and
+    of the record before it ([-1] when it is the block's first);
+    [(-1, -1)] when absent.  Reads headers only. *)
+
+val remove_at : bytes -> off:int -> prev:int -> unit
+(** Remove the record {!locate} found at [off], merging it into its
+    predecessor [prev], or marking it free when [prev] is [-1]. *)
 
 val remove : bytes -> string -> bool
-(** Remove by name, merging the record into its predecessor; [false] when
-    absent. *)
+(** {!remove_at} where {!locate} finds [name]; [false] when absent. *)
 
-val mem : bytes -> string -> bool
-(** Whether {!remove} of [name] would succeed; reads only. *)
+val set_ino_at : bytes -> int -> int -> unit
+(** [set_ino_at block off ino] rewrites the inode field of the live
+    record at [off] (as {!locate} returns it) in place. *)
 
 val set_entry_ino : bytes -> string -> int -> bool
-(** [set_entry_ino block name ino] rewrites the inode field of the record
-    for [name] in place; [false] when absent.  Used to retarget ".." when a
-    directory moves to a new parent. *)
+(** [set_entry_ino block name ino] is {!set_ino_at} at [name]'s record;
+    [false] when absent.  Used to retarget ".." when a directory moves to
+    a new parent. *)
 
 val count : bytes -> int
 (** Live entries in the block ([0] on malformed blocks). *)

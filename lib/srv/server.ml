@@ -36,7 +36,8 @@ type stats = {
 type conn = {
   cid : int;
   mutable session : Session.t option;  (* None until Hello *)
-  mutable rx : string;  (* undecoded byte backlog *)
+  mutable rx : bytes;  (* undecoded byte backlog: its first [rx_len] bytes *)
+  mutable rx_len : int;
   out : Wire.encoder;  (* pending output: frames encoded in place, drained by the transport *)
   mutable closed : bool;
 }
@@ -169,7 +170,8 @@ let release_session t conn =
 let drop t conn =
   release_session t conn;
   conn.closed <- true;
-  conn.rx <- "";
+  conn.rx <- Bytes.empty;
+  conn.rx_len <- 0;
   t.order <- List.filter (fun cid -> cid <> conn.cid) t.order
 
 (* ---- transport edge ---- *)
@@ -182,7 +184,8 @@ let open_conn t =
     {
       cid;
       session = None;
-      rx = "";
+      rx = Bytes.empty;
+      rx_len = 0;
       out = Wire.encoder ();
       closed = false;
     };
@@ -278,28 +281,63 @@ let handle_frame t conn frame =
   | Wire.Metrics_reply _ | Wire.Bundles_reply _ | Wire.Bundle_reply _ ->
       protocol_error t conn "server-only frame from client"
 
+(* Handle every whole frame in [buf[0, len)] and return the bytes they
+   took; stops at a partial frame, or when a protocol error drops the
+   connection.  Decoded frames own their bytes, so [buf] may be reused. *)
+let decode_frames t conn buf len =
+  let pos = ref 0 in
+  let continue = ref true in
+  while !continue && not conn.closed do
+    match Wire.decode buf ~pos:!pos ~len:(len - !pos) with
+    | Wire.Frame (frame, consumed) ->
+        pos := !pos + consumed;
+        handle_frame t conn frame
+    | Wire.Need_more -> continue := false
+    | Wire.Fail err ->
+        protocol_error t conn (Format.asprintf "%a" Wire.pp_error err);
+        continue := false
+  done;
+  !pos
+
+(* Append [n] bytes of [src] from [pos] to the backlog.  The buffer at
+   least doubles when it grows, so a frame that arrives in many pieces is
+   copied a constant number of times, not once per piece. *)
+let stash conn src pos n =
+  let need = conn.rx_len + n in
+  if need > Bytes.length conn.rx then begin
+    let grown = Bytes.create (max need (2 * Bytes.length conn.rx)) in
+    Bytes.blit conn.rx 0 grown 0 conn.rx_len;
+    conn.rx <- grown
+  end;
+  Bytes.blit src pos conn.rx conn.rx_len n;
+  conn.rx_len <- need
+
+(* An empty backlog keeps a buffer up to this size for the next partial
+   frame, and gives a larger one back. *)
+let rx_keep = 65536
+
 let feed t cid bytes =
   match Hashtbl.find_opt t.conns cid with
   | None -> ()
   | Some conn when conn.closed -> ()
   | Some conn ->
-      conn.rx <- (if conn.rx = "" then bytes else conn.rx ^ bytes);
-      let buf = Bytes.unsafe_of_string conn.rx in
-      let len = Bytes.length buf in
-      let pos = ref 0 in
-      let continue = ref true in
-      while !continue && not conn.closed do
-        match Wire.decode buf ~pos:!pos ~len:(len - !pos) with
-        | Wire.Frame (frame, consumed) ->
-            pos := !pos + consumed;
-            handle_frame t conn frame
-        | Wire.Need_more -> continue := false
-        | Wire.Fail err ->
-            protocol_error t conn (Format.asprintf "%a" Wire.pp_error err);
-            continue := false
-      done;
-      if not conn.closed then
-        conn.rx <- (if !pos = 0 then conn.rx else String.sub conn.rx !pos (len - !pos))
+      let src = Bytes.unsafe_of_string bytes in
+      let n = Bytes.length src in
+      if conn.rx_len = 0 then begin
+        (* Nothing pending: decode straight from the incoming bytes and
+           keep only a partial tail. *)
+        let used = decode_frames t conn src n in
+        if not conn.closed then stash conn src used (n - used)
+      end
+      else begin
+        stash conn src 0 n;
+        let used = decode_frames t conn conn.rx conn.rx_len in
+        if not conn.closed then begin
+          Bytes.blit conn.rx used conn.rx 0 (conn.rx_len - used);
+          conn.rx_len <- conn.rx_len - used
+        end
+      end;
+      if conn.rx_len = 0 && Bytes.length conn.rx > rx_keep then conn.rx <- Bytes.empty
 
 let drain t cid f =
   match Hashtbl.find_opt t.conns cid with

@@ -549,7 +549,9 @@ let read_payload c tag =
   | t -> fail "unknown frame tag %d" t
 
 let decode buf ~pos ~len =
-  if pos < 0 || len < 0 || pos + len > Bytes.length buf then Fail (Bad_length len)
+  (* Written so that no sum can overflow: [pos + len] wraps for a huge
+     [pos] or [len] and would let a range past the end through. *)
+  if pos < 0 || len < 0 || pos > Bytes.length buf - len then Fail (Bad_length len)
   else if len >= 2 && Codec.get_u16 buf pos <> magic then Fail Bad_magic
   else if len < header_bytes then Need_more
   else

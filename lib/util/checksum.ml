@@ -2,10 +2,13 @@
    0x82F63B78), as used by ext4 metadata_csum, iSCSI and Btrfs.
 
    Two kernels compute the same function.  On x86-64 CPUs with SSE4.2 a
-   C stub ([crc32c_stubs.c]) folds eight bytes per [crc32] instruction;
+   C stub ([crc32c_stubs.c]) folds eight bytes per [crc32] instruction,
+   in three independent chains over buffers of 768 bytes and more;
    everywhere else the portable slicing-by-8 loop below runs, and it is
    also the reference the tests hold the stub to.  [hardware] picks one,
-   once, at module initialization.
+   once, at module initialization.  That call also builds the stub's
+   chain-combining tables, so it must run before any other domain can
+   checksum: it does, because it is this module's initializer.
 
    The portable arithmetic runs on native [int]s (every intermediate
    fits in 32 bits, OCaml ints have 63): an [Int32]-typed loop boxes every
@@ -95,6 +98,7 @@ external hardware_update :
 external hardware_available : unit -> bool = "rae_crc32c_hw_available"
 
 let hardware = hardware_available ()
+let kernel = if hardware then "sse4.2-3stream" else "portable"
 
 (* Written so that no sum can overflow: [pos + len] wraps for a huge
    [len] and would let a range past the end through. *)

@@ -17,6 +17,11 @@ val hardware : bool
     SSE4.2, detected once at startup) rather than the portable
     slicing-by-8 loop.  Both compute the same function. *)
 
+val kernel : string
+(** The kernel {!crc32c} runs, by name: ["sse4.2-3stream"] (three
+    interleaved [crc32] chains, combined by table lookups) or
+    ["portable"]. *)
+
 val crc32c_portable : ?init:int32 -> bytes -> pos:int -> len:int -> int32
 (** The portable slicing-by-8 kernel, whatever the CPU: the reference
     {!crc32c} is tested against.  Same contract as {!crc32c}. *)

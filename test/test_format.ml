@@ -701,19 +701,20 @@ let prop_dirent_probes_match_mutators =
   let gen_name =
     QCheck2.Gen.(map2 (fun i pad -> Printf.sprintf "n%02d%s" i (String.make pad 'x')) (int_bound 30) (int_bound 200))
   in
-  QCheck2.Test.make ~name:"has_room/mem agree with insert/remove" ~count:200
+  QCheck2.Test.make ~name:"room/locate agree with insert/remove" ~count:200
     QCheck2.Gen.(list_size (int_bound 80) (pair bool gen_name))
     (fun script ->
       let b = Dirent.empty_block () in
+      let present name = fst (Dirent.locate b name) >= 0 in
       List.for_all
         (fun (is_insert, name) ->
           if is_insert then
-            Dirent.mem b name
+            present name
             ||
-            let room = Dirent.has_room b ~name in
+            let room = Dirent.room b ~name >= 0 in
             room = Dirent.insert b ~name ~ino:2 ~kind_code:1
           else
-            let present = Dirent.mem b name in
+            let present = present name in
             present = Dirent.remove b name)
         script)
 
@@ -805,16 +806,72 @@ let prop_dirent_find_matches_list =
       let b, probes = build_dirent_block input in
       List.for_all (fun name -> Dirent.find b name = find_via_list b name) probes)
 
-let test_dirent_validate_allocates_nothing () =
+(* The two-pass lookup [find] replaced, kept as its reference: validate
+   the whole block, then the header-only [locate] walk. *)
+let find_two_pass b name =
+  match Dirent.validate b with
+  | Error e -> Some (Error e)
+  | Ok () -> (
+      match Dirent.locate b name with
+      | -1, _ -> None
+      | off, _ ->
+          let ino = Rae_util.Codec.get_u32_int b off in
+          Some (Ok { Dirent.ino; kind_code = Rae_util.Codec.get_u8 b (off + 7); name }))
+
+let prop_dirent_find_matches_two_pass =
+  QCheck2.Test.make ~name:"Dirent.find = validate, then locate" ~count:500 gen_dirent_block
+    (fun input ->
+      let b, probes = build_dirent_block input in
+      List.for_all (fun name -> Dirent.find b name = find_two_pass b name) probes)
+
+(* The base dirties a block between its probe and its mutation, so it
+   acts on the probe's offsets: that must be what the one-call mutators
+   do, byte for byte, on any block. *)
+let prop_dirent_at_mutators =
+  QCheck2.Test.make ~name:"insert_at/remove_at = insert/remove" ~count:500
+    gen_dirent_block (fun input ->
+      let b, probes = build_dirent_block input in
+      List.for_all
+        (fun name ->
+          let b1 = Bytes.copy b and b2 = Bytes.copy b in
+          let inserted = Dirent.insert b1 ~name ~ino:77 ~kind_code:reg in
+          let at = Dirent.room b2 ~name in
+          if at >= 0 then Dirent.insert_at b2 at ~name ~ino:77 ~kind_code:reg;
+          let r1 = Bytes.copy b and r2 = Bytes.copy b in
+          let removed = Dirent.remove r1 name in
+          let off, prev = Dirent.locate r2 name in
+          if off >= 0 then Dirent.remove_at r2 ~off ~prev;
+          inserted = (at >= 0) && Bytes.equal b1 b2 && removed = (off >= 0) && Bytes.equal r1 r2)
+        probes)
+
+(* A block filled with 16-byte records "file0000", "file0001", ...;
+   returns it with its record count. *)
+let full_dirent_block () =
   let b = Dirent.empty_block () in
   let n = ref 0 in
   while Dirent.insert b ~name:(Printf.sprintf "file%04d" !n) ~ino:(!n + 1) ~kind_code:reg do
     incr n
   done;
-  Alcotest.(check int) "block full" 256 !n;
+  (b, !n)
+
+let test_dirent_validate_allocates_nothing () =
+  let b, n = full_dirent_block () in
+  Alcotest.(check int) "block full" 256 n;
   let per_call f = minor_words_per_call ~calls:100 (fun () -> ignore (Sys.opaque_identity (f b))) in
   Alcotest.(check (float 0.)) "validate" 0. (per_call Dirent.validate);
   Alcotest.(check (float 0.)) "free_bytes" 0. (per_call Dirent.free_bytes)
+
+let test_dirent_find_miss_allocates_nothing () =
+  let b, _ = full_dirent_block () in
+  let per_call name =
+    minor_words_per_call ~calls:100 (fun () -> ignore (Sys.opaque_identity (Dirent.find b name)))
+  in
+  (* Same length as every stored name, so each record is compared. *)
+  Alcotest.(check bool) "miss" true (Dirent.find b "file9999" = None);
+  Alcotest.(check (float 0.)) "miss, same length" 0. (per_call "file9999");
+  Alcotest.(check (float 0.)) "miss, other length" 0. (per_call "nope");
+  (* A hit allocates the entry: [Some], [Ok] and the record. *)
+  Alcotest.(check (float 0.)) "hit" 8. (per_call "file0255")
 
 (* ---- Mkfs + Reader ---- *)
 
@@ -981,8 +1038,12 @@ let () =
           q prop_dirent_probes_match_mutators;
           q prop_dirent_validate_matches_list;
           q prop_dirent_find_matches_list;
+          q prop_dirent_find_matches_two_pass;
+          q prop_dirent_at_mutators;
           Alcotest.test_case "validate allocates nothing" `Quick
             test_dirent_validate_allocates_nothing;
+          Alcotest.test_case "find miss allocates nothing" `Quick
+            test_dirent_find_miss_allocates_nothing;
         ] );
       ( "mkfs+reader",
         [

@@ -577,6 +577,32 @@ let test_decode_garbage () =
     | Wire.Frame _ | Wire.Need_more | Wire.Fail _ -> ()
   done
 
+(* Every range that reaches past either end of the buffer, including the
+   ones whose [pos + len] wraps, is refused as a length, never raised:
+   over a whole frame, a truncated one and an empty buffer. *)
+let test_decode_out_of_range () =
+  let frame = Wire.encode (Wire.Op_req { req = 1; corr = 0; op = Op.Sync }) in
+  List.iter
+    (fun s ->
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      let edges = [ min_int; min_int + 1; -n - 1; -1; 0; 1; n - 1; n; n + 1; max_int - 1; max_int ] in
+      List.iter
+        (fun pos ->
+          List.iter
+            (fun len ->
+              if not (pos >= 0 && len >= 0 && pos <= n && len <= n - pos) then
+                match Wire.decode b ~pos ~len with
+                | Wire.Fail (Wire.Bad_length l) when l = len -> ()
+                | Wire.Frame _ | Wire.Need_more | Wire.Fail _ ->
+                    Alcotest.failf "%d-byte buffer, pos %d len %d: not Bad_length" n pos len
+                | exception e ->
+                    Alcotest.failf "%d-byte buffer, pos %d len %d raised %s" n pos len
+                      (Printexc.to_string e))
+            edges)
+        edges)
+    [ frame; String.sub frame 0 (String.length frame - 1); "" ]
+
 (* ---- protocol versioning: v2 carries the corr id, v1 is refused ---- *)
 
 (* [frame] encoded, then re-stamped with header version [v] and a
@@ -1144,6 +1170,66 @@ let test_read_reply_allocation () =
     Alcotest.failf "a 16 KiB read reply allocated %.0f major words, not one %d-word string" words
       one_string
 
+(* A frame near the 4 MiB payload limit, fed in 4 KiB pieces as a socket
+   hands it over: it is reassembled once, not copied again per piece.
+   The backlog buffer doubles as it grows, so its last buffer is under
+   twice the frame and all of them add up to under four frames; the
+   decoded write owns one more copy.  Copying the backlog per piece
+   costs about 500 frames here. *)
+let test_feed_large_frame_in_pieces () =
+  let server = Server.create (mk_ctl ()) in
+  let cid = attach server in
+  let data = String.make ((4 * 1024 * 1024) - 64) 'd' in
+  let frame = request 9 (Op.Pwrite (99, 0, data)) in
+  let piece = 4096 in
+  let pieces =
+    List.init
+      ((String.length frame + piece - 1) / piece)
+      (fun i -> String.sub frame (i * piece) (min piece (String.length frame - (i * piece))))
+  in
+  let words = Alloc_words.direct_major_words (fun () -> List.iter (Server.feed server cid) pieces) in
+  ignore (Server.step server);
+  (match decode_all "reply" (Server.output server cid) with
+  | [ Wire.Op_reply { req = 9; outcome = Error Errno.EBADF } ] -> ()
+  | fs -> Alcotest.failf "expected one EBADF reply, got %d frame(s)" (List.length fs));
+  let frame_words = float_of_int (Alloc_words.string_words (String.length frame)) in
+  if words > 5. *. frame_words then
+    Alcotest.failf "reassembling a %d-byte frame allocated %.0f major words (%.1f frames)"
+      (String.length frame) words (words /. frame_words)
+
+(* Twin servers over identical fresh images get the same frame stream:
+   one in a single [feed], the other cut at arbitrary points.  Every
+   cut gives the same replies. *)
+let prop_feed_chunking =
+  QCheck2.Test.make ~name:"any chunking of a stream = one feed" ~count:60
+    ~print:(fun (ops, cuts) ->
+      Printf.sprintf "%s | cuts %s"
+        (String.concat ", " (List.map (Format.asprintf "%a" Op.pp) ops))
+        (String.concat "," (List.map string_of_int cuts)))
+    QCheck2.Gen.(
+      pair (list_size (int_range 1 10) gen_srv_op) (list_size (int_bound 12) (int_range 1 9000)))
+    (fun (ops, cuts) ->
+      let stream = String.concat "" (List.mapi (fun i op -> request (i + 1) op) ops) in
+      let whole = Server.create (mk_ctl ()) and pieces = Server.create (mk_ctl ()) in
+      let cw = attach whole and cp = attach pieces in
+      Server.feed whole cw stream;
+      let rec cut pos = function
+        | _ when pos >= String.length stream -> ()
+        | [] -> Server.feed pieces cp (String.sub stream pos (String.length stream - pos))
+        | n :: rest ->
+            let n = min n (String.length stream - pos) in
+            Server.feed pieces cp (String.sub stream pos n);
+            cut (pos + n) rest
+      in
+      cut 0 cuts;
+      let replies server cid =
+        while Server.step server > 0 do
+          ()
+        done;
+        Server.output server cid
+      in
+      replies whole cw = replies pieces cp)
+
 (* Two requests that each trip the armed bug, dispatched in one turn: every
    session gets both notes, in seq order, with each report's trigger and
    wall time. *)
@@ -1253,6 +1339,8 @@ let () =
           Alcotest.test_case "errno wire codes total and injective" `Quick
             test_errno_wire_total;
           Alcotest.test_case "random garbage never raises" `Quick test_decode_garbage;
+          Alcotest.test_case "out-of-range pos/len fails, never raises" `Quick
+            test_decode_out_of_range;
           Alcotest.test_case "corr id across protocol versions" `Quick
             test_wire_corr_versioning;
         ] );
@@ -1297,5 +1385,8 @@ let () =
           Alcotest.test_case "socket: 4 MiB then small, in order" `Quick test_socket_large_send;
           Alcotest.test_case "socket: send to a closed peer drops the link" `Quick
             test_socket_send_to_closed_peer;
+          Alcotest.test_case "a 4 MiB frame in 4 KiB pieces" `Quick
+            test_feed_large_frame_in_pieces;
+          q prop_feed_chunking;
         ] );
     ]

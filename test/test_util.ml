@@ -49,11 +49,20 @@ let test_crc32c_bounds () =
           ignore (crc (Bytes.make 16 'a') ~pos:1 ~len:max_int)))
     kernels
 
-(* Lengths across the 8-byte fold (short tails, non-multiples of 8, more
-   than two blocks), unaligned starts and arbitrary seeds. *)
+(* Lengths across the 8-byte fold (short tails, non-multiples of 8), and
+   on both sides of each point where the stub changes how it runs: three
+   chains from 3 x 256 bytes, longer chunks from 3 x 2048, and two long
+   rounds.  Unaligned starts and arbitrary seeds. *)
 let prop_crc32c_kernels_agree =
+  let boundaries = [ 768; 6144; 2 * 6144 ] in
+  let near_boundary =
+    QCheck2.Gen.(map2 (fun b d -> b + d) (oneofl boundaries) (int_range (-1) 1))
+  in
   QCheck2.Test.make ~name:"crc32c = portable crc32c" ~count:1000
-    QCheck2.Gen.(quad (oneof [ int_bound 17; int_bound 9000 ]) (int_bound 15) ui32 int)
+    QCheck2.Gen.(
+      quad
+        (oneof [ int_bound 17; near_boundary; int_bound 9000; int_bound 20_000 ])
+        (int_bound 15) ui32 int)
     (fun (len, pos, init, fill) ->
       let rng = Random.State.make [| fill |] in
       let byte _ = Char.chr (Random.State.int rng 256) in
