@@ -34,106 +34,71 @@ let reps r = if !quick then 1 else r
 
 (* Machine-readable results (--json <path>).  Each printed measurement that
    matters is also recorded as (section, sample, unit, value); the writer
-   groups samples by section in first-appearance order.  Hand-rolled output:
-   the container has no JSON library, and the value space is just ASCII
-   names and finite floats. *)
+   groups samples by section in first-appearance order. *)
 let json_samples : (string * string * string * float) list ref = ref []
 let json_note ~sec ~name ~unit v = json_samples := (sec, name, unit, v) :: !json_samples
 
-(* One metrics-registry snapshot (Rae_obs.Metrics.to_json), captured by
+(* One metrics-registry snapshot (Rae_obs.Metrics.json), captured by
    E-obs/b from a post-recovery controller, embedded next to the
    provenance block so a BENCH_*.json can be read cold. *)
-let json_metrics : string option ref = ref None
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v = if Float.is_finite v then Printf.sprintf "%.6g" v else "0"
+let json_metrics : Rae_obs.Jsonx.t option ref = ref None
 
 (* BENCH_*.json files outlive the tree they were captured from, so embed
    enough provenance to read them cold: the git rev, a monotonic run id,
    and the configuration the numbers depend on — the knobs, and which
    CRC32C kernel the host ran. *)
-let git_rev () =
-  let read_line path =
-    try
-      let ic = open_in path in
-      let line = try input_line ic with End_of_file -> "" in
-      close_in ic;
-      Some (String.trim line)
-    with Sys_error _ -> None
-  in
-  let rec find dir depth =
-    if depth > 8 then None
-    else
-      let head = Filename.concat dir (Filename.concat ".git" "HEAD") in
-      match read_line head with
-      | Some line ->
-          let ref_prefix = "ref: " in
-          if String.starts_with ~prefix:ref_prefix line then
-            let r = String.sub line 5 (String.length line - 5) in
-            read_line (Filename.concat dir (Filename.concat ".git" r))
-          else Some line
-      | None ->
-          let parent = Filename.dirname dir in
-          if parent = dir then None else find parent (depth + 1)
-  in
-  (* The bench may run from _build/default/bench (the bench-smoke alias):
-     walk up until a .git appears. *)
-  match find (Sys.getcwd ()) 0 with Some rev when rev <> "" -> rev | _ -> "unknown"
-
 let json_config () =
-  let c = Rae_basefs.Base.default_config in
-  let pol = Rae_core.Controller.default_policy in
-  Printf.sprintf
-    "{ \"cache_policy\": \"%s\", \"bcache_capacity\": %d, \"icache_capacity\": %d, \
-     \"dcache_capacity\": %d, \"commit_interval\": %d, \"ckpt_fold_interval\": %d, \
-     \"crc32c\": \"%s\" }"
-    (match c.Rae_basefs.Base.cache_policy with `Lru -> "lru" | `Two_q -> "2q")
-    c.Rae_basefs.Base.bcache_capacity c.Rae_basefs.Base.icache_capacity
-    c.Rae_basefs.Base.dcache_capacity c.Rae_basefs.Base.commit_interval
-    pol.Rae_core.Controller.ckpt_fold_interval
-    Rae_util.Checksum.kernel
+  let module J = Rae_obs.Jsonx in
+  let c = Base.default_config and pol = Controller.default_policy in
+  J.Obj
+    [
+      ("cache_policy", J.Str (match c.Base.cache_policy with `Lru -> "lru" | `Two_q -> "2q"));
+      ("bcache_capacity", J.Int c.Base.bcache_capacity);
+      ("icache_capacity", J.Int c.Base.icache_capacity);
+      ("dcache_capacity", J.Int c.Base.dcache_capacity);
+      ("commit_interval", J.Int c.Base.commit_interval);
+      ("ckpt_fold_interval", J.Int pol.Controller.ckpt_fold_interval);
+      ("crc32c", J.Str Rae_util.Checksum.kernel);
+    ]
 
 let write_json path =
+  let module J = Rae_obs.Jsonx in
   let samples = List.rev !json_samples in
   let sections =
     List.fold_left
       (fun acc (sec, _, _, _) -> if List.mem sec acc then acc else acc @ [ sec ])
       [] samples
   in
+  let section sec =
+    J.Obj
+      [
+        ("name", J.Str sec);
+        ( "samples",
+          J.List
+            (List.filter_map
+               (fun (s, name, unit, v) ->
+                 if s = sec then
+                   Some (J.Obj [ ("name", J.Str name); ("unit", J.Str unit); ("value", J.Float v) ])
+                 else None)
+               samples) );
+      ]
+  in
+  let json =
+    J.Obj
+      [
+        ("bench", J.Str "rae-shadowfs");
+        ("quick", J.Bool !quick);
+        ("rev", J.Str (Rae_obs.Blackbox.git_rev ()));
+        (* Monotonic across runs on one host: wall-clock nanoseconds. *)
+        ("run_id", J.Int (int_of_float (Unix.gettimeofday () *. 1e9)));
+        ("config", json_config ());
+        ("metrics", Option.value ~default:(J.Obj []) !json_metrics);
+        ("sections", J.List (List.map section sections));
+      ]
+  in
   let oc = open_out path in
-  let out fmt = Printf.fprintf oc fmt in
-  out "{\n  \"bench\": \"rae-shadowfs\",\n  \"quick\": %b,\n" !quick;
-  out "  \"rev\": \"%s\",\n" (json_escape (git_rev ()));
-  (* Monotonic across runs on one host: wall-clock nanoseconds. *)
-  out "  \"run_id\": %.0f,\n" (Unix.gettimeofday () *. 1e9);
-  out "  \"config\": %s,\n" (json_config ());
-  out "  \"metrics\": %s,\n" (match !json_metrics with Some m -> m | None -> "{}");
-  out "  \"sections\": [\n";
-  List.iteri
-    (fun si sec ->
-      out "    {\n      \"name\": \"%s\",\n      \"samples\": [\n" (json_escape sec);
-      let mine = List.filter (fun (s, _, _, _) -> s = sec) samples in
-      List.iteri
-        (fun i (_, name, unit, v) ->
-          out "        { \"name\": \"%s\", \"unit\": \"%s\", \"value\": %s }%s\n"
-            (json_escape name) (json_escape unit) (json_float v)
-            (if i = List.length mine - 1 then "" else ","))
-        mine;
-      out "      ]\n    }%s\n" (if si = List.length sections - 1 then "" else ","))
-    sections;
-  out "  ]\n}\n";
+  output_string oc (J.to_string ~pretty:true json);
+  output_char oc '\n';
   close_out oc;
   Printf.printf "\nWrote %d samples in %d sections to %s\n" (List.length samples)
     (List.length sections) path
@@ -297,12 +262,12 @@ let e3_base_vs_shadow () =
      is preserved against the naive shadow; E-shadow-a carries that\n\
      comparison (naive micro-ops are tens to hundreds of us).\n"
 
-(* Bechamel micro-benchmarks for the idempotent operations. *)
-(* Runs the bechamel measurement and returns sorted (name, ns/op) rows.
-   Called only from the forked child in [e3_micro]. *)
-let e3_micro_measure () =
-  let open Bechamel in
-  let open Bechamel.Toolkit in
+(* The idempotent micro-operations, on the harness's one clock: each rep
+   runs an operation [iters] times, the reps of the eight operations are
+   interleaved, and the median rep gives ns/op. *)
+let e3_micro () =
+  section "E3 | Figure 2 (design): common-case performance, base vs shadow execution";
+  subsection "E3a | micro-operations, warm caches (median of interleaved reps, ns/op)";
   let _, _, base = fresh_base () in
   let _, shadow = fresh_shadow () in
   let setup exec fs =
@@ -315,67 +280,29 @@ let e3_micro_measure () =
   in
   setup Base.exec base;
   setup Shadow.exec shadow;
-  let tests =
-    [
-      Test.make ~name:"base/lookup" (Staged.stage (fun () -> Base.lookup base (p "/a/b/leaf")));
-      Test.make ~name:"shadow/lookup" (Staged.stage (fun () -> Shadow.lookup shadow (p "/a/b/leaf")));
-      Test.make ~name:"base/stat" (Staged.stage (fun () -> Base.stat base (p "/a/b/leaf")));
-      Test.make ~name:"shadow/stat" (Staged.stage (fun () -> Shadow.stat shadow (p "/a/b/leaf")));
-      Test.make ~name:"base/pread-4k" (Staged.stage (fun () -> Base.pread base 0 ~off:0 ~len:4096));
-      Test.make ~name:"shadow/pread-4k"
-        (Staged.stage (fun () -> Shadow.pread shadow 0 ~off:0 ~len:4096));
-      Test.make ~name:"base/readdir" (Staged.stage (fun () -> Base.readdir base (p "/a/b")));
-      Test.make ~name:"shadow/readdir" (Staged.stage (fun () -> Shadow.readdir shadow (p "/a/b")));
-    ]
+  let iters = sc 20_000 in
+  let op name f =
+    (name, fun () -> for _ = 1 to iters do ignore (Sys.opaque_identity (f ())) done)
   in
-  let grouped = Test.make_grouped ~name:"micro" tests in
-  let cfg =
-    Benchmark.cfg ~limit:1000 ~quota:(Time.second (if !quick then 0.02 else 0.25)) ~kde:None ()
+  let ops =
+    [|
+      op "base/lookup" (fun () -> Base.lookup base (p "/a/b/leaf"));
+      op "base/pread-4k" (fun () -> Base.pread base 0 ~off:0 ~len:4096);
+      op "base/readdir" (fun () -> Base.readdir base (p "/a/b"));
+      op "base/stat" (fun () -> Base.stat base (p "/a/b/leaf"));
+      op "shadow/lookup" (fun () -> Shadow.lookup shadow (p "/a/b/leaf"));
+      op "shadow/pread-4k" (fun () -> Shadow.pread shadow 0 ~off:0 ~len:4096);
+      op "shadow/readdir" (fun () -> Shadow.readdir shadow (p "/a/b"));
+      op "shadow/stat" (fun () -> Shadow.stat shadow (p "/a/b/leaf"));
+    |]
   in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols = Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let names = Hashtbl.fold (fun name _ acc -> name :: acc) results [] |> List.sort compare in
-  List.map
-    (fun name ->
-      match Analyze.OLS.estimates (Hashtbl.find results name) with
-      | Some (est :: _) -> (name, Some est)
-      | Some [] | None -> (name, None))
-    names
-
-let e3_micro () =
-  section "E3 | Figure 2 (design): common-case performance, base vs shadow execution";
-  subsection "E3a | micro-operations, warm caches (bechamel OLS estimate, ns/op)";
-  (* A bechamel run corrupts the OCaml 5.1 runtime's GC accounting:
-     afterwards Gc.stat reports a zero-word heap and the major collector
-     stops completing cycles, so every later allocation-heavy section
-     accumulates unswept garbage (the crash sweep ran 30-60x slower with
-     RSS in the gigabytes).  Quarantine the measurement in a forked
-     child and read the estimates back over a pipe — the damaged
-     runtime dies with the child. *)
-  flush stdout;
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close rd;
-      let oc = Unix.out_channel_of_descr wr in
-      Marshal.to_channel oc (e3_micro_measure ()) [];
-      flush oc;
-      Unix._exit 0
-  | child ->
-      Unix.close wr;
-      let ic = Unix.in_channel_of_descr rd in
-      let rows : (string * float option) list = Marshal.from_channel ic in
-      close_in ic;
-      ignore (Unix.waitpid [] child);
-      List.iter
-        (fun (name, est) ->
-          match est with
-          | Some est ->
-              json_note ~sec:"E3" ~name ~unit:"ns_per_op" est;
-              Printf.printf "%-24s %12.0f ns/op\n" name est
-          | None -> Printf.printf "%-24s %12s\n" name "n/a")
-        rows
+  let medians = time_interleaved ~reps:(reps 7) (Array.map snd ops) in
+  Array.iteri
+    (fun i (name, _) ->
+      let ns = medians.(i) /. float_of_int iters *. 1e9 in
+      json_note ~sec:"E3" ~name ~unit:"ns_per_op" ns;
+      Printf.printf "%-24s %12.0f ns/op\n" name ns)
+    ops
 
 (* ---------------------------------------------------------------- *)
 (* E4: operation-recording overhead                                  *)
@@ -1455,21 +1382,20 @@ let e11_vs_restart_only () =
 
 let e_obs () =
   section "E-obs | Observability: instrumentation overhead and trace well-formedness";
-  subsection "E-obs/a | common-path throughput: obs off / registered / traced / recorder";
-  (* The claim is "within noise", so the noise floor has to sit well under
-     the couple-percent acceptance band.  Machine speed drifts over seconds,
-     which would bias back-to-back [time_runs] calls; instead the
-     configurations are interleaved ([time_interleaved]) so drift hits all
-     of them equally. *)
+  subsection "E-obs/a | common-path throughput (default / registered / traced), recorder price";
+  (* Machine speed drifts over seconds, which would bias back-to-back
+     [time_runs] calls; instead the configurations are interleaved
+     ([time_interleaved]) so drift hits all of them equally. *)
   let ops = W.ops W.Varmail (Rae_util.Rng.create 11L) ~count:(sc 16_000) in
   let n = float_of_int (List.length ops) in
-  let run_off () =
+  (* The default controller: its own flight recorder, nothing else. *)
+  let run_default () =
     let _, dev, b = fresh_base () in
     let ctl = Controller.make ~device:dev b in
     run_ops Controller.exec ctl ops
   in
-  (* The common case: metrics registered (pull-based, sampled once at the
-     end) and a tracer attached but with no sink enabled. *)
+  (* Metrics registered (pull-based, sampled once at the end), and a
+     tracer fed from the ring, disabled or enabled. *)
   let run_cfg ~traced () =
     let _, dev, b = fresh_base () in
     let tracer = Rae_obs.Tracer.create () in
@@ -1480,37 +1406,46 @@ let e_obs () =
     run_ops Controller.exec ctl ops;
     ignore (Rae_obs.Metrics.snapshot reg)
   in
-  (* The always-on flight recorder: every op completion lands in the
-     pre-allocated ring.  This arm prices exactly that write. *)
+  (* The recorder is always on, so there is no arm without it: price what
+     it adds to every op instead — the controller's two clock reads
+     around the op and one ring write (which reads the ring's clock, the
+     controller's) — in a loop of its own. *)
+  let iters = sc 1_000_000 in
   let run_recorder () =
-    let _, dev, b = fresh_base () in
-    let events = Rae_obs.Events.create ~capacity:1024 () in
-    let ctl = Controller.make ~events ~device:dev b in
-    run_ops Controller.exec ctl ops
+    let ev = Rae_obs.Events.create () in
+    let now () = Int64.to_int (Rae_obs.Clock.now_ns ()) in
+    Rae_obs.Events.set_clock ev now;
+    for _ = 1 to iters do
+      let t0 = now () in
+      let lat_ns = now () - t0 in
+      Rae_obs.Events.record_op ev ~kind:"create" ~errno:"" ~lat_ns ~corr:0 ~session:0
+    done
   in
   let m =
     time_interleaved ~reps:(reps 5)
-      [| run_off; run_cfg ~traced:false; run_cfg ~traced:true; run_recorder |]
+      [| run_default; run_cfg ~traced:false; run_cfg ~traced:true; run_recorder |]
   in
-  let t_off = m.(0) and t_reg = m.(1) and t_trace = m.(2) and t_rec = m.(3) in
-  let pct t = (t -. t_off) /. t_off *. 100. in
-  Printf.printf "%-28s %12.0f ops/s\n" "obs off" (n /. t_off);
+  let t_def = m.(0) and t_reg = m.(1) and t_trace = m.(2) in
+  let pct t = (t -. t_def) /. t_def *. 100. in
+  let rec_ns = m.(3) /. float_of_int iters *. 1e9 and op_ns = t_def /. n *. 1e9 in
+  let rec_pct = rec_ns /. op_ns *. 100. in
+  Printf.printf "%-28s %12.0f ops/s\n" "default (recorder on)" (n /. t_def);
   Printf.printf "%-28s %12.0f ops/s  (%+.1f%%)\n" "registry + disabled tracer" (n /. t_reg)
     (pct t_reg);
   Printf.printf "%-28s %12.0f ops/s  (%+.1f%%)\n" "tracing enabled" (n /. t_trace) (pct t_trace);
-  Printf.printf "%-28s %12.0f ops/s  (%+.1f%%)\n" "flight recorder on" (n /. t_rec) (pct t_rec);
-  json_note ~sec:"E-obs" ~name:"off" ~unit:"ops_per_s" (n /. t_off);
+  Printf.printf "%-28s %12.1f ns/op  (%.1f%% of the default arm's %.0f ns/op)\n" "recorder price"
+    rec_ns rec_pct op_ns;
+  json_note ~sec:"E-obs" ~name:"default" ~unit:"ops_per_s" (n /. t_def);
   json_note ~sec:"E-obs" ~name:"registered" ~unit:"ops_per_s" (n /. t_reg);
   json_note ~sec:"E-obs" ~name:"traced" ~unit:"ops_per_s" (n /. t_trace);
-  json_note ~sec:"E-obs" ~name:"recorder" ~unit:"ops_per_s" (n /. t_rec);
   json_note ~sec:"E-obs" ~name:"registered-overhead" ~unit:"pct" (pct t_reg);
   json_note ~sec:"E-obs" ~name:"traced-overhead" ~unit:"pct" (pct t_trace);
-  json_note ~sec:"E-obs" ~name:"recorder-overhead" ~unit:"pct" (pct t_rec);
-  (* The recorder is meant to be always-on: enforce the "within noise"
-     claim on full runs (quick runs take one unpaired sample per arm, far
-     too noisy for a floor). *)
-  if (not !quick) && pct t_rec > 10. then begin
-    Printf.eprintf "E-obs: flight recorder overhead %.1f%% exceeds the 10%% floor\n" (pct t_rec);
+  json_note ~sec:"E-obs" ~name:"recorder-ns-per-op" ~unit:"ns" rec_ns;
+  json_note ~sec:"E-obs" ~name:"recorder-overhead" ~unit:"pct" rec_pct;
+  (* The recorder is always on: enforce its floor on full runs (quick
+     runs take one unpaired sample per arm, far too noisy for a floor). *)
+  if (not !quick) && rec_pct > 10. then begin
+    Printf.eprintf "E-obs: flight recorder price %.1f%% of an op exceeds the 10%% floor\n" rec_pct;
     exit 1
   end;
   subsection "E-obs/b | recovery trace + black box: emit, validate, check coverage";
@@ -1559,7 +1494,7 @@ let e_obs () =
           Printf.eprintf "E-obs: bundle %s is invalid:\n" path;
           List.iter (fun v -> Printf.eprintf "  - %s\n" v) violations;
           exit 1));
-  json_metrics := Some (Rae_obs.Metrics.to_json reg);
+  json_metrics := Some (Rae_obs.Metrics.json reg);
   let trace = Rae_obs.Tracer.to_chrome tracer in
   (match Rae_obs.Tracer.validate_chrome trace with
   | Ok nev ->
@@ -1568,10 +1503,11 @@ let e_obs () =
   | Error msg ->
       Printf.eprintf "E-obs: malformed trace: %s\n" msg;
       exit 1);
-  let begun = Rae_obs.Tracer.events tracer in
+  (* The spans are the ring's: the one event stream the tracer is fed from. *)
+  let begun = Rae_obs.Events.tail events in
   let has_span name =
     List.exists
-      (function Rae_obs.Tracer.Begin { name = n; _ } -> n = name | _ -> false)
+      (fun e -> e.Rae_obs.Events.body = Rae_obs.Events.Span_begin { name })
       begun
   in
   (* The in-flight op is a create, so delegated-sync legitimately never

@@ -97,8 +97,7 @@ type t = {
   mutable s_commits : int;
   mutable s_validations : int;
   mutable commit_hooks : (commit_seq:int64 -> unit) list;
-  mutable tracer : Rae_obs.Tracer.t option;
-  mutable events : Rae_obs.Events.t option;  (* flight recorder; bug triggers land here *)
+  mutable events : Rae_obs.Events.t option;  (* the flight recorder, if a controller attached one *)
 }
 
 let dir_kind_code = Types.kind_code Types.Directory
@@ -180,7 +179,6 @@ let mount ?(config = default_config) ?(bugs = Bug_registry.none) dev =
                           s_commits = 0;
                           s_validations = 0;
                           commit_hooks = [];
-                          tracer = None;
                           events = None;
                         }
                       in
@@ -331,6 +329,11 @@ let validate_txn t =
           done
       | Some (K_bitmap | K_handoff) -> ())
 
+(* The base's one recording helper: it also runs without a controller,
+   and then has no recorder. *)
+let span t name f =
+  match t.events with Some ev -> Rae_obs.Events.with_span ev name f | None -> f ()
+
 let commit_work t =
   begin
     serialize_derived t;
@@ -346,7 +349,8 @@ let commit_work t =
           | None -> Detector.bug_fail ~bug:"writeback" "dirty data block %d lost from the cache" blk)
         t.dirty_data []
     in
-    Blkmq.drain t.mq;
+    if Blkmq.in_flight t.mq > 0 then span t "blkmq.destage" (fun () -> Blkmq.drain t.mq)
+    else Blkmq.drain t.mq;
     (* A failed data write fails the whole commit, before the metadata
        that points at it commits.  The transaction and the dirty data
        stay for the next commit. *)
@@ -365,9 +369,7 @@ let commit_work t =
 
 let commit t =
   if pending_blocks t > 0 || Hashtbl.length t.dirty_data > 0 then
-    match t.tracer with
-    | Some tr -> Rae_obs.Tracer.with_span tr ~cat:"commit" "base.commit" (fun () -> commit_work t)
-    | None -> commit_work t
+    span t "base.commit" (fun () -> commit_work t)
 
 let on_commit t hook = t.commit_hooks <- t.commit_hooks @ [ hook ]
 
@@ -1409,16 +1411,8 @@ let contained_reboot t =
   (* The fresh queue and journal count on from the ones they replace:
      their counters are observations, not state the reboot distrusts. *)
   t.mq <- Blkmq.create ~carry:t.mq t.dev;
-  (match t.tracer with Some tr -> Blkmq.set_tracer t.mq tr | None -> ());
   (* Recover the trusted on-disk state S0. *)
-  let replay () =
-    match t.tracer with
-    | Some tr ->
-        Rae_obs.Tracer.with_span tr ~cat:"recovery" "journal.replay" (fun () ->
-            Journal.replay t.dev t.geo)
-    | None -> Journal.replay t.dev t.geo
-  in
-  match replay () with
+  match span t "journal.replay" (fun () -> Journal.replay t.dev t.geo) with
   | Error msg -> Error ("journal replay: " ^ msg)
   | Ok _ -> (
       match Superblock.decode (Device.read t.dev 0) with
@@ -1586,10 +1580,6 @@ let dcache_stats t = Rae_cache.Dentry.stats t.dcache
 let icache_stats t = IC.stats t.icache
 let journal_stats t = Journal.stats t.journal
 let mq_stats t = Blkmq.stats t.mq
-
-let set_tracer t tr =
-  t.tracer <- Some tr;
-  Blkmq.set_tracer t.mq tr
 
 let set_events t ev = t.events <- Some ev
 

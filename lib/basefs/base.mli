@@ -134,15 +134,14 @@ val mq_stats : t -> Rae_block.Blkmq.stats
     a contained reboot replaces both instances, and each new one counts
     on from the one it replaced. *)
 
-val set_tracer : t -> Rae_obs.Tracer.t -> unit
-(** Attach a tracer: group commits emit a [base.commit] span, journal
-    replay during contained reboot a [journal.replay] span, and the queue
-    layer (re-attached across contained reboots) its destage spans. *)
-
 val set_events : t -> Rae_obs.Events.t -> unit
-(** Attach a flight recorder: every injected-bug trigger records a
-    [Bug_fired] event with the catalog id, so a postmortem bundle shows
-    the fault next to the recovery it caused. *)
+(** Attach a flight recorder (the controller attaches its own).  Group
+    commits then record a [base.commit] span, the blk-mq drain inside one
+    a [blkmq.destage] span when it has queued work, journal replay during
+    a contained reboot a [journal.replay] span, and every injected-bug
+    trigger a [Bug_fired] event with the catalog id, so a postmortem
+    bundle shows the fault next to the recovery it caused.  A base
+    mounted without a controller records nothing. *)
 
 val register_obs : Rae_obs.Metrics.t -> t -> unit
 (** Register the base's counters and gauges — op/commit/validation counts,

@@ -24,7 +24,6 @@ type t = {
   mutable s_merged : int;
   mutable s_kicks : int;
   mutable s_maxdepth : int;
-  mutable tracer : Rae_obs.Tracer.t option;
 }
 
 let create ?(nr_queues = 4) ?(batch = 32) ?carry dev =
@@ -40,10 +39,7 @@ let create ?(nr_queues = 4) ?(batch = 32) ?carry dev =
     s_merged = count (fun q -> q.s_merged);
     s_kicks = count (fun q -> q.s_kicks);
     s_maxdepth = count (fun q -> q.s_maxdepth);
-    tracer = None;
   }
-
-let set_tracer t tr = t.tracer <- Some tr
 
 let depth t = Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues
 
@@ -123,15 +119,10 @@ let rec wait t req =
 let failed req = match req.state with `Failed _ -> true | `Queued | `Done _ | `Merged -> false
 
 let drain t =
-  let flush_all () =
-    while depth t > 0 do
-      kick t
-    done;
-    Device.flush t.dev
-  in
-  match t.tracer with
-  | Some tr when depth t > 0 -> Rae_obs.Tracer.with_span tr ~cat:"io" "blkmq.destage" flush_all
-  | _ -> flush_all ()
+  while depth t > 0 do
+    kick t
+  done;
+  Device.flush t.dev
 
 let in_flight t = depth t
 

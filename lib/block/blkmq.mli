@@ -57,10 +57,6 @@ val drain : t -> unit
 val in_flight : t -> int
 val stats : t -> stats
 
-val set_tracer : t -> Rae_obs.Tracer.t -> unit
-(** Attach a tracer; {!drain} then emits a [blkmq.destage] span whenever it
-    actually has queued work to push out. *)
-
 val register_obs : Rae_obs.Metrics.t -> ?prefix:string -> (unit -> t) -> unit
 (** Register this layer's counters with a metrics registry.  The instance
     is re-read through the getter at every sample, so registration survives

@@ -28,8 +28,7 @@ type warm =
 type t = {
   device : Rae_block.Device.t;
   config : Shadow.config;
-  tracer : Rae_obs.Tracer.t option;
-  events : Rae_obs.Events.t option;
+  events : Rae_obs.Events.t;  (* the controller's flight recorder *)
   fold_interval : int;
   mutable warm : warm;
   mutable cursor : int;  (* first oplog seq the warm shadow has NOT folded *)
@@ -43,15 +42,14 @@ type t = {
   mutable s_poisons : int;
 }
 
-let create ?tracer ?events ?(fast_paths = true) ~fold_interval device =
+let create ~events ?(fast_paths = true) ~fold_interval device =
   {
     device;
-    (* Never fsck on the warm path: the cut re-reads only the superblock
+    (* No fsck on the warm path: the attach decodes only the superblock
        and bitmaps (strict), and every folded op runs under the shadow's
        full runtime checks — continuous validation in place of the cold
        path's up-front scan. *)
-    config = { Shadow.default_config with Shadow.fsck_on_attach = false; fast_paths };
-    tracer;
+    config = { Shadow.default_config with Shadow.fast_paths };
     events;
     fold_interval = max 1 fold_interval;
     warm = Absent;
@@ -70,14 +68,11 @@ let valid t = match t.warm with Absent -> false | Pending _ | Warm _ -> true
 let cursor t = t.cursor
 let base_seq t = t.base_seq
 
-let with_span t name f =
-  match t.tracer with Some tr -> Rae_obs.Tracer.with_span tr ~cat:"ckpt" name f | None -> f ()
-
 let poison t =
   if valid t then begin
     t.warm <- Absent;
     t.s_poisons <- t.s_poisons + 1;
-    match t.events with Some ev -> Rae_obs.Events.record_ckpt_poison ev | None -> ()
+    Rae_obs.Events.record_ckpt_poison t.events
   end
 
 (* ---- cut: re-base the checkpoint on a freshly committed S0 ---- *)
@@ -94,12 +89,11 @@ let cut t ~window ~fds ~next_seq ~commit_seq =
       (Printf.sprintf "refusing checkpoint cut: op window holds %d uncommitted operation(s)"
          window)
   else
-    with_span t "ckpt-cut" (fun () ->
+    Rae_obs.Events.with_span t.events "ckpt-cut" (fun () ->
         t.warm <- Pending fds;
         t.cursor <- next_seq;
         t.base_seq <- commit_seq;
         t.s_cuts <- t.s_cuts + 1;
-        (match t.events with Some ev -> Rae_obs.Events.record_ckpt_cut ev | None -> ());
         Ok ())
 
 (* A shadow on the cut's S0 with S0's descriptors reinstated.  The
@@ -158,15 +152,13 @@ let fold_into t warm oplog =
   t.s_folds <- t.s_folds + 1;
   t.s_folded_ops <- t.s_folded_ops + res.Shadow.w_ops;
   t.s_fold_divergences <- t.s_fold_divergences + res.Shadow.w_divergences;
-  (match t.events with
-  | Some ev -> Rae_obs.Events.record_ckpt_fold ev ~ops:res.Shadow.w_ops
-  | None -> ());
+  Rae_obs.Events.record_ckpt_fold t.events ~ops:res.Shadow.w_ops;
   if res.Shadow.w_divergences > 0 then poison t
 
 (* A deferred attach is part of the first fold's span. *)
 let fold t oplog =
   if valid t then
-    with_span t "ckpt-fold" (fun () ->
+    Rae_obs.Events.with_span t.events "ckpt-fold" (fun () ->
         try match materialize t with Ok warm -> fold_into t warm oplog | Error _ -> ()
         with Shadow.Violation _ | Rae_block.Device.Io_error _ -> poison t)
 
@@ -187,7 +179,9 @@ let seed t =
       poison t;
       raise e
 
-let note_fallback t = t.s_fallbacks <- t.s_fallbacks + 1
+let note_fallback t ~reason =
+  t.s_fallbacks <- t.s_fallbacks + 1;
+  Rae_obs.Events.record_ckpt_fallback t.events ~reason
 
 (* ---- introspection ---- *)
 

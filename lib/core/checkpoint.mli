@@ -50,20 +50,16 @@ type stats = {
 }
 
 val create :
-  ?tracer:Rae_obs.Tracer.t ->
-  ?events:Rae_obs.Events.t ->
-  ?fast_paths:bool ->
-  fold_interval:int ->
-  Rae_block.Device.t ->
-  t
+  events:Rae_obs.Events.t -> ?fast_paths:bool -> fold_interval:int -> Rae_block.Device.t -> t
 (** No checkpoint exists until the first {!cut}.  The warm instance runs
-    the shadow's full runtime checks and always attaches without fsck
-    (the fold's continuous validation substitutes).
+    the shadow's full runtime checks and attaches without fsck (the
+    fold's continuous validation substitutes).
     [fast_paths] (default [true]) controls the warm shadow's caching fast
     paths — disabling it reproduces the naive shadow, which the benches
     use to price the fold before/after the fast-path work.  [events] is
-    the flight recorder: cuts, folds and poisons land in it as
-    [Ckpt_cut]/[Ckpt_fold]/[Ckpt_poison] events. *)
+    the controller's flight recorder: a cut is a [ckpt-cut] span, a fold
+    a [ckpt-fold] span with a [Ckpt_fold] event inside, and poisons and
+    fallbacks are [Ckpt_poison] and [Ckpt_fallback] events. *)
 
 val cut :
   t ->
@@ -98,7 +94,7 @@ val fold : t -> Oplog.t -> unit
     too.  The first fold after a cut attaches the warm shadow first,
     inside the fold's span.  A {!Rae_shadowfs.Shadow.Violation}, a
     device error or a divergence poisons the checkpoint instead of
-    escaping — the hot path never observes fold failures.  Emits a
+    escaping — the hot path never observes fold failures.  Records a
     [ckpt-fold] span. *)
 
 val seed : t -> (Rae_shadowfs.Shadow.t * int, string) result
@@ -113,8 +109,9 @@ val seed : t -> (Rae_shadowfs.Shadow.t * int, string) result
     checkpoint and is raised; the controller's recovery turns it into a
     cold fallback. *)
 
-val note_fallback : t -> unit
-(** Record that a seeded recovery fell back to the cold path. *)
+val note_fallback : t -> reason:string -> unit
+(** Record that a seeded recovery fell back to the cold path, and why:
+    counted, and a [Ckpt_fallback] event in the ring. *)
 
 val valid : t -> bool
 val cursor : t -> int

@@ -56,12 +56,11 @@ type t = {
   device : Rae_block.Device.t;
   policy : policy;
   oplog : Oplog.t;
-  tracer : Rae_obs.Tracer.t option;
   now : unit -> int64;
   recovery_hist : Rae_obs.Metrics.histogram;
   ph_hists : (string * Rae_obs.Metrics.histogram) list;
   ckpt : Checkpoint.t option;
-  events : Rae_obs.Events.t option;  (* flight recorder, shared with base/ckpt/srv *)
+  events : Rae_obs.Events.t;  (* flight recorder, shared with base/ckpt/srv *)
   run_id : string;
   rev : string;  (* resolved once; "" when bundles are off *)
   bundle_dir : string option;
@@ -85,15 +84,24 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
     | Some tr -> fun () -> Rae_obs.Tracer.now tr
     | None -> Rae_obs.Clock.now_ns
   in
-  (* The recorder shares the controller's clock so recovery spans and op
-     events land on one timeline. *)
-  (match events with
-  | Some ev -> Rae_obs.Events.set_clock ev (fun () -> Int64.to_int (now ()))
+  (* One event stream: the caller's ring or our own, on the controller's
+     clock, so spans and op events land on one timeline.  A tracer is a
+     view of it, fed as the spans and marks are recorded. *)
+  let events = match events with Some ev -> ev | None -> Rae_obs.Events.create () in
+  Rae_obs.Events.set_clock events (fun () -> Int64.to_int (now ()));
+  (match tracer with
+  | Some tr ->
+      Rae_obs.Events.set_tap events (function
+        | Rae_obs.Events.Span_begin { name } -> Rae_obs.Tracer.span_begin tr name
+        | Span_end _ -> Rae_obs.Tracer.span_end tr
+        | Recovery_begin { trigger } -> Rae_obs.Tracer.instant tr ("detect:" ^ trigger)
+        | Ckpt_fallback { reason } -> Rae_obs.Tracer.instant tr ("ckpt-fallback:" ^ reason)
+        | _ -> ())
   | None -> ());
   let ckpt =
     if policy.ckpt_enabled then
       Some
-        (Checkpoint.create ?tracer ?events ~fast_paths:policy.ckpt_fast_paths
+        (Checkpoint.create ~events ~fast_paths:policy.ckpt_fast_paths
            ~fold_interval:policy.ckpt_fold_interval device)
     else None
   in
@@ -103,7 +111,6 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
       device;
       policy;
       oplog = Oplog.create ();
-      tracer;
       now;
       recovery_hist = Rae_obs.Metrics.histogram ();
       ph_hists = List.map (fun n -> (n, Rae_obs.Metrics.histogram ())) phase_names;
@@ -126,8 +133,7 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
       s_discrepancies = 0;
     }
   in
-  (match tracer with Some tr -> Base.set_tracer base tr | None -> ());
-  (match events with Some ev -> Base.set_events base ev | None -> ());
+  Base.set_events base events;
   Base.on_commit base (fun ~commit_seq ->
       t.committed_during_op <- true;
       t.last_commit_seq <- commit_seq);
@@ -265,7 +271,7 @@ let bundle_json t ~kind ~report =
        ("journal", journal_json t);
        ( "metrics",
          match t.metrics with Some reg -> Rae_obs.Metrics.json reg | None -> J.Obj [] );
-       ("events", match t.events with Some ev -> Rae_obs.Events.to_json ev | None -> J.List []);
+       ("events", Rae_obs.Events.to_json t.events);
        ("impacted_sessions", impacted);
      ]
     @ extra)
@@ -308,37 +314,29 @@ exception Recovery_error of string
 (* The full §3.2 protocol, as recovery number [attempt] of the in-flight
    operation.  Returns that operation's outcome. *)
 let rec recover t ~trigger ~inflight ~attempt =
-  let t0 = t.now () in
   t.s_recoveries <- t.s_recoveries + 1;
   t.in_recovery <- true;
-  (match t.events with
-  | Some ev ->
-      Rae_obs.Events.record_recovery_begin ev ~trigger:(Report.trigger_to_string trigger)
-  | None -> ());
+  Rae_obs.Events.record_recovery_begin t.events ~trigger:(Report.trigger_to_string trigger);
+  let t0 = Rae_obs.Events.span_begin t.events "recovery" in
   let window = Oplog.length t.oplog in
   let phases = ref [] in
-  (* Time one pipeline step: span on the tracer, duration into the phase
-     histogram and the [phases] accumulator (closed on exception too, so a
-     failed recovery's report still shows where time went).  A device
-     error or a shadow violation in a step fails it like any other
-     recovery error: a seeded attempt falls back to the cold path, the
-     cold path fail-stops. *)
+  (* Time one pipeline step as a span in the ring; its duration also goes
+     into the phase histogram and the [phases] accumulator (closed on
+     exception too, so a failed recovery's report still shows where time
+     went).  A device error or a shadow violation in a step fails it like
+     any other recovery error: a seeded attempt falls back to the cold
+     path, the cold path fail-stops. *)
   let phase name f =
     let f () =
       try f () with
       | Rae_block.Device.Io_error msg -> raise (Recovery_error (name ^ ": device error: " ^ msg))
       | Shadow.Violation msg -> raise (Recovery_error (name ^ ": shadow violation: " ^ msg))
     in
-    let p0 = t.now () in
-    (match t.tracer with Some tr -> Rae_obs.Tracer.span_begin tr ~cat:"recovery" name | None -> ());
+    let since = Rae_obs.Events.span_begin t.events name in
     Fun.protect
       ~finally:(fun () ->
-        (match t.tracer with Some tr -> Rae_obs.Tracer.span_end tr | None -> ());
-        let d = Int64.sub (t.now ()) p0 in
+        let d = Int64.of_int (Rae_obs.Events.span_end t.events name ~since) in
         phases := { Report.ph_name = name; ph_ns = d } :: !phases;
-        (match t.events with
-        | Some ev -> Rae_obs.Events.record_recovery_phase ev ~phase:name ~ns:(Int64.to_int d)
-        | None -> ());
         match List.assoc_opt name t.ph_hists with
         | Some h -> Rae_obs.Metrics.observe h d
         | None -> ())
@@ -346,7 +344,7 @@ let rec recover t ~trigger ~inflight ~attempt =
   in
   let fail_report msg ~replayed ~skipped ~discrepancies ~handoff ~delegated ~seeded =
     (* One clock read, so the histogram and the report agree. *)
-    let wall = Int64.sub (t.now ()) t0 in
+    let wall = Int64.sub (t.now ()) (Int64.of_int t0) in
     Rae_obs.Metrics.observe t.recovery_hist wall;
     {
       Report.r_trigger = trigger;
@@ -432,9 +430,7 @@ let rec recover t ~trigger ~inflight ~attempt =
        first so the bundle's health gauge reflects the post-recovery
        state, then snapshot everything into a black-box bundle. *)
     t.in_recovery <- false;
-    (match t.events with
-    | Some ev -> Rae_obs.Events.record_recovery_end ev ~ok:true ~seeded ~replayed
-    | None -> ());
+    Rae_obs.Events.record_recovery_end t.events ~ok:true ~seeded ~replayed;
     emit_bundle t ~kind:Rae_obs.Blackbox.kind_recovery ~report;
     (* 8. Delegated sync: run it again on the recovered base through the
        controller's own execution path, so a runtime error there starts a
@@ -448,14 +444,23 @@ let rec recover t ~trigger ~inflight ~attempt =
   in
   let go_cold () =
     contained_reboot ();
-    (* 2. Launch the shadow on S0 (read-only, full checks, behind a full
-       fsck — the liveness precondition). *)
-    let config = { Shadow.default_config with Shadow.fsck_on_attach = true } in
+    (* 2. Launch the shadow on S0 (read-only, full checks), behind a full
+       fsck of the image: the paper's liveness precondition. *)
     let shadow =
       phase "shadow-attach" (fun () ->
-          match Shadow.attach ~config ?tracer:t.tracer t.device with
-          | Ok s -> s
-          | Error msg -> raise (Recovery_error ("shadow attach: " ^ msg)))
+          let report =
+            Rae_obs.Events.with_span t.events "fsck" (fun () -> Rae_fsck.Fsck.check_device t.device)
+          in
+          match Rae_fsck.Fsck.errors report with
+          | [] -> (
+              match Shadow.attach t.device with
+              | Ok s -> s
+              | Error msg -> raise (Recovery_error ("shadow attach: " ^ msg)))
+          | f :: _ ->
+              raise
+                (Recovery_error
+                   (Format.asprintf "shadow attach: fsck rejected the image: %a"
+                      Rae_fsck.Fsck.pp_finding f)))
     in
     (* 3. Reinstate the descriptors that were open at S0. *)
     phase "fd-reinstate" (fun () ->
@@ -490,10 +495,7 @@ let rec recover t ~trigger ~inflight ~attempt =
                reconstruct the slow, trusted way — from S0.  The seed
                already spent the checkpoint; the cold path's resume
                re-cuts it. *)
-            Checkpoint.note_fallback c;
-            (match t.tracer with
-            | Some tr -> Rae_obs.Tracer.instant tr ~cat:"ckpt" ("ckpt-fallback:" ^ reason)
-            | None -> ());
+            Checkpoint.note_fallback c ~reason;
             go_cold ())
       | _ -> go_cold ()
     with Recovery_error msg ->
@@ -506,19 +508,14 @@ let rec recover t ~trigger ~inflight ~attempt =
       (* Fail-stop hook: the last thing a dying controller does is leave
          a black box behind. *)
       t.in_recovery <- false;
-      (match t.events with
-      | Some ev ->
-          Rae_obs.Events.record_degraded ev ~reason:msg;
-          Rae_obs.Events.record_recovery_end ev ~ok:false ~seeded:false ~replayed:0
-      | None -> ());
+      Rae_obs.Events.record_degraded t.events ~reason:msg;
+      Rae_obs.Events.record_recovery_end t.events ~ok:false ~seeded:false ~replayed:0;
       emit_bundle t ~kind:Rae_obs.Blackbox.kind_failstop ~report;
       Error Errno.EIO
   in
-  match t.tracer with
-  | Some tr ->
-      Rae_obs.Tracer.instant tr ~cat:"recovery" ("detect:" ^ Report.trigger_to_string trigger);
-      Rae_obs.Tracer.with_span tr ~cat:"recovery" "recovery" go
-  | None -> go ()
+  Fun.protect
+    ~finally:(fun () -> ignore (Rae_obs.Events.span_end t.events "recovery" ~since:t0 : int))
+    go
 
 (* ---- the execution wrapper ---- *)
 
@@ -570,33 +567,27 @@ and start_recovery t op ~attempt trigger =
 
 (* [exec] with an origin: [corr] is the client-supplied correlation id
    (0 = none), [session] the serving-layer session (0 = local/embedded).
-   With a recorder attached every completion lands in the ring; the
-   strings stored are the constant [kind]/[errno] literals, so the added
-   fast-path cost is two clock reads and one ring write. *)
+   Every completion lands in the ring; the strings stored are the
+   constant [kind]/[errno] literals, so the fast-path cost is two clock
+   reads and one ring write. *)
 let exec_for t ~corr ~session op =
   t.s_ops <- t.s_ops + 1;
+  let kind = Op.kind_to_string (Op.kind op) in
   match t.degraded with
   | Some _ ->
-      (match t.events with
-      | Some ev ->
-          Rae_obs.Events.record_op ev
-            ~kind:(Op.kind_to_string (Op.kind op))
-            ~errno:(Errno.to_string Errno.EIO) ~lat_ns:0 ~corr ~session
-      | None -> ());
+      Rae_obs.Events.record_op t.events ~kind ~errno:(Errno.to_string Errno.EIO) ~lat_ns:0 ~corr
+        ~session;
       Error Errno.EIO
-  | None -> (
-      match t.events with
-      | None -> exec_attempt t op ~attempt:0
-      | Some ev ->
-          let t0 = Int64.to_int (t.now ()) in
-          let outcome = exec_attempt t op ~attempt:0 in
-          let lat_ns = Int64.to_int (t.now ()) - t0 in
-          let kind = Op.kind_to_string (Op.kind op) in
-          let errno = match outcome with Ok _ -> "" | Error e -> Errno.to_string e in
-          Rae_obs.Events.record_op ev ~kind ~errno ~lat_ns ~corr ~session;
-          if lat_ns >= slow_op_ns then
-            Rae_obs.Events.record_slow_op ev ~kind ~lat_ns ~threshold_ns:slow_op_ns ~corr ~session;
-          outcome)
+  | None ->
+      let t0 = Int64.to_int (t.now ()) in
+      let outcome = exec_attempt t op ~attempt:0 in
+      let lat_ns = Int64.to_int (t.now ()) - t0 in
+      let errno = match outcome with Ok _ -> "" | Error e -> Errno.to_string e in
+      Rae_obs.Events.record_op t.events ~kind ~errno ~lat_ns ~corr ~session;
+      if lat_ns >= slow_op_ns then
+        Rae_obs.Events.record_slow_op t.events ~kind ~lat_ns ~threshold_ns:slow_op_ns ~corr
+          ~session;
+      outcome
 
 let exec t op = exec_for t ~corr:0 ~session:0 op
 
@@ -683,14 +674,10 @@ let register_obs reg t =
     (fun () -> List.length t.bundle_log);
   M.register_counter reg ~help:"black-box bundle write failures" "rae_blackbox_errors_total"
     (fun () -> t.bundle_seq - List.length t.bundle_log);
-  (match t.events with
-  | Some ev ->
-      M.register_counter reg ~help:"flight-recorder events recorded" "rae_flight_events_total"
-        (fun () -> Rae_obs.Events.total ev);
-      M.register_counter reg ~help:"flight-recorder events overwritten (ring wrap)"
-        "rae_flight_dropped_total"
-        (fun () -> Rae_obs.Events.dropped ev)
-  | None -> ());
+  M.register_counter reg ~help:"flight-recorder events recorded" "rae_flight_events_total"
+    (fun () -> Rae_obs.Events.total t.events);
+  M.register_counter reg ~help:"flight-recorder events overwritten (ring wrap)"
+    "rae_flight_dropped_total" (fun () -> Rae_obs.Events.dropped t.events);
   M.register_counter reg ~help:"operations executed through the controller" "rae_ops_total"
     (fun () -> t.s_ops);
   M.register_counter reg ~help:"recoveries attempted" "rae_recoveries_total" (fun () ->

@@ -86,21 +86,29 @@ val make :
   Rae_basefs.Base.t ->
   t
 (** Wrap a mounted base.  The controller registers itself on the base's
-    commit hook to prune the oplog.  When [tracer] is given it receives:
-    - the base's [base.commit], [blkmq.destage] and [journal.replay]
-      spans, and the warm checkpoint's [ckpt-cut] and [ckpt-fold] spans;
-    - one [recovery] span per recovery, with one child span per §3.2
-      phase, and an [fsck] child under the cold shadow attach;
-    - the [detect:<trigger>] instant at each recovery's start and the
-      [ckpt-fallback:<reason>] instant when a seeded recovery falls back
-      to the cold path.
+    commit hook to prune the oplog.
 
-    When [events] is given the flight recorder is attached to the whole
-    stack (controller op/recovery events, checkpoint cut/fold/poison,
-    base bug-registry triggers) and its clock is slaved to the
-    controller's.  When [bundle_dir] is given, every recovery completion
-    and every fail-stop entry writes a postmortem black-box bundle there
-    (see {!Rae_obs.Blackbox}); [run_id] is stamped into each bundle. *)
+    The controller always owns a flight recorder: [events] when given,
+    else a ring of its own.  Its clock is slaved to the controller's (the
+    tracer's when one is given, else {!Rae_obs.Clock.now_ns}), and it is
+    the one event stream of the whole stack: op completions, recovery
+    begin and end, checkpoint cut/fold/poison/fallback, base
+    bug-registry triggers, and the layers' spans as span-begin/span-end
+    pairs whose end carries the duration:
+    - the base's [base.commit], [blkmq.destage] (inside a commit) and
+      [journal.replay] spans, and the warm checkpoint's [ckpt-cut] and
+      [ckpt-fold] spans;
+    - one [recovery] span per recovery, with one child span per §3.2
+      phase, and an [fsck] child under the cold shadow attach.
+
+    When [tracer] is given it is fed from the ring as events are
+    recorded: the same spans, nested the same way, plus the
+    [detect:<trigger>] instant at each recovery's start and the
+    [ckpt-fallback:<reason>] instant when a seeded recovery falls back
+    to the cold path.  When [bundle_dir] is given, every recovery
+    completion and every fail-stop entry writes a postmortem black-box
+    bundle there (see {!Rae_obs.Blackbox}); [run_id] is stamped into
+    each bundle. *)
 
 val exec : t -> Rae_vfs.Op.t -> Rae_vfs.Op.outcome
 (** Execute one operation with transparent recovery.  Never raises the
@@ -122,8 +130,8 @@ val base : t -> Rae_basefs.Base.t
 val degraded : t -> string option
 (** [Some reason] once the controller has entered fail-stop mode. *)
 
-val events : t -> Rae_obs.Events.t option
-(** The attached flight recorder, if any. *)
+val events : t -> Rae_obs.Events.t
+(** The controller's flight recorder ({!make}'s [events], or its own). *)
 
 val health : t -> Rae_obs.Events.health
 (** Derived liveness: [Failstop] once degraded, [Recovering] inside a

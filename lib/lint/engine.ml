@@ -109,7 +109,7 @@ let stats_to_json (s : stats) =
     s.files_scanned s.units_loaded s.load_skipped s.rules_run s.findings s.suppressed
     s.unused_baseline s.wall_s
     (String.concat ","
-       (List.map (fun (r, n) -> Printf.sprintf {|"%s":%d|} (Finding.json_escape r) n) s.by_rule))
+       (List.map (fun (r, n) -> Printf.sprintf {|"%s":%d|} (Rae_obs.Jsonx.escape r) n) s.by_rule))
 
 let to_json result =
   Printf.sprintf {|{"stats":%s,"findings":[%s],"suppressed":[%s]}|}

@@ -26,24 +26,7 @@ let compare_by_pos a b =
 let to_human f =
   Printf.sprintf "%s:%d: %s [%s] %s" f.file f.line (severity_to_string f.severity) f.rule f.message
 
-(* ---- minimal JSON ---- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json f =
+  let esc = Rae_obs.Jsonx.escape in
   Printf.sprintf {|{"rule":"%s","severity":"%s","file":"%s","line":%d,"key":"%s","message":"%s"}|}
-    (json_escape f.rule)
-    (severity_to_string f.severity)
-    (json_escape f.file) f.line (json_escape f.key) (json_escape f.message)
+    (esc f.rule) (severity_to_string f.severity) (esc f.file) f.line (esc f.key) (esc f.message)

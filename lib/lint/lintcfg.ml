@@ -92,7 +92,9 @@ let default_libraries =
     ("journal", [ "util"; "obs"; "block"; "format" ]);
     ("cache", [ "util"; "obs"; "vfs" ]);
     ("fsck", [ "util"; "vfs"; "block"; "format" ]);
-    ("shadowfs", [ "util"; "obs"; "vfs"; "block"; "format"; "fsck" ]);
+    (* the shadow stays small: no recorder, no fsck (the controller runs
+       the cold path's fsck before it attaches) *)
+    ("shadowfs", [ "util"; "vfs"; "block"; "format" ]);
     ("specfs", [ "util"; "vfs"; "format" ]);
     ("basefs", [ "util"; "obs"; "vfs"; "block"; "format"; "journal"; "cache" ]);
     ("workload", [ "util"; "vfs" ]);
@@ -240,11 +242,6 @@ let default =
            their own.  (The analysis sees the Atomic on [total] but
            cannot prove slot disjointness.) *)
         ("Rae_obs.Events.t.e_", "slot exclusivity via Atomic fetch-and-add on Events.t.total");
-        (* The tracer's internal helpers (now/push) mutate state but
-           only ever run under the per-tracer mutex taken by the public
-           mutators; the analysis sees the helper defs without the
-           lock. *)
-        ("Rae_obs.Tracer.t.", "public mutators and export serialize on the per-tracer mutex");
       ]
       [@ocamlformat "disable"];
     domain_local_cells =

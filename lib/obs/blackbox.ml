@@ -36,8 +36,8 @@ let read_first_line path =
       Some (String.trim line)
   | exception Sys_error _ -> None
 
-(* Same resolution the bench uses for its provenance block: walk up to
-   the enclosing .git and chase HEAD one level. *)
+(* Walk up to the enclosing .git and chase HEAD one level.  The bench's
+   --json provenance block reads the rev here too. *)
 let git_rev () =
   let rec find dir depth =
     if depth > 8 then None

@@ -1,7 +1,6 @@
-(* Minimal JSON — just enough for black-box bundles and metric snapshots.
-   The toolchain ships no JSON library, and the bench already hand-rolls
-   its emitter; this module gives the obs layer one shared AST so the
-   bundle writer, the checker and the tools agree on a grammar. *)
+(* Minimal JSON: one shared AST, so the bundle writer, the checker, the
+   Chrome trace reader, the lint report and the bench's --json output
+   agree on a grammar. *)
 
 type t =
   | Null

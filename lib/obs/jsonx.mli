@@ -1,8 +1,9 @@
 (** Minimal JSON AST, printer and parser.
 
-    The toolchain ships no JSON library; this is the shared grammar for
-    black-box bundles ({!Blackbox}), metric snapshots
-    ({!Metrics.to_json}) and the offline tools.  The printer emits
+    The one JSON grammar of the tree: black-box bundles ({!Blackbox}),
+    metric snapshots ({!Metrics.to_json}), Chrome traces
+    ({!Tracer.parse_chrome}), lint reports, the bench's [--json] output
+    and the offline tools.  The printer emits
     canonical JSON (object order preserved, floats round-trippable); the
     parser is a total recursive-descent reader used by the bundle
     checker and the round-trip tests. *)

@@ -4,7 +4,7 @@ type event =
   | Instant of { name : string; cat : string; ts : int64 }
 
 type t = {
-  mutable clock : unit -> int64;
+  clock : unit -> int64;
   mutable on : bool;
   mutable buf : event array;
   mutable len : int;
@@ -40,7 +40,6 @@ let create ?(clock = default_clock) ?(max_events = 0) () =
   }
 
 let locked t f = Mutex.protect t.lock f
-let set_clock t clock = locked t (fun () -> t.clock <- clock)
 let enable t = locked t (fun () -> t.on <- true)
 let disable t = locked t (fun () -> t.on <- false)
 let enabled t = t.on
@@ -94,10 +93,6 @@ let span_end t =
           t.stack <- rest;
           if recorded then push t (End { name; ts = now t }))
 
-let with_span t ?cat name f =
-  span_begin t ?cat name;
-  Fun.protect ~finally:(fun () -> span_end t) f
-
 let instant t ?(cat = "rae") name =
   locked t (fun () -> if t.on then push t (Instant { name; cat; ts = now t }))
 
@@ -119,24 +114,11 @@ let clear t =
 
 (* ---- Chrome trace_event export ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let us_of_ns ns = Int64.to_float ns /. 1000.
 
 let event_line ~ph ~name ~cat ~ts =
   Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%c\",\"ts\":%.3f,\"pid\":1,\"tid\":1%s}"
-    (json_escape name) (json_escape cat) ph (us_of_ns ts)
+    (Jsonx.escape name) (Jsonx.escape cat) ph (us_of_ns ts)
     (if ph = 'i' then ",\"s\":\"t\"" else "")
 
 let to_chrome t =
@@ -177,85 +159,33 @@ let write_chrome t path =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_chrome t))
 
-(* ---- minimal parser / validator ---- *)
+(* ---- parser / validator ---- *)
 
 type chrome_event = { ph : char; ev_name : string; ts_us : float }
 
-(* Pull the value of a ["key":...] field out of one event line.  Values we
-   care about are either quoted strings or bare numbers; this is only ever
-   pointed at our own writer's output. *)
-let field line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let plen = String.length pat in
-  let llen = String.length line in
-  let rec find i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-      if start < llen && line.[start] = '"' then begin
-        let buf = Buffer.create 16 in
-        let rec scan j =
-          if j >= llen then None
-          else
-            match line.[j] with
-            | '"' -> Some (Buffer.contents buf)
-            | '\\' when j + 1 < llen ->
-                (match line.[j + 1] with
-                | '"' -> Buffer.add_char buf '"'
-                | '\\' -> Buffer.add_char buf '\\'
-                | 'n' -> Buffer.add_char buf '\n'
-                | c ->
-                    Buffer.add_char buf '\\';
-                    Buffer.add_char buf c);
-                scan (j + 2)
-            | c ->
-                Buffer.add_char buf c;
-                scan (j + 1)
-        in
-        scan (start + 1)
-      end
-      else begin
-        let rec stop j =
-          if j >= llen then j
-          else match line.[j] with ',' | '}' | ']' -> j | _ -> stop (j + 1)
-        in
-        let j = stop start in
-        if j = start then None else Some (String.sub line start (j - start))
-      end
-
 let parse_chrome s =
-  if String.trim s = "" then Error "empty trace file"
-  else
-    let lines = String.split_on_char '\n' s in
-    let rec go acc seen_header = function
-      | [] -> if seen_header then Ok (List.rev acc) else Error "missing traceEvents header"
-      | line :: rest ->
-          let line = String.trim line in
-          let line =
-            (* strip the inter-event separator *)
-            if String.length line > 0 && line.[String.length line - 1] = ',' then
-              String.sub line 0 (String.length line - 1)
-            else line
+  let event i ev =
+    match
+      ( Option.bind (Jsonx.member "ph" ev) Jsonx.to_str_opt,
+        Option.bind (Jsonx.member "name" ev) Jsonx.to_str_opt,
+        Option.bind (Jsonx.member "ts" ev) Jsonx.to_float_opt )
+    with
+    | Some ph, Some ev_name, Some ts_us when String.length ph = 1 ->
+        Ok { ph = ph.[0]; ev_name; ts_us }
+    | _ -> Error (Printf.sprintf "malformed event %d" i)
+  in
+  match Jsonx.parse s with
+  | Error msg -> Error msg
+  | Ok json -> (
+      match Option.bind (Jsonx.member "traceEvents" json) Jsonx.to_list_opt with
+      | None -> Error "missing traceEvents list"
+      | Some evs ->
+          let rec go i acc = function
+            | [] -> Ok (List.rev acc)
+            | ev :: rest -> (
+                match event i ev with Ok e -> go (i + 1) (e :: acc) rest | Error _ as e -> e)
           in
-          if line = "" then go acc seen_header rest
-          else if String.length line >= 15 && String.sub line 0 15 = "{\"traceEvents\":" then
-            go acc true rest
-          else if String.length line > 0 && line.[0] = '{' then (
-            match (field line "ph", field line "name", field line "ts") with
-            | Some ph, Some name, Some ts when String.length ph = 1 -> (
-                match float_of_string_opt ts with
-                | Some ts_us -> go ({ ph = ph.[0]; ev_name = name; ts_us } :: acc) seen_header rest
-                | None -> Error (Printf.sprintf "bad ts in event %S" line))
-            | _ -> Error (Printf.sprintf "malformed event %S" line))
-          else if line = "],\"displayTimeUnit\":\"ms\"}" || line = "]}" then
-            go acc seen_header rest
-          else Error (Printf.sprintf "unexpected line %S" line)
-    in
-    go [] false lines
+          go 0 [] evs)
 
 let validate_chrome s =
   match parse_chrome s with

@@ -3,9 +3,9 @@
     A tracer records [B]egin/[E]nd span events and [i]nstant markers against
     a caller-supplied nanosecond clock (typically the virtual device clock
     plus CPU time, so spans have both ordering and non-zero extent).  The
-    buffer is a growable array; a disabled tracer records nothing and the
-    instrumentation sites cost one option check — safe to leave compiled
-    into hot paths.
+    buffer is a growable array; a disabled tracer records nothing.  The
+    recovery stack does not call it: a controller given a tracer feeds it
+    from its flight recorder ({!Events.set_tap}).
 
     Events export to the Chrome [trace_event] JSON format, viewable in
     [chrome://tracing] or {{:https://ui.perfetto.dev}Perfetto}. *)
@@ -27,8 +27,6 @@ val create : ?clock:(unit -> int64) -> ?max_events:int -> unit -> t
     unbounded doubling, which bench runs rely on for complete traces.
     Values below 16 are clamped to 16. *)
 
-val set_clock : t -> (unit -> int64) -> unit
-
 val enable : t -> unit
 val disable : t -> unit
 val enabled : t -> bool
@@ -42,9 +40,6 @@ val span_begin : t -> ?cat:string -> string -> unit
 
 val span_end : t -> unit
 (** Close the innermost open span.  No-op if none is open. *)
-
-val with_span : t -> ?cat:string -> string -> (unit -> 'a) -> 'a
-(** Run the thunk inside a span; the span is closed on exception too. *)
 
 val instant : t -> ?cat:string -> string -> unit
 
@@ -73,13 +68,13 @@ val to_chrome : t -> string
 val write_chrome : t -> string -> unit
 (** [write_chrome t path] writes {!to_chrome} output to [path]. *)
 
-(** {1 Minimal parser / validator} *)
+(** {1 Parser / validator} *)
 
 type chrome_event = { ph : char; ev_name : string; ts_us : float }
 
 val parse_chrome : string -> (chrome_event list, string) result
-(** Line-oriented parse of the writer's own output format (not a general
-    JSON parser). *)
+(** Parse a Chrome trace with {!Jsonx.parse}: the [traceEvents] list,
+    each event's [ph], [name] and [ts]. *)
 
 val validate_chrome : string -> (int, string) result
 (** Check a Chrome trace for well-formedness: parses, [B]/[E] events

@@ -4,14 +4,9 @@ module Device = Rae_block.Device
 
 exception Violation of string
 
-type config = {
-  checks : bool;
-  fsck_on_attach : bool;
-  max_fds : int;
-  fast_paths : bool;
-}
+type config = { checks : bool; max_fds : int; fast_paths : bool }
 
-let default_config = { checks = true; fsck_on_attach = false; max_fds = 1024; fast_paths = true }
+let default_config = { checks = true; max_fds = 1024; fast_paths = true }
 
 type fdinfo = { fino : Types.ino; fflags : Types.open_flags }
 
@@ -108,32 +103,14 @@ let mk_t ov reader config ~ibm ~bbm =
     bbm_dirty = false;
   }
 
-let attach ?(config = default_config) ?tracer dev =
+let attach ?(config = default_config) dev =
   let ov = Overlay.create dev in
-  let read blk = Overlay.read ov blk in
-  (* The strict superblock and bitmap decode every attach runs. *)
-  let decode () =
-    match Reader.attach read with
-    | Error e -> Error (Reader.error_to_string e)
-    | Ok reader -> (
-        match (Reader.load_inode_bitmap reader, Reader.load_block_bitmap reader) with
-        | Ok ibm, Ok bbm -> Ok (mk_t ov reader config ~ibm ~bbm)
-        | Error e, _ | _, Error e -> Error (Reader.error_to_string e))
-  in
-  if not config.fsck_on_attach then decode ()
-  else
-    let run () = Rae_fsck.Fsck.check read in
-    let report =
-      match tracer with
-      | Some tr -> Rae_obs.Tracer.with_span tr ~cat:"recovery" "fsck" run
-      | None -> run ()
-    in
-    if Rae_fsck.Fsck.clean report then decode ()
-    else
-      Error
-        (match Rae_fsck.Fsck.errors report with
-        | [] -> "fsck rejected the image"
-        | f :: _ -> Format.asprintf "fsck rejected the image: %a" Rae_fsck.Fsck.pp_finding f)
+  match Reader.attach (fun blk -> Overlay.read ov blk) with
+  | Error e -> Error (Reader.error_to_string e)
+  | Ok reader -> (
+      match (Reader.load_inode_bitmap reader, Reader.load_block_bitmap reader) with
+      | Ok ibm, Ok bbm -> Ok (mk_t ov reader config ~ibm ~bbm)
+      | Error e, _ | _, Error e -> Error (Reader.error_to_string e))
 
 (* ---- superblock / bitmap write-back (into the overlay) ---- *)
 

@@ -34,10 +34,6 @@ exception Violation of string
 
 type config = {
   checks : bool;  (** runtime invariant checking (default true) *)
-  fsck_on_attach : bool;
-      (** run the full {!Rae_fsck.Fsck.check} before accepting the image —
-          the paper's verified-FSCK liveness requirement (default false
-          here; RAE recovery turns it on) *)
   max_fds : int;
   fast_paths : bool;
       (** serve lookups from coherent in-memory caches and defer
@@ -50,10 +46,11 @@ val default_config : config
 
 type t
 
-val attach : ?config:config -> ?tracer:Rae_obs.Tracer.t -> Rae_block.Device.t -> (t, string) result
+val attach : ?config:config -> Rae_block.Device.t -> (t, string) result
 (** Bind to an rfs image.  The device is wrapped read-only.  Validates the
-    superblock and both bitmaps (strict); with [fsck_on_attach] the whole
-    image (emitting an [fsck] span on [tracer] when one is supplied). *)
+    superblock and both bitmaps (strict).  The paper's verified-FSCK
+    liveness precondition is the caller's: RAE's cold recovery runs
+    [Rae_fsck.Fsck.check_device] on the image before it attaches. *)
 
 include Rae_vfs.Fs_intf.S with type t := t
 

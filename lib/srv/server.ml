@@ -36,8 +36,7 @@ type stats = {
 type conn = {
   cid : int;
   mutable session : Session.t option;  (* None until Hello *)
-  mutable rx : bytes;  (* undecoded byte backlog: its first [rx_len] bytes *)
-  mutable rx_len : int;
+  rx : Rx.t;  (* undecoded byte backlog *)
   out : Wire.encoder;  (* pending output: frames encoded in place, drained by the transport *)
   mutable closed : bool;
 }
@@ -46,7 +45,6 @@ type t = {
   ctl : Controller.t;
   config : config;
   now : unit -> int64;
-  events : Rae_obs.Events.t option;  (* the controller's flight recorder *)
   mutable metrics_src : (unit -> string) option;  (* Prometheus text for Metrics_req *)
   mutable dispatching : (int * int * int) option;  (* (session, req, corr) mid-dispatch *)
   conns : (int, conn) Hashtbl.t;
@@ -77,7 +75,7 @@ let attached_sessions t =
     t.order
 
 let record_session t action ~session =
-  match t.events with Some ev -> Rae_obs.Events.record_session ev action ~session | None -> ()
+  Rae_obs.Events.record_session (Controller.events t.ctl) action ~session
 
 (* What a postmortem bundle reports as the sessions a recovery impacted:
    every attached session with its queued (req, corr) pairs — plus the
@@ -122,7 +120,6 @@ let create ?(config = default_config) ?now ctl =
     ctl;
     config;
     now;
-    events = Controller.events ctl;
     metrics_src = None;
     dispatching = None;
     conns = Hashtbl.create 32;
@@ -170,8 +167,7 @@ let release_session t conn =
 let drop t conn =
   release_session t conn;
   conn.closed <- true;
-  conn.rx <- Bytes.empty;
-  conn.rx_len <- 0;
+  Rx.clear conn.rx;
   t.order <- List.filter (fun cid -> cid <> conn.cid) t.order
 
 (* ---- transport edge ---- *)
@@ -184,8 +180,7 @@ let open_conn t =
     {
       cid;
       session = None;
-      rx = Bytes.empty;
-      rx_len = 0;
+      rx = Rx.create ();
       out = Wire.encoder ();
       closed = false;
     };
@@ -281,63 +276,41 @@ let handle_frame t conn frame =
   | Wire.Metrics_reply _ | Wire.Bundles_reply _ | Wire.Bundle_reply _ ->
       protocol_error t conn "server-only frame from client"
 
-(* Handle every whole frame in [buf[0, len)] and return the bytes they
-   took; stops at a partial frame, or when a protocol error drops the
-   connection.  Decoded frames own their bytes, so [buf] may be reused. *)
-let decode_frames t conn buf len =
-  let pos = ref 0 in
-  let continue = ref true in
+(* Handle the frames [next] decodes, [next used] being handed the bytes
+   they took so far, until it needs more bytes or a protocol error drops
+   the connection; returns the bytes used.  Decoded frames own their
+   bytes. *)
+let handle_frames t conn next =
+  let used = ref 0 and continue = ref true in
   while !continue && not conn.closed do
-    match Wire.decode buf ~pos:!pos ~len:(len - !pos) with
-    | Wire.Frame (frame, consumed) ->
-        pos := !pos + consumed;
+    match next !used with
+    | Wire.Frame (frame, n) ->
+        used := !used + n;
         handle_frame t conn frame
     | Wire.Need_more -> continue := false
     | Wire.Fail err ->
         protocol_error t conn (Format.asprintf "%a" Wire.pp_error err);
         continue := false
   done;
-  !pos
-
-(* Append [n] bytes of [src] from [pos] to the backlog.  The buffer at
-   least doubles when it grows, so a frame that arrives in many pieces is
-   copied a constant number of times, not once per piece. *)
-let stash conn src pos n =
-  let need = conn.rx_len + n in
-  if need > Bytes.length conn.rx then begin
-    let grown = Bytes.create (max need (2 * Bytes.length conn.rx)) in
-    Bytes.blit conn.rx 0 grown 0 conn.rx_len;
-    conn.rx <- grown
-  end;
-  Bytes.blit src pos conn.rx conn.rx_len n;
-  conn.rx_len <- need
-
-(* An empty backlog keeps a buffer up to this size for the next partial
-   frame, and gives a larger one back. *)
-let rx_keep = 65536
+  !used
 
 let feed t cid bytes =
   match Hashtbl.find_opt t.conns cid with
   | None -> ()
   | Some conn when conn.closed -> ()
   | Some conn ->
-      let src = Bytes.unsafe_of_string bytes in
-      let n = Bytes.length src in
-      if conn.rx_len = 0 then begin
-        (* Nothing pending: decode straight from the incoming bytes and
-           keep only a partial tail. *)
-        let used = decode_frames t conn src n in
-        if not conn.closed then stash conn src used (n - used)
+      let n = String.length bytes in
+      if Rx.length conn.rx = 0 then begin
+        (* Nothing pending: decode straight from the read and keep only a
+           partial tail. *)
+        let src = Bytes.unsafe_of_string bytes in
+        let used = handle_frames t conn (fun pos -> Wire.decode src ~pos ~len:(n - pos)) in
+        if not conn.closed then Rx.append conn.rx bytes used (n - used)
       end
       else begin
-        stash conn src 0 n;
-        let used = decode_frames t conn conn.rx conn.rx_len in
-        if not conn.closed then begin
-          Bytes.blit conn.rx used conn.rx 0 (conn.rx_len - used);
-          conn.rx_len <- conn.rx_len - used
-        end
-      end;
-      if conn.rx_len = 0 && Bytes.length conn.rx > rx_keep then conn.rx <- Bytes.empty
+        Rx.append conn.rx bytes 0 n;
+        ignore (handle_frames t conn (fun _ -> Rx.next conn.rx) : int)
+      end
 
 let drain t cid f =
   match Hashtbl.find_opt t.conns cid with

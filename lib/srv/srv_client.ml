@@ -28,7 +28,7 @@ type t = {
   config : config;
   dial : unit -> io option;
   mutable io : io option;  (* None = connection lost (or detached) *)
-  mutable rx : string;  (* undecoded byte backlog *)
+  rx : Rx.t;  (* undecoded byte backlog *)
   mutable sid : int;
   mutable next_req : int;
   mutable corr : int;  (* correlation id stamped on every Op_req; 0 = none *)
@@ -52,35 +52,23 @@ let record_notice t (frame : Wire.frame) =
       t.notices_rev <- Recovered { seq; trigger; wall_us } :: t.notices_rev
   | _ -> ()
 
-let decode_one t =
-  if t.rx = "" then `None
-  else
-    let buf = Bytes.unsafe_of_string t.rx in
-    match Wire.decode buf ~pos:0 ~len:(Bytes.length buf) with
-    | Wire.Frame (frame, consumed) ->
-        t.rx <- String.sub t.rx consumed (String.length t.rx - consumed);
-        `Frame frame
-    | Wire.Need_more -> `None
-    | Wire.Fail _ -> `Fail  (* desynchronized stream: the connection is dead *)
-
 (* Wait for the frame [matcher] accepts, absorbing recovery notices and
    skipping stale replies on the way.  The recv budget bounds the total
    polls so a silent or babbling peer cannot hang the client. *)
 let await t io matcher =
   let budget = ref t.config.max_wait in
   let rec next () =
-    match decode_one t with
-    | `Frame f -> Ok f
-    | `Fail -> Error `Lost
-    | `None ->
+    match Rx.next t.rx with
+    | Wire.Frame (f, _) -> Ok f
+    | Wire.Fail _ -> Error `Lost (* desynchronized stream: the connection is dead *)
+    | Wire.Need_more ->
         if !budget <= 0 then Error `Timeout
         else begin
           decr budget;
           match io.io_recv () with
           | None -> Error `Lost
-          | Some "" -> next ()
           | Some bytes ->
-              t.rx <- (if t.rx = "" then bytes else t.rx ^ bytes);
+              Rx.append t.rx bytes 0 (String.length bytes);
               next ()
         end
   in
@@ -111,7 +99,7 @@ let roundtrip t io op =
     | _ -> None)
 
 let attach t io =
-  t.rx <- "";
+  Rx.clear t.rx;
   io.io_send (Wire.encode (Wire.Hello { version = Wire.protocol_version }));
   match await t io (function Wire.Hello_ok { session; _ } -> Some session | _ -> None) with
   | Ok session ->
@@ -256,7 +244,7 @@ let connect ?(config = default_config) ~dial () =
           config;
           dial;
           io = Some io;
-          rx = "";
+          rx = Rx.create ();
           sid = 0;
           next_req = 1;
           corr = 0;

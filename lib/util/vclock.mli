@@ -3,7 +3,7 @@
     The simulated block device and block layer charge latency against a
     virtual clock rather than wall time, so that benchmarks measuring
     *simulated* device time (e.g. recovery-latency sweeps) are deterministic,
-    while bechamel measures the real CPU cost of the algorithms. *)
+    while wall-clock timing measures the real CPU cost of the algorithms. *)
 
 type t
 

@@ -838,7 +838,7 @@ let test_seed_spends_the_checkpoint () =
     ok (Base.mount ~config:{ Base.default_config with Base.commit_interval = max_int } dev)
   in
   let log = Oplog.create () in
-  let ckpt = Checkpoint.create ~fold_interval:4 dev in
+  let ckpt = Checkpoint.create ~events:(Rae_obs.Events.create ()) ~fold_interval:4 dev in
   ok (Checkpoint.cut ckpt ~window:0 ~fds:[] ~next_seq:0 ~commit_seq:0L);
   for i = 1 to 4 do
     let op = Op.Create (file i, 0o644) in
@@ -924,7 +924,7 @@ let prop_checkpoint_replay_equivalence =
          the disk stays at S0 and every op lands in the window — exactly
          the state a recovery replays over. *)
       let log = Oplog.create () in
-      let ckpt = Checkpoint.create ~fold_interval dev in
+      let ckpt = Checkpoint.create ~events:(Rae_obs.Events.create ()) ~fold_interval dev in
       ok (Checkpoint.cut ckpt ~window:0 ~fds:[] ~next_seq:0 ~commit_seq:0L);
       List.iter
         (fun op ->
@@ -1202,8 +1202,11 @@ let test_degrades_on_unrecoverable_image () =
       Alcotest.failf "expected EIO, got %s"
         (match other with Ok i -> string_of_int i | Error e -> Errno.to_string e));
   Alcotest.(check bool) "degraded with a reason" true (Controller.degraded ctl <> None);
+  (* The cold path's fsck precondition is what refused S0. *)
   (match Controller.last_recovery ctl with
-  | Some { Report.r_outcome = Report.Recovery_failed _; _ } -> ()
+  | Some { Report.r_outcome = Report.Recovery_failed msg; _ } ->
+      if not (contains msg "fsck rejected the image") then
+        Alcotest.failf "failed report does not name fsck: %s" msg
   | _ -> Alcotest.fail "expected a failed-recovery report");
   (* Subsequent calls fail fast, no exception escapes. *)
   (match Controller.stat ctl (p "/x") with

@@ -247,27 +247,24 @@ let test_chrome_rejects_malformed () =
 
 (* ---- the full stack: recovery emits spans and phase timings ---- *)
 
-let armed_panic () =
-  Bug_registry.arm
-    [
-      {
-        Bug_registry.id = "test-panic";
-        determinism = Bug_registry.Deterministic;
-        trigger = Bug_registry.Path_component "boom";
-        consequence = Bug_registry.Panic;
-        modeled_after = "test";
-      };
-    ]
+let boom_panic =
+  {
+    Bug_registry.id = "test-panic";
+    determinism = Bug_registry.Deterministic;
+    trigger = Bug_registry.Path_component "boom";
+    consequence = Bug_registry.Panic;
+    modeled_after = "test";
+  }
 
-(* A fresh base with the panic armed, and its device. *)
-let mk_base () =
+(* A fresh base with the panic (or [bugs]) armed, and its device. *)
+let mk_base ?(bugs = [ boom_panic ]) () =
   let disk =
     Rae_block.Disk.create ~latency:Rae_block.Disk.zero_latency
       ~block_size:Rae_format.Layout.block_size ~nblocks:4096 ()
   in
   let dev = Rae_block.Device.of_disk disk in
   Result.get_ok (Base.mkfs dev ~ninodes:256 ());
-  (dev, Result.get_ok (Base.mount ~bugs:(armed_panic ()) dev))
+  (dev, Result.get_ok (Base.mount ~bugs:(Bug_registry.arm bugs) dev))
 
 let mk_stack ?policy ?bundle_dir () =
   let dev, base = mk_base () in
@@ -481,7 +478,7 @@ let test_record_during_recovery () =
     (has (function Events.Recovery_begin _ -> true | _ -> false));
   Alcotest.(check bool) "replay phase recorded" true
     (has (function
-      | Events.Recovery_phase { phase = "constrained-replay"; _ } -> true
+      | Events.Span_end { name = "constrained-replay"; ns } -> ns >= 0
       | _ -> false));
   (match
      List.filter_map (function Events.Recovery_end { ok; _ } -> Some ok | _ -> None) bodies
@@ -490,6 +487,92 @@ let test_record_during_recovery () =
   | l -> Alcotest.failf "expected one recovery-end, saw %d" (List.length l));
   Alcotest.(check bool) "op completions recorded" true
     (has (function Events.Op_done _ -> true | _ -> false))
+
+(* ---- one event stream: every layer's spans in the ring ---- *)
+
+(* A controller (ring of 4096, fold interval 4) over a base whose "boom"
+   create and second fsync panic, run through a commit with data, a
+   fold, a recovery of a create and one of an fsync (which delegates its
+   sync).  Returns the ring's spans and marks as the tracer names them. *)
+let span_run ?tracer ~ckpt_enabled () =
+  let fsync_panic =
+    { boom_panic with Bug_registry.id = "fsync-panic"; trigger = Nth_op_of_kind (Op.K_fsync, 2) }
+  in
+  let dev, base = mk_base ~bugs:[ boom_panic; fsync_panic ] () in
+  let policy = { Controller.default_policy with ckpt_enabled; ckpt_fold_interval = 4 } in
+  let ev = Events.create ~capacity:4096 () in
+  let ctl = Controller.make ~policy ?tracer ~events:ev ~device:dev base in
+  let fd = Result.get_ok (Controller.openf ctl (p "/f") Types.flags_create) in
+  ignore (Controller.pwrite ctl fd ~off:0 (String.make 10_000 'x'));
+  Result.get_ok (Controller.fsync ctl fd);
+  List.iter
+    (fun n -> ignore (Controller.create ctl (p n) ~mode:0o644))
+    [ "/a"; "/b"; "/c"; "/d"; "/boom" ];
+  Result.get_ok (Controller.fsync ctl fd);
+  (match Controller.recoveries ctl with
+  | [ a; b ] ->
+      List.iter
+        (fun r ->
+          Alcotest.(check bool) "recovered" true (r.Report.r_outcome = Report.Recovered);
+          Alcotest.(check bool) "seeded" ckpt_enabled r.Report.r_seeded)
+        [ a; b ];
+      Alcotest.(check bool) "second delegated its sync" true b.Report.r_delegated_sync
+  | l -> Alcotest.failf "expected 2 recoveries, saw %d" (List.length l));
+  Alcotest.(check int) "nothing dropped" 0 (Events.dropped ev);
+  List.filter_map
+    (fun e ->
+      match e.Events.body with
+      | Events.Span_begin { name } -> Some ("B " ^ name)
+      | Span_end { name; ns } ->
+          if ns < 0 then Alcotest.failf "%s lasted %d ns" name ns;
+          Some ("E " ^ name)
+      | Recovery_begin { trigger } -> Some ("i detect:" ^ trigger)
+      | Ckpt_fallback { reason } -> Some ("i ckpt-fallback:" ^ reason)
+      | _ -> None)
+    (Events.tail ev)
+
+(* rfsd's shape, no tracer: the ring alone holds balanced span pairs for
+   every layer and every phase, cold and seeded. *)
+let test_spans_balanced_without_tracer () =
+  List.iter
+    (fun (ckpt_enabled, own) ->
+      let marks = span_run ~ckpt_enabled () in
+      let close stack m =
+        match (String.sub m 0 2, stack) with
+        | "B ", _ -> String.sub m 2 (String.length m - 2) :: stack
+        | "E ", top :: rest when "E " ^ top = m -> rest
+        | "E ", _ -> Alcotest.failf "unbalanced %s" m
+        | _ -> stack
+      in
+      Alcotest.(check (list string)) "all closed" [] (List.fold_left close [] marks);
+      List.iter
+        (fun name -> if not (List.mem ("B " ^ name) marks) then Alcotest.failf "no %s span" name)
+        ([ "base.commit"; "blkmq.destage"; "journal.replay"; "recovery"; "contained-reboot";
+           "constrained-replay"; "inflight-autonomous"; "metadata-download"; "resume";
+           "delegated-sync" ] @ own))
+    [
+      (false, [ "shadow-attach"; "fsck"; "fd-reinstate" ]);
+      (true, [ "ckpt-cut"; "ckpt-fold"; "seed" ]);
+    ]
+
+(* A tracer is a view of the ring: its begins, ends and instants, in
+   order, are the ring's spans, recovery begins and fallbacks. *)
+let test_tracer_fed_from_ring () =
+  List.iter
+    (fun ckpt_enabled ->
+      let tracer = Tracer.create () in
+      Tracer.enable tracer;
+      let ring = span_run ~tracer ~ckpt_enabled () in
+      let traced =
+        List.map
+          (function
+            | Tracer.Begin { name; _ } -> "B " ^ name
+            | End { name; _ } -> "E " ^ name
+            | Instant { name; _ } -> "i " ^ name)
+          (Tracer.events tracer)
+      in
+      Alcotest.(check (list string)) "tracer = ring" ring traced)
+    [ false; true ]
 
 (* ---- black-box bundles ---- *)
 
@@ -715,6 +798,8 @@ let () =
           Alcotest.test_case "wraparound" `Quick test_recorder_wraparound;
           Alcotest.test_case "event json" `Quick test_recorder_json;
           Alcotest.test_case "records through a recovery" `Quick test_record_during_recovery;
+          Alcotest.test_case "spans balance, no tracer" `Quick test_spans_balanced_without_tracer;
+          Alcotest.test_case "tracer fed from the ring" `Quick test_tracer_fed_from_ring;
         ] );
       ( "blackbox",
         [

@@ -137,18 +137,6 @@ let test_violation_on_crafted_dirent () =
   | exception Shadow.Violation _ -> ()
   | Ok _ | Error _ -> Alcotest.fail "crafted dirent not caught"
 
-let test_fsck_on_attach_rejects () =
-  let disk, dev = mk_image () in
-  ignore dev;
-  let g = (Result.get_ok (Rae_format.Reader.attach (fun b -> Disk.read disk b))).Rae_format.Reader.sb
-          .Rae_format.Superblock.geometry in
-  Disk.corrupt_byte disk ~block:g.Layout.data_start ~offset:4 (fun _ -> '\000');
-  Disk.corrupt_byte disk ~block:g.Layout.data_start ~offset:5 (fun _ -> '\000');
-  let config = { Shadow.default_config with Shadow.fsck_on_attach = true } in
-  match Shadow.attach ~config (Device.of_disk disk) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "fsck_on_attach accepted a corrupt image"
-
 (* ---- equivalence with the specification ---- *)
 
 let snapshot_shadow sh =
@@ -403,7 +391,6 @@ let () =
           Alcotest.test_case "counted / disableable" `Quick test_checks_counted;
           Alcotest.test_case "violation on corrupt inode" `Quick test_violation_on_corrupt_inode;
           Alcotest.test_case "violation on crafted dirent" `Quick test_violation_on_crafted_dirent;
-          Alcotest.test_case "fsck_on_attach" `Quick test_fsck_on_attach_rejects;
         ] );
       ( "equivalence",
         [

@@ -1170,6 +1170,11 @@ let test_read_reply_allocation () =
     Alcotest.failf "a 16 KiB read reply allocated %.0f major words, not one %d-word string" words
       one_string
 
+(* [s] cut into [n]-byte pieces, as a socket hands a stream over. *)
+let pieces_of s n =
+  List.init ((String.length s + n - 1) / n) (fun i ->
+      String.sub s (i * n) (min n (String.length s - (i * n))))
+
 (* A frame near the 4 MiB payload limit, fed in 4 KiB pieces as a socket
    hands it over: it is reassembled once, not copied again per piece.
    The backlog buffer doubles as it grows, so its last buffer is under
@@ -1181,12 +1186,7 @@ let test_feed_large_frame_in_pieces () =
   let cid = attach server in
   let data = String.make ((4 * 1024 * 1024) - 64) 'd' in
   let frame = request 9 (Op.Pwrite (99, 0, data)) in
-  let piece = 4096 in
-  let pieces =
-    List.init
-      ((String.length frame + piece - 1) / piece)
-      (fun i -> String.sub frame (i * piece) (min piece (String.length frame - (i * piece))))
-  in
+  let pieces = pieces_of frame 4096 in
   let words = Alloc_words.direct_major_words (fun () -> List.iter (Server.feed server cid) pieces) in
   ignore (Server.step server);
   (match decode_all "reply" (Server.output server cid) with
@@ -1196,6 +1196,44 @@ let test_feed_large_frame_in_pieces () =
   if words > 5. *. frame_words then
     Alcotest.failf "reassembling a %d-byte frame allocated %.0f major words (%.1f frames)"
       (String.length frame) words (words /. frame_words)
+
+(* The client's side of the same reassembly: a 4 MiB read reply handed
+   to [Srv_client.exec] in 4 KiB pieces through a scripted [io], under
+   the same bound.  Appending each piece to a string backlog costs
+   about 500 frames here. *)
+let test_client_large_reply_in_pieces () =
+  let data = String.make ((4 * 1024 * 1024) - 64) 'r' in
+  let reply = Wire.encode (Wire.Op_reply { req = 2; outcome = Ok (Op.Data data) }) in
+  let pieces = pieces_of reply 4096 and inbox = Queue.create () in
+  let answer frame = Queue.add (Wire.encode frame) inbox in
+  let send bytes =
+    match Wire.decode_string bytes with
+    | Wire.Frame (Wire.Hello _, _) ->
+        answer (Wire.Hello_ok { session = 1; version = Wire.protocol_version })
+    | Wire.Frame (Wire.Op_req { req = 1; _ }, _) ->
+        answer (Wire.Op_reply { req = 1; outcome = Ok (Op.Fd 7) })
+    | _ -> List.iter (fun s -> Queue.add s inbox) pieces
+  in
+  let recv () = Some (Option.value ~default:"" (Queue.take_opt inbox)) in
+  let io = { Client.io_send = send; io_recv = recv; io_close = ignore } in
+  let c =
+    match Client.connect ~dial:(fun () -> Some io) () with Ok c -> c | Error m -> Alcotest.fail m
+  in
+  let fd =
+    match Client.exec c (Op.Open (p "/big", Types.flags_rw)) with
+    | Ok (Op.Fd fd) -> fd
+    | _ -> Alcotest.fail "open"
+  in
+  let got = ref (Error Errno.EIO) in
+  let words =
+    Alloc_words.direct_major_words (fun () ->
+        got := Client.exec c (Op.Pread (fd, 0, String.length data)))
+  in
+  Alcotest.(check bool) "read back" true (!got = Ok (Op.Data data));
+  let frame_words = float_of_int (Alloc_words.string_words (String.length reply)) in
+  if words > 5. *. frame_words then
+    Alcotest.failf "reassembling a %d-byte reply allocated %.0f major words (%.1f frames)"
+      (String.length reply) words (words /. frame_words)
 
 (* Twin servers over identical fresh images get the same frame stream:
    one in a single [feed], the other cut at arbitrary points.  Every
@@ -1388,5 +1426,7 @@ let () =
           Alcotest.test_case "a 4 MiB frame in 4 KiB pieces" `Quick
             test_feed_large_frame_in_pieces;
           q prop_feed_chunking;
+          Alcotest.test_case "client: a 4 MiB reply in 4 KiB pieces" `Quick
+            test_client_large_reply_in_pieces;
         ] );
     ]
