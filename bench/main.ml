@@ -573,10 +573,17 @@ let e_commit () =
    compares every name.  Times are the median of the rounds.  The words are minor words per call, which
    repeat exactly: a miss allocates nothing and a hit only the entry it
    returns ([Some], [Ok] and the record), and more is a floor violation
-   (EXPERIMENTS.md E-kernel). *)
+   (EXPERIMENTS.md E-kernel).
+
+   Then the tables (E-tables): int [mem] and [find_opt], hit and miss, on
+   tables of 64 and 4,096 block numbers strided by 4,096, through the
+   generic [Hashtbl] and through [Rae_util.Tbl.Int]; and a name lookup
+   among the same block's 146 names, generic against [Rae_util.Tbl.Str].
+   The int table's [mem] and miss rows, and the name table's miss, have
+   a ceiling of 0 words per call. *)
 let e_kernel () =
   section
-    (Printf.sprintf "E-kernel | CRC32C (%s) and Dirent.find over a full block"
+    (Printf.sprintf "E-kernel | CRC32C (%s), Dirent.find over a full block, and the tables"
        Rae_util.Checksum.kernel);
   let rounds = reps 7 in
   let us_per_call ~calls f =
@@ -607,23 +614,26 @@ let e_kernel () =
   done;
   let entry_words = 8. in
   let violations = ref [] in
+  (* Minor words [f] allocates, net of an empty call. *)
+  let minor f =
+    let run f =
+      let w0 = Gc.minor_words () in
+      f ();
+      Gc.minor_words () -. w0
+    in
+    let idle = run (fun () -> ()) in
+    run f -. idle
+  in
   List.iter
     (fun (label, probe, ceiling) ->
       let find () = ignore (Sys.opaque_identity (Dirent.find b probe)) in
       let us = us_per_call ~calls:(sc 200_000) find in
       let words =
         let calls = 1000 in
-        let minor f =
-          let w0 = Gc.minor_words () in
-          f ();
-          Gc.minor_words () -. w0
-        in
-        let idle = minor (fun () -> ()) in
-        (minor (fun () ->
-             for _ = 1 to calls do
-               find ()
-             done)
-        -. idle)
+        minor (fun () ->
+            for _ = 1 to calls do
+              find ()
+            done)
         /. float_of_int calls
       in
       Printf.printf "  Dirent.find %-4s (%d entries): %6.3f us  %4.1f words/call (ceiling %.0f)\n"
@@ -635,6 +645,82 @@ let e_kernel () =
           Printf.sprintf "Dirent.find %s: %.1f minor words per call > %.0f" label words ceiling
           :: !violations)
     [ ("hit", name (!n - 1), entry_words); ("miss", name !n, 0.) ];
+  (* One row: [probe] runs once per key of [keys]; a loop, so that no
+     closure is allocated per call. *)
+  let table_row label keys probe ceiling =
+    let nkeys = Array.length keys in
+    let all () =
+      for i = 0 to nkeys - 1 do
+        probe keys.(i)
+      done
+    in
+    let rounds_per_call = max 1 (sc 200_000 / nkeys) in
+    let ns =
+      time_runs ~reps:rounds (fun () ->
+          for _ = 1 to rounds_per_call do
+            all ()
+          done)
+      *. 1e9
+      /. float_of_int (rounds_per_call * nkeys)
+    in
+    let words = minor all /. float_of_int nkeys in
+    (match ceiling with
+    | Some c ->
+        Printf.printf "  %-34s %6.1f ns  %4.1f words/call (ceiling %.0f)\n" label ns words c;
+        if words > c then
+          violations :=
+            Printf.sprintf "%s: %.1f minor words per call > %.0f" label words c :: !violations
+    | None -> Printf.printf "  %-34s %6.1f ns  %4.1f words/call\n" label ns words);
+    json_note ~sec:"E-kernel" ~name:label ~unit:"ns" ns;
+    json_note ~sec:"E-kernel" ~name:(label ^ "-words") ~unit:"words" words
+  in
+  let module Itbl = Rae_util.Tbl.Int in
+  List.iter
+    (fun size ->
+      let keys = Array.init size (fun i -> i * 4096) in
+      let misses = Array.map (fun k -> k + 1) keys in
+      let generic = Hashtbl.create size and t = Itbl.create size in
+      Array.iter
+        (fun k ->
+          Hashtbl.replace generic k k;
+          Itbl.replace t k k)
+        keys;
+      let row what keys probe ceiling =
+        table_row (Printf.sprintf "int-%s-%d" what size) keys probe ceiling
+      in
+      row "mem-hit-generic" keys (fun k -> ignore (Sys.opaque_identity (Hashtbl.mem generic k))) None;
+      row "mem-hit-tbl" keys (fun k -> ignore (Sys.opaque_identity (Itbl.mem t k))) (Some 0.);
+      row "mem-miss-generic" misses (fun k -> ignore (Sys.opaque_identity (Hashtbl.mem generic k))) None;
+      row "mem-miss-tbl" misses (fun k -> ignore (Sys.opaque_identity (Itbl.mem t k))) (Some 0.);
+      row "find-hit-generic" keys
+        (fun k -> ignore (Sys.opaque_identity (Hashtbl.find_opt generic k)))
+        None;
+      row "find-hit-tbl" keys (fun k -> ignore (Sys.opaque_identity (Itbl.find_opt t k))) None;
+      row "find-miss-generic" misses
+        (fun k -> ignore (Sys.opaque_identity (Hashtbl.find_opt generic k)))
+        None;
+      row "find-miss-tbl" misses (fun k -> ignore (Sys.opaque_identity (Itbl.find_opt t k))) (Some 0.))
+    [ 64; 4096 ];
+  let names = Array.init !n name in
+  let absent = Array.init !n (fun i -> name (!n + i)) in
+  let generic = Hashtbl.create !n and t = Rae_util.Tbl.Str.create !n in
+  Array.iteri
+    (fun i s ->
+      Hashtbl.replace generic s i;
+      Rae_util.Tbl.Str.replace t s i)
+    names;
+  table_row "name-find-hit-generic" names
+    (fun s -> ignore (Sys.opaque_identity (Hashtbl.find_opt generic s)))
+    None;
+  table_row "name-find-hit-tbl" names
+    (fun s -> ignore (Sys.opaque_identity (Rae_util.Tbl.Str.find_opt t s)))
+    None;
+  table_row "name-find-miss-generic" absent
+    (fun s -> ignore (Sys.opaque_identity (Hashtbl.find_opt generic s)))
+    None;
+  table_row "name-find-miss-tbl" absent
+    (fun s -> ignore (Sys.opaque_identity (Rae_util.Tbl.Str.find_opt t s)))
+    (Some 0.);
   if !violations <> [] then begin
     List.iter (fun v -> Printf.eprintf "E-kernel: %s\n" v) (List.rev !violations);
     exit 1
@@ -642,7 +728,9 @@ let e_kernel () =
   Printf.printf
     "\nExpected shape: CRC32C throughput grows with the buffer up to the three-chain\n\
      kernel's speed; Dirent.find checks every record in one walk, allocating only\n\
-     the entry it returns.\n"
+     the entry it returns.  The int table probes in a fraction of the generic\n\
+     table's time and allocates nothing but a hit's [Some]; the name table\n\
+     hashes eight bytes per step and compares with String.equal.\n"
 
 (* ---------------------------------------------------------------- *)
 (* E-shadow: the fast path — caches, hints and batching vs naive     *)
@@ -1288,14 +1376,8 @@ let e10_cache_policy () =
      so at the block-cache level the policies converge — one reason the paper\n\
      calls these stacked caching policies hard to reason about.\n";
   subsection "E10b | the policies in isolation (synthetic hot-set + scan reference string)";
-  let module K = struct
-    type t = int
-
-    let equal = Int.equal
-    let hash = Hashtbl.hash
-  end in
-  let module L = Rae_cache.Lru.Make (K) in
-  let module Q = Rae_cache.Two_q.Make (K) in
+  let module L = Rae_cache.Lru.Make (Rae_util.Tbl.Int) in
+  let module Q = Rae_cache.Two_q.Make (Rae_util.Tbl.Int) in
   let trace =
     (* 8-page hot set re-referenced between 128-page scans, 50 rounds. *)
     List.concat

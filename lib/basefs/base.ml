@@ -25,16 +25,10 @@ let default_config =
     max_fds = 1024;
   }
 
-module IntKey = struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end
-
-module BL = Rae_cache.Lru.Make (IntKey)
-module BQ = Rae_cache.Two_q.Make (IntKey)
-module IC = Rae_cache.Lru.Make (IntKey)
+module Itbl = Rae_util.Tbl.Int
+module BL = Rae_cache.Lru.Make (Itbl)
+module BQ = Rae_cache.Two_q.Make (Itbl)
+module IC = Rae_cache.Lru.Make (Itbl)
 
 (* The block cache behind either replacement policy (ablation E-cache). *)
 type bcache = Lru_c of bytes BL.t | Twoq_c of bytes BQ.t
@@ -78,12 +72,12 @@ type t = {
   bcache : bcache;
   icache : Inode.t IC.t;
   dcache : Rae_cache.Dentry.t;
-  fds : (int, fdinfo) Hashtbl.t;
-  orphans : (int, unit) Hashtbl.t;
+  fds : fdinfo Itbl.t;
+  orphans : unit Itbl.t;
   mutable time : int64;
   mutable txn : Journal.txn;
-  txn_kinds : (int, meta_kind) Hashtbl.t;
-  dirty_data : (int, unit) Hashtbl.t;
+  txn_kinds : meta_kind Itbl.t;
+  dirty_data : unit Itbl.t;
   (* Derived metadata changed since the last commit, serialized at the
      next one: the superblock, and each bitmap block (inode bitmap blocks
      first, then block bitmap blocks — the two regions are adjacent). *)
@@ -162,12 +156,12 @@ let mount ?(config = default_config) ?(bugs = Bug_registry.none) dev =
                           bcache = bc_create config;
                           icache = IC.create ~capacity:config.icache_capacity ();
                           dcache = Rae_cache.Dentry.create ~capacity:config.dcache_capacity;
-                          fds = Hashtbl.create 64;
-                          orphans = Hashtbl.create 16;
+                          fds = Itbl.create 64;
+                          orphans = Itbl.create 16;
                           time = sb.Superblock.fs_time;
                           txn = Journal.begin_txn journal;
-                          txn_kinds = Hashtbl.create 32;
-                          dirty_data = Hashtbl.create 32;
+                          txn_kinds = Itbl.create 32;
+                          dirty_data = Itbl.create 32;
                           sb_dirty = false;
                           bm_dirty =
                             Array.make (geo.Layout.inode_bitmap_len + geo.Layout.block_bitmap_len) false;
@@ -200,7 +194,7 @@ let bget t blk =
 let bput_meta t blk data ~kind =
   bc_put t.bcache blk data;
   bc_pin t.bcache blk;
-  Hashtbl.replace t.txn_kinds blk kind;
+  Itbl.replace t.txn_kinds blk kind;
   Journal.txn_write t.txn blk data
 
 (* Install a data block: cached (pinned) and queued for the pre-commit
@@ -208,7 +202,7 @@ let bput_meta t blk data ~kind =
 let bput_data t blk data =
   bc_put t.bcache blk data;
   bc_pin t.bcache blk;
-  Hashtbl.replace t.dirty_data blk ()
+  Itbl.replace t.dirty_data blk ()
 
 (* The one read-modify-write path.  [b] is [blk]'s cached image (from
    [bget]); it becomes the running transaction's image of [blk] in place,
@@ -287,7 +281,7 @@ let pending_blocks t =
 let validate_txn t =
   t.s_validations <- t.s_validations + 1;
   Journal.txn_iter t.txn (fun blk data ->
-      match Hashtbl.find_opt t.txn_kinds blk with
+      match Itbl.find_opt t.txn_kinds blk with
       | None -> ()
       | Some K_sb -> (
           match Superblock.decode data with
@@ -340,14 +334,17 @@ let commit_work t =
     if t.cfg.validate_on_commit then validate_txn t;
     (* Ordered mode: data reaches the medium before the metadata that
        references it commits.  The queue writes from the cached buffers
-       themselves; nothing writes through them before the drain. *)
+       themselves; nothing writes through them before the drain.  It
+       gets them in ascending block order, so the device's write stream
+       does not depend on the table's hash. *)
     let reqs =
-      Hashtbl.fold
-        (fun blk () reqs ->
-          match bc_peek t.bcache blk with
-          | Some data -> Blkmq.submit_write t.mq blk data :: reqs
-          | None -> Detector.bug_fail ~bug:"writeback" "dirty data block %d lost from the cache" blk)
-        t.dirty_data []
+      Itbl.fold (fun blk () blks -> blk :: blks) t.dirty_data []
+      |> List.sort Int.compare
+      |> List.map (fun blk ->
+             match bc_peek t.bcache blk with
+             | Some data -> Blkmq.submit_write t.mq blk data
+             | None ->
+                 Detector.bug_fail ~bug:"writeback" "dirty data block %d lost from the cache" blk)
     in
     if Blkmq.in_flight t.mq > 0 then span t "blkmq.destage" (fun () -> Blkmq.drain t.mq)
     else Blkmq.drain t.mq;
@@ -355,11 +352,11 @@ let commit_work t =
        that points at it commits.  The transaction and the dirty data
        stay for the next commit. *)
     if List.exists Blkmq.failed reqs then raise (Device.Io_error "ordered data write failed");
-    Hashtbl.iter (fun blk () -> bc_unpin t.bcache blk) t.dirty_data;
-    Hashtbl.reset t.dirty_data;
+    Itbl.iter (fun blk () -> bc_unpin t.bcache blk) t.dirty_data;
+    Itbl.reset t.dirty_data;
     Journal.commit t.journal t.txn;
-    Hashtbl.iter (fun blk _ -> bc_unpin t.bcache blk) t.txn_kinds;
-    Hashtbl.reset t.txn_kinds;
+    Itbl.iter (fun blk _ -> bc_unpin t.bcache blk) t.txn_kinds;
+    Itbl.reset t.txn_kinds;
     t.txn <- Journal.begin_txn t.journal;
     t.ops_since_commit <- 0;
     t.s_commits <- t.s_commits + 1;
@@ -368,7 +365,7 @@ let commit_work t =
   end
 
 let commit t =
-  if pending_blocks t > 0 || Hashtbl.length t.dirty_data > 0 then
+  if pending_blocks t > 0 || Itbl.length t.dirty_data > 0 then
     span t "base.commit" (fun () -> commit_work t)
 
 let on_commit t hook = t.commit_hooks <- t.commit_hooks @ [ hook ]
@@ -454,8 +451,8 @@ let free_block t blk =
   t.sb <- { t.sb with Superblock.free_blocks = t.sb.Superblock.free_blocks + 1 };
   Journal.txn_revoke t.txn blk;
   Journal.txn_forget t.txn blk;
-  Hashtbl.remove t.txn_kinds blk;
-  Hashtbl.remove t.dirty_data blk;
+  Itbl.remove t.txn_kinds blk;
+  Itbl.remove t.dirty_data blk;
   bc_unpin t.bcache blk;
   flush_bitmap_bit t `Block blk
 
@@ -808,16 +805,21 @@ let rec dir_within t ~dir ?(steps = 0) ino =
 (* ---- fd table / orphans ---- *)
 
 let alloc_fd t =
-  let rec go i = if Hashtbl.mem t.fds i then go (i + 1) else i in
+  let rec go i = if Itbl.mem t.fds i then go (i + 1) else i in
   go 0
 
-let fd_refs t ino = Hashtbl.fold (fun _ f acc -> acc || f.fino = ino) t.fds false
+let fd_refs t ino =
+  let exception Found in
+  try
+    Itbl.iter (fun _ f -> if f.fino = ino then raise Found) t.fds;
+    false
+  with Found -> true
 
 let maybe_reclaim t ino =
   let inode = load_inode t ino in
   if inode.Inode.nlink = 0 && not (fd_refs t ino) then begin
     ignore (shrink_blocks t inode ~keep:0);
-    Hashtbl.remove t.orphans ino;
+    Itbl.remove t.orphans ino;
     free_ino t ino
   end
 
@@ -932,7 +934,7 @@ let unlink t path =
                   store_inode t ino { inode with Inode.nlink = inode.Inode.nlink - 1; ctime = time };
                   touch t pino ~time;
                   if inode.Inode.nlink - 1 = 0 then
-                    if fd_refs t ino then Hashtbl.replace t.orphans ino ()
+                    if fd_refs t ino then Itbl.replace t.orphans ino ()
                     else maybe_reclaim t ino;
                   finish_mutation t;
                   Ok ()
@@ -973,7 +975,7 @@ let flags_valid (f : Types.open_flags) =
 let openf t path flags =
   guard (fun () ->
       if not (flags_valid flags) then Error Errno.EINVAL
-      else if Hashtbl.length t.fds >= t.cfg.max_fds then Error Errno.EMFILE
+      else if Itbl.length t.fds >= t.cfg.max_fds then Error Errno.EMFILE
       else
         match resolve t path ~follow_last:true with
         | Ok ino ->
@@ -991,7 +993,7 @@ let openf t path flags =
                     finish_mutation t
                   end;
                   let fd = alloc_fd t in
-                  Hashtbl.replace t.fds fd { fino = ino; fflags = flags };
+                  Itbl.replace t.fds fd { fino = ino; fflags = flags };
                   Ok fd
             end
         | Error Errno.ENOENT when flags.Types.creat -> (
@@ -1005,17 +1007,17 @@ let openf t path flags =
                     | Error e -> Error e
                     | Ok ino ->
                         let fd = alloc_fd t in
-                        Hashtbl.replace t.fds fd { fino = ino; fflags = flags };
+                        Itbl.replace t.fds fd { fino = ino; fflags = flags };
                         Ok fd)))
         | Error e -> Error e)
 
 let close t fd =
   guard (fun () ->
-      match Hashtbl.find_opt t.fds fd with
+      match Itbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some { fino; _ } ->
-          Hashtbl.remove t.fds fd;
-          if Hashtbl.mem t.orphans fino then begin
+          Itbl.remove t.fds fd;
+          if Itbl.mem t.orphans fino then begin
             maybe_reclaim t fino;
             flush_sb t
           end;
@@ -1023,7 +1025,7 @@ let close t fd =
 
 let pread t fd ~off ~len =
   guard (fun () ->
-      match Hashtbl.find_opt t.fds fd with
+      match Itbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some { fino; fflags } ->
           if not fflags.Types.rd then Error Errno.EBADF
@@ -1032,7 +1034,7 @@ let pread t fd ~off ~len =
 
 let pwrite t fd ~off data =
   guard (fun () ->
-      match Hashtbl.find_opt t.fds fd with
+      match Itbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some { fino; fflags } ->
           if not fflags.Types.wr then Error Errno.EBADF
@@ -1083,7 +1085,7 @@ let stat t path =
 
 let fstat t fd =
   guard (fun () ->
-      match Hashtbl.find_opt t.fds fd with
+      match Itbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some { fino; _ } -> Ok (stat_of t fino))
 
@@ -1160,7 +1162,7 @@ let rename t src dst =
                                   store_inode t dino
                                     { dinode with Inode.nlink = dinode.Inode.nlink - 1 };
                                   if dinode.Inode.nlink - 1 = 0 then
-                                    if fd_refs t dino then Hashtbl.replace t.orphans dino ()
+                                    if fd_refs t dino then Itbl.replace t.orphans dino ()
                                     else maybe_reclaim t dino);
                               let spinode = load_inode t spino in
                               ignore (dir_remove t spinode ~dino:spino ~name:sname);
@@ -1279,7 +1281,7 @@ let chmod t path ~mode =
 
 let fsync t fd =
   guard (fun () ->
-      match Hashtbl.find_opt t.fds fd with
+      match Itbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some _ ->
           commit t;
@@ -1343,7 +1345,7 @@ let apply_corruption t (spec : Bug_registry.spec) consequence op =
       let target =
         match op with
         | Op.Pwrite (fd, _, _) | Op.Pread (fd, _, _) | Op.Fstat fd -> (
-            match Hashtbl.find_opt t.fds fd with Some { fino; _ } -> Some fino | None -> None)
+            match Itbl.find_opt t.fds fd with Some { fino; _ } -> Some fino | None -> None)
         | _ -> None
       in
       match target with
@@ -1397,16 +1399,16 @@ let unmount t =
 let contained_reboot t =
   (* Discard everything volatile: nothing in memory is trusted. *)
   Journal.abort t.journal t.txn;
-  Hashtbl.reset t.txn_kinds;
-  Hashtbl.reset t.dirty_data;
+  Itbl.reset t.txn_kinds;
+  Itbl.reset t.dirty_data;
   t.sb_dirty <- false;
   Array.fill t.bm_dirty 0 (Array.length t.bm_dirty) false;
   t.bm_ndirty <- 0;
   bc_clear t.bcache;
   IC.clear t.icache;
   Rae_cache.Dentry.clear t.dcache;
-  Hashtbl.reset t.fds;
-  Hashtbl.reset t.orphans;
+  Itbl.reset t.fds;
+  Itbl.reset t.orphans;
   Detector.clear t.det;
   (* The fresh queue and journal count on from the ones they replace:
      their counters are observations, not state the reboot distrusts. *)
@@ -1498,9 +1500,9 @@ let download_metadata t ~blocks ~fd_table ~time =
             bput_meta t blk data ~kind:K_handoff;
             if Journal.txn_block_count t.txn > txn_soft_limit t then begin
               (* Chunk very large recoveries across several transactions. *)
-              Hashtbl.iter (fun b _ -> bc_unpin t.bcache b) t.txn_kinds;
+              Itbl.iter (fun b _ -> bc_unpin t.bcache b) t.txn_kinds;
               Journal.commit t.journal t.txn;
-              Hashtbl.reset t.txn_kinds;
+              Itbl.reset t.txn_kinds;
               t.txn <- Journal.begin_txn t.journal;
               t.s_commits <- t.s_commits + 1
             end)
@@ -1531,13 +1533,13 @@ let download_metadata t ~blocks ~fd_table ~time =
     rebuild `Inode !ibmap_updates;
     rebuild `Block !bbmap_updates;
     (* Adopt the reconstructed descriptor table and orphan census. *)
-    Hashtbl.reset t.fds;
-    Hashtbl.reset t.orphans;
+    Itbl.reset t.fds;
+    Itbl.reset t.orphans;
     List.iter
       (fun (fd, ino, flags) ->
-        Hashtbl.replace t.fds fd { fino = ino; fflags = flags };
+        Itbl.replace t.fds fd { fino = ino; fflags = flags };
         let inode = load_inode t ino in
-        if inode.Inode.nlink = 0 then Hashtbl.replace t.orphans ino ())
+        if inode.Inode.nlink = 0 then Itbl.replace t.orphans ino ())
       fd_table;
     t.time <- time;
     flush_sb t;
@@ -1563,15 +1565,16 @@ let detector t = t.det
 let bugs t = t.bug_reg
 let time t = t.time
 
+(* Sorted by fd alone: fds are unique. *)
 let fd_table t =
-  Hashtbl.fold (fun fd { fino; fflags } acc -> (fd, fino, fflags) :: acc) t.fds []
-  |> List.sort compare
+  Itbl.fold (fun fd { fino; fflags } acc -> (fd, fino, fflags) :: acc) t.fds []
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
-let fd_count t = Hashtbl.length t.fds
-let fd_iter t f = Hashtbl.iter (fun fd { fino; fflags } -> f fd fino fflags) t.fds
+let fd_count t = Itbl.length t.fds
+let fd_iter t f = Itbl.iter (fun fd { fino; fflags } -> f fd fino fflags) t.fds
 
 let fd_lookup t fd =
-  match Hashtbl.find_opt t.fds fd with
+  match Itbl.find_opt t.fds fd with
   | Some { fino; fflags } -> Some (fino, fflags)
   | None -> None
 
@@ -1597,9 +1600,9 @@ let register_obs reg t =
   M.register_gauge reg ~help:"operations since the last commit" "base_ops_since_commit" (fun () ->
       float_of_int t.ops_since_commit);
   M.register_gauge reg ~help:"open file descriptors" "base_open_fds" (fun () ->
-      float_of_int (Hashtbl.length t.fds));
+      float_of_int (Itbl.length t.fds));
   M.register_gauge reg ~help:"orphaned inodes awaiting reap" "base_orphans" (fun () ->
-      float_of_int (Hashtbl.length t.orphans));
+      float_of_int (Itbl.length t.orphans));
   (* Caches: the containers live for the mount, so closing over [t] and
      sampling through the accessors stays correct across contained reboots. *)
   Rae_cache.Lru.register_stats reg ~prefix:"bcache" (fun () -> bc_stats t.bcache);

@@ -96,16 +96,20 @@ let dispatch_one t req =
               req.state <- `Failed msg;
               t.s_completed <- t.s_completed + 1))
 
+(* Requests enter the queues round-robin and leave oldest first, so
+   what is queued is always the newest [depth] submissions, and the
+   oldest heads the queue [depth] places before [next_queue].  Taking
+   [batch] rounds across the queues from there dispatches up to [batch]
+   per queue, in submission order. *)
 let kick t =
   t.s_kicks <- t.s_kicks + 1;
-  Array.iter
-    (fun q ->
-      let n = min t.batch (Queue.length q) in
-      for _ = 1 to n do
-        let req = Queue.pop q in
-        dispatch_one t req
-      done)
-    t.queues
+  let nq = Array.length t.queues in
+  let d = depth t in
+  let q = ref ((t.next_queue - (d mod nq) + nq) mod nq) in
+  for _ = 1 to min d (t.batch * nq) do
+    dispatch_one t (Queue.pop t.queues.(!q));
+    q := (!q + 1) mod nq
+  done
 
 let rec wait t req =
   match req.state with

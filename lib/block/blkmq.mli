@@ -41,7 +41,8 @@ val submit_write : t -> int -> bytes -> req
     not write through it before then ({!wait} or {!drain} completes it). *)
 
 val kick : t -> unit
-(** Dispatch up to [batch] requests from every queue to the device. *)
+(** Dispatch up to [batch] requests from every queue to the device, in
+    the order they were submitted. *)
 
 val wait : t -> req -> bytes option
 (** Drive the layer until [req] completes; [Some data] for reads, [None] for

@@ -1,17 +1,8 @@
-module type KEY = sig
-  type t
-
-  val equal : t -> t -> bool
-  val hash : t -> int
-end
-
 type stats = { hits : int; misses : int; evictions : int; inserts : int }
 
-module Make (K : KEY) = struct
-  module H = Hashtbl.Make (K)
-
+module Make (T : Rae_util.Tbl.S) = struct
   type 'v node = {
-    key : K.t;
+    key : T.key;
     mutable value : 'v;
     mutable pinned : bool;
     mutable prev : 'v node option;  (* towards MRU *)
@@ -19,9 +10,9 @@ module Make (K : KEY) = struct
   }
 
   type 'v t = {
-    table : 'v node H.t;
+    table : 'v node T.t;
     capacity : int;
-    on_evict : (K.t -> 'v -> unit) option;
+    on_evict : (T.key -> 'v -> unit) option;
     mutable mru : 'v node option;
     mutable lru : 'v node option;
     mutable hits : int;
@@ -33,7 +24,7 @@ module Make (K : KEY) = struct
   let create ?on_evict ~capacity () =
     if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
     {
-      table = H.create (2 * capacity);
+      table = T.create capacity;
       capacity;
       on_evict;
       mru = None;
@@ -45,7 +36,7 @@ module Make (K : KEY) = struct
     }
 
   let capacity t = t.capacity
-  let length t = H.length t.table
+  let length t = T.length t.table
 
   let detach t node =
     (match node.prev with Some p -> p.next <- node.next | None -> t.mru <- node.next);
@@ -64,7 +55,7 @@ module Make (K : KEY) = struct
     push_front t node
 
   let find t key =
-    match H.find_opt t.table key with
+    match T.find_opt t.table key with
     | Some node ->
         t.hits <- t.hits + 1;
         promote t node;
@@ -73,8 +64,8 @@ module Make (K : KEY) = struct
         t.misses <- t.misses + 1;
         None
 
-  let peek t key = Option.map (fun n -> n.value) (H.find_opt t.table key)
-  let mem t key = H.mem t.table key
+  let peek t key = Option.map (fun n -> n.value) (T.find_opt t.table key)
+  let mem t key = T.mem t.table key
 
   let rec evict_from t node_opt =
     match node_opt with
@@ -83,44 +74,44 @@ module Make (K : KEY) = struct
         if node.pinned then evict_from t node.prev
         else begin
           detach t node;
-          H.remove t.table node.key;
+          T.remove t.table node.key;
           t.evictions <- t.evictions + 1;
           match t.on_evict with Some f -> f node.key node.value | None -> ()
         end
 
   let put t key value =
-    match H.find_opt t.table key with
+    match T.find_opt t.table key with
     | Some node ->
         node.value <- value;
         promote t node
     | None ->
         t.inserts <- t.inserts + 1;
-        if H.length t.table >= t.capacity then evict_from t t.lru;
+        if T.length t.table >= t.capacity then evict_from t t.lru;
         let node = { key; value; pinned = false; prev = None; next = None } in
-        H.replace t.table key node;
+        T.replace t.table key node;
         push_front t node
 
   let remove t key =
-    match H.find_opt t.table key with
+    match T.find_opt t.table key with
     | None -> ()
     | Some node ->
         detach t node;
-        H.remove t.table key
+        T.remove t.table key
 
-  let pin t key = match H.find_opt t.table key with Some n -> n.pinned <- true | None -> ()
-  let unpin t key = match H.find_opt t.table key with Some n -> n.pinned <- false | None -> ()
+  let pin t key = match T.find_opt t.table key with Some n -> n.pinned <- true | None -> ()
+  let unpin t key = match T.find_opt t.table key with Some n -> n.pinned <- false | None -> ()
 
   let pinned t key =
-    match H.find_opt t.table key with Some n -> n.pinned | None -> false
+    match T.find_opt t.table key with Some n -> n.pinned | None -> false
 
   let clear t =
-    H.reset t.table;
+    T.reset t.table;
     t.mru <- None;
     t.lru <- None
 
-  let iter t f = H.iter (fun k node -> f k node.value) t.table
+  let iter t f = T.iter (fun k node -> f k node.value) t.table
 
-  let fold t ~init ~f = H.fold (fun k node acc -> f acc k node.value) t.table init
+  let fold t ~init ~f = T.fold (fun k node acc -> f acc k node.value) t.table init
 
   let stats t = { hits = t.hits; misses = t.misses; evictions = t.evictions; inserts = t.inserts }
 end

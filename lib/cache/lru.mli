@@ -1,52 +1,45 @@
 (** A classic LRU cache with pinning.
 
-    Functorized over the key type; used for the base filesystem's inode
-    cache and (behind {!Policy}) its block cache.  Entries can be *pinned*
-    (dirty blocks awaiting writeback): pinned entries are never chosen as
-    eviction victims, which is how writeback interacts safely with
-    eviction. *)
-
-module type KEY = sig
-  type t
-
-  val equal : t -> t -> bool
-  val hash : t -> int
-end
+    Functorized over its index table ({!Rae_util.Tbl.S}); used for the
+    base filesystem's inode cache, its block cache and the dentry cache.
+    Entries can be *pinned* (dirty blocks awaiting writeback): pinned
+    entries are never chosen as eviction victims, which is how writeback
+    interacts safely with eviction. *)
 
 type stats = { hits : int; misses : int; evictions : int; inserts : int }
 
-module Make (K : KEY) : sig
+module Make (T : Rae_util.Tbl.S) : sig
   type 'v t
 
-  val create : ?on_evict:(K.t -> 'v -> unit) -> capacity:int -> unit -> 'v t
+  val create : ?on_evict:(T.key -> 'v -> unit) -> capacity:int -> unit -> 'v t
   (** @raise Invalid_argument when [capacity <= 0]. *)
 
   val capacity : 'v t -> int
   val length : 'v t -> int
 
-  val find : 'v t -> K.t -> 'v option
+  val find : 'v t -> T.key -> 'v option
   (** Hit promotes the entry to most-recently-used. *)
 
-  val peek : 'v t -> K.t -> 'v option
+  val peek : 'v t -> T.key -> 'v option
   (** Hit without promotion and without touching hit/miss statistics. *)
 
-  val mem : 'v t -> K.t -> bool
+  val mem : 'v t -> T.key -> bool
 
-  val put : 'v t -> K.t -> 'v -> unit
+  val put : 'v t -> T.key -> 'v -> unit
   (** Insert or replace; may evict the least-recently-used unpinned entry
       (the [on_evict] hook fires for it).  When every entry is pinned the
       cache grows beyond capacity rather than evicting pinned data. *)
 
-  val remove : 'v t -> K.t -> unit
-  val pin : 'v t -> K.t -> unit
-  val unpin : 'v t -> K.t -> unit
-  val pinned : 'v t -> K.t -> bool
+  val remove : 'v t -> T.key -> unit
+  val pin : 'v t -> T.key -> unit
+  val unpin : 'v t -> T.key -> unit
+  val pinned : 'v t -> T.key -> bool
   val clear : 'v t -> unit
   (** Drop everything, pinned included, without firing [on_evict] — the
       contained-reboot "do not trust, do not write back" path. *)
 
-  val iter : 'v t -> (K.t -> 'v -> unit) -> unit
-  val fold : 'v t -> init:'a -> f:('a -> K.t -> 'v -> 'a) -> 'a
+  val iter : 'v t -> (T.key -> 'v -> unit) -> unit
+  val fold : 'v t -> init:'a -> f:('a -> T.key -> 'v -> 'a) -> 'a
   val stats : 'v t -> stats
 end
 

@@ -1,10 +1,8 @@
-module Make (K : Lru.KEY) = struct
-  module H = Hashtbl.Make (K)
-
+module Make (T : Rae_util.Tbl.S) = struct
   (* Am is an intrusive doubly-linked list through its entries, as in
      {!Lru}; A1in entries keep [prev]/[next] at [None]. *)
   type 'v entry = {
-    key : K.t;
+    key : T.key;
     mutable value : 'v;
     mutable pinned : bool;
     where : [ `A1in | `Am ];
@@ -13,17 +11,17 @@ module Make (K : Lru.KEY) = struct
   }
 
   type 'v t = {
-    table : 'v entry H.t;
-    a1in : K.t Queue.t;  (* FIFO of probation keys; may hold stale keys *)
+    table : 'v entry T.t;
+    a1in : T.key Queue.t;  (* FIFO of probation keys; may hold stale keys *)
     mutable a1in_live : int;  (* resident A1in entries *)
     mutable mru : 'v entry option;  (* Am, most recent first *)
     mutable lru : 'v entry option;
-    ghosts : unit H.t;  (* A1out key set *)
-    ghost_fifo : K.t Queue.t;
+    ghosts : unit T.t;  (* A1out key set *)
+    ghost_fifo : T.key Queue.t;
     capacity : int;
     kin : int;
     kout : int;
-    on_evict : (K.t -> 'v -> unit) option;
+    on_evict : (T.key -> 'v -> unit) option;
     mutable hits : int;
     mutable misses : int;
     mutable evictions : int;
@@ -33,12 +31,12 @@ module Make (K : Lru.KEY) = struct
   let create ?on_evict ?(kin_ratio = 0.25) ?(kout_ratio = 0.5) ~capacity () =
     if capacity <= 0 then invalid_arg "Two_q.create: capacity must be positive";
     {
-      table = H.create (2 * capacity);
+      table = T.create capacity;
       a1in = Queue.create ();
       a1in_live = 0;
       mru = None;
       lru = None;
-      ghosts = H.create capacity;
+      ghosts = T.create capacity;
       ghost_fifo = Queue.create ();
       capacity;
       kin = max 1 (int_of_float (float_of_int capacity *. kin_ratio));
@@ -50,8 +48,8 @@ module Make (K : Lru.KEY) = struct
       inserts = 0;
     }
 
-  let length t = H.length t.table
-  let ghost_length t = H.length t.ghosts
+  let length t = T.length t.table
+  let ghost_length t = T.length t.ghosts
   let entry key value where = { key; value; pinned = false; where; prev = None; next = None }
 
   (* ---- Am: O(1) recency list ---- *)
@@ -76,15 +74,15 @@ module Make (K : Lru.KEY) = struct
      key stays in the FIFO until popped; the pop skips it. *)
   let unlink t e =
     (match e.where with `Am -> am_detach t e | `A1in -> t.a1in_live <- t.a1in_live - 1);
-    H.remove t.table e.key
+    T.remove t.table e.key
 
   let ghost_add t key =
-    if not (H.mem t.ghosts key) then begin
-      H.replace t.ghosts key ();
+    if not (T.mem t.ghosts key) then begin
+      T.replace t.ghosts key ();
       Queue.add key t.ghost_fifo;
-      while H.length t.ghosts > t.kout do
+      while T.length t.ghosts > t.kout do
         let victim = Queue.pop t.ghost_fifo in
-        H.remove t.ghosts victim
+        T.remove t.ghosts victim
       done
     end
 
@@ -100,7 +98,7 @@ module Make (K : Lru.KEY) = struct
       if tried >= n then None
       else
         let key = Queue.pop t.a1in in
-        match H.find_opt t.table key with
+        match T.find_opt t.table key with
         | Some e when e.where = `A1in && not e.pinned -> Some e
         | Some e when e.where = `A1in ->
             Queue.add key t.a1in;
@@ -115,7 +113,7 @@ module Make (K : Lru.KEY) = struct
     go t.lru
 
   let reclaim t =
-    if H.length t.table >= t.capacity then begin
+    if T.length t.table >= t.capacity then begin
       (* 2Q reclaim: prefer evicting from A1in once it exceeds Kin; ghost
          the victim.  Otherwise evict the LRU of Am (no ghost). *)
       let evict_a1in e =
@@ -134,7 +132,7 @@ module Make (K : Lru.KEY) = struct
     end
 
   let find t key =
-    match H.find_opt t.table key with
+    match T.find_opt t.table key with
     | Some e ->
         t.hits <- t.hits + 1;
         (* A hit in Am refreshes recency; a hit in A1in does NOT promote
@@ -145,47 +143,47 @@ module Make (K : Lru.KEY) = struct
         t.misses <- t.misses + 1;
         None
 
-  let peek t key = Option.map (fun e -> e.value) (H.find_opt t.table key)
-  let mem t key = H.mem t.table key
+  let peek t key = Option.map (fun e -> e.value) (T.find_opt t.table key)
+  let mem t key = T.mem t.table key
 
   let put t key value =
-    match H.find_opt t.table key with
+    match T.find_opt t.table key with
     | Some e ->
         e.value <- value;
         if e.where = `Am then am_touch t e
     | None ->
         t.inserts <- t.inserts + 1;
         reclaim t;
-        if H.mem t.ghosts key then begin
+        if T.mem t.ghosts key then begin
           (* Re-reference of a ghosted page: admit straight into Am. *)
-          H.remove t.ghosts key;
+          T.remove t.ghosts key;
           let e = entry key value `Am in
-          H.replace t.table key e;
+          T.replace t.table key e;
           am_push_front t e
         end
         else begin
-          H.replace t.table key (entry key value `A1in);
+          T.replace t.table key (entry key value `A1in);
           Queue.add key t.a1in;
           t.a1in_live <- t.a1in_live + 1
         end
 
-  let remove t key = match H.find_opt t.table key with None -> () | Some e -> unlink t e
+  let remove t key = match T.find_opt t.table key with None -> () | Some e -> unlink t e
 
-  let pin t key = match H.find_opt t.table key with Some e -> e.pinned <- true | None -> ()
-  let unpin t key = match H.find_opt t.table key with Some e -> e.pinned <- false | None -> ()
-  let pinned t key = match H.find_opt t.table key with Some e -> e.pinned | None -> false
+  let pin t key = match T.find_opt t.table key with Some e -> e.pinned <- true | None -> ()
+  let unpin t key = match T.find_opt t.table key with Some e -> e.pinned <- false | None -> ()
+  let pinned t key = match T.find_opt t.table key with Some e -> e.pinned | None -> false
 
   let clear t =
-    H.reset t.table;
+    T.reset t.table;
     Queue.clear t.a1in;
     t.a1in_live <- 0;
     t.mru <- None;
     t.lru <- None;
-    H.reset t.ghosts;
+    T.reset t.ghosts;
     Queue.clear t.ghost_fifo
 
-  let iter t f = H.iter (fun k e -> f k e.value) t.table
-  let fold t ~init ~f = H.fold (fun k e acc -> f acc k e.value) t.table init
+  let iter t f = T.iter (fun k e -> f k e.value) t.table
+  let fold t ~init ~f = T.fold (fun k e acc -> f acc k e.value) t.table init
 
   let stats t =
     { Lru.hits = t.hits; misses = t.misses; evictions = t.evictions; inserts = t.inserts }

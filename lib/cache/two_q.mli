@@ -8,11 +8,11 @@
     LRU queue [Am].  Scans therefore wash through [A1in] without polluting
     [Am] — the property the cache-policy ablation bench demonstrates. *)
 
-module Make (K : Lru.KEY) : sig
+module Make (T : Rae_util.Tbl.S) : sig
   type 'v t
 
   val create :
-    ?on_evict:(K.t -> 'v -> unit) ->
+    ?on_evict:(T.key -> 'v -> unit) ->
     ?kin_ratio:float ->
     ?kout_ratio:float ->
     capacity:int ->
@@ -22,18 +22,18 @@ module Make (K : Lru.KEY) : sig
       sizes the ghost queue (default 0.5).  Pinned entries are exempt from
       eviction, as in {!Lru}. *)
 
-  val find : 'v t -> K.t -> 'v option
-  val peek : 'v t -> K.t -> 'v option
-  val mem : 'v t -> K.t -> bool
-  val put : 'v t -> K.t -> 'v -> unit
-  val remove : 'v t -> K.t -> unit
-  val pin : 'v t -> K.t -> unit
-  val unpin : 'v t -> K.t -> unit
-  val pinned : 'v t -> K.t -> bool
+  val find : 'v t -> T.key -> 'v option
+  val peek : 'v t -> T.key -> 'v option
+  val mem : 'v t -> T.key -> bool
+  val put : 'v t -> T.key -> 'v -> unit
+  val remove : 'v t -> T.key -> unit
+  val pin : 'v t -> T.key -> unit
+  val unpin : 'v t -> T.key -> unit
+  val pinned : 'v t -> T.key -> bool
   val clear : 'v t -> unit
   val length : 'v t -> int
-  val iter : 'v t -> (K.t -> 'v -> unit) -> unit
-  val fold : 'v t -> init:'a -> f:('a -> K.t -> 'v -> 'a) -> 'a
+  val iter : 'v t -> (T.key -> 'v -> unit) -> unit
+  val fold : 'v t -> init:'a -> f:('a -> T.key -> 'v -> 'a) -> 'a
   val stats : 'v t -> Lru.stats
 
   val ghost_length : 'v t -> int

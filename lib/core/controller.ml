@@ -342,9 +342,21 @@ let rec recover t ~trigger ~inflight ~attempt =
         | None -> ())
       f
   in
+  (* The recovery span ends where the report reads its wall time, before
+     the bundle is written, so the bundle holds the span's end and the
+     two agree; the delegated sync runs after it, in its own span.  The
+     [Fun.protect] below closes it on any other way out. *)
+  let span_open = ref true in
+  let end_span () =
+    if !span_open then begin
+      span_open := false;
+      Int64.of_int (Rae_obs.Events.span_end t.events "recovery" ~since:t0)
+    end
+    else Int64.sub (t.now ()) (Int64.of_int t0)
+  in
   let fail_report msg ~replayed ~skipped ~discrepancies ~handoff ~delegated ~seeded =
-    (* One clock read, so the histogram and the report agree. *)
-    let wall = Int64.sub (t.now ()) (Int64.of_int t0) in
+    (* One clock read, so the span, the histogram and the report agree. *)
+    let wall = end_span () in
     Rae_obs.Metrics.observe t.recovery_hist wall;
     {
       Report.r_trigger = trigger;
@@ -513,9 +525,7 @@ let rec recover t ~trigger ~inflight ~attempt =
       emit_bundle t ~kind:Rae_obs.Blackbox.kind_failstop ~report;
       Error Errno.EIO
   in
-  Fun.protect
-    ~finally:(fun () -> ignore (Rae_obs.Events.span_end t.events "recovery" ~since:t0 : int))
-    go
+  Fun.protect ~finally:(fun () -> ignore (end_span () : int64)) go
 
 (* ---- the execution wrapper ---- *)
 

@@ -1,5 +1,6 @@
 open Rae_util
 module Device = Rae_block.Device
+module Itbl = Rae_util.Tbl.Int
 module Layout = Rae_format.Layout
 
 let jmagic = 0x4C4E524AL (* "JRNL" little-endian *)
@@ -38,15 +39,15 @@ type t = {
   mutable s_tail_resets : int;
 }
 
-(* A transaction buffers writes in first-write order with a Hashtbl index
-   from home block to slot, so the supersede-on-rewrite rule and revoke
-   dedup are O(1) instead of the O(n) list filter/membership walks the
-   write path used to pay per buffered block. *)
+(* A transaction buffers writes in first-write order with an int-table
+   index from home block to slot, so the supersede-on-rewrite rule and
+   revoke dedup are O(1) instead of the O(n) list filter/membership walks
+   the write path used to pay per buffered block. *)
 type txn = {
   mutable w_slots : (int * bytes) array;  (* (home, image), first-write order *)
   mutable w_len : int;
-  w_index : (int, int) Hashtbl.t;  (* home block -> slot in w_slots *)
-  r_index : (int, unit) Hashtbl.t;  (* revoked homes, for O(1) dedup *)
+  w_index : int Itbl.t;  (* home block -> slot in w_slots *)
+  r_index : unit Itbl.t;  (* revoked homes, for O(1) dedup *)
   mutable r_rev : int list;  (* revoked homes, newest first *)
 }
 
@@ -59,14 +60,14 @@ let txn_push txn home data =
     txn.w_slots <- grown
   end;
   txn.w_slots.(txn.w_len) <- (home, data);
-  Hashtbl.replace txn.w_index home txn.w_len;
+  Itbl.replace txn.w_index home txn.w_len;
   txn.w_len <- txn.w_len + 1
 
 let txn_reset txn =
   txn.w_len <- 0;
   txn.w_slots <- [||];
-  Hashtbl.reset txn.w_index;
-  Hashtbl.reset txn.r_index;
+  Itbl.reset txn.w_index;
+  Itbl.reset txn.r_index;
   txn.r_rev <- []
 
 let txn_revoked txn = List.rev txn.r_rev
@@ -178,8 +179,8 @@ let begin_txn t =
   {
     w_slots = [||];
     w_len = 0;
-    w_index = Hashtbl.create 32;
-    r_index = Hashtbl.create 8;
+    w_index = Itbl.create 32;
+    r_index = Itbl.create 8;
     r_rev = [];
   }
 
@@ -193,34 +194,34 @@ let begin_txn t =
    transaction. *)
 let txn_write txn blk data =
   if Bytes.length data <> Layout.block_size then invalid_arg "Journal.txn_write: not a full block";
-  if Hashtbl.mem txn.r_index blk then begin
-    Hashtbl.remove txn.r_index blk;
+  if Itbl.mem txn.r_index blk then begin
+    Itbl.remove txn.r_index blk;
     txn.r_rev <- List.filter (fun b -> b <> blk) txn.r_rev
   end;
   (* Supersede an earlier buffered write to the same block: overwrite the
      slot in place, preserving first-write order. *)
-  match Hashtbl.find_opt txn.w_index blk with
+  match Itbl.find_opt txn.w_index blk with
   | Some slot -> txn.w_slots.(slot) <- (blk, data)
   | None -> txn_push txn blk data
 
 (* Drop [blk]'s buffered write, closing the gap so first-write order
    holds for the rest. *)
 let txn_forget txn blk =
-  match Hashtbl.find_opt txn.w_index blk with
+  match Itbl.find_opt txn.w_index blk with
   | None -> ()
   | Some slot ->
-      Hashtbl.remove txn.w_index blk;
+      Itbl.remove txn.w_index blk;
       for i = slot + 1 to txn.w_len - 1 do
         let ((home, _) as w) = txn.w_slots.(i) in
         txn.w_slots.(i - 1) <- w;
-        Hashtbl.replace txn.w_index home (i - 1)
+        Itbl.replace txn.w_index home (i - 1)
       done;
       txn.w_len <- txn.w_len - 1;
       txn.w_slots.(txn.w_len) <- (0, Bytes.empty)
 
 let txn_revoke txn blk =
-  if not (Hashtbl.mem txn.r_index blk) then begin
-    Hashtbl.replace txn.r_index blk ();
+  if not (Itbl.mem txn.r_index blk) then begin
+    Itbl.replace txn.r_index blk ();
     txn.r_rev <- blk :: txn.r_rev
   end
 

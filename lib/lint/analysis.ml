@@ -114,6 +114,13 @@ let field_name ~aliases ~unit (lbl : Types.label_description) =
       Some (resolve_path ~aliases ~unit p ^ "." ^ lbl.Types.lbl_name)
   | _ -> None
 
+(* The path a module expression names, through coercions. *)
+let rec module_path ~aliases ~unit (me : Typedtree.module_expr) =
+  match me.Typedtree.mod_desc with
+  | Typedtree.Tmod_ident (p, _) -> Some (resolve_path ~aliases ~unit p)
+  | Typedtree.Tmod_constraint (m, _, _, _) -> module_path ~aliases ~unit m
+  | _ -> None
+
 (* ---- attributes ---- *)
 
 let attr_string (a : Parsetree.attribute) =
@@ -142,14 +149,21 @@ let lint_exempt_scopes attrs =
 
 (* ---- stdlib mutators/readers of mutable containers ---- *)
 
+(* The hash tables: the generic [Stdlib.Hashtbl], the project's int and
+   name tables ([Rae_util.Tbl]), and any toplevel [Hashtbl.Make]
+   instance, whose functions the walk names "Stdlib.Hashtbl.Make.f". *)
+let table_modules = [ "Stdlib.Hashtbl"; "Rae_util.Tbl.Int"; "Rae_util.Tbl.Str"; "Stdlib.Hashtbl.Make" ]
+
+let table_fns fns =
+  List.concat_map (fun m -> List.map (fun (f, i) -> (m ^ "." ^ f, i)) fns) table_modules
+
 (* fn name -> argument index holding the mutated / read container.
    [Stdlib.!] doubles as the unwrapping step for [!cell.(i) <- v]. *)
 let mutator_table =
-  [
+  table_fns
+    [ ("replace", 0); ("add", 0); ("remove", 0); ("reset", 0); ("clear", 0); ("filter_map_inplace", 1) ]
+  @ [
     ("Stdlib.:=", 0); ("Stdlib.incr", 0); ("Stdlib.decr", 0);
-    ("Stdlib.Hashtbl.replace", 0); ("Stdlib.Hashtbl.add", 0); ("Stdlib.Hashtbl.remove", 0);
-    ("Stdlib.Hashtbl.reset", 0); ("Stdlib.Hashtbl.clear", 0);
-    ("Stdlib.Hashtbl.filter_map_inplace", 1);
     ("Stdlib.Buffer.add_char", 0); ("Stdlib.Buffer.add_string", 0);
     ("Stdlib.Buffer.add_bytes", 0); ("Stdlib.Buffer.add_subbytes", 0);
     ("Stdlib.Buffer.clear", 0); ("Stdlib.Buffer.reset", 0); ("Stdlib.Buffer.truncate", 0);
@@ -166,11 +180,13 @@ let mutator_table =
   [@@ocamlformat "disable"]
 
 let reader_table =
-  [
+  table_fns
+    [
+      ("find", 0); ("find_opt", 0); ("find_all", 0); ("mem", 0); ("length", 0); ("iter", 1);
+      ("fold", 1); ("copy", 0); ("to_seq", 0);
+    ]
+  @ [
     ("Stdlib.!", 0);
-    ("Stdlib.Hashtbl.find", 0); ("Stdlib.Hashtbl.find_opt", 0); ("Stdlib.Hashtbl.find_all", 0);
-    ("Stdlib.Hashtbl.mem", 0); ("Stdlib.Hashtbl.length", 0); ("Stdlib.Hashtbl.iter", 1);
-    ("Stdlib.Hashtbl.fold", 1); ("Stdlib.Hashtbl.copy", 0); ("Stdlib.Hashtbl.to_seq", 0);
     ("Stdlib.Buffer.contents", 0); ("Stdlib.Buffer.length", 0); ("Stdlib.Buffer.to_bytes", 0);
     ("Stdlib.Buffer.nth", 0); ("Stdlib.Buffer.sub", 0);
     ("Stdlib.Queue.length", 0); ("Stdlib.Queue.peek", 0); ("Stdlib.Queue.peek_opt", 0);
@@ -186,12 +202,14 @@ let reader_table =
   ]
   [@@ocamlformat "disable"]
 
-let allocator_kind (e : Typedtree.expression) =
+let allocator_kind ~aliases ~unit (e : Typedtree.expression) =
   match e.Typedtree.exp_desc with
   | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, _) -> (
-      match Path.name p with
+      match resolve_path ~aliases ~unit p with
       | "Stdlib.ref" -> Some "ref"
-      | "Stdlib.Hashtbl.create" -> Some "hashtbl"
+      | "Stdlib.Hashtbl.create" | "Rae_util.Tbl.Str.create" | "Stdlib.Hashtbl.Make.create" ->
+          Some "hashtbl"
+      | "Rae_util.Tbl.Int.create" -> Some "int-table"
       | "Stdlib.Buffer.create" -> Some "buffer"
       | "Stdlib.Queue.create" -> Some "queue"
       | "Stdlib.Atomic.make" -> Some "atomic"
@@ -535,7 +553,7 @@ let analyze_unit ~unit ~source (str : Typedtree.structure) =
             in
             let d = get_def (unit ^ "." ^ name) loc in
             if name <> "%init" then
-              (match allocator_kind vb.Typedtree.vb_expr with
+              (match allocator_kind ~aliases ~unit vb.Typedtree.vb_expr with
               | Some kind -> d.d_cell <- Some kind
               | None -> ());
             with_def d vb.Typedtree.vb_attributes (fun () ->
@@ -545,6 +563,12 @@ let analyze_unit ~unit ~source (str : Typedtree.structure) =
         (match (mb.Typedtree.mb_id, mb.Typedtree.mb_expr.Typedtree.mod_desc) with
         | Some id, Typedtree.Tmod_ident (p, _) ->
             Hashtbl.replace aliases (Ident.name id) (resolve_path ~aliases ~unit p)
+        | Some id, Typedtree.Tmod_apply (f, _, _)
+          when Option.equal String.equal (module_path ~aliases ~unit f) (Some "Stdlib.Hashtbl.Make")
+          ->
+            (* A [Hashtbl.Make] instance: its functions are read as the
+               functor's, so the container tables above apply to them. *)
+            Hashtbl.replace aliases (Ident.name id) "Stdlib.Hashtbl.Make"
         | _ -> ());
         Tast_iterator.default_iterator.structure_item sub si
     | Typedtree.Tstr_attribute a ->

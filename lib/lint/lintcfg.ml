@@ -31,6 +31,10 @@ type t = {
   exempt_units : string list;
       (* normalized unit-name prefixes exempt from the partial-call and
          swallow rules (test executables and the like). *)
+  poly_hash_units : string list;
+      (* normalized unit-name prefixes on the serving path, where the
+         polymorphic [Stdlib.Hashtbl] functions and [Hashtbl.hash] are
+         findings (rule poly-hash): their tables use [Rae_util.Tbl]. *)
   (* ---- persistence-ordering typestate (rule persist-order) ---- *)
   persist_raw_sinks : string list;
       (* raw (journal-bypassing) block-write value paths *)
@@ -186,6 +190,11 @@ let default =
         ("Stdlib.Hashtbl.find", "Hashtbl.find_opt, or handle Not_found at the call site");
       ];
     exempt_units = [ "Dune.exe" ];
+    (* Fsck, the spec, the crash engine and the lint keep the generic
+       tables: they are off the serving path, and fsck's finding order is
+       part of its messages. *)
+    poly_hash_units =
+      [ "Rae_basefs."; "Rae_shadowfs."; "Rae_journal."; "Rae_cache."; "Rae_srv."; "Rae_core." ];
     (* Raw block writes: everything that reaches the medium without going
        through the journal's transaction protocol. *)
     persist_raw_sinks =

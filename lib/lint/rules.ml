@@ -28,7 +28,11 @@
                         structures, where structural compare hides
                         format bugs.
    8. partial-call    — no partial stdlib calls (List.hd, Option.get,
-                        unhandled Hashtbl.find) in library code. *)
+                        unhandled Hashtbl.find) in library code.
+   9. poly-hash       — no polymorphic [Stdlib.Hashtbl] table function
+                        and no [Hashtbl.hash] on the serving path, where
+                        caml_hash and compare_val cost more than the
+                        lookup (the tables use [Rae_util.Tbl]). *)
 
 let rule_purity = "shadow-purity"
 let rule_swallow = "no-swallow"
@@ -38,11 +42,12 @@ let rule_phase = Order.phase_rule_name
 let rule_layering = "layering"
 let rule_polycmp = "poly-compare"
 let rule_partial = "partial-call"
+let rule_polyhash = "poly-hash"
 
 let all_rules =
   [
     rule_purity; rule_swallow; rule_persist; rule_domain; rule_phase; rule_layering; rule_polycmp;
-    rule_partial;
+    rule_partial; rule_polyhash;
   ]
 
 let finding ~rule ~file ~line ~key message =
@@ -248,6 +253,37 @@ let partial (cfg : Lintcfg.t) analyses =
     analyses;
   List.rev !findings
 
+(* ---- 9. polymorphic hash tables on the serving path ---- *)
+
+(* Every value of [Stdlib.Hashtbl] outside its functors: the generic
+   table functions, which hash with caml_hash and compare keys with
+   compare_val, and the hashes themselves.  A [Hashtbl.Make] instance's
+   functions read as "Stdlib.Hashtbl.Make.f" (Analysis). *)
+let is_poly_hash path =
+  String.starts_with ~prefix:"Stdlib.Hashtbl." path
+  && not (String.starts_with ~prefix:"Stdlib.Hashtbl.Make" path)
+
+let polyhash (cfg : Lintcfg.t) analyses =
+  let findings = ref [] in
+  List.iter
+    (fun (a : Analysis.unit_analysis) ->
+      if List.exists (fun p -> Lintcfg.unit_matches p a.Analysis.a_unit) cfg.Lintcfg.poly_hash_units
+      then
+        List.iter
+          (fun (h : Analysis.ident_hit) ->
+            if is_poly_hash h.Analysis.h_path then
+              findings :=
+                finding ~rule:rule_polyhash ~file:h.Analysis.h_loc.Analysis.l_file
+                  ~line:h.Analysis.h_loc.Analysis.l_line ~key:h.Analysis.h_path
+                  (Printf.sprintf
+                     "polymorphic %s on the serving path; use Rae_util.Tbl.Int, Rae_util.Tbl.Str \
+                      or Hashtbl.Make over a monomorphic equal and hash"
+                     h.Analysis.h_path)
+                :: !findings)
+          a.Analysis.a_idents)
+    analyses;
+  List.rev !findings
+
 let run (cfg : Lintcfg.t) (units : Cmt_load.unit_info list) analyses graph (eff : Effects.t)
     (domain : Domsafety.region_report list) =
   purity cfg analyses eff
@@ -258,3 +294,4 @@ let run (cfg : Lintcfg.t) (units : Cmt_load.unit_info list) analyses graph (eff 
   @ layering cfg units
   @ polycmp cfg analyses
   @ partial cfg analyses
+  @ polyhash cfg analyses

@@ -1,15 +1,16 @@
 module Device = Rae_block.Device
+module Itbl = Rae_util.Tbl.Int
 
 type t = {
   dev : Device.t;  (* read-only *)
-  blocks : (int, bytes) Hashtbl.t;
+  blocks : bytes Itbl.t;
   mutable device_reads : int;
 }
 
-let create dev = { dev = Device.read_only dev; blocks = Hashtbl.create 64; device_reads = 0 }
+let create dev = { dev = Device.read_only dev; blocks = Itbl.create 64; device_reads = 0 }
 
 let read t blk =
-  match Hashtbl.find_opt t.blocks blk with
+  match Itbl.find_opt t.blocks blk with
   | Some b -> Bytes.copy b
   | None ->
       t.device_reads <- t.device_reads + 1;
@@ -23,10 +24,10 @@ let write t blk data =
     invalid_arg (Printf.sprintf "Overlay.write: block %d out of range" blk);
   if Bytes.length data <> Device.block_size t.dev then
     invalid_arg "Overlay.write: wrong block size";
-  Hashtbl.replace t.blocks blk data
+  Itbl.replace t.blocks blk data
 
 let view t blk f =
-  match Hashtbl.find_opt t.blocks blk with
+  match Itbl.find_opt t.blocks blk with
   | Some stored -> f stored
   | None ->
       t.device_reads <- t.device_reads + 1;
@@ -35,7 +36,7 @@ let view t blk f =
 let rmw t blk f =
   if blk < 0 || blk >= Device.nblocks t.dev then
     invalid_arg (Printf.sprintf "Overlay.rmw: block %d out of range" blk);
-  match Hashtbl.find_opt t.blocks blk with
+  match Itbl.find_opt t.blocks blk with
   | Some stored -> ignore (f stored : bool)
   | None ->
       t.device_reads <- t.device_reads + 1;
@@ -43,13 +44,13 @@ let rmw t blk f =
          the overlay — but only if [f] actually changed it; an untouched
          block must not show up in the dirty set. *)
       let b = Device.read t.dev blk in
-      if f b then Hashtbl.add t.blocks blk b
+      if f b then Itbl.replace t.blocks blk b
 
-let mem t blk = Hashtbl.mem t.blocks blk
+let mem t blk = Itbl.mem t.blocks blk
 
 let dirty t =
-  Hashtbl.fold (fun blk data acc -> (blk, data) :: acc) t.blocks []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  Itbl.fold (fun blk data acc -> (blk, data) :: acc) t.blocks []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let dirty_count t = Hashtbl.length t.blocks
+let dirty_count t = Itbl.length t.blocks
 let reads_from_device t = t.device_reads

@@ -1,6 +1,8 @@
 open Rae_vfs
 open Rae_format
 module Device = Rae_block.Device
+module Tbl = Rae_util.Tbl
+module Itbl = Rae_util.Tbl.Int
 
 exception Violation of string
 
@@ -10,21 +12,37 @@ let default_config = { checks = true; max_fds = 1024; fast_paths = true }
 
 type fdinfo = { fino : Types.ino; fflags : Types.open_flags }
 
-(* In-memory index over one directory's dirent blocks: name -> entry, plus
-   a memoized sorted name listing for readdir.  Built lazily from the
-   (validated) blocks, then maintained incrementally by the dirent
-   mutators, and dropped whenever the directory's inode is freed.
+(* In-memory index over one directory's dirent blocks: name -> entry and
+   the logical directory block holding its slot (so removal touches
+   exactly one block), plus a memoized sorted name listing for readdir.
+   Built lazily from the (validated) blocks, then maintained
+   incrementally by the dirent mutators, and dropped whenever the
+   directory's inode is freed.
 
-   [loc] maps each name to the logical directory block holding its slot,
-   so removal touches exactly one block.  [free_hint] bounds the insert
-   scan: every dir block strictly below it is known to have no free slot
-   (inserts advance it past blocks they found full; removals lower it). *)
+   [free_hint] bounds the insert scan: every dir block strictly below it
+   is known to have no free slot (inserts advance it past blocks they
+   found full; removals lower it). *)
+type located = { entry : Dirent.entry; block : int }
+
 type dir_index = {
-  by_name : (string, Dirent.entry) Hashtbl.t;
-  loc : (string, int) Hashtbl.t;
+  names : located Tbl.Str.t;
   mutable free_hint : int;
   mutable sorted : string list option;
 }
+
+(* The resolution cache's key: the path's components and [follow_last],
+   hashed component by component. *)
+module Rcache = Hashtbl.Make (struct
+  type t = string list * bool
+
+  let equal (p1, f1) (p2, f2) = Bool.equal f1 f2 && List.equal String.equal p1 p2
+
+  let rec hash_path h = function
+    | [] -> h
+    | c :: rest -> hash_path (Tbl.hash_int (h lxor Tbl.hash_string c)) rest
+
+  let hash (p, f) = hash_path (Bool.to_int f) p
+end)
 
 type t = {
   ov : Overlay.t;
@@ -34,8 +52,8 @@ type t = {
   mutable sb : Superblock.t;
   ibm : Bitmap.t;
   bbm : Bitmap.t;
-  fds : (int, fdinfo) Hashtbl.t;
-  orphans : (int, unit) Hashtbl.t;
+  fds : fdinfo Itbl.t;
+  orphans : unit Itbl.t;
   mutable time : int64;
   mutable nchecks : int;
   (* Fast-path state (all bypassed when [cfg.fast_paths] is false).
@@ -50,9 +68,9 @@ type t = {
      and summary checks to the end of the window ([sb_dirty],
      [ibm_dirty], [bbm_dirty] track what is pending). *)
   mutable gen : int;
-  icache : (int, Inode.t) Hashtbl.t;
-  dcache : (int, dir_index) Hashtbl.t;
-  rcache : (string list * bool, int * int) Hashtbl.t;
+  icache : Inode.t Itbl.t;
+  dcache : dir_index Itbl.t;
+  rcache : (int * int) Rcache.t;
   mutable ino_hint : int;
   mutable fd_hint : int;
   mutable batch : bool;
@@ -87,14 +105,14 @@ let mk_t ov reader config ~ibm ~bbm =
     sb = reader.Reader.sb;
     ibm;
     bbm;
-    fds = Hashtbl.create 64;
-    orphans = Hashtbl.create 16;
+    fds = Itbl.create 64;
+    orphans = Itbl.create 16;
     time = reader.Reader.sb.Superblock.fs_time;
     nchecks = 0;
     gen = 0;
-    icache = Hashtbl.create 256;
-    dcache = Hashtbl.create 64;
-    rcache = Hashtbl.create 256;
+    icache = Itbl.create 64;
+    dcache = Itbl.create 64;
+    rcache = Rcache.create 256;
     ino_hint = 1;
     fd_hint = 0;
     batch = false;
@@ -195,11 +213,11 @@ let read_inode_slow t ino =
 let read_inode t ino =
   if not t.cfg.fast_paths then read_inode_slow t ino
   else
-    match Hashtbl.find_opt t.icache ino with
+    match Itbl.find_opt t.icache ino with
     | Some inode -> inode
     | None ->
         let inode = read_inode_slow t ino in
-        Hashtbl.replace t.icache ino inode;
+        Itbl.replace t.icache ino inode;
         inode
 
 let write_inode t ino inode =
@@ -207,7 +225,7 @@ let write_inode t ino inode =
   Overlay.rmw t.ov blk (fun b ->
       Inode.encode inode ~ino b ~pos;
       true);
-  if t.cfg.fast_paths then Hashtbl.replace t.icache ino inode
+  if t.cfg.fast_paths then Itbl.replace t.icache ino inode
 
 let clear_inode_slot t ino =
   let blk, pos = Layout.inode_location t.geo ino in
@@ -243,8 +261,8 @@ let free_ino t ino =
   | Ok () -> ()
   | Error msg -> violation "inode free: %s" msg);
   if ino < t.ino_hint then t.ino_hint <- ino;
-  Hashtbl.remove t.icache ino;
-  Hashtbl.remove t.dcache ino;
+  Itbl.remove t.icache ino;
+  Itbl.remove t.dcache ino;
   bump_gen t;
   t.sb <- { t.sb with Superblock.free_inodes = t.sb.Superblock.free_inodes + 1 };
   clear_inode_slot t ino;
@@ -508,33 +526,31 @@ let dir_list t inode =
    by [dir_entries_of_block] at build time; afterwards they only change
    through the mutators below, each of which updates the index in step. *)
 let dir_index t ~dino dinode =
-  match Hashtbl.find_opt t.dcache dino with
+  match Itbl.find_opt t.dcache dino with
   | Some ix -> ix
   | None ->
-      (* The blocks are decoded in place, and both tables are sized for
-         the entries they will hold, so the build neither copies a block
-         nor resizes a table. *)
+      (* The blocks are decoded in place, and the table is sized for the
+         entries it will hold, so the build neither copies a block nor
+         resizes a table. *)
       let blocks =
         List.init (dir_nblocks dinode) (fun idx ->
             Overlay.view t.ov (dir_phys t dinode idx) (dir_entries_of_block t))
       in
       let count = List.fold_left (fun acc es -> acc + List.length es) 0 blocks in
-      let by_name = Hashtbl.create count in
-      let loc = Hashtbl.create count in
+      let names = Tbl.Str.create count in
       List.iteri
-        (fun idx es ->
-          List.iter
-            (fun e ->
-              Hashtbl.replace by_name e.Dirent.name e;
-              Hashtbl.replace loc e.Dirent.name idx)
-            es)
+        (fun block es ->
+          List.iter (fun e -> Tbl.Str.replace names e.Dirent.name { entry = e; block }) es)
         blocks;
-      let ix = { by_name; loc; free_hint = 0; sorted = None } in
-      Hashtbl.replace t.dcache dino ix;
+      let ix = { names; free_hint = 0; sorted = None } in
+      Itbl.replace t.dcache dino ix;
       ix
 
 let dir_find t ~dino dinode name =
-  if t.cfg.fast_paths then Hashtbl.find_opt (dir_index t ~dino dinode).by_name name
+  if t.cfg.fast_paths then
+    match Tbl.Str.find (dir_index t ~dino dinode).names name with
+    | l -> Some l.entry
+    | exception Not_found -> None
   else dir_scan_find t dinode name
 
 let dir_is_empty t ~dino dinode =
@@ -542,9 +558,9 @@ let dir_is_empty t ~dino dinode =
     let exception Nonempty in
     let ix = dir_index t ~dino dinode in
     try
-      Hashtbl.iter
+      Tbl.Str.iter
         (fun name _ -> if name <> "." && name <> ".." then raise Nonempty)
-        ix.by_name;
+        ix.names;
       true
     with Nonempty -> false
   end
@@ -559,10 +575,10 @@ let dir_names t ~dino dinode =
     | Some names -> names
     | None ->
         let names =
-          Hashtbl.fold
+          Tbl.Str.fold
             (fun name _ acc -> if name = "." || name = ".." then acc else name :: acc)
-            ix.by_name []
-          |> List.sort compare
+            ix.names []
+          |> List.sort String.compare
         in
         ix.sorted <- Some names;
         names
@@ -573,23 +589,24 @@ let dir_names t ~dino dinode =
            if e.Dirent.name = "." || e.Dirent.name = ".." then None else Some e.Dirent.name)
     |> List.sort compare
 
-(* Index maintenance for the dirent mutators: keep [by_name] in step when
+(* Index maintenance for the dirent mutators: keep [names] in step when
    an index exists (else it will be rebuilt lazily from the blocks), and
-   always bump the namespace generation. *)
-let note_entry_added t ~dino entry =
+   always bump the namespace generation.  [block] is the logical
+   directory block that holds the entry's slot. *)
+let note_entry_added t ~dino ~block entry =
   bump_gen t;
-  match Hashtbl.find_opt t.dcache dino with
+  match Itbl.find_opt t.dcache dino with
   | None -> ()
   | Some ix ->
-      Hashtbl.replace ix.by_name entry.Dirent.name entry;
+      Tbl.Str.replace ix.names entry.Dirent.name { entry; block };
       ix.sorted <- None
 
 let note_entry_removed t ~dino name =
   bump_gen t;
-  match Hashtbl.find_opt t.dcache dino with
+  match Itbl.find_opt t.dcache dino with
   | None -> ()
   | Some ix ->
-      Hashtbl.remove ix.by_name name;
+      Tbl.Str.remove ix.names name;
       ix.sorted <- None
 
 (* Insert an entry, growing the directory by one block if necessary.
@@ -600,13 +617,6 @@ let note_entry_removed t ~dino name =
 let dir_insert t ~dino dinode ~name ~ino ~kind_code =
   let n = dir_nblocks dinode in
   let ix = if t.cfg.fast_paths then Some (dir_index t ~dino dinode) else None in
-  let placed idx =
-    match ix with
-    | Some ix ->
-        ix.free_hint <- idx;
-        Hashtbl.replace ix.loc name idx
-    | None -> ()
-  in
   let rec try_existing idx =
     if idx >= n then None
     else begin
@@ -615,33 +625,31 @@ let dir_insert t ~dino dinode ~name ~ino ~kind_code =
       Overlay.rmw t.ov phys (fun b ->
           inserted := Dirent.insert b ~name ~ino ~kind_code;
           !inserted);
-      if !inserted then begin
-        placed idx;
-        Some dinode
-      end
-      else try_existing (idx + 1)
+      if !inserted then Some idx else try_existing (idx + 1)
     end
   in
-  let noted r =
-    if Result.is_ok r then note_entry_added t ~dino { Dirent.ino; kind_code; name };
+  let noted block r =
+    if Result.is_ok r then begin
+      (match ix with Some ix -> ix.free_hint <- block | None -> ());
+      note_entry_added t ~dino ~block { Dirent.ino; kind_code; name }
+    end;
     r
   in
   let start = match ix with Some ix -> min ix.free_hint n | None -> 0 in
   match try_existing start with
-  | Some dinode -> noted (Ok dinode)
+  | Some idx -> noted idx (Ok dinode)
   | None ->
       let b = Dirent.empty_block () in
       if not (Dirent.insert b ~name ~ino ~kind_code) then violation "empty dir block refused insert";
-      noted
+      noted n
         (Result.bind (alloc_block ~fresh:b t) (fun blk ->
              Result.map
-               (fun dinode ->
-                 placed n;
-                 { dinode with Inode.size = dinode.Inode.size + Layout.block_size })
+               (fun dinode -> { dinode with Inode.size = dinode.Inode.size + Layout.block_size })
                (set_block t dinode n blk)))
 
-(* Remove an entry.  On the fast path [loc] names the one block holding
-   the slot; the full scan remains as the naive path and as a fallback. *)
+(* Remove an entry.  On the fast path the index names the one block
+   holding the slot; the full scan remains as the naive path and as a
+   fallback. *)
 let dir_remove t ~dino dinode ~name =
   let n = dir_nblocks dinode in
   let remove_at idx =
@@ -658,8 +666,8 @@ let dir_remove t ~dino dinode ~name =
   let removed_at =
     let located =
       if t.cfg.fast_paths then
-        match Hashtbl.find_opt (dir_index t ~dino dinode).loc name with
-        | Some idx when remove_at idx -> Some idx
+        match Tbl.Str.find_opt (dir_index t ~dino dinode).names name with
+        | Some l when remove_at l.block -> Some l.block
         | _ -> None
       else None
     in
@@ -676,7 +684,6 @@ let dir_remove t ~dino dinode ~name =
   | Some idx ->
       (if t.cfg.fast_paths then begin
          let ix = dir_index t ~dino dinode in
-         Hashtbl.remove ix.loc name;
          if idx < ix.free_hint then ix.free_hint <- idx
        end);
       note_entry_removed t ~dino name;
@@ -689,7 +696,7 @@ let dir_set_dotdot t ~dino dinode ~parent =
       set := Dirent.set_entry_ino b ".." parent;
       !set);
   if not !set then violation "directory has no \"..\" entry";
-  note_entry_added t ~dino { Dirent.ino = parent; kind_code = dir_kind_code; name = ".." }
+  note_entry_added t ~dino ~block:0 { Dirent.ino = parent; kind_code = dir_kind_code; name = ".." }
 
 (* ---- path resolution (from the root, with a generation-guarded cache) ---- *)
 
@@ -732,14 +739,14 @@ let rec walk t ino components ~follow_last ~budget =
 let resolve t path ~follow_last =
   if not t.cfg.fast_paths then walk t Types.root_ino path ~follow_last ~budget:Types.max_symlink_depth
   else
-    match Hashtbl.find_opt t.rcache (path, follow_last) with
+    match Rcache.find_opt t.rcache (path, follow_last) with
     | Some (ino, g) when g = t.gen -> Ok ino
     | Some _ | None -> (
         let r = walk t Types.root_ino path ~follow_last ~budget:Types.max_symlink_depth in
         match r with
         | Ok ino ->
-            if Hashtbl.length t.rcache > 512 then Hashtbl.reset t.rcache;
-            Hashtbl.replace t.rcache (path, follow_last) (ino, t.gen);
+            if Rcache.length t.rcache > 512 then Rcache.reset t.rcache;
+            Rcache.replace t.rcache (path, follow_last) (ino, t.gen);
             r
         | Error _ -> r)
 
@@ -770,17 +777,16 @@ let rec dir_within t ~dir ?(steps = 0) ino =
    [close] lowers the hint; [install_fd] only adds, which cannot break
    the invariant. *)
 let alloc_fd t =
-  let rec go i = if Hashtbl.mem t.fds i then go (i + 1) else i in
+  let rec go i = if Itbl.mem t.fds i then go (i + 1) else i in
   let fd = go (if t.cfg.fast_paths then max 0 t.fd_hint else 0) in
   t.fd_hint <- fd;
   fd
 
-(* Early exit on the first hit — the old [Hashtbl.fold] kept scanning the
-   whole table after finding one. *)
+(* Early exit on the first hit. *)
 let fd_refs t ino =
   let exception Found in
   try
-    Hashtbl.iter (fun _ f -> if f.fino = ino then raise Found) t.fds;
+    Itbl.iter (fun _ f -> if f.fino = ino then raise Found) t.fds;
     false
   with Found -> true
 
@@ -790,7 +796,7 @@ let maybe_reclaim t ino =
   if inode.Inode.nlink = 0 && not (fd_refs t ino) then begin
     let inode = shrink_blocks t inode ~keep:0 in
     ignore inode;
-    Hashtbl.remove t.orphans ino;
+    Itbl.remove t.orphans ino;
     free_ino t ino
   end
 
@@ -916,7 +922,7 @@ let unlink t path =
                   write_inode t ino { inode with Inode.nlink = inode.Inode.nlink - 1; ctime = time };
                   touch t pino ~time;
                   if inode.Inode.nlink - 1 = 0 then
-                    if fd_refs t ino then Hashtbl.replace t.orphans ino ()
+                    if fd_refs t ino then Itbl.replace t.orphans ino ()
                     else maybe_reclaim t ino;
                   finish_mutation t;
                   Ok ()
@@ -958,7 +964,7 @@ let flags_valid (f : Types.open_flags) =
 let openf t path flags =
   guard (fun () ->
       if not (flags_valid flags) then Error Errno.EINVAL
-      else if Hashtbl.length t.fds >= t.cfg.max_fds then Error Errno.EMFILE
+      else if Itbl.length t.fds >= t.cfg.max_fds then Error Errno.EMFILE
       else
         match resolve t path ~follow_last:true with
         | Ok ino ->
@@ -976,7 +982,7 @@ let openf t path flags =
                     finish_mutation t
                   end;
                   let fd = alloc_fd t in
-                  Hashtbl.replace t.fds fd { fino = ino; fflags = flags };
+                  Itbl.replace t.fds fd { fino = ino; fflags = flags };
                   Ok fd
             end
         | Error Errno.ENOENT when flags.Types.creat -> (
@@ -990,18 +996,18 @@ let openf t path flags =
                     | Error e -> Error e
                     | Ok ino ->
                         let fd = alloc_fd t in
-                        Hashtbl.replace t.fds fd { fino = ino; fflags = flags };
+                        Itbl.replace t.fds fd { fino = ino; fflags = flags };
                         Ok fd)))
         | Error e -> Error e)
 
 let close t fd =
   guard (fun () ->
-      match Hashtbl.find_opt t.fds fd with
+      match Itbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some { fino; _ } ->
-          Hashtbl.remove t.fds fd;
+          Itbl.remove t.fds fd;
           if fd < t.fd_hint then t.fd_hint <- fd;
-          if Hashtbl.mem t.orphans fino then begin
+          if Itbl.mem t.orphans fino then begin
             maybe_reclaim t fino;
             finish_mutation t
           end;
@@ -1009,7 +1015,7 @@ let close t fd =
 
 let pread t fd ~off ~len =
   guard (fun () ->
-      match Hashtbl.find_opt t.fds fd with
+      match Itbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some { fino; fflags } ->
           if not fflags.Types.rd then Error Errno.EBADF
@@ -1018,7 +1024,7 @@ let pread t fd ~off ~len =
 
 let pwrite t fd ~off data =
   guard (fun () ->
-      match Hashtbl.find_opt t.fds fd with
+      match Itbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some { fino; fflags } ->
           if not fflags.Types.wr then Error Errno.EBADF
@@ -1072,7 +1078,7 @@ let stat t path =
 
 let fstat t fd =
   guard (fun () ->
-      match Hashtbl.find_opt t.fds fd with
+      match Itbl.find_opt t.fds fd with
       | None -> Error Errno.EBADF
       | Some { fino; _ } -> Ok (stat_of t fino))
 
@@ -1149,7 +1155,7 @@ let rename t src dst =
                                   write_inode t dino
                                     { dinode with Inode.nlink = dinode.Inode.nlink - 1 };
                                   if dinode.Inode.nlink - 1 = 0 then
-                                    if fd_refs t dino then Hashtbl.replace t.orphans dino ()
+                                    if fd_refs t dino then Itbl.replace t.orphans dino ()
                                     else maybe_reclaim t dino);
                               (* Move the entry. *)
                               let spinode = read_inode t spino in
@@ -1277,7 +1283,7 @@ let chmod t path ~mode =
 (* The shadow never writes to the device, so sync operations have nothing
    to flush; real durability is the rebooted base's job (paper §3.3). *)
 let fsync t fd =
-  match Hashtbl.find_opt t.fds fd with None -> Error Errno.EBADF | Some _ -> Ok ()
+  match Itbl.find_opt t.fds fd with None -> Error Errno.EBADF | Some _ -> Ok ()
 
 let sync _t = Ok ()
 
@@ -1365,20 +1371,21 @@ let exec_constrained_window ?on_op t entries =
 
 let dirty_blocks t = Overlay.dirty t.ov
 
+(* Sorted by fd alone: fds are unique. *)
 let fd_table t =
-  Hashtbl.fold (fun fd { fino; fflags } acc -> (fd, fino, fflags) :: acc) t.fds []
-  |> List.sort compare
+  Itbl.fold (fun fd { fino; fflags } acc -> (fd, fino, fflags) :: acc) t.fds []
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
-let fd_count t = Hashtbl.length t.fds
-let fd_iter t f = Hashtbl.iter (fun fd { fino; fflags } -> f fd fino fflags) t.fds
+let fd_count t = Itbl.length t.fds
+let fd_iter t f = Itbl.iter (fun fd { fino; fflags } -> f fd fino fflags) t.fds
 
 let fd_lookup t fd =
-  match Hashtbl.find_opt t.fds fd with
+  match Itbl.find_opt t.fds fd with
   | Some { fino; fflags } -> Some (fino, fflags)
   | None -> None
 
 let install_fd t ~fd ~ino flags =
-  if Hashtbl.mem t.fds fd then Error (Printf.sprintf "fd %d already installed" fd)
+  if Itbl.mem t.fds fd then Error (Printf.sprintf "fd %d already installed" fd)
   else if not (inode_allocated t ino) then
     Error (Printf.sprintf "fd %d references unallocated inode %d" fd ino)
   else
@@ -1387,8 +1394,8 @@ let install_fd t ~fd ~ino flags =
     | Types.Directory -> Error (Printf.sprintf "fd %d references a directory" fd)
     | Types.Symlink -> Error (Printf.sprintf "fd %d references a symlink" fd)
     | Types.Regular ->
-        Hashtbl.replace t.fds fd { fino = ino; fflags = flags };
-        if inode.Inode.nlink = 0 then Hashtbl.replace t.orphans ino ();
+        Itbl.replace t.fds fd { fino = ino; fflags = flags };
+        if inode.Inode.nlink = 0 then Itbl.replace t.orphans ino ();
         Ok ()
 
 let time t = t.time

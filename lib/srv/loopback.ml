@@ -1,10 +1,11 @@
 module Vclock = Rae_util.Vclock
+module Itbl = Rae_util.Tbl.Int
 
 type t = {
   srv : Server.t;
   lb_clock : Vclock.t;
   turn_latency : int64;
-  eps : (int, endpoint) Hashtbl.t;
+  eps : endpoint Itbl.t;
   mutable order : int list;  (* link ids, connect order *)
   mutable next_link : int;
   mutable activity : bool;  (* events polled or bytes sent this turn *)
@@ -28,7 +29,7 @@ let poll t =
   let dead = ref [] in
   List.iter
     (fun link ->
-      match Hashtbl.find_opt t.eps link with
+      match Itbl.find_opt t.eps link with
       | None -> ()
       | Some ep ->
           if not ep.ep_announced then begin
@@ -47,21 +48,21 @@ let poll t =
           if ep.ep_client_closed && ep.ep_server_closed then dead := link :: !dead)
     t.order;
   if !dead <> [] then begin
-    List.iter (Hashtbl.remove t.eps) !dead;
+    List.iter (Itbl.remove t.eps) !dead;
     t.order <- List.filter (fun l -> not (List.mem l !dead)) t.order
   end;
   if !evs <> [] then t.activity <- true;
   List.rev !evs
 
 let send t link buf off len =
-  match Hashtbl.find_opt t.eps link with
+  match Itbl.find_opt t.eps link with
   | None -> ()
   | Some ep ->
       Buffer.add_subbytes ep.ep_from_server buf off len;
       t.activity <- true
 
 let close t link =
-  match Hashtbl.find_opt t.eps link with None -> () | Some ep -> ep.ep_server_closed <- true
+  match Itbl.find_opt t.eps link with None -> () | Some ep -> ep.ep_server_closed <- true
 
 module Drive = Transport.Drive (struct
   type nonrec t = t
@@ -80,7 +81,7 @@ let create ?(turn_latency_ns = 0L) ?clock srv =
       srv;
       lb_clock;
       turn_latency = turn_latency_ns;
-      eps = Hashtbl.create 16;
+      eps = Itbl.create 16;
       order = [];
       next_link = 1;
       activity = false;
@@ -127,7 +128,7 @@ let connect t =
       ep_close_announced = false;
     }
   in
-  Hashtbl.replace t.eps link ep;
+  Itbl.replace t.eps link ep;
   t.order <- t.order @ [ link ];
   ep
 

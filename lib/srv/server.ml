@@ -1,5 +1,6 @@
 open Rae_vfs
 module Controller = Rae_core.Controller
+module Itbl = Rae_util.Tbl.Int
 module Report = Rae_core.Report
 module Metrics = Rae_obs.Metrics
 
@@ -47,7 +48,7 @@ type t = {
   now : unit -> int64;
   mutable metrics_src : (unit -> string) option;  (* Prometheus text for Metrics_req *)
   mutable dispatching : (int * int * int) option;  (* (session, req, corr) mid-dispatch *)
-  conns : (int, conn) Hashtbl.t;
+  conns : conn Itbl.t;
   mutable order : int list;  (* conn ids, attach order, for round-robin *)
   mutable cursor : int;  (* rotates the round-robin start point *)
   mutable next_cid : int;
@@ -69,7 +70,7 @@ type t = {
 let attached_sessions t =
   List.filter_map
     (fun cid ->
-      match Hashtbl.find_opt t.conns cid with
+      match Itbl.find_opt t.conns cid with
       | Some conn when (not conn.closed) && conn.session <> None -> Some conn
       | _ -> None)
     t.order
@@ -122,7 +123,7 @@ let create ?(config = default_config) ?now ctl =
     now;
     metrics_src = None;
     dispatching = None;
-    conns = Hashtbl.create 32;
+    conns = Itbl.create 32;
     order = [];
     cursor = 0;
     next_cid = 1;
@@ -176,7 +177,7 @@ let open_conn t =
   let cid = t.next_cid in
   t.next_cid <- cid + 1;
   t.s_conns_total <- t.s_conns_total + 1;
-  Hashtbl.replace t.conns cid
+  Itbl.replace t.conns cid
     {
       cid;
       session = None;
@@ -295,7 +296,7 @@ let handle_frames t conn next =
   !used
 
 let feed t cid bytes =
-  match Hashtbl.find_opt t.conns cid with
+  match Itbl.find_opt t.conns cid with
   | None -> ()
   | Some conn when conn.closed -> ()
   | Some conn ->
@@ -313,10 +314,10 @@ let feed t cid bytes =
       end
 
 let drain t cid f =
-  match Hashtbl.find_opt t.conns cid with
+  match Itbl.find_opt t.conns cid with
   | None -> ()
   | Some conn ->
-      if conn.closed && Wire.pending conn.out = 0 then Hashtbl.remove t.conns cid
+      if conn.closed && Wire.pending conn.out = 0 then Itbl.remove t.conns cid
       else Wire.drain conn.out f
 
 let output t cid =
@@ -325,17 +326,17 @@ let output t cid =
   !s
 
 let has_output t cid =
-  match Hashtbl.find_opt t.conns cid with None -> false | Some conn -> Wire.pending conn.out > 0
+  match Itbl.find_opt t.conns cid with None -> false | Some conn -> Wire.pending conn.out > 0
 
 let conn_closed t cid =
-  match Hashtbl.find_opt t.conns cid with None -> true | Some conn -> conn.closed
+  match Itbl.find_opt t.conns cid with None -> true | Some conn -> conn.closed
 
 let close_conn t cid =
-  match Hashtbl.find_opt t.conns cid with
+  match Itbl.find_opt t.conns cid with
   | None -> ()
   | Some conn ->
       drop t conn;
-      if Wire.pending conn.out = 0 then Hashtbl.remove t.conns cid
+      if Wire.pending conn.out = 0 then Itbl.remove t.conns cid
 
 (* ---- dispatch ---- *)
 

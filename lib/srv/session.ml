@@ -1,4 +1,5 @@
 open Rae_vfs
+module Itbl = Rae_util.Tbl.Int
 
 type config = { max_fds : int; max_inflight : int; max_ops_per_turn : int }
 
@@ -9,7 +10,7 @@ type t = {
   config : config;
   queue : (int * int * Op.t) Queue.t;  (* req, corr, op *)
   mutable queued : int;
-  fd_map : (int, int) Hashtbl.t;  (* virtual fd -> controller fd *)
+  fd_map : int Itbl.t;  (* virtual fd -> controller fd *)
   mutable next_vfd : int;
   mutable s_last_active : int;
   mutable s_served : int;
@@ -22,7 +23,7 @@ let create ~id config =
     config;
     queue = Queue.create ();
     queued = 0;
-    fd_map = Hashtbl.create 16;
+    fd_map = Itbl.create 16;
     next_vfd = 0;
     s_last_active = 0;
     s_served = 0;
@@ -49,14 +50,14 @@ let dequeue t =
 let pending t = t.queued
 let pending_entries t = Queue.fold (fun acc (req, corr, _op) -> (req, corr) :: acc) [] t.queue |> List.rev
 
-let real_fd t vfd = Hashtbl.find_opt t.fd_map vfd
+let real_fd t vfd = Itbl.find_opt t.fd_map vfd
 
 let translate t op =
   let lookup vfd k =
     match real_fd t vfd with Some fd -> Ok (k fd) | None -> Error Errno.EBADF
   in
   match op with
-  | Op.Open _ when Hashtbl.length t.fd_map >= t.config.max_fds -> Error Errno.EMFILE
+  | Op.Open _ when Itbl.length t.fd_map >= t.config.max_fds -> Error Errno.EMFILE
   | Op.Close vfd -> lookup vfd (fun fd -> Op.Close fd)
   | Op.Pread (vfd, off, len) -> lookup vfd (fun fd -> Op.Pread (fd, off, len))
   | Op.Pwrite (vfd, off, data) -> lookup vfd (fun fd -> Op.Pwrite (fd, off, data))
@@ -67,15 +68,16 @@ let translate t op =
 let bind_fd t ~real =
   let vfd = t.next_vfd in
   t.next_vfd <- t.next_vfd + 1;
-  Hashtbl.replace t.fd_map vfd real;
+  Itbl.replace t.fd_map vfd real;
   vfd
 
-let release_fd t ~vfd = Hashtbl.remove t.fd_map vfd
+let release_fd t ~vfd = Itbl.remove t.fd_map vfd
 
 let open_fds t =
-  List.sort compare (Hashtbl.fold (fun vfd fd acc -> (vfd, fd) :: acc) t.fd_map [])
+  Itbl.fold (fun vfd fd acc -> (vfd, fd) :: acc) t.fd_map []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let fd_count t = Hashtbl.length t.fd_map
+let fd_count t = Itbl.length t.fd_map
 let touch t ~tick = t.s_last_active <- tick
 let last_active t = t.s_last_active
 let served t = t.s_served

@@ -2,11 +2,13 @@
    scheduler turn, so concurrent clients get their requests batched
    exactly as the loopback transport batches them. *)
 
+module Itbl = Rae_util.Tbl.Int
+
 type link = { fd : Unix.file_descr; wbuf : Buffer.t (* bytes the socket refused *) }
 
 type t = {
   listen_fd : Unix.file_descr;
-  links : (int, link) Hashtbl.t;
+  links : link Itbl.t;
   mutable order : int list;
   mutable next_link : int;
   mutable lost : int list;  (* dropped by a failed write; the next poll reports them *)
@@ -28,7 +30,7 @@ let create ~path ~timeout =
   Unix.set_nonblock fd;
   {
     listen_fd = fd;
-    links = Hashtbl.create 16;
+    links = Itbl.create 16;
     order = [];
     next_link = 1;
     lost = [];
@@ -37,11 +39,11 @@ let create ~path ~timeout =
   }
 
 let drop t id =
-  match Hashtbl.find_opt t.links id with
+  match Itbl.find_opt t.links id with
   | None -> ()
   | Some link ->
       (try Unix.close link.fd with Unix.Unix_error _ -> ());
-      Hashtbl.remove t.links id;
+      Itbl.remove t.links id;
       t.order <- List.filter (fun l -> l <> id) t.order
 
 let lose t id =
@@ -62,7 +64,7 @@ let flush_link t id link =
 
 let poll t =
   let live =
-    List.filter_map (fun id -> Hashtbl.find_opt t.links id |> Option.map (fun l -> (id, l))) t.order
+    List.filter_map (fun id -> Itbl.find_opt t.links id |> Option.map (fun l -> (id, l))) t.order
   in
   let rds = t.listen_fd :: List.map (fun (_, l) -> l.fd) live in
   let wrs = List.filter_map (fun (_, l) -> if Buffer.length l.wbuf > 0 then Some l.fd else None) live in
@@ -77,7 +79,7 @@ let poll t =
             Unix.set_nonblock fd;
             let id = t.next_link in
             t.next_link <- id + 1;
-            Hashtbl.replace t.links id { fd; wbuf = Buffer.create 256 };
+            Itbl.replace t.links id { fd; wbuf = Buffer.create 256 };
             t.order <- t.order @ [ id ];
             evs := Transport.Accepted id :: !evs
         | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
@@ -87,7 +89,7 @@ let poll t =
         (fun (id, link) ->
           (* A link the flush above dropped has a closed descriptor, whose
              number the accept may already have reused. *)
-          if List.memq link.fd readable && Hashtbl.mem t.links id then
+          if List.memq link.fd readable && Itbl.mem t.links id then
             match Unix.read link.fd buf 0 (Bytes.length buf) with
             | 0 ->
                 drop t id;
@@ -106,7 +108,7 @@ let poll t =
    socket refuses is copied, into the link's queue.  While the queue
    holds bytes every later slice joins it, so bytes leave in order. *)
 let send t id buf off len =
-  match Hashtbl.find_opt t.links id with
+  match Itbl.find_opt t.links id with
   | None -> ()
   | Some link when Buffer.length link.wbuf > 0 -> Buffer.add_subbytes link.wbuf buf off len
   | Some link -> (
@@ -117,5 +119,5 @@ let send t id buf off len =
       | exception Unix.Unix_error _ -> lose t id)
 
 let close t id =
-  (match Hashtbl.find_opt t.links id with Some link -> flush_link t id link | None -> ());
+  (match Itbl.find_opt t.links id with Some link -> flush_link t id link | None -> ());
   drop t id

@@ -1,4 +1,5 @@
 open Rae_vfs
+module Itbl = Rae_util.Tbl.Int
 
 type io = {
   io_send : string -> unit;
@@ -32,7 +33,7 @@ type t = {
   mutable sid : int;
   mutable next_req : int;
   mutable corr : int;  (* correlation id stamped on every Op_req; 0 = none *)
-  fds : (int, fd_rec) Hashtbl.t;  (* public fd -> record *)
+  fds : fd_rec Itbl.t;  (* public fd -> record *)
   mutable notices_rev : notice list;
   mutable n_recovered : int;
   mutable degraded_reason : string option;
@@ -115,10 +116,10 @@ let attach t io =
 let reattach_flags flags = { flags with Types.creat = false; excl = false; trunc = false }
 
 let revalidate t io =
-  let pubs = List.sort compare (Hashtbl.fold (fun pub _ acc -> pub :: acc) t.fds []) in
+  let pubs = List.sort Int.compare (Itbl.fold (fun pub _ acc -> pub :: acc) t.fds []) in
   List.iter
     (fun pub ->
-      match Hashtbl.find_opt t.fds pub with
+      match Itbl.find_opt t.fds pub with
       | None -> ()
       | Some r when r.stale -> ()
       | Some r -> (
@@ -156,7 +157,7 @@ let try_reconnect t =
 (* ---- descriptor translation ---- *)
 
 let vfd_of t pub =
-  match Hashtbl.find_opt t.fds pub with
+  match Itbl.find_opt t.fds pub with
   | Some r when not r.stale -> Ok r.vfd
   | Some _ | None -> Error Errno.EBADF
 
@@ -173,17 +174,17 @@ let translate_in t op =
    that expects open/close cycles to reuse descriptor numbers behaves as it
    would on a local filesystem. *)
 let alloc_pub t =
-  let rec go n = if Hashtbl.mem t.fds n then go (n + 1) else n in
+  let rec go n = if Itbl.mem t.fds n then go (n + 1) else n in
   go 0
 
 let translate_out t op outcome =
   match (op, outcome) with
   | Op.Open (path, flags), Ok (Op.Fd vfd) ->
       let pub = alloc_pub t in
-      Hashtbl.replace t.fds pub { vfd; fr_path = path; fr_flags = flags; stale = false };
+      Itbl.replace t.fds pub { vfd; fr_path = path; fr_flags = flags; stale = false };
       Ok (Op.Fd pub)
   | Op.Close pub, Ok Op.Unit ->
-      Hashtbl.remove t.fds pub;
+      Itbl.remove t.fds pub;
       outcome
   | _ -> outcome
 
@@ -225,11 +226,11 @@ let exec t op =
   if t.detached then Error Errno.EIO
   else
     match op with
-    | Op.Close pub when (match Hashtbl.find_opt t.fds pub with Some r -> r.stale | None -> false)
+    | Op.Close pub when (match Itbl.find_opt t.fds pub with Some r -> r.stale | None -> false)
       ->
         (* the server-side descriptor died with the old session; closing
            still frees the client slot *)
-        Hashtbl.remove t.fds pub;
+        Itbl.remove t.fds pub;
         Ok Op.Unit
     | op -> attempt t op ~busy:0 ~reconnected:0
 
@@ -248,7 +249,7 @@ let connect ?(config = default_config) ~dial () =
           sid = 0;
           next_req = 1;
           corr = 0;
-          fds = Hashtbl.create 16;
+          fds = Itbl.create 16;
           notices_rev = [];
           n_recovered = 0;
           degraded_reason = None;

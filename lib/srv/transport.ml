@@ -1,3 +1,5 @@
+module Itbl = Rae_util.Tbl.Int
+
 type event = Accepted of int | Data of int * string | Closed of int
 
 module type S = sig
@@ -12,30 +14,30 @@ module Drive (T : S) = struct
   type t = {
     transport : T.t;
     server : Server.t;
-    links : (int, int) Hashtbl.t;  (* transport link -> server conn id *)
+    links : int Itbl.t;  (* transport link -> server conn id *)
   }
 
-  let create transport server = { transport; server; links = Hashtbl.create 16 }
+  let create transport server = { transport; server; links = Itbl.create 16 }
 
   let tick d =
     List.iter
       (fun ev ->
         match ev with
-        | Accepted link -> Hashtbl.replace d.links link (Server.open_conn d.server)
+        | Accepted link -> Itbl.replace d.links link (Server.open_conn d.server)
         | Data (link, bytes) -> (
-            match Hashtbl.find_opt d.links link with
+            match Itbl.find_opt d.links link with
             | Some cid -> Server.feed d.server cid bytes
             | None -> ())
         | Closed link -> (
-            match Hashtbl.find_opt d.links link with
+            match Itbl.find_opt d.links link with
             | Some cid ->
                 Server.close_conn d.server cid;
-                Hashtbl.remove d.links link
+                Itbl.remove d.links link
             | None -> ()))
       (T.poll d.transport);
     let served = Server.step d.server in
     let dead = ref [] in
-    Hashtbl.iter
+    Itbl.iter
       (fun link cid ->
         Server.drain d.server cid (T.send d.transport link);
         if Server.conn_closed d.server cid then dead := link :: !dead)
@@ -43,7 +45,7 @@ module Drive (T : S) = struct
     List.iter
       (fun link ->
         T.close d.transport link;
-        Hashtbl.remove d.links link)
+        Itbl.remove d.links link)
       !dead;
     served
 end

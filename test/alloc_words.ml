@@ -20,3 +20,13 @@ let direct_major_words f =
 (* What one [n]-byte string takes in the heap: its bytes and at least one
    padding byte, rounded up to words, plus the header. *)
 let string_words n = (n / (Sys.word_size / 8)) + 2
+
+(* Minor words [f] allocates, net of an empty call. *)
+let minor_words f =
+  let run f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let idle = run (fun () -> ()) in
+  run f -. idle

@@ -268,6 +268,45 @@ let test_commit_allocates_no_image () =
       words image;
   ignore (ok (Base.close b fd))
 
+(* The ordered flush reaches the device in ascending block order,
+   whatever order the blocks were dirtied in: eight data blocks
+   overwritten last to first, one commit, and the data writes ahead of
+   that commit's first journal write come in ascending order. *)
+let test_ordered_data_ascending () =
+  let disk = mk_disk () in
+  let raw = Device.of_disk disk in
+  ignore (ok (Base.mkfs raw ~ninodes:256 ()));
+  let data_start =
+    (ok (Rae_format.Superblock.decode (Disk.read disk 0))).Rae_format.Superblock.geometry
+      .Layout.data_start
+  in
+  let writes = ref [] in
+  let dev =
+    {
+      raw with
+      Device.dev_write =
+        (fun blk data ->
+          writes := blk :: !writes;
+          raw.Device.dev_write blk data);
+    }
+  in
+  let b = ok (Base.mount dev) in
+  let fd = ok (Base.openf b (p "/f") Types.flags_create) in
+  ignore (ok (Base.pwrite b fd ~off:0 (String.make (8 * bs) 'a')));
+  ignore (ok (Base.fsync b fd));
+  writes := [];
+  for i = 7 downto 0 do
+    ignore (ok (Base.pwrite b fd ~off:(i * bs) (String.make bs (Char.chr (98 + i)))))
+  done;
+  ignore (ok (Base.fsync b fd));
+  let rec data_prefix = function
+    | blk :: rest when blk >= data_start -> blk :: data_prefix rest
+    | _ -> []
+  in
+  let data = data_prefix (List.rev !writes) in
+  Alcotest.(check int) "eight data writes" 8 (List.length data);
+  Alcotest.(check (list int)) "ascending" (List.sort Int.compare data) data
+
 (* A data write the device refuses fails its commit whole.  The metadata
    that points at the block must not commit without it, so [fsync]
    reports EIO and the image keeps the old size; the transaction stays,
@@ -694,6 +733,8 @@ let () =
             test_commit_allocates_no_image;
           Alcotest.test_case "a failed data write fails the commit" `Quick
             test_failed_data_write_fails_commit;
+          Alcotest.test_case "ordered data reaches the device in block order" `Quick
+            test_ordered_data_ascending;
         ] );
       ( "equivalence",
         [

@@ -1,14 +1,7 @@
 (* Tests for rae_cache: LRU, 2Q, dentry cache. *)
 
-module IntKey = struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Hashtbl.hash
-end
-
-module L = Rae_cache.Lru.Make (IntKey)
-module Q = Rae_cache.Two_q.Make (IntKey)
+module L = Rae_cache.Lru.Make (Rae_util.Tbl.Int)
+module Q = Rae_cache.Two_q.Make (Rae_util.Tbl.Int)
 module Dentry = Rae_cache.Dentry
 module Types = Rae_vfs.Types
 
@@ -182,7 +175,7 @@ let prop_twoq_find_after_put =
    re-admitted while still queued; nothing removes from the block cache,
    and without [remove] the two counts are equal.) *)
 module Ref_two_q = struct
-  module Make (K : Rae_cache.Lru.KEY) = struct
+  module Make (K : Hashtbl.HashedType) = struct
     module H = Hashtbl.Make (K)
 
     type 'v entry = { mutable value : 'v; mutable pinned : bool; where : [ `A1in | `Am ] }
@@ -364,7 +357,12 @@ module Ref_two_q = struct
   end
 end
 
-module RQ = Ref_two_q.Make (IntKey)
+module RQ = Ref_two_q.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
 
 type cache_op =
   | Put of int
@@ -476,12 +474,12 @@ let test_dentry_invalidate () =
    the reference: [invalidate_dir] folds the whole LRU for the
    directory's keys. *)
 module Ref_dentry = struct
-  module L = Rae_cache.Lru.Make (struct
+  module L = Rae_cache.Lru.Make (Hashtbl.Make (struct
     type t = int * string
 
     let equal (d1, n1) (d2, n2) = d1 = d2 && String.equal n1 n2
     let hash = Hashtbl.hash
-  end)
+  end))
 
   let create ~capacity = L.create ~capacity ()
   let find t ~dir ~name = L.find t (dir, name)

@@ -10,8 +10,9 @@ open Rae_lint
    util/obs/vfs/block/format but not the journal, Bad_impure* units are
    purity roots, and Bad_swallow.Boom is the runtime-error signal.  The
    new rule families are aimed at their fixtures too: Bad_domain_escape
-   hosts a parallel-region root and Bad_phase_order a phase marker
-   following the real declared phase order. *)
+   and Bad_table_escape host parallel-region roots, Bad_phase_order a
+   phase marker following the real declared phase order, and
+   Bad_poly_hash is the one unit on the serving path. *)
 let fixture_config =
   let d = Lintcfg.default in
   {
@@ -21,7 +22,10 @@ let fixture_config =
     purity_roots = [ "Lint_fixtures.Bad_impure" ];
     signal_exceptions = [ "Lint_fixtures.Bad_swallow.Boom" ];
     domain_regions =
-      ("fixture-fold", [ "Lint_fixtures.Bad_domain_escape.fold_entry" ]) :: d.Lintcfg.domain_regions;
+      ("fixture-fold", [ "Lint_fixtures.Bad_domain_escape.fold_entry" ])
+      :: ("fixture-table", [ "Lint_fixtures.Bad_table_escape.fold_entry" ])
+      :: d.Lintcfg.domain_regions;
+    poly_hash_units = [ "Lint_fixtures.Bad_poly_hash" ];
     phase_protocols =
       ("Lint_fixtures.Bad_phase_order.phase", Lintcfg.default_phase_order) :: d.Lintcfg.phase_protocols;
   }
@@ -111,6 +115,17 @@ let test_domain_escape () =
       Alcotest.(check int) "at the unguarded write" 6 f.Finding.line
   | fs -> Alcotest.failf "expected exactly one domain-safety finding, got %d" (List.length fs)
 
+(* The int table is a container the pass follows: a region root that
+   writes a global one is an escape. *)
+let test_domain_escape_table () =
+  let r = run_fixtures () in
+  match hits "domain-safety" "bad_table_escape.ml" r with
+  | [ f ] ->
+      Alcotest.(check string) "region:cell key"
+        "fixture-table:Lint_fixtures.Bad_table_escape.seen" f.Finding.key;
+      Alcotest.(check int) "at the unguarded write" 6 f.Finding.line
+  | fs -> Alcotest.failf "expected exactly one domain-safety finding, got %d" (List.length fs)
+
 let test_domain_report () =
   let r = run_fixtures () in
   let json = Rae_obs.Jsonx.to_string (Domsafety.to_json r.Engine.domain) in
@@ -190,6 +205,16 @@ let test_partial () =
     ]
     (keys_of fs)
 
+(* ---- poly-hash ---- *)
+
+let test_poly_hash () =
+  let r = run_fixtures () in
+  let fs = hits "poly-hash" "bad_poly_hash.ml" r in
+  Alcotest.(check (list int)) "create, replace + find_opt, hash" [ 5; 7; 9 ] (lines_of fs);
+  Alcotest.(check (list string)) "generic functions named"
+    [ "Stdlib.Hashtbl.create"; "Stdlib.Hashtbl.find_opt"; "Stdlib.Hashtbl.hash"; "Stdlib.Hashtbl.replace" ]
+    (keys_of fs)
+
 (* ---- negative fixture ---- *)
 
 let test_clean_fixture () =
@@ -227,8 +252,8 @@ let test_stats_and_metrics () =
   let r = run_fixtures () in
   let s = r.Engine.stats in
   Alcotest.(check bool) "scanned some cmts" true (s.Engine.files_scanned > 0);
-  Alcotest.(check int) "all eight rules ran" 8 s.Engine.rules_run;
-  Alcotest.(check int) "by_rule covers every rule" 8 (List.length s.Engine.by_rule);
+  Alcotest.(check int) "all nine rules ran" 9 s.Engine.rules_run;
+  Alcotest.(check int) "by_rule covers every rule" 9 (List.length s.Engine.by_rule);
   let registry = Rae_obs.Metrics.create () in
   Engine.register_obs registry s;
   let prom = Rae_obs.Metrics.to_prometheus registry in
@@ -289,6 +314,8 @@ let () =
           Alcotest.test_case "persist-order journal bypass" `Quick test_persist_bypass;
           Alcotest.test_case "persist-order destage/flush reorder" `Quick test_persist_destage_order;
           Alcotest.test_case "domain-safety escape" `Quick test_domain_escape;
+          Alcotest.test_case "domain-safety escape through an int table" `Quick
+            test_domain_escape_table;
           Alcotest.test_case "domain-safety report" `Quick test_domain_report;
           Alcotest.test_case "phase-order" `Quick test_phase_order;
           Alcotest.test_case "phase order pinned to controller" `Quick
@@ -296,6 +323,7 @@ let () =
           Alcotest.test_case "layering" `Quick test_layering;
           Alcotest.test_case "poly-compare" `Quick test_poly_compare;
           Alcotest.test_case "partial-call" `Quick test_partial;
+          Alcotest.test_case "poly-hash" `Quick test_poly_hash;
           Alcotest.test_case "clean fixture" `Quick test_clean_fixture;
         ] );
       ( "baseline",

@@ -639,6 +639,71 @@ let test_failstop_bundle () =
   Alcotest.(check bool) "failed recovery-end recorded" true
     (List.exists (function Events.Recovery_end { ok = false; _ } -> true | _ -> false) bodies)
 
+(* The recovery span ends before the bundle is written: a recovered
+   bundle and a fail-stop bundle each hold the recovery's span-end, the
+   ring's spans stay balanced with a tracer attached, and the tracer's
+   stack is empty afterwards. *)
+let test_bundles_hold_recovery_span_end () =
+  let check_bundle ctl events tracer ~kind =
+    (match Controller.bundles ctl with
+    | [ path ] ->
+        let json = Jsonx.parse_exn (Result.get_ok (Blackbox.read_file path)) in
+        let span_ends =
+          List.filter
+            (fun e ->
+              Jsonx.(Option.bind (member "kind" e) to_str_opt) = Some "span-end"
+              && Jsonx.(Option.bind (member "span" e) to_str_opt) = Some "recovery")
+            (Option.value ~default:[] Jsonx.(Option.bind (member "events" json) to_list_opt))
+        in
+        if List.length span_ends <> 1 then
+          Alcotest.failf "%s bundle holds %d recovery span-ends" kind (List.length span_ends)
+    | l -> Alcotest.failf "expected exactly one %s bundle, got %d" kind (List.length l));
+    let depth =
+      List.fold_left
+        (fun depth e ->
+          match e.Events.body with
+          | Events.Span_begin _ -> depth + 1
+          | Span_end { name; _ } ->
+              if depth = 0 then Alcotest.failf "%s: unbalanced end of %s" kind name;
+              depth - 1
+          | _ -> depth)
+        0 (Events.tail events)
+    in
+    Alcotest.(check int) (kind ^ ": ring spans balanced") 0 depth;
+    Alcotest.(check int) (kind ^ ": tracer stack empty") 0 (Tracer.depth tracer)
+  in
+  (* Recovered. *)
+  let ctl, tracer, events = mk_stack ~bundle_dir:(tmpdir ()) () in
+  ignore (Controller.create ctl (p "/a") ~mode:0o644);
+  ignore (Controller.create ctl (p "/boom") ~mode:0o644);
+  check_bundle ctl events tracer ~kind:"recovery";
+  (* Fail-stop: fsck refuses a corrupted root, as in [test_failstop_bundle]. *)
+  let disk =
+    Rae_block.Disk.create ~latency:Rae_block.Disk.zero_latency
+      ~block_size:Rae_format.Layout.block_size ~nblocks:4096 ()
+  in
+  let dev = Rae_block.Device.of_disk disk in
+  Result.get_ok (Base.mkfs dev ~ninodes:256 ());
+  let base = Result.get_ok (Base.mount dev) in
+  let tracer = Tracer.create () in
+  Tracer.enable tracer;
+  let events = Events.create ~capacity:256 () in
+  let ctl =
+    Controller.make ~tracer ~events ~bundle_dir:(tmpdir ()) ~run_id:"test-span-end" ~device:dev base
+  in
+  ignore (Controller.create ctl (p "/x") ~mode:0o644);
+  ignore (Controller.sync ctl);
+  let g =
+    (Result.get_ok (Rae_format.Reader.attach (fun blk -> Rae_block.Disk.read disk blk)))
+      .Rae_format.Reader.sb
+      .Rae_format.Superblock.geometry
+  in
+  Rae_block.Disk.corrupt_byte disk ~block:g.Rae_format.Layout.data_start ~offset:4 (fun _ -> '\000');
+  Rae_block.Disk.corrupt_byte disk ~block:g.Rae_format.Layout.data_start ~offset:5 (fun _ -> '\000');
+  ignore (Result.get_ok (Base.contained_reboot (Controller.base ctl)));
+  ignore (Controller.lookup ctl (p "/x"));
+  check_bundle ctl events tracer ~kind:"fail-stop"
+
 let test_blackbox_check_rejects () =
   (match Blackbox.check (Jsonx.Obj [ ("schema", Jsonx.Str "bogus/9") ]) with
   | Ok _ -> Alcotest.fail "bogus bundle must not validate"
@@ -805,6 +870,8 @@ let () =
         [
           Alcotest.test_case "recovery emits a valid bundle" `Quick test_bundle_on_recovery;
           Alcotest.test_case "fail-stop emits a FAILSTOP bundle" `Quick test_failstop_bundle;
+          Alcotest.test_case "bundles hold the recovery's span-end" `Quick
+            test_bundles_hold_recovery_span_end;
           Alcotest.test_case "checker rejects non-bundles" `Quick test_blackbox_check_rejects;
           Alcotest.test_case "structural diff" `Quick test_blackbox_diff;
         ] );

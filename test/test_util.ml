@@ -346,6 +346,153 @@ let test_vclock_pp () =
   Alcotest.(check string) "ms" "2.00ms" (s 2_000_000L);
   Alcotest.(check string) "s" "3.000s" (s 3_000_000_000L)
 
+(* ---- Tbl ---- *)
+
+type tbl_op =
+  | T_replace of int * int
+  | T_remove of int
+  | T_find of int
+  | T_mem of int
+  | T_length
+  | T_fold
+  | T_reset
+
+let tbl_op_to_string = function
+  | T_replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | T_remove k -> Printf.sprintf "remove %d" k
+  | T_find k -> Printf.sprintf "find %d" k
+  | T_mem k -> Printf.sprintf "mem %d" k
+  | T_length -> "length"
+  | T_fold -> "fold"
+  | T_reset -> "reset"
+
+(* The int table answers every call as [Stdlib.Hashtbl] does.  Keys come
+   from a small range, from multiples of a block (4,096) and of a
+   directory block's entry count (146), from negatives, and from the
+   extremes — [min_int] is the key that marks free slots — and a
+   sequence runs long enough to grow the table several times. *)
+let prop_tbl_int_matches_hashtbl =
+  let open QCheck2.Gen in
+  let key =
+    frequency
+      [
+        (4, int_range (-8) 40);
+        (3, map (fun i -> i * 4096) (int_bound 300));
+        (3, map (fun i -> i * 146) (int_bound 300));
+        (2, map (fun i -> -i) (int_bound 5000));
+        (1, oneofl [ max_int; min_int; max_int - 4096; min_int + 1 ]);
+      ]
+  in
+  let op =
+    frequency
+      [
+        (12, map2 (fun k v -> T_replace (k, v)) key small_nat);
+        (5, map (fun k -> T_remove k) key);
+        (5, map (fun k -> T_find k) key);
+        (3, map (fun k -> T_mem k) key);
+        (1, pure T_length);
+        (1, pure T_fold);
+        (1, frequency [ (1, pure T_reset); (30, pure T_length) ]);
+      ]
+  in
+  QCheck2.Test.make ~name:"Tbl.Int = Hashtbl (replace/remove/find/mem/length/fold/reset)"
+    ~count:300
+    ~print:(fun (n, ops) ->
+      Printf.sprintf "create %d: %s" n (String.concat "; " (List.map tbl_op_to_string ops)))
+    (pair (int_range 0 20) (list_size (int_range 0 1500) op))
+    (fun (n, ops) ->
+      let t = Tbl.Int.create n and h = Hashtbl.create n in
+      let bindings fold x = List.sort compare (fold (fun k v acc -> (k, v) :: acc) x []) in
+      List.iteri
+        (fun i op ->
+          let agree what ok =
+            if not ok then
+              QCheck2.Test.fail_reportf "op %d (%s): %s differ" i (tbl_op_to_string op) what
+          in
+          match op with
+          | T_replace (k, v) ->
+              Tbl.Int.replace t k v;
+              Hashtbl.replace h k v
+          | T_remove k ->
+              Tbl.Int.remove t k;
+              Hashtbl.remove h k
+          | T_find k -> agree "find_opt" (Tbl.Int.find_opt t k = Hashtbl.find_opt h k)
+          | T_mem k -> agree "mem" (Tbl.Int.mem t k = Hashtbl.mem h k)
+          | T_length -> agree "length" (Tbl.Int.length t = Hashtbl.length h)
+          | T_fold -> agree "fold" (bindings Tbl.Int.fold t = bindings Hashtbl.fold h)
+          | T_reset ->
+              Tbl.Int.reset t;
+              Hashtbl.reset h)
+        ops;
+      let iterated = ref [] in
+      Tbl.Int.iter (fun k v -> iterated := (k, v) :: !iterated) t;
+      Tbl.Int.length t = Hashtbl.length h
+      && List.sort compare !iterated = bindings Hashtbl.fold h
+      && List.for_all (fun (k, _) -> Tbl.Int.mem t k) !iterated)
+
+(* [mem], a miss, a [replace] of a present key and [remove] allocate
+   nothing; neither does hashing a string. *)
+let test_tbl_int_no_alloc () =
+  let n = 1000 in
+  let t = Tbl.Int.create n in
+  let keys = Array.init n (fun i -> i * 4096) in
+  Array.iter (fun k -> Tbl.Int.replace t k k) keys;
+  (* Loops, not [Array.iter]: its closure would be the one allocation. *)
+  let words name f = Alcotest.(check (float 0.)) name 0. (Alloc_words.minor_words f) in
+  words "mem" (fun () ->
+      for i = 0 to n - 1 do
+        ignore (Sys.opaque_identity (Tbl.Int.mem t keys.(i)))
+      done);
+  words "miss" (fun () ->
+      for i = 0 to n - 1 do
+        ignore (Sys.opaque_identity (Tbl.Int.find_opt t (keys.(i) + 1)))
+      done);
+  words "replace present" (fun () ->
+      for i = 0 to n - 1 do
+        Tbl.Int.replace t keys.(i) i
+      done);
+  words "remove" (fun () ->
+      for i = 0 to n - 1 do
+        Tbl.Int.remove t keys.(i)
+      done);
+  Alcotest.(check int) "emptied" 0 (Tbl.Int.length t);
+  let name = String.make 19 'm' in
+  words "hash_string" (fun () ->
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Tbl.hash_string name))
+      done)
+
+(* Block numbers strided by 4,096 spread over the slots: the longest
+   linear probe for 4,096 of them at the table's load (half full) stays
+   short.  The identity hash would send them all to one or two slots. *)
+let test_tbl_int_spread () =
+  let n = 4096 and slots = 8192 in
+  let used = Array.make slots false in
+  let longest = ref 0 in
+  for i = 0 to n - 1 do
+    let rec place j d =
+      if used.(j) then place ((j + 1) land (slots - 1)) (d + 1)
+      else begin
+        used.(j) <- true;
+        longest := max !longest d
+      end
+    in
+    place (Tbl.hash_int (i * 4096) land (slots - 1)) 0
+  done;
+  if !longest > 8 then Alcotest.failf "longest probe %d slots" !longest
+
+let test_tbl_hashes () =
+  Alcotest.(check bool) "never negative" true
+    (List.for_all (fun k -> Tbl.hash_int k >= 0) [ 0; 1; -1; max_int; min_int ]);
+  Alcotest.(check bool) "every length" true
+    (List.for_all
+       (fun n ->
+         let s = String.init n (fun i -> Char.chr (97 + (i mod 26))) in
+         let s' = String.mapi (fun i c -> if i = n - 1 then 'A' else c) s in
+         Tbl.hash_string s >= 0 && Tbl.hash_string s = Tbl.hash_string (String.init n (String.get s))
+         && Tbl.hash_string s <> Tbl.hash_string s')
+       (List.init 40 (fun i -> i + 1)))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rae_util"
@@ -385,5 +532,12 @@ let () =
         [
           Alcotest.test_case "advance/reset" `Quick test_vclock;
           Alcotest.test_case "duration pp" `Quick test_vclock_pp;
+        ] );
+      ( "tbl",
+        [
+          q prop_tbl_int_matches_hashtbl;
+          Alcotest.test_case "int table allocates nothing" `Quick test_tbl_int_no_alloc;
+          Alcotest.test_case "strided keys spread" `Quick test_tbl_int_spread;
+          Alcotest.test_case "hashes" `Quick test_tbl_hashes;
         ] );
     ]
