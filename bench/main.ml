@@ -580,7 +580,13 @@ let e_commit () =
    generic [Hashtbl] and through [Rae_util.Tbl.Int]; and a name lookup
    among the same block's 146 names, generic against [Rae_util.Tbl.Str].
    The int table's [mem] and miss rows, and the name table's miss, have
-   a ceiling of 0 words per call. *)
+   a ceiling of 0 words per call.
+
+   Last, a 4 KiB block read through [Device.of_disk] (E-buffers): fresh,
+   a new copy per read, and recycled, each read handing its buffer back
+   for the next to refill.  The words are direct major words per read
+   (a block image skips the minor heap); the recycled row has a ceiling
+   of 0. *)
 let e_kernel () =
   section
     (Printf.sprintf "E-kernel | CRC32C (%s), Dirent.find over a full block, and the tables"
@@ -721,6 +727,48 @@ let e_kernel () =
   table_row "name-find-miss-tbl" absent
     (fun s -> ignore (Sys.opaque_identity (Rae_util.Tbl.Str.find_opt t s)))
     (Some 0.);
+  let direct_major f =
+    let words () =
+      let _, promoted, major = Gc.counters () in
+      major -. promoted
+    in
+    let run f =
+      let w0 = words () in
+      f ();
+      words () -. w0
+    in
+    let idle = run (fun () -> ()) in
+    run f -. idle
+  in
+  let nblocks = 64 in
+  let disk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks () in
+  let read_row label read ceiling =
+    let all calls =
+      for i = 1 to calls do
+        read (i land (nblocks - 1))
+      done
+    in
+    let calls = sc 200_000 in
+    let ns = time_runs ~reps:rounds (fun () -> all calls) *. 1e9 /. float_of_int calls in
+    let words = direct_major (fun () -> all 1000) /. 1000. in
+    (match ceiling with
+    | Some c ->
+        Printf.printf "  %-34s %6.1f ns  %6.1f direct major words/read (ceiling %.0f)\n" label ns
+          words c;
+        if words > c then
+          violations :=
+            Printf.sprintf "%s: %.1f direct major words per read > %.0f" label words c
+            :: !violations
+    | None -> Printf.printf "  %-34s %6.1f ns  %6.1f direct major words/read\n" label ns words);
+    json_note ~sec:"E-kernel" ~name:label ~unit:"ns" ns;
+    json_note ~sec:"E-kernel" ~name:(label ^ "-words") ~unit:"words" words
+  in
+  (* Two handles: nothing is ever handed back to the fresh one. *)
+  let fresh = Device.of_disk disk and recycled = Device.of_disk disk in
+  read_row "block-read-fresh" (fun blk -> ignore (Sys.opaque_identity (Device.read fresh blk))) None;
+  read_row "block-read-recycled"
+    (fun blk -> Device.recycle recycled (Sys.opaque_identity (Device.read recycled blk)))
+    (Some 0.);
   if !violations <> [] then begin
     List.iter (fun v -> Printf.eprintf "E-kernel: %s\n" v) (List.rev !violations);
     exit 1
@@ -730,7 +778,10 @@ let e_kernel () =
      kernel's speed; Dirent.find checks every record in one walk, allocating only\n\
      the entry it returns.  The int table probes in a fraction of the generic\n\
      table's time and allocates nothing but a hit's [Some]; the name table\n\
-     hashes eight bytes per step and compares with String.equal.\n"
+     hashes eight bytes per step and compares with String.equal.  A fresh block\n\
+     read allocates one 4 KiB image (514 words) straight in the major heap; a\n\
+     recycled read refills the buffer the last read handed back, and allocates\n\
+     nothing.\n"
 
 (* ---------------------------------------------------------------- *)
 (* E-shadow: the fast path — caches, hints and batching vs naive     *)
@@ -839,7 +890,10 @@ let fold_cost () =
      words, and words allocated straight into the major heap (blocks over
      256 words, such as a 4 KiB buffer).  Each window starts on an empty
      minor heap, which one fold does not fill: a count read across a
-     minor collection drifts. *)
+     minor collection drifts.  One device serves every window, so an
+     overlay miss refills a buffer an earlier miss handed back
+     (E-buffers): what is left of the direct words is blocks the overlay
+     keeps, and reads that are not view or rmw misses. *)
   let words () =
     let _, promoted, major = Gc.counters () in
     (Gc.minor_words (), major -. promoted)
@@ -931,6 +985,7 @@ let fold_cost () =
   json_note ~sec:"E-shadow" ~name:"fold/minor-words-per-cold-op" ~unit:"words" per_cold;
   json_note ~sec:"E-shadow" ~name:"fold/minor-words-per-warm-op" ~unit:"words" per_warm;
   json_note ~sec:"E-shadow" ~name:"fold/direct-major-words-per-cold-op" ~unit:"words" direct_cold;
+  json_note ~sec:"E-shadow" ~name:"fold/direct-major-words-per-warm-op" ~unit:"words" direct_warm;
   Printf.printf "  per op kind (mean over reps; the epilogue is not charged to any op):\n";
   Printf.printf "  %-10s %8s %12s %8s %12s\n" "kind" "cold n" "cold us/op" "warm n" "warm us/op";
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) kinds []

@@ -26,12 +26,18 @@ let write t blk data =
     invalid_arg "Overlay.write: wrong block size";
   Itbl.replace t.blocks blk data
 
+(* A miss buffer goes back to the device once [f] is done with
+   it (overlay.mli forbids [f] to keep it); if [f] raises, it is
+   dropped. *)
 let view t blk f =
   match Itbl.find_opt t.blocks blk with
   | Some stored -> f stored
   | None ->
       t.device_reads <- t.device_reads + 1;
-      f (Device.read t.dev blk)
+      let b = Device.read t.dev blk in
+      let r = f b in
+      Device.recycle t.dev b;
+      r
 
 let rmw t blk f =
   if blk < 0 || blk >= Device.nblocks t.dev then
@@ -40,11 +46,12 @@ let rmw t blk f =
   | Some stored -> ignore (f stored : bool)
   | None ->
       t.device_reads <- t.device_reads + 1;
-      (* The device hands back a fresh buffer, so ownership transfers to
+      (* The caller owns the device's buffer, so ownership transfers to
          the overlay — but only if [f] actually changed it; an untouched
-         block must not show up in the dirty set. *)
+         block must not show up in the dirty set, and its buffer goes
+         back to the device. *)
       let b = Device.read t.dev blk in
-      if f b then Itbl.replace t.blocks blk b
+      if f b then Itbl.replace t.blocks blk b else Device.recycle t.dev b
 
 let mem t blk = Itbl.mem t.blocks blk
 

@@ -13,7 +13,8 @@ val create : Rae_block.Device.t -> t
     passed in — defence in depth. *)
 
 val read : t -> int -> bytes
-(** Overlay content if present, else the device.  Returns a fresh copy. *)
+(** Overlay content if present, else the device.  Returns a buffer the
+    caller owns: a copy of a stored block, or the device's buffer. *)
 
 val write : t -> int -> bytes -> unit
 (** [write t blk data] stores [data] itself as [blk]'s overlay block,
@@ -25,9 +26,12 @@ val write : t -> int -> bytes -> unit
 
 val view : t -> int -> (bytes -> 'a) -> 'a
 (** Zero-copy read access: [f] is applied to the live stored buffer (or
-    to the device's fresh copy on an overlay miss) and must neither
-    mutate nor retain it.  For read paths that immediately blit what they
-    need out of the block, this replaces {!read}'s copy. *)
+    to the device's buffer on an overlay miss) and must neither mutate
+    nor retain it, nor return anything that shares it.  For read paths
+    that immediately blit what they need out of the block, this replaces
+    {!read}'s copy.  A miss buffer is handed back to the device
+    ({!Rae_block.Device.recycle}) once [f] returns, and the next device
+    read overwrites it: a buffer [f] kept would change under it. *)
 
 val rmw : t -> int -> (bytes -> bool) -> unit
 (** In-place read-modify-write: [f] receives the block's current content
@@ -35,7 +39,9 @@ val rmw : t -> int -> (bytes -> bool) -> unit
     mutated in place — no copy in, no copy out — which is what makes the
     hot mutation paths (inode writes, dirent edits) cheap; a block not
     yet shadowed is read from the device and enters the overlay only when
-    [f] reports a modification.  [f] must not retain the buffer.
+    [f] reports a modification.  [f] must not retain the buffer: when it
+    reports none, a miss buffer is handed back to the device, as after
+    {!view}.
     @raise Invalid_argument on out-of-range block numbers. *)
 
 val mem : t -> int -> bool

@@ -172,22 +172,37 @@ module Int = struct
     t.size <- 0;
     t.has_free_key <- false
 
+  (* A walk stops at the last binding: [left] counts the bindings in
+     [keys] it has not visited yet, so an empty table costs no slot
+     visit.  The slot bound stays, for a walk whose [f] removes.  Loops
+     over local refs, so a walk allocates no closure. *)
   let iter f t =
     let keys = t.keys and vals = t.vals in
-    for i = 0 to Array.length keys - 1 do
-      let k = keys.(i) in
-      if k <> free then f k vals.(i)
+    let n = Array.length keys in
+    let i = ref 0 and left = ref t.size in
+    while !left > 0 && !i < n do
+      let k = Array.unsafe_get keys !i in
+      if k <> free then begin
+        decr left;
+        f k vals.(!i)
+      end;
+      incr i
     done;
-    if t.has_free_key then f free vals.(Array.length keys)
+    if t.has_free_key then f free vals.(n)
 
   let fold f t init =
     let keys = t.keys and vals = t.vals in
-    let acc = ref init in
-    for i = 0 to Array.length keys - 1 do
-      let k = keys.(i) in
-      if k <> free then acc := f k vals.(i) !acc
+    let n = Array.length keys in
+    let i = ref 0 and left = ref t.size and acc = ref init in
+    while !left > 0 && !i < n do
+      let k = Array.unsafe_get keys !i in
+      if k <> free then begin
+        decr left;
+        acc := f k vals.(!i) !acc
+      end;
+      incr i
     done;
-    if t.has_free_key then f free vals.(Array.length keys) !acc else !acc
+    if t.has_free_key then f free vals.(n) !acc else !acc
 end
 
 module Str = Hashtbl.Make (struct

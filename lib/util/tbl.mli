@@ -50,7 +50,8 @@ end
       independent.
     - One value stays referenced as the filler of free value slots: the
       first value ever stored, or a later value of key [min_int].
-    - [iter] and [fold] visit bindings in slot order.  As with
+    - [iter] and [fold] visit bindings in slot order and stop at the
+      last one, so a walk of an empty table visits no slot.  As with
       [Hashtbl], what they see is unspecified when the table is changed
       during the iteration. *)
 module Int : S with type key = int

@@ -145,6 +145,106 @@ let test_device_write_copies () =
   check "torn write" dev 3 torn;
   check "torn write" dev 4 (block_of_char 'b')
 
+(* [Device.read] refills a handed-back buffer whole (device.mli).  Each
+   check hands back a buffer of 0xff bytes and reads a block whose bytes
+   all differ from it: the result must be the block's bytes, and where
+   the read reaches [of_disk]'s pool, the handed-back buffer itself. *)
+let test_device_recycled_read () =
+  let image blk = Bytes.init bs (fun i -> Char.chr ((blk * 31 + i) land 0x7f)) in
+  let fresh () =
+    let d = mk_disk () in
+    for blk = 0 to 7 do
+      Disk.write d blk (image blk)
+    done;
+    d
+  in
+  let check name dev blk expect =
+    let stale = Bytes.make bs '\xff' in
+    Device.recycle dev stale;
+    let got = Device.read dev blk in
+    Alcotest.(check bool) (Printf.sprintf "%s: block %d's bytes" name blk) true (Bytes.equal got expect);
+    Alcotest.(check bool) (name ^ ": the handed-back buffer") true (got == stale)
+  in
+  check "of_disk" (Device.of_disk (fresh ())) 3 (image 3);
+  check "read_only" (Device.read_only (Device.of_disk (fresh ()))) 3 (image 3);
+  check "counting" (fst (Device.counting (Device.of_disk (fresh ())))) 3 (image 3);
+  (* Crashsim serves a pending write from its own copy and leaves the
+     handed-back buffer to the next read of the medium. *)
+  let _sim, dev = Crashsim.create (Device.of_disk (fresh ())) in
+  Device.write dev 4 (block_of_char 'p');
+  let stale = Bytes.make bs '\xff' in
+  Device.recycle dev stale;
+  let got = Device.read dev 4 in
+  Alcotest.(check bool) "crashsim, pending write: its bytes" true (Bytes.equal got (block_of_char 'p'));
+  Alcotest.(check bool) "crashsim, pending write: a copy" false (got == stale);
+  let got = Device.read dev 5 in
+  Alcotest.(check bool) "crashsim, medium: block bytes" true (Bytes.equal got (image 5));
+  Alcotest.(check bool) "crashsim, medium: the handed-back buffer" true (got == stale);
+  check "crashsim, no pending write" dev 6 (image 6);
+  (* Fault flips a bit in the refilled buffer, and a read error leaves
+     the handed-back buffer for the next read. *)
+  let f = Fault.create [ Fault.Flip_on_read { block = 1; byte = 10; bit = 0; from_nth = 1; count = 1 } ] in
+  let dev = Fault.wrap f (Device.of_disk (fresh ())) in
+  let flipped = image 1 in
+  Bytes.set flipped 10 (Char.chr (Char.code (Bytes.get flipped 10) lxor 1));
+  check "fault, flip on read" dev 1 flipped;
+  check "fault, flip healed" dev 1 (image 1);
+  let f = Fault.create [ Fault.Read_error { block = 2; from_nth = 1; count = 2 } ] in
+  let dev = Fault.wrap f (Device.of_disk (fresh ())) in
+  let stale = Bytes.make bs '\xff' in
+  Device.recycle dev stale;
+  for _ = 1 to 2 do
+    try
+      ignore (Device.read dev 2);
+      Alcotest.fail "fault: the window's reads must fail"
+    with Device.Io_error _ -> ()
+  done;
+  let got = Device.read dev 2 in
+  Alcotest.(check bool) "fault, after the window: block bytes" true (Bytes.equal got (image 2));
+  Alcotest.(check bool) "fault, after the window: the handed-back buffer" true (got == stale);
+  check "fault, later read" dev 2 (image 2);
+  (* A refill is a read like any other: a [counting] wrapper and a
+     hand-made [{ d with dev_read }] wrapper each count one per read. *)
+  let d = fresh () in
+  let raw = Device.of_disk d in
+  let by_hand = ref 0 in
+  let wrapped =
+    {
+      raw with
+      Device.dev_read =
+        (fun blk ->
+          incr by_hand;
+          raw.Device.dev_read blk);
+    }
+  in
+  let dev, counts = Device.counting wrapped in
+  for blk = 0 to 7 do
+    Device.recycle dev (Device.read dev blk)
+  done;
+  Alcotest.(check (pair int int)) "counting wrapper" (8, 0) (counts ());
+  Alcotest.(check int) "hand-made wrapper" 8 !by_hand;
+  Alcotest.(check int) "disk reads" 8 (Disk.reads d)
+
+(* [recycle] refuses a buffer of the wrong size, as [Disk.read_into]
+   does, and [of_disk]'s handle holds one buffer: of two hand-backs in a
+   row, the first is dropped, so two reads return the second and then a
+   fresh buffer. *)
+let test_device_recycle_bounds () =
+  let dev = Device.of_disk (mk_disk ()) in
+  (try
+     Device.recycle dev (Bytes.create (bs - 1));
+     Alcotest.fail "a short buffer must be refused"
+   with Invalid_argument _ -> ());
+  let first = block_of_char 'x' and second = block_of_char 'y' in
+  Device.recycle dev first;
+  Device.recycle dev second;
+  let a = Device.read dev 0 in
+  let b = Device.read dev 0 in
+  Alcotest.(check bool) "the second refilled" true (a == second);
+  Alcotest.(check bool) "the first dropped" false (b == first || b == second);
+  Alcotest.(check bool) "all zero" true
+    (Bytes.equal a (block_of_char '\000') && Bytes.equal b (block_of_char '\000'))
+
 (* ---- Fault ---- *)
 
 let test_fault_read_error_window () =
@@ -339,6 +439,8 @@ let () =
           Alcotest.test_case "read_only enforced" `Quick test_device_read_only;
           Alcotest.test_case "counting wrapper" `Quick test_device_counting;
           Alcotest.test_case "write copies the caller's buffer" `Quick test_device_write_copies;
+          Alcotest.test_case "read overwrites a recycled buffer whole" `Quick test_device_recycled_read;
+          Alcotest.test_case "recycle: wrong size refused, one buffer held" `Quick test_device_recycle_bounds;
         ] );
       ( "fault",
         [

@@ -367,6 +367,25 @@ let test_handoff_copies_nothing () =
   Alcotest.(check int) "dirty blocks" 16 (List.length !blocks);
   if words <> 0. then Alcotest.failf "handing over 16 blocks allocated %.0f major words" words
 
+(* An overlay miss hands its buffer back to the device once [view]'s
+   callback is done with it (DESIGN §25).  Once one miss has run, a stat
+   whose only device reads are [view] misses (the inode-table and
+   directory blocks it resolves through) allocates no block image;
+   without the hand-back each miss is a fresh 4 KiB image, 514 words
+   with its header. *)
+let test_view_miss_allocates_no_image () =
+  let disk, dev = mk_image () in
+  let sh = ok (Shadow.attach dev) in
+  List.iter (fun d -> ignore (ok (Shadow.mkdir sh (p d) ~mode:0o755))) [ "/d"; "/e" ];
+  List.iter (fun f -> ignore (ok (Shadow.create sh (p f) ~mode:0o644))) [ "/d/a"; "/e/b" ];
+  List.iter (fun (blk, data) -> Disk.write disk blk data) (Shadow.dirty_blocks sh);
+  let sh = ok (Shadow.attach (Device.of_disk disk)) in
+  ignore (ok (Shadow.stat sh (p "/d/a")));
+  let reads = Shadow.device_reads sh in
+  let words = Alloc_words.direct_major_words (fun () -> ignore (ok (Shadow.stat sh (p "/e/b")))) in
+  Alcotest.(check bool) "the stat missed the overlay" true (Shadow.device_reads sh > reads);
+  if words <> 0. then Alcotest.failf "a stat of overlay misses allocated %.0f major words" words
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rae_shadowfs"
@@ -385,6 +404,8 @@ let () =
           Alcotest.test_case "fd table" `Quick test_fd_table_exposed;
           Alcotest.test_case "16 KiB read allocates one string" `Quick test_read_one_string;
           Alcotest.test_case "the hand-off copies no block" `Quick test_handoff_copies_nothing;
+          Alcotest.test_case "an overlay miss allocates no block image" `Quick
+            test_view_miss_allocates_no_image;
         ] );
       ( "checks",
         [

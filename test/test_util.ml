@@ -355,6 +355,7 @@ type tbl_op =
   | T_mem of int
   | T_length
   | T_fold
+  | T_iter
   | T_reset
 
 let tbl_op_to_string = function
@@ -364,13 +365,16 @@ let tbl_op_to_string = function
   | T_mem k -> Printf.sprintf "mem %d" k
   | T_length -> "length"
   | T_fold -> "fold"
+  | T_iter -> "iter"
   | T_reset -> "reset"
 
 (* The int table answers every call as [Stdlib.Hashtbl] does.  Keys come
    from a small range, from multiples of a block (4,096) and of a
    directory block's entry count (146), from negatives, and from the
    extremes — [min_int] is the key that marks free slots — and a
-   sequence runs long enough to grow the table several times. *)
+   sequence runs long enough to grow the table several times.  The walks
+   stop at the last binding, so the sequence ends by removing every key,
+   and [iter] and [fold] must still agree as the table empties. *)
 let prop_tbl_int_matches_hashtbl =
   let open QCheck2.Gen in
   let key =
@@ -392,6 +396,7 @@ let prop_tbl_int_matches_hashtbl =
         (3, map (fun k -> T_mem k) key);
         (1, pure T_length);
         (1, pure T_fold);
+        (1, pure T_iter);
         (1, frequency [ (1, pure T_reset); (30, pure T_length) ]);
       ]
   in
@@ -403,6 +408,11 @@ let prop_tbl_int_matches_hashtbl =
     (fun (n, ops) ->
       let t = Tbl.Int.create n and h = Hashtbl.create n in
       let bindings fold x = List.sort compare (fold (fun k v acc -> (k, v) :: acc) x []) in
+      let iterated () =
+        let l = ref [] in
+        Tbl.Int.iter (fun k v -> l := (k, v) :: !l) t;
+        List.sort compare !l
+      in
       List.iteri
         (fun i op ->
           let agree what ok =
@@ -420,18 +430,31 @@ let prop_tbl_int_matches_hashtbl =
           | T_mem k -> agree "mem" (Tbl.Int.mem t k = Hashtbl.mem h k)
           | T_length -> agree "length" (Tbl.Int.length t = Hashtbl.length h)
           | T_fold -> agree "fold" (bindings Tbl.Int.fold t = bindings Hashtbl.fold h)
+          | T_iter -> agree "iter" (iterated () = bindings Hashtbl.fold h)
           | T_reset ->
               Tbl.Int.reset t;
               Hashtbl.reset h)
         ops;
-      let iterated = ref [] in
-      Tbl.Int.iter (fun k v -> iterated := (k, v) :: !iterated) t;
-      Tbl.Int.length t = Hashtbl.length h
-      && List.sort compare !iterated = bindings Hashtbl.fold h
-      && List.for_all (fun (k, _) -> Tbl.Int.mem t k) !iterated)
+      let walks_agree () =
+        let l = iterated () in
+        Tbl.Int.length t = Hashtbl.length h
+        && l = bindings Hashtbl.fold h
+        && bindings Tbl.Int.fold t = l
+        && List.for_all (fun (k, _) -> Tbl.Int.mem t k) l
+      in
+      (* Empty the table by removals, walking it whenever the bindings
+         left are a power of two, and once it is empty. *)
+      walks_agree ()
+      && List.for_all
+           (fun (k, _) ->
+             Tbl.Int.remove t k;
+             Hashtbl.remove h k;
+             let left = Hashtbl.length h in
+             left land (left - 1) <> 0 || walks_agree ())
+           (bindings Hashtbl.fold h))
 
-(* [mem], a miss, a [replace] of a present key and [remove] allocate
-   nothing; neither does hashing a string. *)
+(* [mem], a miss, a [replace] of a present key, a walk and [remove]
+   allocate nothing; neither does hashing a string. *)
 let test_tbl_int_no_alloc () =
   let n = 1000 in
   let t = Tbl.Int.create n in
@@ -451,6 +474,8 @@ let test_tbl_int_no_alloc () =
       for i = 0 to n - 1 do
         Tbl.Int.replace t keys.(i) i
       done);
+  words "iter" (fun () -> Tbl.Int.iter (fun k v -> ignore (Sys.opaque_identity (k + v))) t);
+  words "fold" (fun () -> ignore (Sys.opaque_identity (Tbl.Int.fold (fun k _ acc -> acc + k) t 0)));
   words "remove" (fun () ->
       for i = 0 to n - 1 do
         Tbl.Int.remove t keys.(i)
