@@ -1370,7 +1370,7 @@ let e9_cross_check () =
       ignore (Controller.stat ctl (p "/f"))
     done;
     ignore (Controller.create ctl (p "/pwn") ~mode:0o644);
-    List.length (Controller.discrepancies ctl)
+    (Controller.stats ctl).Controller.discrepancies
   in
   Printf.printf "wrong-result bugs exposed with cross-check ON : %d discrepancy report(s)\n"
     (run ~cross_check:true);
@@ -2088,7 +2088,9 @@ let e_lint () =
 
 (* E-crash: the B3-style crash-consistency sweep.  The engine enumerates
    every persistence boundary (and bounded-depth reordered subsets) of
-   bounded, targeted and crash-mid-recovery workloads, and the oracle
+   bounded, targeted and crash-mid-recovery workloads (through the
+   commit that persists the hand-off; the [recovery-chunk] arm's 16-block
+   journal makes the hand-off commit in chunks), and the oracle
    must judge every image consistent or repaired — zero diverging.  The
    seeded fixture (a device that ignores flush barriers) must diverge and
    minimize to a tiny reproducer, or the oracle has gone blind.  Floors
@@ -2122,6 +2124,7 @@ let e_crash () =
        ());
   sweep "recovery-cold" (CE.sweep_recovery ~cfg ~count:(sc 24) ~ckpt:false ());
   sweep "recovery-ckpt" (CE.sweep_recovery ~cfg ~count:(sc 24) ~ckpt:true ());
+  sweep "recovery-chunk" (CE.sweep_recovery ~cfg ~count:(sc 24) ~journal_len:16 ~ckpt:false ());
   let s = !stats in
   let wall = now_s () -. t0 in
   let diverging = List.length s.CE.s_diverging in

@@ -63,7 +63,8 @@ let run quick bounded_max targeted_count bundle_dir no_barriers repro_key minimi
              ~seeds:(if quick then [ 1L ] else [ 1L; 2L ])
              ());
         add "recovery-cold" (Engine.sweep_recovery ~cfg ~ckpt:false ());
-        add "recovery-ckpt" (Engine.sweep_recovery ~cfg ~ckpt:true ())
+        add "recovery-ckpt" (Engine.sweep_recovery ~cfg ~ckpt:true ());
+        add "recovery-chunk" (Engine.sweep_recovery ~cfg ~journal_len:16 ~ckpt:false ())
       end;
       let s = !stats in
       Format.printf "total              %a@." Engine.pp_stats s;

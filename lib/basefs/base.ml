@@ -328,10 +328,16 @@ let validate_txn t =
 let span t name f =
   match t.events with Some ev -> Rae_obs.Events.with_span ev name f | None -> f ()
 
+(* The commit barrier without the commit: the derived metadata joins the
+   running transaction, and the transaction is checked as a commit would
+   check it. *)
+let barrier t =
+  serialize_derived t;
+  if t.cfg.validate_on_commit then validate_txn t
+
 let commit_work t =
   begin
-    serialize_derived t;
-    if t.cfg.validate_on_commit then validate_txn t;
+    barrier t;
     (* Ordered mode: data reaches the medium before the metadata that
        references it commits.  The queue writes from the cached buffers
        themselves; nothing writes through them before the drain.  It
@@ -1464,9 +1470,49 @@ let region_of t blk =
 
 let download_metadata t ~blocks ~fd_table ~time =
   try
+    (* The in-memory bitmaps first: S0's, with the shadow's blocks
+       overlaid. *)
+    let s0_bbm = t.bbm in
+    let rebuild which =
+      let updates = List.filter (fun (blk, _) -> region_of t blk = which) blocks in
+      if updates <> [] then begin
+        let start, len, nbits =
+          match which with
+          | `Ibmap ->
+              (t.geo.Layout.inode_bitmap_start, t.geo.Layout.inode_bitmap_len, t.geo.Layout.ninodes + 1)
+          | _ -> (t.geo.Layout.block_bitmap_start, t.geo.Layout.block_bitmap_len, t.geo.Layout.nblocks)
+        in
+        let current =
+          Bitmap.to_blocks (match which with `Ibmap -> t.ibm | _ -> t.bbm) ~block_size:Layout.block_size
+        in
+        let merged =
+          List.mapi
+            (fun i b -> match List.assoc_opt (start + i) updates with Some d -> d | None -> b)
+            (List.filteri (fun i _ -> i < len) current)
+        in
+        match Bitmap.of_blocks_lenient merged ~nbits with
+        | Ok bm -> ( match which with `Ibmap -> t.ibm <- bm | _ -> t.bbm <- bm)
+        | Error msg -> Detector.bug_fail ~bug:"download" "shadow bitmap unreadable: %s" msg
+      end
+    in
+    rebuild `Ibmap;
+    rebuild `Bbmap;
+    (* A data-region block the shadow leaves free carries nothing (it
+       allocated and freed it inside the window), and the base may
+       allocate it again before the commit that persists the hand-off:
+       its image stays out of the transaction.  A chunk that commits
+       before the rest must leave S0's meaning intact, so the blocks S0
+       does not reference (free in its block bitmap) go first: a power cut
+       after such a chunk finds S0, with new bytes in free blocks.  The
+       blocks S0 references follow, and commit together unless they alone
+       outgrow the soft limit. *)
+    let fresh, referenced =
+      List.filter (fun (blk, _) -> region_of t blk <> `Data || Bitmap.test t.bbm blk) blocks
+      |> List.partition (fun (blk, _) -> region_of t blk = `Data && not (Bitmap.test s0_bbm blk))
+    in
+    let chunked = ref false in
     (* Route every block through the same classification the base uses for
        its own structures; everything lands dirty in the running txn. *)
-    let ibmap_updates = ref [] and bbmap_updates = ref [] in
     List.iter
       (fun (blk, data) ->
         match region_of t blk with
@@ -1479,12 +1525,7 @@ let download_metadata t ~blocks ~fd_table ~time =
             | Ok sb ->
                 t.sb <- sb;
                 bput_meta t 0 data ~kind:K_sb)
-        | `Ibmap ->
-            ibmap_updates := (blk, data) :: !ibmap_updates;
-            bput_meta t blk data ~kind:K_bitmap
-        | `Bbmap ->
-            bbmap_updates := (blk, data) :: !bbmap_updates;
-            bput_meta t blk data ~kind:K_bitmap
+        | `Ibmap | `Bbmap -> bput_meta t blk data ~kind:K_bitmap
         | `Itable ->
             (* Invalidate the covered icache slots; reload lazily. *)
             let base_ino = ((blk - t.geo.Layout.inode_table_start) * Layout.inodes_per_block) + 1 in
@@ -1500,38 +1541,14 @@ let download_metadata t ~blocks ~fd_table ~time =
             bput_meta t blk data ~kind:K_handoff;
             if Journal.txn_block_count t.txn > txn_soft_limit t then begin
               (* Chunk very large recoveries across several transactions. *)
+              chunked := true;
               Itbl.iter (fun b _ -> bc_unpin t.bcache b) t.txn_kinds;
               Journal.commit t.journal t.txn;
               Itbl.reset t.txn_kinds;
               t.txn <- Journal.begin_txn t.journal;
               t.s_commits <- t.s_commits + 1
             end)
-      blocks;
-    (* Rebuild the in-memory bitmaps with the new content overlaid. *)
-    let rebuild which updates =
-      if updates <> [] then begin
-        let start, len, nbits =
-          match which with
-          | `Inode ->
-              (t.geo.Layout.inode_bitmap_start, t.geo.Layout.inode_bitmap_len, t.geo.Layout.ninodes + 1)
-          | `Block -> (t.geo.Layout.block_bitmap_start, t.geo.Layout.block_bitmap_len, t.geo.Layout.nblocks)
-        in
-        let current =
-          Bitmap.to_blocks (match which with `Inode -> t.ibm | `Block -> t.bbm)
-            ~block_size:Layout.block_size
-        in
-        let merged =
-          List.mapi
-            (fun i b -> match List.assoc_opt (start + i) updates with Some d -> d | None -> b)
-            (List.filteri (fun i _ -> i < len) current)
-        in
-        match Bitmap.of_blocks_lenient merged ~nbits with
-        | Ok bm -> ( match which with `Inode -> t.ibm <- bm | `Block -> t.bbm <- bm)
-        | Error msg -> Detector.bug_fail ~bug:"download" "shadow bitmap unreadable: %s" msg
-      end
-    in
-    rebuild `Inode !ibmap_updates;
-    rebuild `Block !bbmap_updates;
+      (fresh @ referenced);
     (* Adopt the reconstructed descriptor table and orphan census. *)
     Itbl.reset t.fds;
     Itbl.reset t.orphans;
@@ -1543,8 +1560,12 @@ let download_metadata t ~blocks ~fd_table ~time =
       fd_table;
     t.time <- time;
     flush_sb t;
-    (* Make the recovered state durable immediately. *)
-    commit t;
+    (* The hand-off stays dirty in the running transaction, for the next
+       group commit to persist; the barrier's checks run now, so a
+       hand-off the barrier rejects fails the recovery that built it.  A
+       chunk already on disk has moved S0, so a chunked hand-off finishes
+       with a commit instead. *)
+    if !chunked then commit t else barrier t;
     Ok ()
   with
   | Detector.Base_bug { bug; msg } -> Error (bug ^ ": " ^ msg)

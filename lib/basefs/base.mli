@@ -96,8 +96,13 @@ val download_metadata :
 (** Absorb the shadow's output: install the dirty blocks through the
     base's own classification logic (superblock / bitmaps / inode table /
     data all take their normal in-memory routes, marked dirty in the
-    running transaction), adopt the fd table and logical clock, and commit
-    so the recovered state is durable. *)
+    running transaction), adopt the fd table and logical clock, and run
+    the commit barrier's checks over the result, without committing.  The
+    hand-off stays dirty (and its blocks pinned) until the next {!commit}
+    persists it; until then the disk still holds S0.  A hand-off larger
+    than the journal's soft limit is the exception: it commits in chunks
+    and ends with a commit, so it is durable when this returns.  An
+    [Error] leaves the base to the caller's next contained reboot. *)
 
 (* ---- introspection ---- *)
 

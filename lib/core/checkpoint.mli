@@ -20,8 +20,8 @@
     {!cursor}.  Because the warm overlay holds exactly the blocks dirtied
     since the last commit, the hand-off download stays precisely the
     differential set — identical to what cold replay would reconstruct.
-    The checkpoint is spent by the hand-over; the re-cut at recovery's
-    resume (or at the next commit) re-arms it.
+    The checkpoint is spent by the hand-over; the re-cut at the commit
+    that persists the hand-off re-arms it.
 
     The warm shadow never writes to disk: it is an ordinary shadow over a
     read-only device handle, and this module is under the shadow-purity

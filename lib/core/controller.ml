@@ -22,6 +22,36 @@ let max_recovery_attempts = 3
    event next to its [Op_done]. *)
 let slow_op_ns = 10_000_000
 
+(* The recovery reports and bundle paths a controller keeps: the newest
+   [log_cap] of each, so a daemon that recovers for days holds a bounded
+   log.  The counters in [stats] and the metrics stay exact. *)
+let log_cap = 256
+
+(* The newest [log_cap] entries of an append-only log. *)
+module Log = struct
+  type 'a t = { slots : 'a option array; mutable appended : int }
+
+  let create () = { slots = Array.make log_cap None; appended = 0 }
+
+  let push l x =
+    l.slots.(l.appended mod log_cap) <- Some x;
+    l.appended <- l.appended + 1
+
+  (* The newest [n] entries still held, oldest first. *)
+  let newest l n =
+    let stop = l.appended - min n (min l.appended log_cap) in
+    let rec collect i acc =
+      if i < stop then acc
+      else
+        collect (i - 1) (match l.slots.(i mod log_cap) with Some x -> x :: acc | None -> acc)
+    in
+    collect (l.appended - 1) []
+
+  let all l = newest l log_cap
+  let appended l = l.appended
+  let last l = if l.appended = 0 then None else l.slots.((l.appended - 1) mod log_cap)
+end
+
 type stats = {
   ops : int;
   recoveries : int;
@@ -65,14 +95,17 @@ type t = {
   rev : string;  (* resolved once; "" when bundles are off *)
   bundle_dir : string option;
   mutable bundle_seq : int;
-  mutable bundle_log : string list;  (* written bundle paths, newest first *)
+  bundle_log : string Log.t;  (* written bundle paths *)
   mutable bundle_extra : (unit -> (string * Rae_obs.Jsonx.t) list) option;
   mutable metrics : Rae_obs.Metrics.t option;  (* set by register_obs, embedded in bundles *)
   mutable in_recovery : bool;
   mutable last_commit_seq : int64;
   mutable committed_during_op : bool;
+  mutable handoff_due : int option;
+      (* a hand-off waits in the base's running transaction: the oplog
+         seq of the op that commits it, unless a commit comes first *)
   mutable degraded : string option;
-  mutable recovery_log : Report.recovery list;  (* newest first *)
+  recovery_log : Report.recovery Log.t;
   mutable s_ops : int;
   mutable s_recoveries : int;
   mutable s_discrepancies : int;
@@ -120,14 +153,15 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
       rev = (match bundle_dir with Some _ -> Rae_obs.Blackbox.git_rev () | None -> "");
       bundle_dir;
       bundle_seq = 0;
-      bundle_log = [];
+      bundle_log = Log.create ();
       bundle_extra = None;
       metrics = None;
       in_recovery = false;
       last_commit_seq = 0L;
       committed_during_op = false;
+      handoff_due = None;
       degraded = None;
-      recovery_log = [];
+      recovery_log = Log.create ();
       s_ops = 0;
       s_recoveries = 0;
       s_discrepancies = 0;
@@ -136,7 +170,8 @@ let make ?(policy = default_policy) ?tracer ?events ?bundle_dir ?(run_id = "") ~
   Base.set_events base events;
   Base.on_commit base (fun ~commit_seq ->
       t.committed_during_op <- true;
-      t.last_commit_seq <- commit_seq);
+      t.last_commit_seq <- commit_seq;
+      t.handoff_due <- None);
   (* Initial cut: mount time is a commit boundary (empty window over S0),
      so checkpointed controllers are warm before the first commit too. *)
   (match ckpt with
@@ -155,12 +190,12 @@ let health t =
   if t.degraded <> None then Rae_obs.Events.Failstop
   else if t.in_recovery then Rae_obs.Events.Recovering
   else
-    match t.recovery_log with
-    | r :: _ when r.Report.r_discrepancies <> [] -> Rae_obs.Events.Degraded
+    match Log.last t.recovery_log with
+    | Some r when r.Report.r_discrepancies <> [] -> Rae_obs.Events.Degraded
     | _ -> Rae_obs.Events.Healthy
 
 let set_bundle_context t f = t.bundle_extra <- Some f
-let bundles t = List.rev t.bundle_log
+let bundles t = Log.all t.bundle_log
 
 (* ---- black-box bundle assembly ----
 
@@ -283,7 +318,7 @@ let emit_bundle t ~kind ~report =
       let json = bundle_json t ~kind ~report in
       t.bundle_seq <- t.bundle_seq + 1;
       match Rae_obs.Blackbox.write ~dir ~seq:t.bundle_seq ~kind json with
-      | Ok path -> t.bundle_log <- path :: t.bundle_log
+      | Ok path -> Log.push t.bundle_log path
       | Error _ ->
           (* A failed write must never take recovery down with it; the
              error is visible through rae_blackbox_errors_total, the
@@ -306,6 +341,20 @@ let ckpt_fold t =
   | None -> ()
   | Some c ->
       if Checkpoint.due c ~next_seq:(Oplog.next_seq t.oplog) then Checkpoint.fold c t.oplog
+
+(* [Base.exec], plus the commit of a hand-off once its bound comes due.
+   It runs after the op, as a group commit inside the op would, so every
+   commit covers whole ops, and its barrier failure recovers this op.  An
+   op that warned leaves it to its own recovery; a device error leaves
+   the hand-off for the next op to commit. *)
+let base_exec t op =
+  let outcome = Base.exec t.base op in
+  (match t.handoff_due with
+  | Some due
+    when Oplog.next_seq t.oplog >= due && Detector.warnings (Base.detector t.base) = [] ->
+      ignore (Base.sync t.base : (unit, Errno.t) result)
+  | Some _ | None -> ());
+  outcome
 
 (* ---- recovery ---- *)
 
@@ -373,7 +422,7 @@ let rec recover t ~trigger ~inflight ~attempt =
     }
   in
   let append report =
-    t.recovery_log <- report :: t.recovery_log;
+    Log.push t.recovery_log report;
     t.s_discrepancies <- t.s_discrepancies + List.length report.Report.r_discrepancies
   in
   (* 1. Contained reboot: discard the base's untrusted memory, recover the
@@ -415,10 +464,11 @@ let rec recover t ~trigger ~inflight ~attempt =
           if delegated then Ok Op.Unit else Shadow.exec shadow inflight)
     in
     (* 6. Hand-off: the base absorbs the shadow's overlay and descriptor
-       table through its own well-tested interfaces, then commits.  A
-       seeded shadow's overlay carries the folded prefix plus the Δ
-       replay — exactly the blocks dirtied since the last commit, so the
-       download is differential by construction. *)
+       table through its own well-tested interfaces, as dirty state that
+       passed the commit barrier's checks.  A seeded shadow's overlay
+       carries the folded prefix plus the Δ replay — exactly the blocks
+       dirtied since the last commit, so the download is differential by
+       construction. *)
     let dirty = Shadow.dirty_blocks shadow in
     phase "metadata-download" (fun () ->
         match
@@ -427,12 +477,33 @@ let rec recover t ~trigger ~inflight ~attempt =
         with
         | Ok () -> ()
         | Error msg -> raise (Recovery_error ("metadata download: " ^ msg)));
-    (* 7. Resume: prune the log to the recovered state, and re-base the
-       warm checkpoint on it (the download's commit is a boundary). *)
+    (* 7. Resume.  The disk still holds S0, so S0 plus the log rebuild
+       what clients have seen: the log keeps its window and gains the
+       in-flight op with the shadow's outcome (a delegated sync records
+       itself below).  The next commit prunes the log and re-cuts the
+       checkpoint, in [exec_attempt]: the base's own, or the one forced
+       [ckpt_fold_interval] ops after the first hand-off it carries.  A
+       recovery of the op at that bound commits here instead, so a run of
+       back-to-back recoveries still commits within the bound; so does a
+       chunked download, which has committed already (the hook saw it). *)
     phase "resume" (fun () ->
-        Oplog.checkpoint t.oplog ~fds:(Base.fd_table t.base);
-        t.committed_during_op <- false;
-        ckpt_cut t);
+        if not t.committed_during_op then begin
+          if not delegated then Oplog.record t.oplog inflight inflight_outcome;
+          match t.handoff_due with
+          | None -> t.handoff_due <- Some (Oplog.next_seq t.oplog + t.policy.ckpt_fold_interval - 1)
+          | Some due when Oplog.next_seq t.oplog > due -> (
+              try Base.commit t.base with
+              | Detector.Validation_failed { context; msg } ->
+                  raise (Recovery_error (Printf.sprintf "hand-off commit: %s: %s" context msg))
+              | Detector.Base_bug { bug; msg } ->
+                  raise (Recovery_error (Printf.sprintf "hand-off commit: %s: %s" bug msg)))
+          | Some _ -> ()
+        end;
+        if t.committed_during_op then begin
+          t.committed_during_op <- false;
+          Oplog.checkpoint t.oplog ~fds:(Base.fd_table t.base);
+          ckpt_cut t
+        end);
     let report =
       fail_report None ~replayed ~skipped ~discrepancies ~handoff:(List.length dirty) ~delegated
         ~seeded
@@ -534,7 +605,7 @@ let rec recover t ~trigger ~inflight ~attempt =
 and exec_attempt t op ~attempt =
   if attempt > max_recovery_attempts then Error Errno.EIO
   else
-    match Base.exec t.base op with
+    match base_exec t op with
     | outcome -> (
         (* If a group commit ran inside this op, the whole window —
            including this op — is durable: prune the log first, whatever
@@ -660,19 +731,10 @@ let checkpoint_now t =
 let checkpoint_stats t = Option.map Checkpoint.stats t.ckpt
 let checkpoint_valid t = match t.ckpt with Some c -> Checkpoint.valid c | None -> false
 
-let recoveries t = List.rev t.recovery_log
-
-let recent_recoveries t n =
-  let rec take n acc = function
-    | r :: older when n > 0 -> take (n - 1) (r :: acc) older
-    | _ -> acc
-  in
-  take n [] t.recovery_log
-
-let discrepancies t =
-  List.concat_map (fun r -> r.Report.r_discrepancies) (List.rev t.recovery_log)
-
-let last_recovery t = match t.recovery_log with [] -> None | r :: _ -> Some r
+let recoveries t = Log.all t.recovery_log
+let recent_recoveries t n = Log.newest t.recovery_log n
+let discrepancies t = List.concat_map (fun r -> r.Report.r_discrepancies) (recoveries t)
+let last_recovery t = Log.last t.recovery_log
 
 let register_obs reg t =
   let module M = Rae_obs.Metrics in
@@ -681,9 +743,9 @@ let register_obs reg t =
   M.register_gauge reg ~help:"derived health: 0 OK, 1 RECOVERING, 2 DEGRADED, 3 FAILSTOP"
     "rae_health" (fun () -> float_of_int (Rae_obs.Events.health_code (health t)));
   M.register_counter reg ~help:"black-box bundles written" "rae_blackbox_written_total"
-    (fun () -> List.length t.bundle_log);
+    (fun () -> Log.appended t.bundle_log);
   M.register_counter reg ~help:"black-box bundle write failures" "rae_blackbox_errors_total"
-    (fun () -> t.bundle_seq - List.length t.bundle_log);
+    (fun () -> t.bundle_seq - Log.appended t.bundle_log);
   M.register_counter reg ~help:"flight-recorder events recorded" "rae_flight_events_total"
     (fun () -> Rae_obs.Events.total t.events);
   M.register_counter reg ~help:"flight-recorder events overwritten (ring wrap)"

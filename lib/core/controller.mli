@@ -25,12 +25,19 @@
     + {b error avoidance} — the base never re-executes the triggering
       sequence.  It absorbs the shadow's overlay via
       {!Rae_basefs.Base.download_metadata} (metadata installed dirty
-      through the base's own logic, then committed) and resumes.  An
-      in-flight [fsync]/[sync] is delegated back to the rebooted base
-      after hand-off, since the shadow never persists anything.  A
-      runtime error there starts a fresh recovery; the sync is retried
-      at most three times, after which the operation returns [EIO] and
-      the controller keeps serving.
+      through the base's own logic and checked by the commit barrier,
+      not committed) and resumes.  The disk still holds S0, so the op
+      log keeps the window and gains the in-flight op with the shadow's
+      outcome; the next commit prunes it and re-cuts the checkpoint.
+      That is the base's own group commit, or the one the controller
+      runs in the op that reaches [ckpt_fold_interval] ops after resume.
+      A second failure before it recovers cold from S0 over the whole
+      log.  An in-flight [fsync]/[sync] is delegated back to the
+      rebooted base after hand-off, since the shadow never persists
+      anything, and its commit persists the hand-off.  A runtime error
+      there starts a fresh recovery; the sync is retried at most three
+      times, after which the operation returns [EIO] and the controller
+      keeps serving.
 
     If recovery itself fails (the image is corrupt beyond the journal, or
     the shadow's invariant checks reject the replay), the controller
@@ -45,7 +52,9 @@ type policy = {
           (default false) *)
   ckpt_fold_interval : int;
       (** fold the warm shadow forward every this-many recorded
-          operations (default 32) *)
+          operations (default 32); also the most operations a
+          recovery's hand-off waits for its commit, with the checkpoint
+          on or off *)
   ckpt_fast_paths : bool;
       (** let the warm shadow use its caching fast paths while folding
           (default true); disabling reproduces the naive shadow for
@@ -86,7 +95,8 @@ val make :
   Rae_basefs.Base.t ->
   t
 (** Wrap a mounted base.  The controller registers itself on the base's
-    commit hook to prune the oplog.
+    commit hook to prune the oplog.  It keeps the newest 256 recovery
+    reports and bundle paths; its counters and metrics count them all.
 
     The controller always owns a flight recorder: [events] when given,
     else a ring of its own.  Its clock is slaved to the controller's (the
@@ -140,7 +150,7 @@ val health : t -> Rae_obs.Events.health
     gauge by {!register_obs}. *)
 
 val bundles : t -> string list
-(** Paths of every black-box bundle written so far, oldest first. *)
+(** Paths of the newest 256 black-box bundles written, oldest first. *)
 
 val bundle_dir : t -> string option
 
@@ -153,21 +163,25 @@ val set_bundle_context : t -> (unit -> (string * Rae_obs.Jsonx.t) list) -> unit
 
 val stats : t -> stats
 val recoveries : t -> Report.recovery list
-(** All recovery reports, oldest first. *)
+(** The newest 256 recovery reports, oldest first.  {!stats} counts
+    every recovery. *)
 
 val recent_recoveries : t -> int -> Report.recovery list
-(** The newest [n] recovery reports (all of them if fewer), oldest
-    first.  O(n), however long the log. *)
+(** The newest [n] recovery reports still held (at most 256), oldest
+    first.  O(n). *)
 
 val discrepancies : t -> Report.discrepancy list
-(** All cross-check mismatches ever observed (the §4.3 testing signal). *)
+(** The cross-check mismatches in the reports {!recoveries} holds (the
+    §4.3 testing signal); {!stats} counts every one ever observed. *)
 
 val last_recovery : t -> Report.recovery option
 
 val checkpoint_now : t -> (unit, string) result
 (** Force a checkpoint cut.  Fails when checkpointing is disabled by
     policy, or when the op window is non-empty — a checkpoint is only
-    sound at a journal-commit boundary (call {!sync} first). *)
+    sound at a journal-commit boundary (call {!sync} first).  A
+    recovery's hand-off waiting for its commit keeps the window
+    non-empty. *)
 
 val checkpoint_stats : t -> Checkpoint.stats option
 (** [None] when checkpointing is disabled by policy. *)

@@ -179,21 +179,49 @@ let sweep_targeted ?cfg ?(count = 40) ?(seeds = [ 1L; 2L ]) ?(profiles = [ Workl
         acc seeds)
     empty_stats profiles
 
+(* After [ops]: a sync, then a new file with twelve blocks of data,
+   which the base's soft limit does not count.  A shadow that replays
+   them hands over twelve new blocks plus the superblock, both bitmaps,
+   an inode-table block and the root directory: more than a 16-block
+   journal's soft limit of 8, so the download commits a chunk of new
+   blocks before the rest. *)
+let chunking_burst ops =
+  let spec = Rae_specfs.Spec.make () in
+  List.iter (fun op -> ignore (Rae_specfs.Spec.exec spec op)) ops;
+  let path = Rae_vfs.Path.parse_exn "/burst" in
+  let opening = Op.Open (path, Rae_vfs.Types.flags_create) in
+  match Rae_specfs.Spec.exec spec opening with
+  | Ok (Op.Fd fd) -> [ Op.Sync; opening; Op.Pwrite (fd, 0, String.make (12 * 4096) 'b') ]
+  | _ -> invalid_arg "Rae_crash.Engine.chunking_burst: the burst file did not open"
+
 (* Crash during recovery / during the checkpoint-fold-seeded recovery:
    record through the controller with the armed panic, then enumerate
-   only the recovery pipeline's own write suffix. *)
-let sweep_recovery ?cfg ?(count = 24) ?(seed = 7L) ~ckpt () =
+   only the recovery pipeline's own write suffix, through the commit that
+   persists its hand-off.  With [journal_len] the workload ends in
+   {!chunking_burst}, so the hand-off commits in chunks inside the
+   download. *)
+let sweep_recovery ?cfg ?(count = 24) ?(seed = 7L) ?journal_len ~ckpt () =
   let rng = Rae_util.Rng.create seed in
   let ops = Workload.ops Workload.Varmail rng ~count in
-  let t = Recording.record_recovery ~ckpt ops in
+  let ops = match journal_len with Some _ -> ops @ chunking_burst ops | None -> ops in
+  let t = Recording.record_recovery ?journal_len ~ckpt ops in
+  let fail msg = invalid_arg ("Rae_crash.Engine.sweep_recovery: " ^ msg) in
   if ckpt && not t.Recording.seeded_recovery then
-    invalid_arg "Rae_crash.Engine.sweep_recovery: checkpointed run did not seed from the checkpoint";
+    fail "checkpointed run did not seed from the checkpoint";
+  (match (journal_len, t.Recording.handoff_deferred) with
+  | None, false -> fail "the hand-off committed inside the recovery"
+  | Some _, true -> fail "the hand-off did not chunk"
+  | None, true | Some _, false -> ());
   let from_event =
     match t.Recording.recovery_from with
     | Some e -> e
-    | None -> invalid_arg "Rae_crash.Engine.sweep_recovery: recording has no recovery suffix"
+    | None -> fail "recording has no recovery suffix"
   in
-  let label = Printf.sprintf "recovery:%s:%Ld:%d" (if ckpt then "ckpt" else "cold") seed count in
+  let label =
+    Printf.sprintf "recovery:%s%s:%Ld:%d" (if ckpt then "ckpt" else "cold")
+      (match journal_len with Some n -> Printf.sprintf ":journal%d" n | None -> "")
+      seed count
+  in
   sweep_recording ?cfg ~from_event ~label t
 
 (* ---- operator workflows ---- *)

@@ -67,12 +67,19 @@ val sweep_targeted :
 (** Sweep generated application-shaped workloads (default: varmail and
     metadata profiles) on a larger image. *)
 
-val sweep_recovery : ?cfg:config -> ?count:int -> ?seed:int64 -> ckpt:bool -> unit -> stats
+val sweep_recovery :
+  ?cfg:config -> ?count:int -> ?seed:int64 -> ?journal_len:int -> ckpt:bool -> unit -> stats
 (** Crash during recovery: run a workload through the controller with a
     deterministic panic armed, then enumerate crash points only in the
-    recovery pipeline's own write suffix.  With [ckpt] the recovery
-    seeds from the warm checkpoint (crash-mid-checkpoint-fold coverage);
-    raises [Invalid_argument] if that run did not actually seed. *)
+    recovery pipeline's own write suffix, through the commit that
+    persists its hand-off ({!Recording.record_recovery}).  With [ckpt]
+    the recovery seeds from the warm checkpoint
+    (crash-mid-checkpoint-fold coverage).  With [journal_len] (16 is
+    small enough) the workload ends in a sync and a twelve-block write,
+    so the hand-off chunks and commits inside the download.
+    Raises [Invalid_argument] if the run did not seed when [ckpt] asks
+    it to, if the hand-off committed inside the recovery without
+    [journal_len], or did not chunk with it. *)
 
 val first_divergence :
   ?cfg:config -> ?barriers:bool -> Rae_vfs.Op.t list -> divergence option

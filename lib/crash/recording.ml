@@ -42,6 +42,7 @@ type t = {
   barriers : bool;  (* false: pretend the device ignored flush barriers *)
   recovery_from : int option;  (* first event of the recovery write suffix *)
   seeded_recovery : bool;
+  handoff_deferred : bool;  (* the recovery left its hand-off to a later commit *)
 }
 
 let block_size = Rae_format.Layout.block_size
@@ -71,10 +72,10 @@ let dirty_after t lo =
   done;
   fun ino -> Hashtbl.mem acc ino
 
-let fresh_run ~nblocks ~ninodes =
+let fresh_run ?journal_len ~nblocks ~ninodes () =
   let disk = Disk.create ~latency:Disk.zero_latency ~block_size ~nblocks () in
   let raw = Device.of_disk disk in
-  (match Base.mkfs raw ~ninodes () with
+  (match Base.mkfs raw ~ninodes ?journal_len () with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Rae_crash.Recording: mkfs failed: " ^ msg));
   let base_image = Disk.snapshot disk in
@@ -82,7 +83,7 @@ let fresh_run ~nblocks ~ninodes =
   (base_image, sim, dev)
 
 let record ?(nblocks = 512) ?(ninodes = 64) ?(commit_interval = 2) ?(barriers = true) ops =
-  let base_image, sim, dev = fresh_run ~nblocks ~ninodes in
+  let base_image, sim, dev = fresh_run ~nblocks ~ninodes () in
   let b =
     match Base.mount ~config:{ Base.default_config with Base.commit_interval } dev with
     | Ok b -> b
@@ -126,22 +127,28 @@ let record ?(nblocks = 512) ?(ninodes = 64) ?(commit_interval = 2) ?(barriers = 
     barriers;
     recovery_from = None;
     seeded_recovery = false;
+    handoff_deferred = false;
   }
 
 (* The crash-during-recovery recorder: same lockstep run, but through the
-   controller, with a deterministic panic armed on a reserved path name.
-   The write stream past [recovery_from] is the §3.2 pipeline's own
-   persistence activity (journal replay inside the contained reboot, then
-   the download-metadata commit), so enumerating crash points in that
-   suffix is exactly "power fails while recovery is writing".  With
-   [ckpt] the recovery seeds from the warm checkpoint first, covering the
+   controller, with a deterministic panic armed on a reserved path name,
+   and [fold_interval + 1] creates after the trigger.  The write stream
+   past [recovery_from] is the §3.2 pipeline's own persistence activity
+   and the commit that persists its hand-off: journal replay inside the
+   contained reboot, nothing from resume until the tail's
+   [fold_interval]-th op, whose forced commit writes the hand-off and the
+   tail so far.  Enumerating crash points in that suffix is "power fails
+   while recovery is writing, or before its hand-off is durable".  A
+   small [journal_len] makes a large hand-off commit in chunks inside the
+   download instead, ending with a commit before resume.  With [ckpt] the
+   recovery seeds from the warm checkpoint first, covering the
    crash-mid-fold path (the fold itself never writes — lint-enforced —
    so its crash surface *is* the seeded recovery's write stream). *)
 let trigger_component = "boom"
 
-let record_recovery ?(nblocks = 2048) ?(ninodes = 256) ?(commit_interval = 8) ?(ckpt = false)
-    ?(fold_interval = 4) ops =
-  let base_image, sim, dev = fresh_run ~nblocks ~ninodes in
+let record_recovery ?(nblocks = 2048) ?(ninodes = 256) ?journal_len ?(commit_interval = 8)
+    ?(ckpt = false) ?(fold_interval = 4) ops =
+  let base_image, sim, dev = fresh_run ?journal_len ~nblocks ~ninodes () in
   let bug =
     {
       Bug_registry.id = "crash-sweep-panic";
@@ -167,7 +174,12 @@ let record_recovery ?(nblocks = 2048) ?(ninodes = 256) ?(commit_interval = 8) ?(
   let ctrl = Controller.make ~policy ~device:dev b in
   let spec = Spec.make () in
   let trigger_op = Op.Create (Rae_vfs.Path.parse_exn ("/" ^ trigger_component), 0o644) in
-  let ops = Array.of_list (ops @ [ trigger_op ]) in
+  let tail =
+    List.init (fold_interval + 1) (fun i ->
+        Op.Create (Rae_vfs.Path.parse_exn (Printf.sprintf "/%s-tail%d" trigger_component i), 0o644))
+  in
+  let trigger = List.length ops in
+  let ops = Array.of_list (ops @ (trigger_op :: tail)) in
   let hazards = Array.make (max 1 (Array.length ops)) [] in
   let boundaries = ref [] in
   let covered = ref 0 in
@@ -186,15 +198,15 @@ let record_recovery ?(nblocks = 2048) ?(ninodes = 256) ?(commit_interval = 8) ?(
   (* Registered after Controller.make, so the controller's oplog-pruning
      hook runs first at every boundary. *)
   Base.on_commit b (fun ~commit_seq -> push ~commit_seq);
-  let recovery_from = ref None in
+  let recovery_from = ref None and handoff_deferred = ref false in
   Array.iteri
     (fun i op ->
       hazards.(i) <- hazard_inos spec op;
       ignore (Spec.exec spec op);
       covered := i + 1;
-      if i = Array.length ops - 1 then
-        recovery_from := Some (Array.length (Crashsim.events sim));
-      ignore (Controller.exec ctrl op))
+      if i = trigger then recovery_from := Some (Array.length (Crashsim.events sim));
+      ignore (Controller.exec ctrl op);
+      if i = trigger then handoff_deferred := (Controller.stats ctrl).Controller.window > 0)
     ops;
   (match Controller.degraded ctrl with
   | Some reason -> invalid_arg ("Rae_crash.Recording: recovery fail-stopped: " ^ reason)
@@ -216,6 +228,7 @@ let record_recovery ?(nblocks = 2048) ?(ninodes = 256) ?(commit_interval = 8) ?(
     barriers = true;
     recovery_from = !recovery_from;
     seeded_recovery = seeded;
+    handoff_deferred = !handoff_deferred;
   }
 
 let write_count t =

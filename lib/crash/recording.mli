@@ -32,6 +32,9 @@ type t = {
       (** first event of the recovery-pipeline write suffix, when the
           recording drove a crash-mid-recovery run *)
   seeded_recovery : bool;  (** that recovery seeded from a checkpoint *)
+  handoff_deferred : bool;
+      (** that recovery left its hand-off dirty for a later commit (false
+          when the hand-off chunked and committed inside the download) *)
 }
 
 val block_size : int
@@ -52,6 +55,7 @@ val record :
 val record_recovery :
   ?nblocks:int ->
   ?ninodes:int ->
+  ?journal_len:int ->
   ?commit_interval:int ->
   ?ckpt:bool ->
   ?fold_interval:int ->
@@ -59,11 +63,16 @@ val record_recovery :
   t
 (** Same lockstep run through the controller with a deterministic panic
     armed on a reserved path component ({!trigger_component}); the
-    workload is extended with one op that touches it.  Events past
-    [recovery_from] are the recovery pipeline's own writes (journal replay
-    inside the contained reboot, then the download-metadata commit), so
-    crash points in that suffix model power failing {e during} recovery.
-    With [ckpt] the recovery seeds from the warm checkpoint, covering the
+    workload is extended with one op that touches it and
+    [fold_interval + 1] creates after it.  Events past [recovery_from]
+    are the recovery pipeline's own writes and the commit that persists
+    its hand-off: journal replay inside the contained reboot, then the
+    commit the controller forces at the tail's [fold_interval]-th op.
+    So crash points in that suffix model power failing {e during}
+    recovery and between its resume and that commit.  With a small
+    [journal_len] (mkfs's journal length) a large hand-off instead
+    commits in chunks inside the download.  With [ckpt] the recovery
+    seeds from the warm checkpoint, covering the
     crash-mid-checkpoint-fold path.  @raise Invalid_argument if the run
     degrades to fail-stop or the panic never triggers. *)
 

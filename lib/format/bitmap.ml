@@ -205,26 +205,30 @@ let encode_block t ~block_size index =
   encode_block_into t index out;
   out
 
-let parse blocks ~nbits ~strict =
+(* [view blk f] applies [f] to block [blk]; the bitmap fills blocks
+   [start] to [start + count - 1].  [take] copies out what it needs, so
+   [view] may lend a block out only for the call. *)
+let parse view ~start ~count ~nbits ~strict =
   if nbits <= 0 then Error "nbits must be positive"
-  else
+  else begin
     let needed_bytes = (nbits + 7) / 8 in
-    let total_bytes = List.fold_left (fun acc b -> acc + Bytes.length b) 0 blocks in
-    if total_bytes < needed_bytes then
-      Error (Printf.sprintf "bitmap blocks hold %d bytes, need %d" total_bytes needed_bytes)
+    (* The bitmap's bytes are copied straight out of the blocks; the
+       rest of each block must read all-ones in strict mode. *)
+    let bits = Bytes.create needed_bytes in
+    let tail_ones = ref true in
+    let off = ref 0 in
+    let take b =
+      let n = max 0 (min (Bytes.length b) (needed_bytes - !off)) in
+      if n > 0 then Bytes.blit b 0 bits !off n;
+      if strict && !tail_ones then tail_ones := all_ones_from b n;
+      off := !off + Bytes.length b
+    in
+    for i = 0 to count - 1 do
+      view (start + i) take
+    done;
+    if !off < needed_bytes then
+      Error (Printf.sprintf "bitmap blocks hold %d bytes, need %d" !off needed_bytes)
     else begin
-      (* The bitmap's bytes are copied straight out of the blocks; the
-         rest of each block must read all-ones in strict mode. *)
-      let bits = Bytes.create needed_bytes in
-      let tail_ones = ref true in
-      let off = ref 0 in
-      List.iter
-        (fun b ->
-          let take = max 0 (min (Bytes.length b) (needed_bytes - !off)) in
-          if take > 0 then Bytes.blit b 0 bits !off take;
-          if strict && !tail_ones then tail_ones := all_ones_from b take;
-          off := !off + Bytes.length b)
-        blocks;
       (* Clear the in-memory padding bits of the final byte. *)
       let used_bits = ((nbits - 1) mod 8) + 1 in
       let padding_ok = ref true in
@@ -238,9 +242,15 @@ let parse blocks ~nbits ~strict =
       if strict && not (!padding_ok && !tail_ones) then Error "bitmap padding bits are not all-ones"
       else Ok t
     end
+  end
 
-let of_blocks blocks ~nbits = parse blocks ~nbits ~strict:true
-let of_blocks_lenient blocks ~nbits = parse blocks ~nbits ~strict:false
+let parse_list blocks ~nbits ~strict =
+  let blocks = Array.of_list blocks in
+  parse (fun i f -> f blocks.(i)) ~start:0 ~count:(Array.length blocks) ~nbits ~strict
+
+let of_blocks blocks ~nbits = parse_list blocks ~nbits ~strict:true
+let of_view view ~start ~count ~nbits = parse view ~start ~count ~nbits ~strict:true
+let of_blocks_lenient blocks ~nbits = parse_list blocks ~nbits ~strict:false
 
 let equal a b = a.nbits = b.nbits && Bytes.equal a.bits b.bits
 

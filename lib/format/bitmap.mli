@@ -66,6 +66,13 @@ val of_blocks : bytes list -> nbits:int -> (t, string) result
 (** Parse; fails if the blocks cannot hold [nbits] or padding bits are not
     all-ones (a corruption signal fsck reports). *)
 
+val of_view :
+  (int -> (bytes -> unit) -> unit) -> start:int -> count:int -> nbits:int -> (t, string) result
+(** {!of_blocks} over blocks [start] to [start + count - 1], each read
+    through [view blk f], which applies [f] to block [blk].  [f] copies
+    out what it needs, so [view] may lend a buffer out only for the call
+    and take it back afterwards. *)
+
 val of_blocks_lenient : bytes list -> nbits:int -> (t, string) result
 (** Like {!of_blocks} but ignores padding bits — the base filesystem's mount
     path, which (deliberately, per the paper's contrast) checks less. *)

@@ -1,6 +1,7 @@
 open Rae_util
 
-type t = { read : int -> bytes; sb : Superblock.t }
+type viewer = { view : 'a. int -> (bytes -> 'a) -> 'a }
+type t = { read : int -> bytes; viewer : viewer; sb : Superblock.t }
 
 type error = { context : string; problem : string }
 
@@ -8,20 +9,21 @@ let error_to_string e = Printf.sprintf "%s: %s" e.context e.problem
 let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 let err context fmt = Format.kasprintf (fun problem -> Error { context; problem }) fmt
 
-let attach read =
-  match Superblock.decode (read 0) with
-  | Ok sb -> Ok { read; sb }
+let attach ?viewer read =
+  let viewer = match viewer with Some v -> v | None -> { view = (fun blk f -> f (read blk)) } in
+  match viewer.view 0 Superblock.decode with
+  | Ok sb -> Ok { read; viewer; sb }
   | Error e -> err "superblock" "%s" (Superblock.error_to_string e)
   | exception Codec.Decode_error msg -> err "superblock" "decode error: %s" msg
 
 let geometry t = t.sb.Superblock.geometry
 
-let region_blocks t ~start ~len = List.init len (fun i -> t.read (start + i))
-
 let load_inode_bitmap t =
   let g = geometry t in
-  let blocks = region_blocks t ~start:g.Layout.inode_bitmap_start ~len:g.Layout.inode_bitmap_len in
-  match Bitmap.of_blocks blocks ~nbits:(g.Layout.ninodes + 1) with
+  match
+    Bitmap.of_view t.viewer.view ~start:g.Layout.inode_bitmap_start
+      ~count:g.Layout.inode_bitmap_len ~nbits:(g.Layout.ninodes + 1)
+  with
   | Error msg -> err "inode bitmap" "%s" msg
   | Ok bm ->
       if not (Bitmap.test bm 0) then err "inode bitmap" "bit 0 (invalid inode) is clear"
@@ -29,8 +31,10 @@ let load_inode_bitmap t =
 
 let load_block_bitmap t =
   let g = geometry t in
-  let blocks = region_blocks t ~start:g.Layout.block_bitmap_start ~len:g.Layout.block_bitmap_len in
-  match Bitmap.of_blocks blocks ~nbits:g.Layout.nblocks with
+  match
+    Bitmap.of_view t.viewer.view ~start:g.Layout.block_bitmap_start
+      ~count:g.Layout.block_bitmap_len ~nbits:g.Layout.nblocks
+  with
   | Error msg -> err "block bitmap" "%s" msg
   | Ok bm ->
       let rec check blk =
@@ -46,12 +50,12 @@ let read_inode_opt t ino =
   if ino < 1 || ino > g.Layout.ninodes then err "inode" "inode %d out of range" ino
   else
     let blk, off = Layout.inode_location g ino in
-    let b = t.read blk in
-    if Inode.is_free_slot b ~pos:off then Ok None
-    else
-      match Inode.decode b ~pos:off ~ino with
-      | Ok inode -> Ok (Some inode)
-      | Error e -> err "inode" "inode %d: %s" ino (Inode.error_to_string e)
+    t.viewer.view blk (fun b ->
+        if Inode.is_free_slot b ~pos:off then Ok None
+        else
+          match Inode.decode b ~pos:off ~ino with
+          | Ok inode -> Ok (Some inode)
+          | Error e -> err "inode" "inode %d: %s" ino (Inode.error_to_string e))
 
 let read_inode t ino =
   match read_inode_opt t ino with
@@ -71,6 +75,9 @@ let read_ptr_block t blk =
 
 let ptr_at b i = Codec.get_u32_int b (4 * i)
 
+(* Entry [i] of pointer block [blk], decoded in place. *)
+let ptr t blk i = t.viewer.view blk (fun b -> ptr_at b i)
+
 let file_block t inode idx =
   let g = geometry t in
   let ppb = Layout.pointers_per_block in
@@ -84,7 +91,7 @@ let file_block t inode idx =
       else
         match check_ptr g ~what:"indirect pointer" inode.Inode.indirect with
         | Error e -> Error e
-        | Ok blk -> check_ptr g ~what:"indirect entry" (ptr_at (read_ptr_block t blk) idx)
+        | Ok blk -> check_ptr g ~what:"indirect entry" (ptr t blk idx)
     else
       let idx = idx - ppb in
       if inode.Inode.double_indirect = 0 then Ok 0
@@ -92,11 +99,11 @@ let file_block t inode idx =
         match check_ptr g ~what:"double-indirect pointer" inode.Inode.double_indirect with
         | Error e -> Error e
         | Ok dblk -> (
-            let l1 = ptr_at (read_ptr_block t dblk) (idx / ppb) in
+            let l1 = ptr t dblk (idx / ppb) in
             match check_ptr g ~what:"double-indirect L1 entry" l1 with
             | Error e -> Error e
             | Ok 0 -> Ok 0
-            | Ok l1blk -> check_ptr g ~what:"double-indirect L2 entry" (ptr_at (read_ptr_block t l1blk) (idx mod ppb)))
+            | Ok l1blk -> check_ptr g ~what:"double-indirect L2 entry" (ptr t l1blk (idx mod ppb)))
 
 let read_file_block t inode idx =
   match file_block t inode idx with

@@ -7,15 +7,25 @@
     filesystem deliberately does not use this module — it has its own
     trusting fast paths, mirroring the paper's base/shadow asymmetry. *)
 
-type t = { read : int -> bytes; sb : Superblock.t }
+type viewer = { view : 'a. int -> (bytes -> 'a) -> 'a }
+(** [view blk f] applies [f] to [blk]'s content.  [f] must neither
+    mutate nor keep the buffer, nor return anything that shares it: the
+    source may lend out a buffer it keeps, or take its buffer back once
+    [f] returns. *)
+
+type t = { read : int -> bytes; viewer : viewer; sb : Superblock.t }
+(** [read] returns a buffer the caller owns; the decodes that only copy
+    fields out of a block (superblock, bitmaps, inodes, pointer-block
+    entries) go through [viewer] instead. *)
 
 type error = { context : string; problem : string }
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
-val attach : (int -> bytes) -> (t, error) result
-(** Read and validate the superblock. *)
+val attach : ?viewer:viewer -> (int -> bytes) -> (t, error) result
+(** Read and validate the superblock.  Without [viewer], a view reads
+    through [read] and drops the buffer. *)
 
 val geometry : t -> Layout.geometry
 

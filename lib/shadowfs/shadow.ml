@@ -123,7 +123,8 @@ let mk_t ov reader config ~ibm ~bbm =
 
 let attach ?(config = default_config) dev =
   let ov = Overlay.create dev in
-  match Reader.attach (fun blk -> Overlay.read ov blk) with
+  let viewer = { Reader.view = (fun blk f -> Overlay.view ov blk f) } in
+  match Reader.attach ~viewer (fun blk -> Overlay.read ov blk) with
   | Error e -> Error (Reader.error_to_string e)
   | Ok reader -> (
       match (Reader.load_inode_bitmap reader, Reader.load_block_bitmap reader) with

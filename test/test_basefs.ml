@@ -670,13 +670,15 @@ let test_contained_reboot_restores_committed_state () =
 
 (* A recovery's download journals the shadow's data-region blocks
    (directory, indirect, symlink and file data) whole.  The commit that
-   persists them must unpin them, as it unpins every block it persists:
-   on the one-commit path, and on the chunked path a small journal forces
-   (its soft limit is 8 blocks at 16 journal blocks). *)
+   persists them must unpin them, as it unpins every block it persists.
+   On the one-commit path the download leaves the hand-off dirty and
+   pinned, and the next commit unpins it; on the chunked path a small
+   journal forces (its soft limit is 8 blocks at 16 journal blocks), the
+   download ends with a commit and leaves nothing pinned. *)
 let test_download_unpins_handoff () =
   let module Shadow = Rae_shadowfs.Shadow in
   List.iter
-    (fun (name, journal_len, ndirs) ->
+    (fun (name, journal_len, ndirs, chunked) ->
       let disk = mk_disk () in
       let dev = Device.of_disk disk in
       ignore (ok (Base.mkfs dev ~ninodes:256 ?journal_len ()));
@@ -689,18 +691,27 @@ let test_download_unpins_handoff () =
         ignore (ok (Shadow.mkdir sh (p (Printf.sprintf "/a/d%d" i)) ~mode:0o755))
       done;
       ignore (ok (Base.contained_reboot b));
-      ok
-        (Base.download_metadata b ~blocks:(Shadow.dirty_blocks sh) ~fd_table:[]
-           ~time:(Shadow.time sh));
-      Alcotest.(check int) (name ^ ": pinned after the download") 0 (Base.pinned_blocks b);
+      let handoff = Shadow.dirty_blocks sh in
+      let commits = (Base.stats b).Base.commits in
+      ok (Base.download_metadata b ~blocks:handoff ~fd_table:[] ~time:(Shadow.time sh));
+      if chunked then
+        Alcotest.(check int) (name ^ ": pinned after the download") 0 (Base.pinned_blocks b)
+      else begin
+        Alcotest.(check int) (name ^ ": no commit in the download") commits
+          (Base.stats b).Base.commits;
+        Alcotest.(check int) (name ^ ": the hand-off stays pinned") (List.length handoff)
+          (Base.pinned_blocks b)
+      end;
       Alcotest.(check int) (name ^ ": handed-over entries") ndirs
         (List.length (ok (Base.readdir b (p "/a"))));
+      Base.commit b;
+      Alcotest.(check int) (name ^ ": pinned after the next commit") 0 (Base.pinned_blocks b);
       for i = 0 to 159 do
         ignore (ok (Base.create b (p (Printf.sprintf "/a/f%d" i)) ~mode:0o644))
       done;
       ignore (ok (Base.sync b));
       Alcotest.(check int) (name ^ ": pinned after creates and a sync") 0 (Base.pinned_blocks b))
-    [ ("one commit", None, 1); ("chunked", Some 16, 24) ]
+    [ ("one commit", None, 1, false); ("chunked", Some 16, 24, true) ]
 
 let () =
   let q = QCheck_alcotest.to_alcotest in

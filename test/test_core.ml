@@ -292,19 +292,124 @@ let test_recovery_report_contents () =
       Alcotest.(check bool) "report prints" true
         (String.length (Format.asprintf "%a" Report.pp_recovery r) > 0)
 
-let test_durable_after_recovery () =
-  (* Recovery commits the reconstructed state: a crash right after must
-     preserve it. *)
-  let disk, dev, ctl = mk ~bugs:(arm [ "crafted-name-panic" ]) () in
-  ignore (ok (Controller.create ctl (p "/w1") ~mode:0o644));
+(* Recovery leaves its hand-off dirty in the base and resumes: a power
+   cut between resume and the deferred commit finds the last commit's
+   state, S0, on disk.  A copy of the device taken there mounts to S0's
+   tree, and fsck finds it clean. *)
+let test_power_cut_before_deferred_commit () =
+  let disk, _dev, ctl = mk ~bugs:(arm [ "crafted-name-panic" ]) () in
+  let sp = Spec.make () in
+  assert_matches_spec ~sp ctl [ Op.Mkdir (p "/d", 0o755); Op.Create (p "/d/s0", 0o644); Op.Sync ];
+  let at_s0 = ok (Rae_workload.Snapshot.capture ~exec:Spec.exec sp) in
+  ignore (ok (Controller.create ctl (p "/d/w1") ~mode:0o644));
   ignore (ok (Controller.create ctl (p "/pwn") ~mode:0o644)) (* recovery *);
-  ignore disk;
-  (* Simulate a process crash: fresh mount of the same device. *)
+  Alcotest.(check int) "recovered" 1 (Controller.stats ctl).Controller.recoveries;
+  Alcotest.(check int) "window kept, with the in-flight op" 2
+    (Controller.stats ctl).Controller.window;
+  let copy = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks:(Disk.nblocks disk) () in
+  Disk.restore copy (Disk.snapshot disk);
+  let dev2 = Device.of_disk copy in
+  let base2 = ok (Base.mount dev2) in
+  (match Rae_workload.Snapshot.capture ~exec:Base.exec base2 with
+  | Ok tree ->
+      if not (Rae_workload.Snapshot.equal at_s0 tree) then
+        Alcotest.failf "the cut image is not S0: %s"
+          (String.concat "; " (Rae_workload.Snapshot.diff at_s0 tree))
+  | Error e -> Alcotest.failf "walk failed: %s" e);
+  Alcotest.(check bool) "image clean" true
+    (Rae_fsck.Fsck.clean (Rae_fsck.Fsck.check_device dev2))
+
+(* The op that reaches [ckpt_fold_interval] ops after resume commits the
+   hand-off, even when every op in between is a pure read: the window
+   prunes there, the checkpoint re-cuts, and a process crash right after
+   keeps the whole window. *)
+let test_deferred_commit_makes_window_durable () =
+  List.iter
+    (fun ckpt_enabled ->
+      let policy = { Controller.default_policy with Controller.ckpt_enabled } in
+      let interval = policy.Controller.ckpt_fold_interval in
+      let _disk, dev, ctl = mk ~policy ~bugs:(arm [ "crafted-name-panic" ]) () in
+      let commits () = (Base.stats (Controller.base ctl)).Base.commits in
+      let window () = (Controller.stats ctl).Controller.window in
+      ignore (ok (Controller.create ctl (p "/w1") ~mode:0o644));
+      ignore (ok (Controller.create ctl (p "/pwn") ~mode:0o644)) (* recovery *);
+      let at_resume = commits () in
+      Alcotest.(check bool) "spent until the commit" false (Controller.checkpoint_valid ctl);
+      for _ = 1 to interval - 1 do
+        ignore (ok (Controller.stat ctl (p "/w1")))
+      done;
+      Alcotest.(check int) "no commit inside the bound" at_resume (commits ());
+      Alcotest.(check int) "window kept" (2 + interval - 1) (window ());
+      ignore (ok (Controller.stat ctl (p "/w1")));
+      Alcotest.(check int) "the op at the bound commits" (at_resume + 1) (commits ());
+      Alcotest.(check int) "window pruned" 0 (window ());
+      Alcotest.(check bool) "checkpoint re-cut" ckpt_enabled (Controller.checkpoint_valid ctl);
+      (* Simulate a process crash: fresh mount of the same device. *)
+      let base2 = ok (Base.mount dev) in
+      Alcotest.(check bool) "w1 durable" true (Result.is_ok (Base.lookup base2 (p "/w1")));
+      Alcotest.(check bool) "pwn durable" true (Result.is_ok (Base.lookup base2 (p "/pwn")));
+      Alcotest.(check bool) "image clean" true
+        (Rae_fsck.Fsck.clean (Rae_fsck.Fsck.check_device dev)))
+    [ false; true ]
+
+(* A data block the shadow allocates and frees again inside the window
+   stays in its overlay, and so in the hand-off, though nothing points at
+   it.  The base's allocator may hand it out again before the deferred
+   commit: the hand-off must not carry its stale image into that commit,
+   over the new owner's bytes. *)
+let test_block_freed_in_window_reused () =
+  let _disk, dev, ctl = mk ~bugs:(arm [ "crafted-name-panic" ]) () in
+  ignore (ok (Controller.symlink ctl ~target:"/old-target" (p "/a")));
+  ignore (ok (Controller.unlink ctl (p "/a")));
+  ignore (ok (Controller.create ctl (p "/pwn") ~mode:0o644)) (* recovery *);
+  ignore (ok (Controller.symlink ctl ~target:"/new-target" (p "/b")));
+  ignore (ok (Controller.sync ctl));
   let base2 = ok (Base.mount dev) in
-  Alcotest.(check bool) "w1 durable" true (Result.is_ok (Base.lookup base2 (p "/w1")));
-  Alcotest.(check bool) "pwn durable" true (Result.is_ok (Base.lookup base2 (p "/pwn")));
+  Alcotest.(check string) "the new owner's bytes" "/new-target" (ok (Base.readlink base2 (p "/b")));
   Alcotest.(check bool) "image clean" true
     (Rae_fsck.Fsck.clean (Rae_fsck.Fsck.check_device dev))
+
+(* A second trigger inside the first recovery's bound: the checkpoint is
+   spent, so the second recovery runs cold from S0 over the first window,
+   the first in-flight op (against the shadow's recorded outcome) and the
+   ops after it.  The run stays equal to the spec, and a sync leaves a
+   clean image. *)
+let test_two_recoveries_before_deferred_commit () =
+  List.iter
+    (fun ckpt_enabled ->
+      let policy = { Controller.default_policy with Controller.ckpt_enabled } in
+      let _disk, dev, ctl = mk ~policy ~bugs:(arm [ "crafted-name-panic" ]) () in
+      let sp = Spec.make () in
+      assert_matches_spec ~sp ctl [ Op.Mkdir (p "/d", 0o755); Op.Create (p "/d/a", 0o644); Op.Sync ];
+      let fd =
+        match Spec.exec sp (Op.Open (p "/d/log", Types.flags_create)) with
+        | Ok (Op.Fd fd) -> fd
+        | _ -> Alcotest.fail "expected a descriptor"
+      in
+      Alcotest.(check int) "the spec's descriptor" fd
+        (ok (Controller.openf ctl (p "/d/log") Types.flags_create));
+      assert_matches_spec ~sp ctl [ Op.Pwrite (fd, 0, "first"); Op.Create (p "/d/pwn", 0o644) ];
+      let r1 =
+        match Controller.last_recovery ctl with Some r -> r | None -> Alcotest.fail "no recovery"
+      in
+      let after =
+        [ Op.Pwrite (fd, 5, "second"); Op.Rename (p "/d/a", p "/d/b"); Op.Mkdir (p "/e", 0o755) ]
+      in
+      assert_matches_spec ~sp ctl (after @ [ Op.Create (p "/e/pwn", 0o644) ]);
+      (match Controller.recoveries ctl with
+      | [ _; r2 ] ->
+          Alcotest.(check bool) "first seeded with the checkpoint on" ckpt_enabled r1.Report.r_seeded;
+          Alcotest.(check bool) "second cold" false r2.Report.r_seeded;
+          Alcotest.(check int) "second window: first window, in-flight op, ops after"
+            (r1.Report.r_window + 1 + List.length after) r2.Report.r_window;
+          Alcotest.(check bool) "recovered" true (r2.Report.r_outcome = Report.Recovered)
+      | l -> Alcotest.failf "expected 2 recoveries, saw %d" (List.length l));
+      assert_matches_spec ~sp ctl [ Op.Pread (fd, 0, 64); Op.Close fd ];
+      ignore (ok (Controller.sync ctl));
+      assert_same_tree sp ctl;
+      Alcotest.(check bool) "image clean" true
+        (Rae_fsck.Fsck.clean (Rae_fsck.Fsck.check_device dev)))
+    [ false; true ]
 
 (* ---- full-workload availability (experiment E8's core assertion) ---- *)
 
@@ -759,6 +864,126 @@ let test_persistent_device_error_fails_stop () =
   | Error Errno.EIO -> ()
   | _ -> Alcotest.fail "a fail-stopped controller answers EIO"
 
+(* A hand-off the commit barrier rejects still fails stop.  A bit flip in
+   S0's /victim inode, on every read through the controller, is never
+   decoded by the warm shadow, but the Δ replay's create of /x shares
+   its inode-table block, so the hand-off carries it.  The download's
+   barrier check rejects it, the seeded attempt falls back, the cold
+   path's fsck rejects S0, and the controller fail-stops with one
+   recovery and a FAILSTOP bundle, instead of resuming with a hand-off
+   that every later commit would reject. *)
+let test_rejected_handoff_fails_stop () =
+  let dir =
+    let path = Filename.temp_file "rae-core-bundles" "" in
+    Sys.remove path;
+    path
+  in
+  let victim_flip g =
+    [
+      Rae_block.Fault.Flip_on_read
+        {
+          block = g.Layout.inode_table_start;
+          byte = Layout.inode_size + 8;
+          bit = 0;
+          from_nth = 1;
+          count = max_int;
+        };
+    ]
+  in
+  let ctl =
+    mk_faulty ~bugs:(arm [ "crafted-name-panic" ]) ~bundle_dir:dir ~policy:(fold_every 1000)
+      victim_flip
+  in
+  Alcotest.(check int) "victim is inode 2" 2 (ok (Controller.create ctl (p "/victim") ~mode:0o644));
+  ignore (ok (Controller.sync ctl));
+  ignore (ok (Controller.create ctl (p "/x") ~mode:0o644));
+  (match Controller.create ctl (p "/pwn") ~mode:0o644 with
+  | Error Errno.EIO -> ()
+  | Ok _ -> Alcotest.fail "expected EIO, got a result"
+  | Error e -> Alcotest.failf "expected EIO, got %s" (Errno.to_string e));
+  Alcotest.(check bool) "degraded" true (Controller.degraded ctl <> None);
+  Alcotest.(check int) "one recovery" 1 (Controller.stats ctl).Controller.recoveries;
+  let fallbacks =
+    List.filter_map
+      (fun e ->
+        match e.Rae_obs.Events.body with
+        | Rae_obs.Events.Ckpt_fallback { reason } -> Some reason
+        | _ -> None)
+      (Rae_obs.Events.tail (Controller.events ctl))
+  in
+  (match fallbacks with
+  | [ reason ] ->
+      Alcotest.(check bool) ("the download rejected it: " ^ reason) true
+        (contains reason "metadata download")
+  | l -> Alcotest.failf "expected one fallback, saw %d" (List.length l));
+  (match Controller.bundles ctl with
+  | [ path ] -> (
+      match Rae_obs.Blackbox.check_file path with
+      | Ok s ->
+          Alcotest.(check string) "bundle kind" Rae_obs.Blackbox.kind_failstop
+            s.Rae_obs.Blackbox.s_kind
+      | Error vs -> Alcotest.failf "bundle invalid: %s" (String.concat "; " vs))
+  | l -> Alcotest.failf "expected one bundle, got %d" (List.length l));
+  for i = 1 to 40 do
+    match Controller.create ctl (file i) ~mode:0o644 with
+    | Error Errno.EIO -> ()
+    | _ -> Alcotest.fail "a fail-stopped controller answers EIO"
+  done;
+  Alcotest.(check int) "no recovery after the fail-stop" 1
+    (Controller.stats ctl).Controller.recoveries
+
+(* A controller keeps the newest 256 recovery reports and bundle paths,
+   newest last, so a daemon that recovers for days holds a bounded log;
+   its counters count all of them.  300 back-to-back recoveries, each of
+   an op on "/pwn", also show the hand-off's bound holding: the recovery
+   of the op at the bound commits, so no window outgrows it by more
+   than one op. *)
+let test_logs_keep_newest () =
+  let dir =
+    let path = Filename.temp_file "rae-core-bundles" "" in
+    Sys.remove path;
+    path
+  in
+  let disk = Disk.create ~latency:Disk.zero_latency ~block_size:bs ~nblocks:2048 () in
+  let dev = Device.of_disk disk in
+  ignore (ok (Base.mkfs dev ~ninodes:256 ()));
+  let base = ok (Base.mount ~bugs:(arm [ "crafted-name-panic" ]) dev) in
+  let ctl = Controller.make ~bundle_dir:dir ~device:dev base in
+  let reg = Rae_obs.Metrics.create () in
+  Controller.register_obs reg ctl;
+  let bound = Controller.default_policy.Controller.ckpt_fold_interval in
+  for i = 1 to 300 do
+    let op = if i mod 2 = 1 then Op.Create (p "/pwn", 0o644) else Op.Unlink (p "/pwn") in
+    ignore (Controller.exec ctl op);
+    if (Controller.stats ctl).Controller.window > bound + 1 then
+      Alcotest.failf "window %d after recovery %d" (Controller.stats ctl).Controller.window i
+  done;
+  let s = Controller.stats ctl in
+  Alcotest.(check int) "every recovery counted" 300 s.Controller.recoveries;
+  let reports = Controller.recoveries ctl in
+  Alcotest.(check int) "newest 256 reports kept" 256 (List.length reports);
+  (match (Controller.last_recovery ctl, List.rev reports) with
+  | Some last, newest :: _ -> Alcotest.(check bool) "newest last" true (last == newest)
+  | _ -> Alcotest.fail "no reports");
+  Alcotest.(check int) "recent_recoveries" 3 (List.length (Controller.recent_recoveries ctl 3));
+  let bundles = Controller.bundles ctl in
+  Alcotest.(check int) "newest 256 bundles kept" 256 (List.length bundles);
+  Alcotest.(check (list string)) "bundles 45 to 300, oldest first"
+    (List.init 256 (fun i -> Rae_obs.Blackbox.bundle_name ~seq:(45 + i) ~kind:Rae_obs.Blackbox.kind_recovery))
+    (List.map Filename.basename bundles);
+  (match
+     ( Rae_obs.Metrics.find reg "rae_blackbox_written_total",
+       Rae_obs.Metrics.find reg "rae_blackbox_errors_total",
+       Rae_obs.Metrics.find reg "rae_recoveries_total" )
+   with
+  | Some (Rae_obs.Metrics.Counter 300), Some (Rae_obs.Metrics.Counter 0), Some (Rae_obs.Metrics.Counter 300)
+    ->
+      ()
+  | _ -> Alcotest.fail "expected 300 bundles written, 0 errors, 300 recoveries");
+  Alcotest.(check (option Alcotest.string)) "not degraded" None (Controller.degraded ctl);
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* Without a checkpoint: fsck passes S0 (the first superblock read), then
    the cold shadow's own attach hits the fault.  That is a failed
    recovery, not an exception out of [Controller.exec]. *)
@@ -860,8 +1085,8 @@ let test_seed_spends_the_checkpoint () =
    0, Δ replay is the first to read block 1, and its flipped inodes raise
    [Shadow.Violation] in the handed-over shadow.  Recovery falls back to
    the cold path, which replays the whole window; the seed already spent
-   the checkpoint, so nothing is poisoned, and the cold path's resume
-   re-arms it. *)
+   the checkpoint, so nothing is poisoned, and the commit that persists
+   the cold path's hand-off re-arms it. *)
 let test_fallback_after_a_hand_over () =
   let ctl =
     mk_faulty ~bugs:(arm [ "crafted-name-panic" ]) ~policy:(fold_every 8) (inode_table_flip 1)
@@ -888,6 +1113,8 @@ let test_fallback_after_a_hand_over () =
     ignore (ok (Controller.lookup ctl (file i)))
   done;
   ignore (ok (Controller.lookup ctl (p "/pwn")));
+  Alcotest.(check bool) "spent until the hand-off commits" false (Controller.checkpoint_valid ctl);
+  ignore (ok (Controller.sync ctl));
   Alcotest.(check bool) "checkpoint re-armed" true (Controller.checkpoint_valid ctl)
 
 (* The centerpiece property: replay-from-checkpoint is indistinguishable
@@ -1247,7 +1474,14 @@ let () =
           Alcotest.test_case "orphan survives" `Quick test_orphan_survives_recovery;
           Alcotest.test_case "ino/fd numbers stable" `Quick test_inode_and_fd_numbers_stable;
           Alcotest.test_case "report contents" `Quick test_recovery_report_contents;
-          Alcotest.test_case "recovered state durable" `Quick test_durable_after_recovery;
+          Alcotest.test_case "a power cut before the deferred commit recovers S0" `Quick
+            test_power_cut_before_deferred_commit;
+          Alcotest.test_case "the deferred commit makes the window durable" `Quick
+            test_deferred_commit_makes_window_durable;
+          Alcotest.test_case "two recoveries before the deferred commit" `Quick
+            test_two_recoveries_before_deferred_commit;
+          Alcotest.test_case "a block freed in the window is reused before the commit" `Quick
+            test_block_freed_in_window_reused;
         ] );
       ( "availability",
         [
@@ -1276,6 +1510,8 @@ let () =
             test_persistent_device_error_fails_stop;
           Alcotest.test_case "device error in the cold attach fails stop" `Quick
             test_device_error_in_cold_attach;
+          Alcotest.test_case "a hand-off the barrier rejects fails stop" `Quick
+            test_rejected_handoff_fails_stop;
           Alcotest.test_case "corrupt S0 inode in the fold's attach" `Quick
             test_violation_in_fold_attach;
           Alcotest.test_case "corrupt S0 inode in the seed's attach" `Quick
@@ -1300,5 +1536,6 @@ let () =
         [
           Alcotest.test_case "unrecoverable image" `Quick test_degrades_on_unrecoverable_image;
           Alcotest.test_case "stats" `Quick test_recovery_counts_in_stats;
+          Alcotest.test_case "the logs keep the newest 256" `Quick test_logs_keep_newest;
         ] );
     ]

@@ -116,6 +116,11 @@ let test_sweep_recovery_ckpt () =
   let stats = Engine.sweep_recovery ~count:16 ~ckpt:true () in
   check_no_divergence "recovery-ckpt" stats
 
+let test_sweep_recovery_chunked () =
+  (* sweep_recovery itself asserts the hand-off chunked. *)
+  let stats = Engine.sweep_recovery ~count:16 ~journal_len:16 ~ckpt:false () in
+  check_no_divergence "recovery-chunked" stats
+
 (* ---- the seeded divergence ---- *)
 
 let test_fixture_detected () =
@@ -197,6 +202,8 @@ let () =
           Alcotest.test_case "targeted sweep" `Slow test_sweep_targeted;
           Alcotest.test_case "crash mid-recovery" `Slow test_sweep_recovery_cold;
           Alcotest.test_case "crash mid-ckpt-fold" `Slow test_sweep_recovery_ckpt;
+          Alcotest.test_case "crash mid-recovery, chunked hand-off" `Slow
+            test_sweep_recovery_chunked;
         ] );
       ( "fixture",
         [

@@ -406,6 +406,8 @@ let test_register_obs_and_reset () =
           Alcotest.(check bool) (kind ^ " recovered") true (r.Report.r_outcome = Report.Recovered);
           Alcotest.(check bool) (kind ^ " took that path") ckpt_enabled r.Report.r_seeded
       | None -> Alcotest.failf "expected %s" kind);
+      (* The recovery leaves its hand-off for the next commit. *)
+      step "the hand-off's commit" (fun () -> Result.get_ok (Controller.sync ctl));
       let find name = Metrics.find reg name in
       match
         (find "rae_recoveries_total", find "rae_recovery_ns", find "base_ops_total",
@@ -492,8 +494,9 @@ let test_record_during_recovery () =
 
 (* A controller (ring of 4096, fold interval 4) over a base whose "boom"
    create and second fsync panic, run through a commit with data, a
-   fold, a recovery of a create and one of an fsync (which delegates its
-   sync).  Returns the ring's spans and marks as the tracer names them. *)
+   fold, a recovery of a create, the commit four ops later that persists
+   its hand-off, and a recovery of an fsync (which delegates its sync).
+   Returns the ring's spans and marks as the tracer names them. *)
 let span_run ?tracer ~ckpt_enabled () =
   let fsync_panic =
     { boom_panic with Bug_registry.id = "fsync-panic"; trigger = Nth_op_of_kind (Op.K_fsync, 2) }
@@ -508,6 +511,11 @@ let span_run ?tracer ~ckpt_enabled () =
   List.iter
     (fun n -> ignore (Controller.create ctl (p n) ~mode:0o644))
     [ "/a"; "/b"; "/c"; "/d"; "/boom" ];
+  (* Four more ops: the fourth commits the hand-off and re-cuts the
+     checkpoint, so the fsync's recovery seeds too. *)
+  List.iter
+    (fun n -> ignore (Controller.create ctl (p n) ~mode:0o644))
+    [ "/e"; "/g"; "/h"; "/i" ];
   Result.get_ok (Controller.fsync ctl fd);
   (match Controller.recoveries ctl with
   | [ a; b ] ->

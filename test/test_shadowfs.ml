@@ -386,6 +386,17 @@ let test_view_miss_allocates_no_image () =
   Alcotest.(check bool) "the stat missed the overlay" true (Shadow.device_reads sh > reads);
   if words <> 0. then Alcotest.failf "a stat of overlay misses allocated %.0f major words" words
 
+(* An attach decodes the superblock and both bitmaps in place, through
+   the overlay's view, and hands each miss buffer back to the device.
+   Once a device handle holds a handed-back buffer, an attach allocates
+   no block image; through [Overlay.read], every block but the first
+   would be a fresh 4 KiB image. *)
+let test_attach_allocates_no_image () =
+  let _disk, dev = mk_image () in
+  ignore (ok (Shadow.attach dev));
+  let words = Alloc_words.direct_major_words (fun () -> ignore (ok (Shadow.attach dev))) in
+  if words <> 0. then Alcotest.failf "an attach allocated %.0f major words" words
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "rae_shadowfs"
@@ -406,6 +417,8 @@ let () =
           Alcotest.test_case "the hand-off copies no block" `Quick test_handoff_copies_nothing;
           Alcotest.test_case "an overlay miss allocates no block image" `Quick
             test_view_miss_allocates_no_image;
+          Alcotest.test_case "an attach allocates no block image" `Quick
+            test_attach_allocates_no_image;
         ] );
       ( "checks",
         [
